@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,54 +49,6 @@ class FrozenLength:
 
     def second(self, t: float) -> float:
         return 0.0
-
-
-class LinearLength:
-    """Length interpolated linearly in time; zero duration means the jump
-    has already happened (sudden limit)."""
-
-    def __init__(self, start: float, end: float, duration: float):
-        if start <= 0.0 or end <= 0.0:
-            raise ValueError("lengths must be positive")
-        if duration < 0.0:
-            raise ValueError("duration must be non-negative")
-        self.start = float(start)
-        self.end = float(end)
-        self.duration = float(duration)
-
-    def value(self, t: float) -> float:
-        if self.duration == 0.0:
-            return self.end
-        u = min(max(t / self.duration, 0.0), 1.0)
-        return self.start + (self.end - self.start) * u
-
-    def second(self, t: float) -> float:
-        return 0.0
-
-
-class QuadraticLength:
-    """l(t) = start + (end - start) (t/T)^2, so l'' is constant and the
-    support-acceleration term has something to act on."""
-
-    def __init__(self, start: float, end: float, duration: float):
-        if start <= 0.0 or end <= 0.0:
-            raise ValueError("lengths must be positive")
-        if duration < 0.0:
-            raise ValueError("duration must be non-negative")
-        self.start = float(start)
-        self.end = float(end)
-        self.duration = float(duration)
-
-    def value(self, t: float) -> float:
-        if self.duration == 0.0:
-            return self.end
-        u = min(max(t / self.duration, 0.0), 1.0)
-        return self.start + (self.end - self.start) * u * u
-
-    def second(self, t: float) -> float:
-        if self.duration == 0.0 or t < 0.0 or t > self.duration:
-            return 0.0
-        return 2.0 * (self.end - self.start) / self.duration ** 2
 
 
 class ArctanDetuningRamp:
@@ -147,35 +98,13 @@ class ArctanDetuningRamp:
         return 2.0 * self.g * d2 / w ** 3 + 6.0 * self.g * d1 * d1 / w ** 4
 
 
-class _FiniteDifferenceSchedule:
-    # wraps a bare callable; second derivative by central difference
-    def __init__(self, fn: Callable[[float], float], h: float):
-        self.fn = fn
-        self.h = h
-
-    def value(self, t: float) -> float:
-        return float(self.fn(t))
-
-    def second(self, t: float) -> float:
-        h = self.h
-        return (self.fn(t + h) - 2.0 * self.fn(t) + self.fn(t - h)) / (h * h)
-
-
-def _as_schedule(obj, duration: float):
-    if hasattr(obj, "value") and hasattr(obj, "second"):
-        return obj
-    if callable(obj):
-        h = min(max(1e-3, 1e-6 * duration), max(duration / 100.0, 1e-3))
-        return _FiniteDifferenceSchedule(obj, h)
-    raise ValueError("length schedule must be callable or provide value/second")
-
-
 # ---------------------------------------------------------------------------
 # coupled pendulums
 
 @dataclass(frozen=True)
 class PendulumSystem:
-    """Two pendulums, spring-coupled; the 'e' length follows a schedule.
+    """Two pendulums, spring-coupled; the 'e' length follows a schedule
+    with value(t) and second(t), the length and its second derivative.
 
     kappa is the spring constant per unit mass (1/time^2).  The weak-coupling
     regime kappa << g/l is recorded by pendulum_sweep, never enforced.
@@ -214,7 +143,6 @@ class TransferReport:
     total_energy: np.ndarray
     energy_drift: float | None
     weak_coupling_ratio: float
-    support_term_included: bool
 
 
 def _stiffness(we2: float, wm2: float, kappa: float) -> np.ndarray:
@@ -232,22 +160,21 @@ def _mode_split(x: np.ndarray, v: np.ndarray, stiffness: np.ndarray):
 
 
 def pendulum_sweep(system: PendulumSystem, duration: float,
-                   include_support_term: bool = True, rtol: float = 1e-10,
-                   atol: float = 1e-12, samples: int = 1200) -> TransferReport:
+                   rtol: float = 1e-10, atol: float = 1e-12,
+                   samples: int = 1200) -> TransferReport:
     """Integrate the coupled small-angle equations through a length sweep.
 
     Displacement coordinates x = l * angle obey
     x_e'' = -((g - l_e'')/l_e) x_e - kappa (x_e - x_mu); the l'' term is the
-    support-acceleration correction, dropped when include_support_term is
-    False.  duration = 0 is the sudden limit: state unchanged, attributed
-    directly at the final lengths.
+    support-acceleration correction.  duration = 0 is the sudden limit:
+    state unchanged, attributed directly at the final lengths.
 
     Raises IntegratorError when a constant schedule shows relative energy
     drift above 1e-6 (the integrator, not the physics, is then at fault).
     """
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
-    sched = _as_schedule(system.length_schedule, duration)
+    sched = system.length_schedule
     g = system.g
     kappa = system.kappa
     wm2 = g / system.l_mu
@@ -274,7 +201,7 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
         else:
             def rhs(t, y):
                 le = sched.value(t)
-                acc = sched.second(t) if include_support_term else 0.0
+                acc = sched.second(t)
                 ax_e = -((g - acc) / le) * y[0] - kappa * (y[0] - y[2])
                 ax_m = -wm2 * y[2] - kappa * (y[2] - y[0])
                 return (y[1], ax_e, y[3], ax_m)
@@ -319,8 +246,7 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
     return TransferReport(fraction=fraction, times=times,
                           flavor_energies=flavor, mode_energies=modes,
                           total_energy=total, energy_drift=drift,
-                          weak_coupling_ratio=float(weak),
-                          support_term_included=bool(include_support_term))
+                          weak_coupling_ratio=float(weak))
 
 
 def msw_benchmark_system(kappa: float = 0.025, delta_max: float = 0.34,
@@ -801,25 +727,18 @@ def celestial_frozen_period(cfg: CelestialConfig, phi: float,
     return float(np.mean(gaps))
 
 
-def frozen_period_grid(cfg: CelestialConfig, nodes: int = 32, jobs: int = 1,
+def frozen_period_grid(cfg: CelestialConfig, nodes: int = 32,
                        rtol: float = 1e-12, atol: float = 1e-13,
                        orbits: float = 8.5):
     """Frozen-probe period on a uniform perturber-angle grid.
 
-    Returns (angles, periods).  Node runs are independent; jobs > 1 fans
-    them over a thread pool.
+    Returns (angles, periods).
     """
     if nodes < 4 or nodes % 2:
         raise ValueError("nodes must be an even number >= 4")
     phis = TWO_PI * np.arange(nodes) / nodes
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            periods = list(pool.map(
-                lambda p: celestial_frozen_period(cfg, p, rtol, atol, orbits),
-                phis))
-    else:
-        periods = [celestial_frozen_period(cfg, p, rtol, atol, orbits)
-                   for p in phis]
+    periods = [celestial_frozen_period(cfg, p, rtol, atol, orbits)
+               for p in phis]
     return phis, np.asarray(periods)
 
 
@@ -895,7 +814,6 @@ class CelestialResidual:
 def celestial_adiabatic_residual(cfg: CelestialConfig, n_periods: float = 1.0,
                                  phi0: float = 0.0, nodes: int = 32,
                                  rtol: float = 1e-12, atol: float = 1e-13,
-                                 jobs: int = 1,
                                  check_convergence: bool = True) -> CelestialResidual:
     """Adiabatic residual of the orbital phase over n perturber cycles.
 
@@ -965,7 +883,7 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, n_periods: float = 1.0,
     full_phase = TWO_PI * (count - 1)
 
     if cfg.m_jupiter > 0.0:
-        phis, periods = frozen_period_grid(cfg, nodes, jobs, rtol, atol)
+        phis, periods = frozen_period_grid(cfg, nodes, rtol, atol)
         rates = TWO_PI / periods
     else:
         rates = np.full(nodes, TWO_PI / t_e)

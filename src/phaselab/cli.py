@@ -57,6 +57,8 @@ def _read_config(path: str) -> dict:
 
 def _coerce(name: str, scenario: str, schema_entry, value):
     try:
+        if isinstance(value, bool):
+            raise ValueError("booleans are not accepted")
         if schema_entry.kind is int:
             as_float = float(value)
             if not as_float.is_integer():
@@ -163,7 +165,7 @@ def _dump_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # execution
 
-def _execute(name: str, params: dict, seed: int, outdir: Path, jobs: int):
+def _execute(name: str, params: dict, seed: int, outdir: Path):
     """Run one scenario into outdir; returns (results, checks, inventory)."""
     outputs = {}
 
@@ -174,7 +176,7 @@ def _execute(name: str, params: dict, seed: int, outdir: Path, jobs: int):
         _write_csv(target, columns)
         outputs[filename] = _sha256(target)
 
-    results, checks = SCENARIOS[name].runner(params, seed, emit, jobs)
+    results, checks = SCENARIOS[name].runner(params, seed, emit)
     return results, checks, outputs
 
 
@@ -200,6 +202,8 @@ def _run_command(args) -> int:
     outdir = root / (name if name else "unresolved")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
+        # a failed rerun must not leave an earlier run's verdict behind
+        (outdir / "summary.json").unlink(missing_ok=True)
     except OSError as exc:
         error = error or _fail("config-error",
                                f"output directory not writable: {exc}")
@@ -209,8 +213,7 @@ def _run_command(args) -> int:
 
     if error is None:
         try:
-            results, checks, outputs = _execute(name, params, seed, outdir,
-                                                args.jobs)
+            results, checks, outputs = _execute(name, params, seed, outdir)
             summary = {
                 "scenario": name,
                 "seed": seed,
@@ -227,7 +230,7 @@ def _run_command(args) -> int:
                               f"{len(failing)} of {len(checks)} built-in "
                               f"checks failed: {failing[0]}")
                 status = _EXIT_CODES["assertion-failure"]
-        except (PhaseLabError, ValueError, ArithmeticError) as exc:
+        except Exception as exc:
             error = _fail("computation-error",
                           f"{type(exc).__name__}: {exc}")
             status = _EXIT_CODES["computation-error"]
@@ -282,7 +285,7 @@ def render_listing() -> str:
     return "\n".join(lines)
 
 
-def _check_command(args) -> int:
+def _check_command() -> int:
     failures = 0
     for name in CHECK_SCENARIOS:
         schema = SCENARIOS[name].parameters
@@ -291,8 +294,8 @@ def _check_command(args) -> int:
         t0 = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                _, checks, _ = _execute(name, params, 0, Path(tmp), args.jobs)
-            except (PhaseLabError, ValueError, ArithmeticError) as exc:
+                _, checks, _ = _execute(name, params, 0, Path(tmp))
+            except Exception as exc:
                 print(f"{name}: ERROR {type(exc).__name__}: {exc}")
                 failures += 1
                 continue
@@ -325,13 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None,
                      help="output root (default: config out_dir, then "
                           "$PHASELAB_OUT, then ./phaselab-out)")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker bound for scenarios that parallelize")
 
     sub.add_parser("list", help="list scenarios, parameters, defaults, units")
-
-    check = sub.add_parser("check", help="run the fast acceptance subset")
-    check.add_argument("--jobs", type=int, default=1)
+    sub.add_parser("check", help="run the fast acceptance subset")
     return parser
 
 
@@ -340,11 +339,8 @@ def main(argv=None) -> int:
     if args.command == "list":
         print(render_listing(), end="")
         return 0
-    if getattr(args, "jobs", 1) < 1:
-        _report(_fail("config-error", "--jobs must be at least 1"))
-        return _EXIT_CODES["config-error"]
     if args.command == "check":
-        return _check_command(args)
+        return _check_command()
     return _run_command(args)
 
 

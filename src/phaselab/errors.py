@@ -49,14 +49,6 @@ class ResolutionError(PhaseLabError):
         self.residual = residual
 
 
-class RootNotFoundError(PhaseLabError):
-    """No zero of the field pair was found inside the seed box."""
-
-
-class NonTransversalError(PhaseLabError):
-    """The zero set is not a transversally-cut curve at a trace point."""
-
-
 class StabilityError(PhaseLabError):
     """A time stepper drifted beyond its stability tolerance."""
 

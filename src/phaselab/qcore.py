@@ -1,10 +1,10 @@
-"""Small-n quantum kernel: states, Pauli algebra, propagation, phase bookkeeping.
+"""Two-level quantum kernel: states, Pauli algebra, propagation, phase bookkeeping.
 
 Conventions used throughout the package: hbar = 1, the propagator over a step
-is exp(-i H dt), and reported angles live in (-pi, pi].  The 2x2 case is
-solved in closed form everywhere (eigensystem and step propagator) so that
-evolution is exactly unitary up to roundoff; larger Hermitian matrices fall
-back to numpy.linalg.eigh and a Cayley (norm-preserving) stepper.
+is exp(-i H dt), and reported angles live in (-pi, pi].  Operators are 2x2
+and solved in closed form everywhere (eigensystem and step propagator) so
+that evolution is exactly unitary up to roundoff; the eigensystem and the
+propagators reject any other size with ValueError.
 """
 
 from __future__ import annotations
@@ -85,9 +85,7 @@ class StateVector:
 
 
 def _coerce_hermitian(matrix, context: str) -> np.ndarray:
-    """Return the ndarray behind an operator, checking hermiticity."""
-    if isinstance(matrix, HermitianOperator):
-        return matrix.matrix
+    """Return the operator as a complex ndarray, checking hermiticity."""
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ScheduleError(f"{context}: operator is not a square matrix")
@@ -99,34 +97,11 @@ def _coerce_hermitian(matrix, context: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HermitianOperator:
-    """Hermitian matrix, entries in energy units (hbar = 1)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator must be a square matrix")
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev > _HERM_TOL * scale:
-            raise ValueError(f"matrix deviates from Hermitian by {dev:.3e}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class HamiltonianSchedule:
     """Time-dependent Hamiltonian: evaluator(t) for t in [0, duration].
 
-    The evaluator may return either a HermitianOperator or a plain complex
-    ndarray; either way the output is checked for hermiticity on every query.
+    The evaluator returns a complex ndarray, checked for hermiticity on
+    every query.
     """
 
     evaluator: Callable[[float], object]
@@ -164,38 +139,35 @@ def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def instantaneous_eigensystem(operator) -> Eigensystem:
-    """Ordered eigen-decomposition of a Hermitian operator.
+    """Ordered eigen-decomposition of a Hermitian 2x2 operator.
 
-    2x2 matrices are handled in closed form: H = c0*I + a.sigma has
-    eigenvalues c0 -+ |a| and spin-coherent eigenvectors built from the
-    polar angles of a.  Larger matrices use numpy.linalg.eigh.  Gaps below
-    1e-12 set the ``degenerate`` flag; callers decide what that means.
+    H = c0*I + a.sigma has eigenvalues c0 -+ |a| and spin-coherent
+    eigenvectors built from the polar angles of a.  A gap below 1e-12 sets
+    the ``degenerate`` flag; callers decide what that means.  Raises
+    ValueError for any other size.
     """
     mat = _coerce_hermitian(operator, "eigensystem input")
-    n = mat.shape[0]
-    if n == 2:
-        h00 = mat[0, 0].real
-        h11 = mat[1, 1].real
-        h01 = complex(mat[0, 1])
-        c0 = 0.5 * (h00 + h11)
-        a3 = 0.5 * (h00 - h11)
-        a1 = h01.real
-        a2 = -h01.imag
-        rho = math.hypot(a1, a2)
-        r = math.hypot(rho, a3)
-        values = np.array([c0 - r, c0 + r])
-        if 2.0 * r <= _DEGENERACY_GAP:
-            return Eigensystem(values, np.eye(2, dtype=complex), True)
-        theta = math.atan2(rho, a3)
-        phi = math.atan2(a2, a1)
-        ch = math.cos(0.5 * theta)
-        sh = math.sin(0.5 * theta)
-        eph = cmath.exp(1j * phi)
-        vectors = np.array([[-sh, ch], [eph * ch, eph * sh]], dtype=complex)
-        return Eigensystem(values, _fix_column_phases(vectors), False)
-    values, vectors = np.linalg.eigh(mat)
-    degenerate = bool(np.any(np.diff(values) < _DEGENERACY_GAP))
-    return Eigensystem(values, _fix_column_phases(vectors.astype(complex)), degenerate)
+    if mat.shape != (2, 2):
+        raise ValueError(f"eigensystem input must be 2x2, got {mat.shape}")
+    h00 = mat[0, 0].real
+    h11 = mat[1, 1].real
+    h01 = complex(mat[0, 1])
+    c0 = 0.5 * (h00 + h11)
+    a3 = 0.5 * (h00 - h11)
+    a1 = h01.real
+    a2 = -h01.imag
+    rho = math.hypot(a1, a2)
+    r = math.hypot(rho, a3)
+    values = np.array([c0 - r, c0 + r])
+    if 2.0 * r <= _DEGENERACY_GAP:
+        return Eigensystem(values, np.eye(2, dtype=complex), True)
+    theta = math.atan2(rho, a3)
+    phi = math.atan2(a2, a1)
+    ch = math.cos(0.5 * theta)
+    sh = math.sin(0.5 * theta)
+    eph = cmath.exp(1j * phi)
+    vectors = np.array([[-sh, ch], [eph * ch, eph * sh]], dtype=complex)
+    return Eigensystem(values, _fix_column_phases(vectors), False)
 
 
 def ground_state(operator) -> StateVector:
@@ -247,58 +219,43 @@ def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float,
     same midpoint grid: H is frozen within a step, so <psi|H|psi> taken with
     the step's starting state already is the midpoint-rule sample.
     """
+    if psi0.size != 2:
+        raise ValueError(f"propagation needs a 2-level state, got {psi0.size}")
     n, dt = _step_count(schedule.duration, step)
-    dim = psi0.size
     energy = 0.0
-    if dim == 2:
-        p0 = complex(psi0[0])
-        p1 = complex(psi0[1])
-        if record is not None:
-            record(0.0, np.array([p0, p1]))
-        for k in range(n):
-            h = schedule.operator((k + 0.5) * dt)
-            h00 = h[0, 0].real
-            h11 = h[1, 1].real
-            h01 = complex(h[0, 1])
-            if collect_energy:
-                energy += dt * (h00 * (p0.real * p0.real + p0.imag * p0.imag)
-                                + h11 * (p1.real * p1.real + p1.imag * p1.imag)
-                                + 2.0 * (h01 * p1 * p0.conjugate()).real)
-            c0 = 0.5 * (h00 + h11)
-            a3 = 0.5 * (h00 - h11)
-            a1 = h01.real
-            a2 = -h01.imag
-            r = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-            ang = r * dt
-            phase = cmath.exp(-1j * c0 * dt)
-            if r == 0.0:
-                c, s = 1.0, dt
-            else:
-                c = math.cos(ang)
-                s = math.sin(ang) / r
-            u00 = phase * (c - 1j * s * a3)
-            u01 = phase * (-1j * s) * (a1 - 1j * a2)
-            u10 = phase * (-1j * s) * (a1 + 1j * a2)
-            u11 = phase * (c + 1j * s * a3)
-            p0, p1 = u00 * p0 + u01 * p1, u10 * p0 + u11 * p1
-            if record is not None:
-                record((k + 1) * dt, np.array([p0, p1]))
-        return np.array([p0, p1]), energy
-
-    psi = np.array(psi0, dtype=complex)
-    eye = np.eye(dim, dtype=complex)
+    p0 = complex(psi0[0])
+    p1 = complex(psi0[1])
     if record is not None:
-        record(0.0, psi.copy())
+        record(0.0, np.array([p0, p1]))
     for k in range(n):
         h = schedule.operator((k + 0.5) * dt)
+        h00 = h[0, 0].real
+        h11 = h[1, 1].real
+        h01 = complex(h[0, 1])
         if collect_energy:
-            energy += dt * float(np.vdot(psi, h @ psi).real)
-        # Cayley form keeps the step exactly unitary for Hermitian h
-        half = 0.5j * dt * h
-        psi = np.linalg.solve(eye + half, (eye - half) @ psi)
+            energy += dt * (h00 * (p0.real * p0.real + p0.imag * p0.imag)
+                            + h11 * (p1.real * p1.real + p1.imag * p1.imag)
+                            + 2.0 * (h01 * p1 * p0.conjugate()).real)
+        c0 = 0.5 * (h00 + h11)
+        a3 = 0.5 * (h00 - h11)
+        a1 = h01.real
+        a2 = -h01.imag
+        r = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+        ang = r * dt
+        phase = cmath.exp(-1j * c0 * dt)
+        if r == 0.0:
+            c, s = 1.0, dt
+        else:
+            c = math.cos(ang)
+            s = math.sin(ang) / r
+        u00 = phase * (c - 1j * s * a3)
+        u01 = phase * (-1j * s) * (a1 - 1j * a2)
+        u10 = phase * (-1j * s) * (a1 + 1j * a2)
+        u11 = phase * (c + 1j * s * a3)
+        p0, p1 = u00 * p0 + u01 * p1, u10 * p0 + u11 * p1
         if record is not None:
-            record((k + 1) * dt, psi.copy())
-    return psi, energy
+            record((k + 1) * dt, np.array([p0, p1]))
+    return np.array([p0, p1]), energy
 
 
 def evolve(schedule: HamiltonianSchedule, psi0: StateVector, step: float) -> StateVector:

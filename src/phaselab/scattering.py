@@ -1,6 +1,6 @@
 """1D scattering off a wall-plus-barrier channel, and the momentum ledger.
 
-The setup throughout: a hard mirror at x = 0, a thin barrier at x = X > 0,
+The setup throughout: a hard mirror at x = 0, a delta barrier at x = X > 0,
 and a particle of momentum p arriving from the right.  Stationary solves
 give the reflection phase of the closed channel; the bounce-chain algebra
 shows the expected momentum handed to the barrier is exactly zero; the
@@ -16,14 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from . import qcore
-from .errors import GeometryError, ResolutionError, StabilityError
+from .errors import GeometryError, StabilityError
 
 _UNIT_R_TOL = 1e-10
 
@@ -40,33 +39,19 @@ class DeltaBarrier:
 
 
 @dataclass(frozen=True)
-class SquareBarrier:
-    """Rectangular barrier: height V0 (energy), width a (length), centered."""
-
-    height: float
-    width: float
-
-    def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("width must be positive")
-
-
-@dataclass(frozen=True)
 class ScatteringConfig:
     """Channel geometry: mirror at x = 0, barrier at x = X, momentum p."""
 
     p: float
     m: float
     X: float
-    barrier: object
+    barrier: DeltaBarrier
 
     def __post_init__(self):
         if self.p <= 0.0 or self.m <= 0.0 or self.X <= 0.0:
             raise ValueError("p, m, X must all be positive")
-        if isinstance(self.barrier, SquareBarrier) and self.barrier.width >= self.X:
-            raise ValueError("square barrier must fit between mirror and barrier site")
-        if not isinstance(self.barrier, (DeltaBarrier, SquareBarrier)):
-            raise ValueError("barrier must be DeltaBarrier or SquareBarrier")
+        if not isinstance(self.barrier, DeltaBarrier):
+            raise ValueError("barrier must be a DeltaBarrier")
 
     @property
     def velocity(self) -> float:
@@ -77,29 +62,13 @@ def barrier_matrix(config: ScatteringConfig) -> np.ndarray:
     """Transfer matrix M with (A, B)_left = M (C, D)_right for coefficients
     of exp(+-ipx) on the two sides of the barrier.
 
-    Delta barrier: closed form with u = m gamma / p.  Square barrier: closed
-    form in cos(qa) and sin(qa)/q with q^2 = p^2 - 2 m v0, which stays regular
-    through the threshold q = 0 and covers the evanescent side (q imaginary)
-    automatically.  Both satisfy |r|^2 + |t|^2 = 1 for these real potentials.
+    Closed form with u = m gamma / p; it satisfies |r|^2 + |t|^2 = 1.
     """
     p, m, X = config.p, config.m, config.X
-    if isinstance(config.barrier, DeltaBarrier):
-        u = m * config.barrier.strength / p
-        ph = cmath.exp(2j * p * X)
-        return np.array([[1 + 1j * u, 1j * u / ph],
-                         [-1j * u * ph, 1 - 1j * u]], dtype=complex)
-    v0, a = config.barrier.height, config.barrier.width
-    q2 = p * p - 2.0 * m * v0
-    q = cmath.sqrt(q2 + 0j)
-    c = cmath.cos(q * a)
-    s = a if q == 0 else cmath.sin(q * a) / q
-    beta = (p * p + q2) / (2.0 * p)
-    delta = (q2 - p * p) / (2.0 * p)
+    u = m * config.barrier.strength / p
     ph = cmath.exp(2j * p * X)
-    return np.array(
-        [[cmath.exp(1j * p * a) * (c - 1j * beta * s), -1j * delta * s / ph],
-         [1j * delta * s * ph, cmath.exp(-1j * p * a) * (c + 1j * beta * s)]],
-        dtype=complex)
+    return np.array([[1 + 1j * u, 1j * u / ph],
+                     [-1j * u * ph, 1 - 1j * u]], dtype=complex)
 
 
 def transmission_probability(config: ScatteringConfig) -> float:
@@ -125,20 +94,6 @@ def reflection_phase(config: ScatteringConfig) -> float:
     if abs(abs(r) - 1.0) > _UNIT_R_TOL:
         raise StabilityError(f"|r| = {abs(r)!r} off unity in a closed channel")
     return qcore.wrap_angle(cmath.phase(r))
-
-
-def naive_force_estimate(p: float, X: float, m: float, y0: float) -> float:
-    """The paradoxical static estimate 2 p^2 X / (m Y0^2).
-
-    This is the force suggested by dividing the phase gradient by the dwell
-    time; it grows without bound in X, which is precisely the puzzle the
-    bounce-chain accounting resolves.  Reported for narrative plots only.
-    """
-    if p <= 0.0 or m <= 0.0 or y0 <= 0.0:
-        raise ValueError("p, m, y0 must be positive")
-    if X < 0.0:
-        raise ValueError("X must be non-negative")
-    return 2.0 * p * p * X / (m * y0 * y0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +259,7 @@ def _gaussian_packet(x: np.ndarray, center: float, width: float, p: float,
 def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketResult:
     """Crank-Nicolson evolution of a packet thrown at the mirror+barrier.
 
-    The barrier is one grid cell of area gamma (delta) or the sampled
-    square profile.  Per step, the change of <P> equals i dt <m|[H, P]|m>
+    The barrier is one grid cell of area gamma.  Per step, the change of <P> equals i dt <m|[H, P]|m>
     exactly for the Crank-Nicolson midpoint state m; splitting [H, P] into
     the potential part (barrier force) and the kinetic-boundary part
     (wall forces, split by half-domain) yields a momentum ledger that
@@ -331,11 +285,7 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
         raise ValueError("box must extend well beyond the packet start")
 
     pot = np.zeros(n)
-    if isinstance(config.barrier, DeltaBarrier):
-        pot[int(round(X / dx)) - 1] = config.barrier.strength / dx
-    else:
-        inside = np.abs(x - X) <= 0.5 * config.barrier.width
-        pot[inside] = config.barrier.height
+    pot[int(round(X / dx)) - 1] = config.barrier.strength / dx
 
     kin = 1.0 / (2.0 * m * dx * dx)
 
@@ -463,121 +413,3 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
                             round_trip_time=round_trip,
                             ledger_residual=ledger_residual,
                             norm_drift=norm_drift)
-
-
-# ---------------------------------------------------------------------------
-# Reflection phase versus probe distance
-
-@dataclass(frozen=True)
-class ProbeProfile:
-    """Barrier strength as a function of transverse probe distance Y.
-
-    strength_of_Y decreases from a large value at the channel edge Y = w
-    to nearly zero beyond the range y0.
-    """
-
-    strength_of_y: Callable[[float], float]
-    y0: float
-    w: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.w < self.y0):
-            raise ValueError("need 0 <= w < y0")
-
-    @classmethod
-    def exponential(cls, peak: float, w: float, y0: float,
-                    floor: float = 1e-3) -> "ProbeProfile":
-        """gamma(Y) = peak at Y = w decaying exponentially to floor at y0."""
-        if peak <= floor or floor <= 0.0:
-            raise ValueError("need peak > floor > 0")
-        if not (0.0 <= w < y0):
-            raise ValueError("need 0 <= w < y0")
-        rate = math.log(peak / floor) / (y0 - w)
-
-        def gamma(yv: float) -> float:
-            return peak * math.exp(-rate * (yv - w))
-
-        return cls(strength_of_y=gamma, y0=y0, w=w)
-
-
-@dataclass(frozen=True)
-class PhaseSweep:
-    """Reflection phase along a probe-distance sweep."""
-
-    y: np.ndarray
-    strength: np.ndarray
-    phase: np.ndarray
-    unwrapped: np.ndarray
-    total_variation: float
-    winding_count: int
-
-
-def phase_vs_y(profile: ProbeProfile, config: ScatteringConfig,
-               y_samples, max_refinements: int = 24) -> PhaseSweep:
-    """Reflection phase as the probe distance varies, continuously unwrapped.
-
-    Nearest-branch continuation between consecutive samples; midpoints are
-    inserted until every jump is below pi/2, so resonance windings are
-    counted rather than aliased.  Samples must lie in (w, 2 y0].
-    """
-    ys = sorted(float(yv) for yv in np.asarray(y_samples, dtype=float).ravel())
-    if len(ys) < 2:
-        raise ValueError("need at least two probe distances")
-    if ys[0] <= profile.w or ys[-1] > 2.0 * profile.y0:
-        raise ValueError("probe distances must lie in (w, 2 y0]")
-
-    def phase_at(yv: float) -> float:
-        cfg = ScatteringConfig(p=config.p, m=config.m, X=config.X,
-                               barrier=DeltaBarrier(profile.strength_of_y(yv)))
-        return reflection_phase(cfg)
-
-    def unwrap(seq):
-        out = [seq[0]]
-        for ph in seq[1:]:
-            out.append(ph + 2.0 * math.pi * round((out[-1] - ph) / (2.0 * math.pi)))
-        return out
-
-    def densify(yy, pp):
-        oy, op = [yy[0]], [pp[0]]
-        for yv, ph in zip(yy[1:], pp[1:]):
-            mid = 0.5 * (oy[-1] + yv)
-            oy.append(mid)
-            op.append(phase_at(mid))
-            oy.append(yv)
-            op.append(ph)
-        return oy, op
-
-    phases = [phase_at(yv) for yv in ys]
-    for _ in range(max_refinements):
-        jumps = [qcore.circle_distance(a, b) for a, b in zip(phases, phases[1:])]
-        if max(jumps) < 0.5 * math.pi:
-            # guard against whole windings hiding between samples: a global
-            # midpoint pass must leave the unwrapped variation unchanged
-            span_old = unwrap(phases)[0] - unwrap(phases)[-1]
-            ys, phases = densify(ys, phases)
-            span_new = unwrap(phases)[0] - unwrap(phases)[-1]
-            if abs(span_new - span_old) < 1e-9 * max(1.0, abs(span_old)):
-                break
-        else:
-            new_ys, new_ph = [ys[0]], [phases[0]]
-            for yv, ph, jump in zip(ys[1:], phases[1:], jumps):
-                if jump >= 0.5 * math.pi:
-                    mid = 0.5 * (new_ys[-1] + yv)
-                    new_ys.append(mid)
-                    new_ph.append(phase_at(mid))
-                new_ys.append(yv)
-                new_ph.append(ph)
-            ys, phases = new_ys, new_ph
-    else:
-        raise ResolutionError("phase jumps above pi/2 persist after refinement; "
-                              "profile varies too fast")
-
-    unwrapped = np.array(unwrap(phases))
-    ys = np.array(ys)
-    total = float(unwrapped[0] - unwrapped[-1])
-    # variation accumulated going inward (from far probe to channel edge)
-    return PhaseSweep(y=ys,
-                      strength=np.array([profile.strength_of_y(yv) for yv in ys]),
-                      phase=np.array(phases), unwrapped=unwrapped,
-                      total_variation=total,
-                      winding_count=int(abs(total) // (2.0 * math.pi)))

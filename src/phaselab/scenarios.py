@@ -60,7 +60,7 @@ def _pair_list(text: str) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 # spin-phase scenarios
 
-def _run_berry_equator(p, seed, emit, jobs):
+def _run_berry_equator(p, seed, emit):
     period = TWO_PI / p["wobble"]
     dec = berry.cyclic_phase_decomposition(p["amplitude"], 0.5 * math.pi,
                                            period, p["step"])
@@ -84,7 +84,7 @@ def _run_berry_equator(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_berry_latitude(p, seed, emit, jobs):
+def _run_berry_latitude(p, seed, emit):
     angles = _float_list(p["colatitudes_deg"])
     samples = int(p["samples"])
     rows = []
@@ -106,7 +106,7 @@ def _run_berry_latitude(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_berry_wilson_sweep(p, seed, emit, jobs):
+def _run_berry_wilson_sweep(p, seed, emit):
     amp, factor, wobble = p["amplitude"], p["factor"], p["wobble"]
     dirs = berry.latitude_directions(0.5 * math.pi, int(p["wilson_samples"]))
     wil_base = berry.wilson_loop_phase(amp * dirs)
@@ -174,7 +174,7 @@ def _rotation_about_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _run_linking(p, seed, emit, jobs):
+def _run_linking(p, seed, emit):
     samples = int(p["samples"])
     catalog = _linking_catalog(samples)
     rows, names, ok = [], [], True
@@ -235,7 +235,7 @@ def _rotation_about_axis(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def _run_topo_phase(p, seed, emit, jobs):
+def _run_topo_phase(p, seed, emit):
     samples = int(p["samples"])
     h = topology.RealFieldHamiltonian(a1=lambda r: r[0], a3=lambda r: r[1])
     # the degeneracy set is the z axis; close it far from every probe
@@ -276,7 +276,7 @@ def _run_topo_phase(p, seed, emit, jobs):
 # ---------------------------------------------------------------------------
 # scattering scenarios
 
-def _run_scatter_phase(p, seed, emit, jobs):
+def _run_scatter_phase(p, seed, emit):
     pm, mass, length = p["p"], p["m"], p["X"]
 
     def phase(strength):
@@ -311,7 +311,7 @@ def _run_scatter_phase(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_scatter_bounce(p, seed, emit, jobs):
+def _run_scatter_bounce(p, seed, emit):
     chain = scattering.BounceChain(epsilon=p["epsilon"], p=p["p"])
     exact = scattering.bounce_chain_expectation(chain)
     mc = scattering.bounce_chain_sample(chain, int(p["trials"]), seed)
@@ -348,7 +348,7 @@ def _run_scatter_bounce(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_scatter_wavepacket(p, seed, emit, jobs):
+def _run_scatter_wavepacket(p, seed, emit):
     cfg = scattering.ScatteringConfig(
         p=p["p"], m=p["m"], X=p["X"],
         barrier=scattering.DeltaBarrier(p["strength"]))
@@ -395,7 +395,7 @@ def _run_scatter_wavepacket(p, seed, emit, jobs):
 # ---------------------------------------------------------------------------
 # electric duality scenario
 
-def _run_ab_electric(p, seed, emit, jobs):
+def _run_ab_electric(p, seed, emit):
     rng = np.random.default_rng(seed)
     count = int(p["count"])
     rows = []
@@ -442,7 +442,7 @@ def _run_ab_electric(p, seed, emit, jobs):
 # ---------------------------------------------------------------------------
 # analog scenarios
 
-def _run_pendulum_msw(p, seed, emit, jobs):
+def _run_pendulum_msw(p, seed, emit):
     kappa, delta_max = p["kappa"], p["delta_max"]
     l_mu, grav = p["l_mu"], p["g"]
     omega_mu = math.sqrt(grav / l_mu)
@@ -498,7 +498,7 @@ def _run_pendulum_msw(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_two_level_sweep(p, seed, emit, jobs):
+def _run_two_level_sweep(p, seed, emit):
     pairs = _pair_list(p["pairs"])
     rows = []
     worst = 0.0
@@ -533,7 +533,7 @@ def _run_two_level_sweep(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_rect_loop(p, seed, emit, jobs):
+def _run_rect_loop(p, seed, emit):
     loop = analogs.rectangular_loop_phase(
         p["epsilon0"], p["delta0"], samples=int(p["samples"]),
         adiabaticity=p["adiabaticity"], transport_step=p["transport_step"])
@@ -573,7 +573,7 @@ def _run_rect_loop(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_celestial_frozen(p, seed, emit, jobs):
+def _run_celestial_frozen(p, seed, emit):
     cfg = analogs.CelestialConfig(m_jupiter=p["m_jupiter"],
                                   r_jupiter=p["r_jupiter"],
                                   eccentricity=p["eccentricity"])
@@ -584,8 +584,7 @@ def _run_celestial_frozen(p, seed, emit, jobs):
                      - kep)
 
     phis, periods = analogs.frozen_period_grid(
-        cfg, nodes=int(p["nodes"]), jobs=jobs, rtol=p["rtol"],
-        orbits=p["orbits"])
+        cfg, nodes=int(p["nodes"]), rtol=p["rtol"], orbits=p["orbits"])
     shifts = (periods - kep) / kep
     emit("frozen_grid.csv",
          [("perturber_angle", "radians", phis),
@@ -620,13 +619,13 @@ def _run_celestial_frozen(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_celestial_residual(p, seed, emit, jobs):
+def _run_celestial_residual(p, seed, emit):
     cfg = analogs.CelestialConfig(m_jupiter=p["m_jupiter"],
                                   r_jupiter=p["r_jupiter"],
                                   eccentricity=p["eccentricity"])
     res = analogs.celestial_adiabatic_residual(
         cfg, n_periods=p["n_periods"], phi0=p["phi0"], nodes=int(p["nodes"]),
-        rtol=p["rtol"], jobs=jobs)
+        rtol=p["rtol"])
     free = analogs.CelestialConfig(m_jupiter=0.0, r_jupiter=p["r_jupiter"],
                                    eccentricity=p["eccentricity"])
     control = analogs.celestial_adiabatic_residual(
@@ -653,7 +652,7 @@ def _run_celestial_residual(p, seed, emit, jobs):
     return results, checks
 
 
-def _run_monopole_angmom(p, seed, emit, jobs):
+def _run_monopole_angmom(p, seed, emit):
     seps = _float_list(p["separations"])
     rows = []
     for sep in seps:

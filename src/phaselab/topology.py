@@ -1,12 +1,12 @@
-"""Degeneracy curves, linking numbers, and the interlock phase rule.
+"""Linking numbers and the interlock phase rule.
 
 A real two-level Hamiltonian field H(R) = A1(R) sigma1 + A3(R) sigma3 is
 degenerate where both coefficient fields vanish; generically that zero set
 is a curve in 3-space.  The loop phase of the ground band around a probe
 loop is 0 or pi, and it is pi exactly when the probe links the degeneracy
-curve an odd number of times.  This module traces the curves, computes
-Gauss linking numbers exactly per segment pair, and exposes the parity
-rule and the dimension-counting table for n-level real Hamiltonians.
+curve an odd number of times.  This module computes Gauss linking numbers
+exactly per segment pair, exposes the parity rule, and measures the loop
+phase directly; the degeneracy curve itself is supplied by the caller.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import berry
-from .errors import (GeometryError, NonTransversalError, ResolutionError,
-                     RootNotFoundError, StabilityError)
+from .errors import GeometryError, ResolutionError
 
 _CLOSURE_TOL = 1e-12
 
@@ -99,41 +98,6 @@ class RealFieldHamiltonian:
 
     a1: Callable[[np.ndarray], float]
     a3: Callable[[np.ndarray], float]
-
-    def value(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        out = np.array([float(self.a1(x)), float(self.a3(x))])
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"field is not finite at {x.tolist()}")
-        return out
-
-
-@dataclass(frozen=True)
-class DegeneracyCount:
-    """Dimension bookkeeping for degeneracies of real symmetric n-level H."""
-
-    n: int
-    parameter_dim: int
-    real_codimension: int
-    degeneracy_dim: int
-
-
-def degeneracy_count(n: int) -> DegeneracyCount:
-    """Counting table for an n-level real Hamiltonian family.
-
-    parameter_dim counts independent traceless generators (n^2 - 1 for the
-    full complex family); real_codimension counts the vanishing conditions
-    for a real symmetric pair degeneracy, n(n+1)/2 - 1; their difference
-    n(n-1)/2 is the generic dimension of the degeneracy set.  The two
-    summands are reported separately because "dimension" alone is ambiguous.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 levels")
-    parameter_dim = n * n - 1
-    real_codim = n * (n + 1) // 2 - 1
-    return DegeneracyCount(n=n, parameter_dim=parameter_dim,
-                           real_codimension=real_codim,
-                           degeneracy_dim=parameter_dim - real_codim)
 
 
 # ---------------------------------------------------------------------------
@@ -225,163 +189,3 @@ def real_field_loop_phase(h: RealFieldHamiltonian, probe: Curve3D) -> float:
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("field is not finite along the probe")
     return berry.wilson_loop_phase(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Degeneracy-curve tracing
-
-@dataclass(frozen=True)
-class DegeneracyTrace:
-    """Polyline on the zero set {a1 = a3 = 0}; open traces span the box."""
-
-    points: np.ndarray
-    closed: bool
-
-    def curve(self) -> Curve3D:
-        if not self.closed:
-            raise GeometryError("trace is open (curve leaves the box); "
-                                "no closed curve to return")
-        return Curve3D(np.vstack([self.points, self.points[:1]]))
-
-
-def _field_jacobian(h: RealFieldHamiltonian, x: np.ndarray) -> np.ndarray:
-    jac = np.empty((2, 3))
-    for k in range(3):
-        step = 1e-6 * (1.0 + abs(x[k]))
-        xp = x.copy(); xp[k] += step
-        xm = x.copy(); xm[k] -= step
-        jac[:, k] = (h.value(xp) - h.value(xm)) / (2.0 * step)
-    return jac
-
-
-def _newton_correct(h: RealFieldHamiltonian, x: np.ndarray,
-                    tol: float = 1e-11, iterations: int = 40) -> np.ndarray | None:
-    """Damped least-norm Newton onto the zero set; the correction lies in
-    the row space of the Jacobian, i.e. normal to the curve."""
-    x = x.copy()
-    f = h.value(x)
-    for _ in range(iterations):
-        res = np.linalg.norm(f)
-        if res < tol:
-            return x
-        jac = _field_jacobian(h, x)
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        lam = 1.0
-        for _ in range(10):
-            trial = x + lam * step
-            ftrial = h.value(trial)
-            if np.linalg.norm(ftrial) < res:
-                x, f = trial, ftrial
-                break
-            lam *= 0.5
-        else:
-            return None
-    return x if np.linalg.norm(f) < tol else None
-
-
-def _tangent(h: RealFieldHamiltonian, x: np.ndarray) -> np.ndarray:
-    jac = _field_jacobian(h, x)
-    _, s, vt = np.linalg.svd(jac)
-    if s[1] < 1e-8 * max(s[0], 1e-300):
-        raise NonTransversalError(
-            f"Jacobian rank < 2 at {x.tolist()}: zero set is not a transverse curve")
-    return vt[2]
-
-
-def _inside(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    return bool(np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9))
-
-
-def _clip_to_box(inside_pt: np.ndarray, outside_pt: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    d = outside_pt - inside_pt
-    s = 1.0
-    for k in range(3):
-        if d[k] > 0 and outside_pt[k] > hi[k]:
-            s = min(s, (hi[k] - inside_pt[k]) / d[k])
-        elif d[k] < 0 and outside_pt[k] < lo[k]:
-            s = min(s, (lo[k] - inside_pt[k]) / d[k])
-    return inside_pt + max(s, 0.0) * d
-
-
-def _march(h: RealFieldHamiltonian, start: np.ndarray, tangent0: np.ndarray,
-           step0: float, lo: np.ndarray, hi: np.ndarray,
-           max_points: int = 100000):
-    """Follow the curve from start along tangent0; returns (points after
-    start, 'closed'|'exited')."""
-    points = []
-    x = start
-    t_prev = tangent0
-    step = step0
-    for _ in range(max_points):
-        predictor = x + step * t_prev
-        if not _inside(predictor, lo, hi):
-            points.append(_clip_to_box(x, predictor, lo, hi))
-            return points, "exited"
-        corrected = _newton_correct(h, predictor)
-        halvings = 0
-        while corrected is None:
-            halvings += 1
-            if halvings > 10:
-                raise StabilityError("continuation stalled: Newton correction "
-                                     "failed at 10 successive step halvings")
-            step *= 0.5
-            predictor = x + step * t_prev
-            corrected = _newton_correct(h, predictor)
-        x = corrected
-        points.append(x)
-        if len(points) >= 8 and np.linalg.norm(x - start) < 0.75 * step0:
-            return points, "closed"
-        t = _tangent(h, x)
-        if t @ t_prev < 0:
-            t = -t
-        t_prev = t
-        step = min(step * 2.0, step0)
-    raise StabilityError("continuation exceeded the point budget")
-
-
-def degeneracy_curve(h: RealFieldHamiltonian, box, resolution: int = 21) -> DegeneracyTrace:
-    """Trace the zero curve of (a1, a3) inside an axis-aligned box.
-
-    box is ((x0, x1), (y0, y1), (z0, z1)).  A coarse grid scan seeds a
-    damped Newton solve; the curve is then continued along the Jacobian
-    null direction with step 1/100 of the box diagonal, halved on Newton
-    failure up to 10 times.  A trace returning to its start closes up; one
-    leaving the box is continued from the seed in the opposite direction
-    and returned open, spanning the box, with closed=False.
-    """
-    lo = np.array([float(b[0]) for b in box])
-    hi = np.array([float(b[1]) for b in box])
-    if np.any(hi <= lo):
-        raise ValueError("box must have positive extent on every axis")
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4")
-
-    axes = [np.linspace(lo[k], hi[k], resolution) for k in range(3)]
-    best, best_norm = None, math.inf
-    for x0 in axes[0]:
-        for y0 in axes[1]:
-            for z0 in axes[2]:
-                p = np.array([x0, y0, z0])
-                nrm = float(np.linalg.norm(h.value(p)))
-                if nrm < best_norm:
-                    best, best_norm = p, nrm
-    root = _newton_correct(h, best)
-    if root is None or not _inside(root, lo, hi):
-        raise RootNotFoundError("no zero of (a1, a3) found in the box")
-
-    diag = float(np.linalg.norm(hi - lo))
-    step0 = diag / 100.0
-    t0 = _tangent(h, root)
-    forward, status = _march(h, root, t0, step0, lo, hi)
-    if status == "closed":
-        pts = np.vstack([root[None, :], np.array(forward[:-1])])
-        return DegeneracyTrace(points=pts, closed=True)
-    backward, status_b = _march(h, root, -t0, step0, lo, hi)
-    if status_b == "closed":
-        # curvature carried the forward leg out of the box but the loop
-        # closes; keep the backward closed trace
-        pts = np.vstack([root[None, :], np.array(backward[:-1])])
-        return DegeneracyTrace(points=pts, closed=True)
-    pts = np.vstack([np.array(backward[::-1]), root[None, :], np.array(forward)])
-    return DegeneracyTrace(points=pts, closed=False)

@@ -9,16 +9,29 @@ import math
 import pytest
 
 from phaselab import analogs, berry, scattering
+from phaselab.scenarios import SCENARIOS
 
 
 EQUATOR_AMPLITUDE = 1.0
 EQUATOR_WOBBLE = 0.005
 
+# the scatter-wavepacket scenario at its catalog defaults
+_WAVEPACKET = {k: entry.default for k, entry
+               in SCENARIOS["scatter-wavepacket"].parameters.items()}
 WAVEPACKET_CONFIG = scattering.ScatteringConfig(
-    p=1.5, m=1.0, X=20.0, barrier=scattering.DeltaBarrier(3.0))
+    p=_WAVEPACKET["p"], m=_WAVEPACKET["m"], X=_WAVEPACKET["X"],
+    barrier=scattering.DeltaBarrier(_WAVEPACKET["strength"]))
 WAVEPACKET_RUN = scattering.WavepacketRun(
-    grid_points=8192, dt=0.01, length=1000.0, center=35.0, width=2.5,
-    round_trips=16)
+    grid_points=_WAVEPACKET["grid_points"], dt=_WAVEPACKET["dt"],
+    length=_WAVEPACKET["length"], center=_WAVEPACKET["center"],
+    width=_WAVEPACKET["width"], round_trips=_WAVEPACKET["round_trips"])
+
+
+@pytest.fixture(autouse=True)
+def _isolated_cwd(tmp_path, monkeypatch):
+    """Run every test from its own tmp dir, so default output roots such as
+    ./phaselab-out never land in the checkout."""
+    monkeypatch.chdir(tmp_path)
 
 
 @pytest.fixture(scope="session")

@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from phaselab import abduality, analogs, berry, qcore, scattering, topology
+from phaselab import analogs, berry, qcore, scattering, topology
 from phaselab.analogs import CelestialConfig
 from phaselab.cli import main
 from phaselab.scattering import BounceChain, DeltaBarrier, ScatteringConfig
+from phaselab.scenarios import SCENARIOS
 from phaselab.topology import Curve3D, RealFieldHamiltonian
 
 from tests.conftest import WAVEPACKET_CONFIG
@@ -150,22 +151,11 @@ def test_criterion_7_bounce_ledger(wavepacket_result):
 
 
 def test_criterion_8_capacitor_duality():
-    rng = np.random.default_rng(0)
-    count = ratio_ok = 0
-    for _ in range(1000):
-        e, E, x = rng.uniform(0.5, 2.0, size=3)
-        bound_fraction = rng.uniform(0.1, 1.0)
-        t = bound_fraction * math.pi / (2.0 * e * E * x)
-        scen = abduality.CapacitorScenario(e=e, E=E, x=x, t=t)
-        rep = abduality.duality_report(scen)
-        assert rep.probe_phase == rep.system_phase
-        assert rep.match
-        wp = abduality.which_path_ratio(scen, localization=0.25 * x)
-        assert wp.relative_phase <= math.pi + 1e-12
-        count += 1
-        if wp.ratio > 1.0:
-            ratio_ok += 1
-    assert count == 1000 and ratio_ok == 1000
+    scenario = SCENARIOS["ab-electric"]
+    params = {k: entry.default for k, entry in scenario.parameters.items()}
+    results, checks = scenario.runner(params, 0, lambda name, columns: None)
+    assert all(ok for _, ok in checks)
+    assert results["exact_matches"] == results["count"] == 1000
     report(8, "1000 random capacitor settings: probe-side and system-side "
               "phases identical to the last bit, and no which-path record "
               "survives while the phase stays under pi")

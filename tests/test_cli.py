@@ -72,9 +72,11 @@ class TestConfigRejection:
         assert "comment" in cap.err
 
     def test_uncoercible_parameter(self, tmp_path, capsys):
-        code, _, cap = run_cli(tmp_path, capsys, "scatter-phase",
-                               parameters={"p": "fast"})
-        assert code == 2
+        for scenario, parameters in (("scatter-phase", {"p": "fast"}),
+                                     ("berry-latitude", {"samples": True})):
+            code, _, cap = run_cli(tmp_path, capsys, scenario,
+                                   parameters=parameters)
+            assert code == 2, f"{parameters!r} accepted"
 
     def test_bad_seed(self, tmp_path, capsys):
         for seed in (-1, True, 1.5):
@@ -98,11 +100,6 @@ class TestConfigRejection:
         assert main(["run", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
-    def test_jobs_floor(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, scenario="scatter-phase")
-        assert main(["run", "--config", cfg, "--jobs", "0"]) == 2
-        assert "config-error" in capsys.readouterr().err
-
 
 class TestComputationFailure:
     def test_invalid_physics_parameter(self, tmp_path, capsys):
@@ -115,6 +112,27 @@ class TestComputationFailure:
             (out / "celestial-residual" / "manifest.json").read_text())
         assert manifest["error"]["kind"] == "computation-error"
         assert "m_j" in manifest["error"]["message"]
+
+    def test_runner_crash(self, tmp_path, capsys):
+        # any exception out of a runner is a computation error, not exit 1
+        code, out, cap = run_cli(tmp_path, capsys, "ab-electric",
+                                 parameters={"count": 0})
+        assert code == 3
+        assert cap.err.startswith("phaselab: computation-error:")
+        manifest = json.loads(
+            (out / "ab-electric" / "manifest.json").read_text())
+        assert manifest["error"]["kind"] == "computation-error"
+
+    def test_failed_rerun_drops_stale_summary(self, tmp_path, capsys):
+        code, out, _ = run_cli(tmp_path, capsys, "scatter-phase")
+        assert code == 0
+        code, out, _ = run_cli(tmp_path, capsys, "scatter-phase",
+                               parameters={"p": 0})
+        assert code == 3
+        outdir = out / "scatter-phase"
+        assert not (outdir / "summary.json").exists()
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["error"]["kind"] == "computation-error"
 
 
 class TestAssertionFailure:

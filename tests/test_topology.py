@@ -1,4 +1,4 @@
-"""Linking numbers, degeneracy bookkeeping, zero-curve tracing."""
+"""Linking numbers and the interlock phase rule."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from phaselab import qcore, topology
-from phaselab.errors import (GeometryError, ResolutionError,
-                             RootNotFoundError)
+from phaselab.errors import GeometryError
 from phaselab.topology import Curve3D, RealFieldHamiltonian
 
 
@@ -16,26 +15,6 @@ def hopf_pair(samples=200):
     a = Curve3D.circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), samples)
     b = Curve3D.circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), samples)
     return a, b
-
-
-class TestDegeneracyCount:
-    def test_two_levels(self):
-        c = topology.degeneracy_count(2)
-        assert (c.parameter_dim, c.real_codimension, c.degeneracy_dim) == (3, 2, 1)
-
-    def test_three_levels(self):
-        c = topology.degeneracy_count(3)
-        assert (c.parameter_dim, c.real_codimension, c.degeneracy_dim) == (8, 5, 3)
-
-    def test_codimension_plus_dimension(self):
-        for n in range(2, 8):
-            c = topology.degeneracy_count(n)
-            # the two summands partition the traceless real symmetric count
-            assert c.real_codimension + c.degeneracy_dim == c.parameter_dim
-
-    def test_single_level_rejected(self):
-        with pytest.raises(ValueError):
-            topology.degeneracy_count(1)
 
 
 class TestCurve3D:
@@ -168,67 +147,16 @@ class TestRealFieldLoopPhase:
         assert qcore.circle_distance(phase, math.pi) < 1e-6
 
 
-class TestDegeneracyCurve:
-    def test_circle_is_traced_closed(self):
-        h = RealFieldHamiltonian(a1=lambda x: x[0] ** 2 + x[1] ** 2 - 1.0,
-                                 a3=lambda x: x[2])
-        trace = topology.degeneracy_curve(
-            h, ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)))
-        assert trace.closed
-        radii = np.hypot(trace.points[:, 0], trace.points[:, 1])
-        assert np.max(np.abs(radii - 1.0)) < 1e-6
-        assert np.max(np.abs(trace.points[:, 2])) < 1e-6
-        assert trace.points.shape[0] > 50
-        curve = trace.curve()
-        assert curve.segment_count == trace.points.shape[0]
-
-    def test_lifted_circle(self):
-        h = RealFieldHamiltonian(
-            a1=lambda x: math.hypot(x[0], x[1]) - 1.0,
-            a3=lambda x: x[2] - 0.2)
-        trace = topology.degeneracy_curve(
-            h, ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)))
-        assert trace.closed
-        assert np.max(np.abs(trace.points[:, 2] - 0.2)) < 1e-6
-
-    def test_open_trace_spans_box(self):
-        h = RealFieldHamiltonian(a1=lambda x: x[0], a3=lambda x: x[1])
-        trace = topology.degeneracy_curve(
-            h, ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
-        assert not trace.closed
-        zs = trace.points[:, 2]
-        assert zs.min() < -0.95 and zs.max() > 0.95
-        with pytest.raises(GeometryError):
-            trace.curve()
-
-    def test_no_zero_in_box(self):
-        h = RealFieldHamiltonian(a1=lambda x: x[0] - 10.0,
-                                 a3=lambda x: x[1] - 10.0)
-        with pytest.raises(RootNotFoundError):
-            topology.degeneracy_curve(
-                h, ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)))
-
-    def test_box_validation(self):
-        h = RealFieldHamiltonian(a1=lambda x: x[0], a3=lambda x: x[1])
-        with pytest.raises(ValueError):
-            topology.degeneracy_curve(h, ((1.0, -1.0), (-1.0, 1.0),
-                                          (-1.0, 1.0)))
-        with pytest.raises(ValueError):
-            topology.degeneracy_curve(h, ((-1.0, 1.0), (-1.0, 1.0),
-                                          (-1.0, 1.0)), resolution=3)
-
-
 @pytest.fixture(scope="module")
 def ring():
+    # the zero set of (x^2 + y^2 - 1, z) is the unit circle in the z = 0 plane
     h = RealFieldHamiltonian(a1=lambda x: x[0] ** 2 + x[1] ** 2 - 1.0,
                              a3=lambda x: x[2])
-    trace = topology.degeneracy_curve(
-        h, ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)))
-    return h, trace.curve()
+    return h, Curve3D.circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 400)
 
 
 class TestTracedCurveInterlock:
-    """Predictions from a traced degeneracy ring against direct loop phases."""
+    """Predictions from a degeneracy ring against direct loop phases."""
 
     def test_threading_probe(self, ring):
         h, curve = ring
