@@ -27,8 +27,8 @@ from scipy.integrate import solve_ivp
 from .errors import (DynamicsError, GeometryError, IntegratorError,
                      QuadratureError, RegimeWarning)
 from . import berry
-from .qcore import (SIGMA_1, SIGMA_3, HamiltonianSchedule, StateVector,
-                    evolve_with_energy, instantaneous_eigensystem, wrap_angle)
+from .qcore import (HamiltonianSchedule, StateVector, evolve_with_energy,
+                    instantaneous_eigensystem, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -282,13 +282,15 @@ def msw_benchmark_system(kappa: float = 0.025, delta_max: float = 0.34,
 class TwoLevelSweep:
     """H(t) = epsilon sigma1 + delta(t) sigma3 over [0, duration].
 
+    The detuning must be vectorized: it maps an array of times to a finite
+    real array of the same shape (checked on [0, duration] at construction).
     sweep_rate is metadata set by linear_two_level_sweep; when present the
     outcome carries the Landau-Zener comparison.  epsilon = 0 is allowed
     (levels cross freely, nothing converts).
     """
 
     epsilon: float
-    detuning: Callable[[float], float]
+    detuning: Callable[[np.ndarray], np.ndarray]
     duration: float
     sweep_rate: float | None = None
 
@@ -299,6 +301,14 @@ class TwoLevelSweep:
             raise ValueError("duration must be positive")
         if not callable(self.detuning):
             raise ValueError("detuning must be callable")
+        try:
+            probe = np.asarray(self.detuning(np.array([0.0, self.duration])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"detuning must accept an array of times: {exc}") from exc
+        if (probe.shape != (2,) or probe.dtype.kind not in "fiu"
+                or not np.isfinite(probe).all()):
+            raise ValueError("detuning must map an array of times to a finite "
+                             "real array of the same shape")
 
 
 def linear_two_level_sweep(epsilon: float, rate: float,
@@ -338,9 +348,8 @@ def two_level_sweep(s: TwoLevelSweep, step_scale: float = 0.04) -> ConversionRep
     exp(-pi eps^2 / rate) gives lz_conversion = 1 - that.
     """
     eps = s.epsilon
-    sched = HamiltonianSchedule(
-        evaluator=lambda t: eps * SIGMA_1 + s.detuning(t) * SIGMA_3,
-        duration=s.duration)
+    sched = HamiltonianSchedule(lambda t: (0.0, eps, 0.0, s.detuning(t)),
+                                s.duration)
     h_scale = max(abs(s.detuning(0.0)), abs(s.detuning(s.duration)), eps, 1e-12)
     step = step_scale / h_scale
     psi0 = StateVector(
@@ -501,18 +510,16 @@ def rectangular_loop_phase(epsilon0: float, delta0: float, samples: int = 2000,
     t_half = float(times[2 * knots])
     t_full = float(times[-1])
 
-    def ham(t: float) -> np.ndarray:
-        d = float(np.interp(t, times, dk))
-        e = float(np.interp(t, times, ek))
-        return e * SIGMA_1 + d * SIGMA_3
+    def coefficients(t: np.ndarray):
+        return 0.0, np.interp(t, times, ek), 0.0, np.interp(t, times, dk)
 
-    sched_a = HamiltonianSchedule(evaluator=ham, duration=t_half)
-    sched_b = HamiltonianSchedule(evaluator=lambda t: ham(t + t_half),
-                                  duration=t_full - t_half)
+    sched_a = HamiltonianSchedule(coefficients, t_half)
+    sched_b = HamiltonianSchedule(lambda t: coefficients(t + t_half),
+                                  t_full - t_half)
     psi0 = StateVector(
-        instantaneous_eigensystem(ham(0.0)).vectors[:, 0])
+        instantaneous_eigensystem(sched_a.operator(0.0)).vectors[:, 0])
     mid, energy_a = evolve_with_energy(sched_a, psi0, transport_step)
-    ground_mid = instantaneous_eigensystem(ham(t_half)).vectors[:, 0]
+    ground_mid = instantaneous_eigensystem(sched_b.operator(0.0)).vectors[:, 0]
     fidelity = float(abs(np.vdot(ground_mid, mid.amplitudes)))
     final, energy_b = evolve_with_energy(sched_b, mid, transport_step)
 

@@ -50,19 +50,17 @@ def wilson_loop_phase(directions, band: str = "ground") -> float:
     """Discrete loop phase -arg prod <u_k|u_{k+1}> for one band, in (-pi, pi].
 
     ``directions`` are field directions n_k; the band states are the
-    eigenvectors of n_k . sigma.  The result is gauge independent because
-    the chain closes on itself.  Overlap between neighbours falling below
-    0.5 means the loop is sampled too coarsely and raises ResolutionError.
+    eigenvectors of n_k . sigma, all built in one array call to
+    qcore.field_eigenvectors (the closed form and phase rule of
+    qcore.instantaneous_eigensystem).  The result is gauge independent
+    because the chain closes on itself.  Overlap between neighbours falling
+    below 0.5 means the loop is sampled too coarsely and raises
+    ResolutionError.
     """
     if band not in ("ground", "excited"):
         raise ValueError("band must be 'ground' or 'excited'")
     col = 0 if band == "ground" else 1
-    d = _unit_rows(directions)
-    n = d.shape[0]
-    states = np.empty((n, 2), dtype=complex)
-    for k in range(n):
-        eig = qcore.instantaneous_eigensystem(qcore.pauli_vector(d[k]))
-        states[k] = eig.vectors[:, col]
+    states = qcore.field_eigenvectors(_unit_rows(directions))[:, :, col]
     overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
     moduli = np.abs(overlaps)
     worst = float(moduli.min())
@@ -109,7 +107,8 @@ def spin_rotation_schedule(amplitude: float, colatitude: float,
     """Field of fixed magnitude swept once around a cone about +z.
 
     H(t) = amplitude * n(t) . sigma with n at the given colatitude and
-    azimuth 2 pi t / period.
+    azimuth 2 pi t / period, given as the array Pauli coefficients
+    (0, A sin(theta) cos(phi), A sin(theta) sin(phi), A cos(theta)).
     """
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
@@ -119,13 +118,12 @@ def spin_rotation_schedule(amplitude: float, colatitude: float,
     ct = math.cos(colatitude)
     omega = 2.0 * math.pi / period
 
-    def h_of_t(t: float) -> np.ndarray:
+    def coefficients(t: np.ndarray):
         phi = omega * t
-        return qcore.pauli_vector((amplitude * st * math.cos(phi),
-                                   amplitude * st * math.sin(phi),
-                                   amplitude * ct))
+        return (0.0, amplitude * st * np.cos(phi), amplitude * st * np.sin(phi),
+                amplitude * ct)
 
-    return qcore.HamiltonianSchedule(h_of_t, period)
+    return qcore.HamiltonianSchedule(coefficients, period)
 
 
 def cyclic_phase_decomposition(amplitude: float, colatitude: float, period: float,

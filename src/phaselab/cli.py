@@ -63,8 +63,12 @@ def _coerce(name: str, scenario: str, schema_entry, value):
             as_float = float(value)
             if not as_float.is_integer():
                 raise ValueError("not an integer")
-            return int(as_float)
-        return schema_entry.kind(value)
+            coerced = int(as_float)
+        else:
+            coerced = schema_entry.kind(value)
+        if schema_entry.parse is not None:
+            schema_entry.parse(coerced)
+        return coerced
     except (TypeError, ValueError) as exc:
         raise _fail("config-error",
                     f"parameter '{name}' of scenario '{scenario}' "

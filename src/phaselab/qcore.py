@@ -2,9 +2,15 @@
 
 Conventions used throughout the package: hbar = 1, the propagator over a step
 is exp(-i H dt), and reported angles live in (-pi, pi].  Operators are 2x2
-and solved in closed form everywhere (eigensystem and step propagator) so
-that evolution is exactly unitary up to roundoff; the eigensystem and the
-propagators reject any other size with ValueError.
+and solved in closed form everywhere, so that evolution is exactly unitary
+up to roundoff; the eigensystem and the propagators reject any other size
+with ValueError.  A time-dependent Hamiltonian is given by its Pauli
+coefficients H = c0 I + a . sigma as a vectorized function of time.  The
+one propagator kernel, _propagate, samples them over whole chunks of its
+midpoint grid and builds every step unitary as an array; only the
+two-component state update steps through time one by one.  The closed-form
+eigenvectors likewise come for a whole stack of fields at once
+(field_eigenvectors), which the Wilson loop in berry uses.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _DEGENERACY_GAP = 1e-12
 _CYCLIC_OVERLAP = 0.99
+# propagator steps built as arrays at once: bounds memory, not accuracy
+_CHUNK = 4096
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,23 +106,55 @@ def _coerce_hermitian(matrix, context: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HamiltonianSchedule:
-    """Time-dependent Hamiltonian: evaluator(t) for t in [0, duration].
+    """Time-dependent Hamiltonian H(t) = c0(t) I + a(t) . sigma on [0, duration].
 
-    The evaluator returns a complex ndarray, checked for hermiticity on
-    every query.
+    ``coefficients`` maps an array of times to the four Pauli coefficients
+    (c0, a1, a2, a3), each an array of the same shape or a scalar that
+    broadcasts to it.  A 2x2 H is Hermitian exactly when all four are real,
+    so that is what gets checked: on every operator(t) query, and by the
+    propagator once per chunk over all of its midpoints.  A non-finite
+    coefficient, or one whose imaginary part exceeds 1e-12 of the local
+    scale, raises ScheduleError.
     """
 
-    evaluator: Callable[[float], object]
+    coefficients: Callable[[np.ndarray], Sequence]
     duration: float
 
     def __post_init__(self):
-        if not callable(self.evaluator):
-            raise ValueError("evaluator must be callable")
+        if not callable(self.coefficients):
+            raise ValueError("coefficients must be callable")
         if not (self.duration >= 0.0) or not math.isfinite(self.duration):
             raise ValueError("duration must be finite and non-negative")
 
     def operator(self, t: float) -> np.ndarray:
-        return _coerce_hermitian(self.evaluator(t), f"schedule at t={t!r}")
+        """H(t) as a 2x2 matrix, built from the checked coefficients."""
+        c0, a1, a2, a3 = _coefficients(self, np.array([float(t)]))[:, 0]
+        return np.array([[c0 + a3, a1 - 1j * a2], [a1 + 1j * a2, c0 - a3]])
+
+
+def _coefficients(schedule: HamiltonianSchedule, times: np.ndarray) -> np.ndarray:
+    """The schedule's (c0, a1, a2, a3) on a time grid, as a real (4, N) array.
+
+    Raises ScheduleError unless every coefficient is finite and real (an
+    imaginary part up to 1e-12 of max(1, |coefficients|) at that time is
+    roundoff and dropped).
+    """
+    values = np.array([np.broadcast_to(c, times.shape)
+                       for c in schedule.coefficients(times)])
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        t = float(times[np.argmin(finite)])
+        raise ScheduleError(f"schedule at t={t!r}: non-finite coefficient")
+    if np.iscomplexobj(values):
+        dev = np.abs(values.imag).max(axis=0)
+        over = dev > _HERM_TOL * np.maximum(1.0, np.abs(values).max(axis=0))
+        if over.any():
+            k = int(np.argmax(over))
+            raise ScheduleError(
+                f"schedule at t={float(times[k])!r}: complex coefficient, "
+                f"operator deviates from Hermitian by {dev[k]:.3e}")
+        values = values.real
+    return values.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -126,25 +166,38 @@ class Eigensystem:
     degenerate: bool
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-modulus component of each column real and positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if pivot != 0:
-            out[:, k] = col * (abs(pivot) / pivot)
-    return out
+def field_eigenvectors(fields) -> np.ndarray:
+    """Closed-form eigenvectors of a . sigma for a stack of field vectors a.
+
+    ``fields`` is an (N, 3) array; the result is (N, 2, 2) with [:, :, 0]
+    the ground state (spin against a) and [:, :, 1] the excited state,
+    spin-coherent states built from the polar angles of a.  The phase rule
+    makes the largest-modulus component of each column real and positive.
+    A zero field has no axis; it gets the basis of a field along +z.
+    """
+    a = np.asarray(fields, dtype=float)
+    theta = np.arctan2(np.hypot(a[:, 0], a[:, 1]), a[:, 2])
+    phi = np.arctan2(a[:, 1], a[:, 0])
+    ch = np.cos(0.5 * theta)
+    sh = np.sin(0.5 * theta)
+    eph = np.exp(1j * phi)
+    vectors = np.empty((a.shape[0], 2, 2), dtype=complex)
+    vectors[:, 0, 0] = -sh
+    vectors[:, 0, 1] = ch
+    vectors[:, 1, 0] = eph * ch
+    vectors[:, 1, 1] = eph * sh
+    # unit columns, so the pivot is never zero
+    rows = np.argmax(np.abs(vectors), axis=1)
+    pivots = np.take_along_axis(vectors, rows[:, None, :], axis=1)
+    return vectors * (np.abs(pivots) / pivots)
 
 
 def instantaneous_eigensystem(operator) -> Eigensystem:
     """Ordered eigen-decomposition of a Hermitian 2x2 operator.
 
-    H = c0*I + a.sigma has eigenvalues c0 -+ |a| and spin-coherent
-    eigenvectors built from the polar angles of a.  A gap below 1e-12 sets
-    the ``degenerate`` flag; callers decide what that means.  Raises
-    ValueError for any other size.
+    H = c0*I + a.sigma has eigenvalues c0 -+ |a| and the eigenvectors of
+    field_eigenvectors.  A gap below 1e-12 sets the ``degenerate`` flag;
+    callers decide what that means.  Raises ValueError for any other size.
     """
     mat = _coerce_hermitian(operator, "eigensystem input")
     if mat.shape != (2, 2):
@@ -156,18 +209,11 @@ def instantaneous_eigensystem(operator) -> Eigensystem:
     a3 = 0.5 * (h00 - h11)
     a1 = h01.real
     a2 = -h01.imag
-    rho = math.hypot(a1, a2)
-    r = math.hypot(rho, a3)
+    r = math.hypot(math.hypot(a1, a2), a3)
     values = np.array([c0 - r, c0 + r])
     if 2.0 * r <= _DEGENERACY_GAP:
         return Eigensystem(values, np.eye(2, dtype=complex), True)
-    theta = math.atan2(rho, a3)
-    phi = math.atan2(a2, a1)
-    ch = math.cos(0.5 * theta)
-    sh = math.sin(0.5 * theta)
-    eph = cmath.exp(1j * phi)
-    vectors = np.array([[-sh, ch], [eph * ch, eph * sh]], dtype=complex)
-    return Eigensystem(values, _fix_column_phases(vectors), False)
+    return Eigensystem(values, field_eigenvectors([[a1, a2, a3]])[0], False)
 
 
 def ground_state(operator) -> StateVector:
@@ -211,13 +257,21 @@ def _step_count(duration: float, step: float) -> tuple[int, float]:
 
 
 def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float,
-               collect_energy: bool = False,
-               record: Callable[[float, np.ndarray], None] | None = None):
+               sample_every: int = 0):
     """March psi0 through the schedule with the midpoint-exponential rule.
 
-    Returns (final_array, energy_integral).  The dynamical integral uses the
-    same midpoint grid: H is frozen within a step, so <psi|H|psi> taken with
-    the step's starting state already is the midpoint-rule sample.
+    Step k applies exp(-i H(t_k) dt) at the midpoint t_k = (k + 1/2) dt, in
+    closed form.  The run is walked in chunks of _CHUNK steps: per chunk the
+    schedule is sampled and checked at every midpoint at once, all step
+    unitaries and the energy samples are built as arrays, and only the
+    2-component state update is a Python loop.  Memory is bounded by the
+    chunk, not by the step count.
+
+    Returns (final, energy, times, states).  energy is the integral of
+    <psi|H|psi> dt on the same midpoint grid: H is frozen within a step, so
+    <psi|H|psi> taken with the step's starting state already is the
+    midpoint-rule sample.  times/states hold the state after every
+    sample_every-th step (step 0 is psi0), and are empty for sample_every 0.
     """
     if psi0.size != 2:
         raise ValueError(f"propagation needs a 2-level state, got {psi0.size}")
@@ -225,37 +279,43 @@ def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float,
     energy = 0.0
     p0 = complex(psi0[0])
     p1 = complex(psi0[1])
-    if record is not None:
-        record(0.0, np.array([p0, p1]))
-    for k in range(n):
-        h = schedule.operator((k + 0.5) * dt)
-        h00 = h[0, 0].real
-        h11 = h[1, 1].real
-        h01 = complex(h[0, 1])
-        if collect_energy:
-            energy += dt * (h00 * (p0.real * p0.real + p0.imag * p0.imag)
-                            + h11 * (p1.real * p1.real + p1.imag * p1.imag)
-                            + 2.0 * (h01 * p1 * p0.conjugate()).real)
-        c0 = 0.5 * (h00 + h11)
-        a3 = 0.5 * (h00 - h11)
-        a1 = h01.real
-        a2 = -h01.imag
-        r = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-        ang = r * dt
-        phase = cmath.exp(-1j * c0 * dt)
-        if r == 0.0:
-            c, s = 1.0, dt
-        else:
-            c = math.cos(ang)
-            s = math.sin(ang) / r
+    times: list[float] = []
+    states: list[tuple[complex, complex]] = []
+    if sample_every:
+        times.append(0.0)
+        states.append((p0, p1))
+    for first in range(0, n, _CHUNK):
+        k = np.arange(first, min(first + _CHUNK, n))
+        c0, a1, a2, a3 = _coefficients(schedule, (k + 0.5) * dt)
+        r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+        c = np.cos(r * dt)
+        s = np.divide(np.sin(r * dt), r, out=np.full_like(r, dt), where=r != 0.0)
+        phase = np.exp(-1j * c0 * dt)
         u00 = phase * (c - 1j * s * a3)
         u01 = phase * (-1j * s) * (a1 - 1j * a2)
         u10 = phase * (-1j * s) * (a1 + 1j * a2)
         u11 = phase * (c + 1j * s * a3)
-        p0, p1 = u00 * p0 + u01 * p1, u10 * p0 + u11 * p1
-        if record is not None:
-            record((k + 1) * dt, np.array([p0, p1]))
-    return np.array([p0, p1]), energy
+        q0 = [p0]
+        q1 = [p1]
+        for v00, v01, v10, v11 in zip(u00.tolist(), u01.tolist(),
+                                      u10.tolist(), u11.tolist()):
+            p0, p1 = v00 * p0 + v01 * p1, v10 * p0 + v11 * p1
+            q0.append(p0)
+            q1.append(p1)
+        q0 = np.array(q0)
+        q1 = np.array(q1)
+        b0 = q0[:-1]
+        b1 = q1[:-1]
+        energy += dt * float(np.sum(
+            (c0 + a3) * (b0.real * b0.real + b0.imag * b0.imag)
+            + (c0 - a3) * (b1.real * b1.real + b1.imag * b1.imag)
+            + 2.0 * ((a1 - 1j * a2) * b1 * b0.conj()).real))
+        if sample_every:
+            done = k + 1
+            kept = np.flatnonzero(done % sample_every == 0)
+            times.extend((done[kept] * dt).tolist())
+            states.extend(zip(q0[kept + 1].tolist(), q1[kept + 1].tolist()))
+    return np.array([p0, p1]), energy, times, states
 
 
 def evolve(schedule: HamiltonianSchedule, psi0: StateVector, step: float) -> StateVector:
@@ -263,14 +323,14 @@ def evolve(schedule: HamiltonianSchedule, psi0: StateVector, step: float) -> Sta
 
     The step should resolve the Hamiltonian: step * max ||H|| < 0.1.
     """
-    final, _ = _propagate(schedule, psi0.amplitudes, step)
+    final, _, _, _ = _propagate(schedule, psi0.amplitudes, step)
     return StateVector(final)
 
 
 def evolve_with_energy(schedule: HamiltonianSchedule, psi0: StateVector,
                        step: float) -> tuple[StateVector, float]:
     """Like evolve, additionally returning the integral of <psi|H|psi> dt."""
-    final, energy = _propagate(schedule, psi0.amplitudes, step, collect_energy=True)
+    final, energy, _, _ = _propagate(schedule, psi0.amplitudes, step)
     return StateVector(final), energy
 
 
@@ -279,20 +339,11 @@ def evolve_trajectory(schedule: HamiltonianSchedule, psi0: StateVector, step: fl
     """Propagate and record (times, states); row 0 is the initial state."""
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    counter = {"k": 0}
-
-    def record(t, psi):
-        if counter["k"] % sample_every == 0:
-            times.append(t)
-            states.append(psi)
-        counter["k"] += 1
-
-    final, _ = _propagate(schedule, psi0.amplitudes, step, record=record)
+    final, _, times, states = _propagate(schedule, psi0.amplitudes, step,
+                                         sample_every)
     if times[-1] != schedule.duration and schedule.duration > 0.0:
         times.append(schedule.duration)
-        states.append(final)
+        states.append(tuple(final))
     return np.asarray(times), np.asarray(states)
 
 
@@ -303,7 +354,7 @@ def phase_decompose(schedule: HamiltonianSchedule, psi0: StateVector,
     Raises CyclicityError (carrying the overlap modulus) when the final state
     has wandered off the initial ray, |<psi0|psi(T)>| < 0.99.
     """
-    final, energy = _propagate(schedule, psi0.amplitudes, step, collect_energy=True)
+    final, energy, _, _ = _propagate(schedule, psi0.amplitudes, step)
     ov = complex(np.vdot(psi0.amplitudes, final))
     modulus = abs(ov)
     if modulus < _CYCLIC_OVERLAP:

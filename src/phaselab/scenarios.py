@@ -22,11 +22,17 @@ TWO_PI = qcore.TWO_PI
 
 @dataclass(frozen=True)
 class Parameter:
-    """One scenario knob: default value, unit label, coercion."""
+    """One scenario knob: default value, unit label, coercion.
+
+    ``parse`` is set on list parameters, which stay text: the command line
+    runs it on the coerced text, so a malformed or out-of-domain list is a
+    config error, and the runner parses the same text with it.
+    """
 
     default: object
     units: str
     kind: Callable = float
+    parse: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -38,20 +44,38 @@ class Scenario:
 
 
 def _float_list(text: str) -> list[float]:
+    """Comma-separated finite numbers."""
     items = [s.strip() for s in str(text).split(",") if s.strip()]
     if not items:
         raise ValueError("empty list parameter")
-    return [float(s) for s in items]
+    values = [float(s) for s in items]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("list entries must be finite")
+    return values
+
+
+def _positive_list(text: str) -> list[float]:
+    """Comma-separated numbers, each finite and positive."""
+    values = _float_list(text)
+    if min(values) <= 0.0:
+        raise ValueError("list entries must be positive")
+    return values
 
 
 def _pair_list(text: str) -> list[tuple[float, float]]:
+    """Comma-separated a:b pairs of finite positive numbers."""
     pairs = []
     for item in str(text).split(","):
         item = item.strip()
         if not item:
             continue
-        a, _, b = item.partition(":")
-        pairs.append((float(a), float(b)))
+        a, colon, b = item.partition(":")
+        if not colon:
+            raise ValueError(f"{item!r} is not an a:b pair")
+        pair = (float(a), float(b))
+        if not all(0.0 < v < math.inf for v in pair):
+            raise ValueError(f"pair {item!r} must hold two finite positive numbers")
+        pairs.append(pair)
     if not pairs:
         raise ValueError("empty pair-list parameter")
     return pairs
@@ -458,7 +482,7 @@ def _run_pendulum_msw(p, seed, emit):
         l_mu=l_mu, g=grav)
     sudden = analogs.pendulum_sweep(sudden_sys, 0.0)
 
-    multipliers = _float_list(p["ladder_multipliers"])
+    multipliers = _positive_list(p["ladder_multipliers"])
     fractions = []
     for mult in multipliers:
         sys_m, dur_m = analogs.msw_benchmark_system(
@@ -653,7 +677,7 @@ def _run_celestial_residual(p, seed, emit):
 
 
 def _run_monopole_angmom(p, seed, emit):
-    seps = _float_list(p["separations"])
+    seps = _positive_list(p["separations"])
     rows = []
     for sep in seps:
         fam = berry.field_angular_momentum(p["charge"], p["pole_strength"],
@@ -707,7 +731,8 @@ def _scenario_table() -> dict:
             "berry-latitude",
             "Wilson-loop phases on latitude circles against the half "
             "solid-angle law pi(1 - cos theta).",
-            {"colatitudes_deg": Parameter("30,60,90,120", "degrees", s),
+            {"colatitudes_deg": Parameter("30,60,90,120", "degrees", s,
+                                          _float_list),
              "samples": Parameter(800, "count", i)},
             _run_berry_latitude),
         Scenario(
@@ -786,14 +811,15 @@ def _scenario_table() -> dict:
              "rtol": Parameter(1e-10, "dimensionless", f),
              "conservation_time": Parameter(200.0, "time", f),
              "ladder_multipliers": Parameter("2816,906,453,249,137",
-                                             "dimensionless", s)},
+                                             "dimensionless", s,
+                                             _positive_list)},
             _run_pendulum_msw),
         Scenario(
             "two-level-sweep",
             "Linear sweep through an avoided crossing against the "
             "Landau-Zener conversion formula.",
             {"pairs": Parameter("0.5:1.0,0.4:0.8,0.4:0.4,0.3:0.5,0.75:0.8",
-                                "energy:energy^2", s),
+                                "energy:energy^2", s, _pair_list),
              "span_factor": Parameter(14.0, "dimensionless", f),
              "step_scale": Parameter(0.04, "dimensionless", f)},
             _run_two_level_sweep),
@@ -837,7 +863,8 @@ def _scenario_table() -> dict:
             "unit of charge*pole regardless of separation.",
             {"charge": Parameter(1.0, "charge", f),
              "pole_strength": Parameter(1.0, "pole", f),
-             "separations": Parameter("0.7,1.0,2.5", "length", s),
+             "separations": Parameter("0.7,1.0,2.5", "length", s,
+                                      _positive_list),
              "excision_scale": Parameter(0.01, "dimensionless", f)},
             _run_monopole_angmom),
     ]

@@ -161,7 +161,7 @@ class TestTwoLevelSweep:
 
     def test_custom_sweep_has_no_crossing_reference(self):
         sweep = TwoLevelSweep(epsilon=0.5,
-                              detuning=lambda t: math.sin(t) - 2.0 + t,
+                              detuning=lambda t: np.sin(t) - 2.0 + t,
                               duration=4.0)
         rep = analogs.two_level_sweep(sweep)
         assert rep.lz_conversion is None
@@ -175,6 +175,9 @@ class TestTwoLevelSweep:
             TwoLevelSweep(epsilon=0.1, detuning=lambda t: t, duration=0.0)
         with pytest.raises(ValueError):
             TwoLevelSweep(epsilon=0.1, detuning=3.0, duration=1.0)
+        with pytest.raises(ValueError):
+            # scalar-only detuning: the kernel samples it on arrays of times
+            TwoLevelSweep(epsilon=0.1, detuning=math.sin, duration=1.0)
         with pytest.raises(ValueError):
             analogs.linear_two_level_sweep(0.5, 0.0)
 

@@ -78,6 +78,21 @@ class TestConfigRejection:
                                    parameters=parameters)
             assert code == 2, f"{parameters!r} accepted"
 
+    def test_malformed_list_parameter(self, tmp_path, capsys):
+        # list parameters are parsed and domain-checked before any runner
+        for scenario, parameters in (
+                ("berry-latitude", {"colatitudes_deg": "abc"}),
+                ("monopole-angmom", {"separations": "0"}),
+                ("two-level-sweep", {"pairs": "0.5"})):
+            code, out, cap = run_cli(tmp_path, capsys, scenario,
+                                     parameters=parameters)
+            assert code == 2, f"{parameters!r} accepted"
+            assert cap.err.startswith("phaselab: config-error:")
+            manifest = json.loads(
+                (out / scenario / "manifest.json").read_text())
+            assert manifest["error"]["kind"] == "config-error"
+            assert manifest["outputs"] == {}
+
     def test_bad_seed(self, tmp_path, capsys):
         for seed in (-1, True, 1.5):
             code, _, cap = run_cli(tmp_path, capsys, "scatter-phase",
@@ -186,6 +201,14 @@ class TestSuccessArtifacts:
         assert cfg["parameters"] == defaults
         assert manifest["error"] is None
         assert manifest["duration_seconds"] > 0.0
+
+    def test_list_parameter_echoed_as_text(self, tmp_path, capsys):
+        code, out, _ = run_cli(tmp_path, capsys, "berry-latitude",
+                               parameters={"colatitudes_deg": "45, 90"})
+        assert code == 0
+        manifest = json.loads(
+            (out / "berry-latitude" / "manifest.json").read_text())
+        assert manifest["config"]["parameters"]["colatitudes_deg"] == "45, 90"
 
     def test_output_digests_match(self, success):
         outdir, _ = success

@@ -15,6 +15,11 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
 
 
+def turns_complex(t):
+    """a1 picks up an imaginary part from t = 0.5 on: H stops being Hermitian."""
+    return 0.0, np.where(t < 0.5, 1.0, 1.0 + 1e-6j), 0.0, 0.5
+
+
 class TestAngles:
     def test_wrap_interval_convention(self):
         assert qcore.wrap_angle(0.0) == 0.0
@@ -94,9 +99,7 @@ class TestHermitianOperator:
             qcore.expectation(mat, psi)
 
     def test_schedule_checks_every_query(self):
-        sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: np.array([[0.0, 1.0], [1.0 + t, 0.0]]),
-            duration=1.0)
+        sched = qcore.HamiltonianSchedule(turns_complex, duration=1.0)
         sched.operator(0.0)
         with pytest.raises(ScheduleError):
             sched.operator(0.5)
@@ -132,7 +135,7 @@ class TestEigensystem:
         mat = a + a.conj().T
         with pytest.raises(ValueError):
             qcore.instantaneous_eigensystem(mat)
-        sched = qcore.HamiltonianSchedule(evaluator=lambda t: mat,
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 1.0),
                                           duration=1.0)
         psi0 = qcore.StateVector.normalized(np.ones(5))
         with pytest.raises(ValueError):
@@ -150,8 +153,8 @@ class TestEvolution:
     def test_free_precession_closed_form(self):
         # H = A sigma3: amplitudes pick up exp(-+ i A t)
         amp = 0.8
-        sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: amp * qcore.SIGMA_3, duration=3.0)
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, amp),
+                                          duration=3.0)
         psi0 = qcore.StateVector.normalized([1.0, 1.0])
         final = qcore.evolve(sched, psi0, 0.001)
         expected = np.array([cmath.exp(-1j * amp * 3.0),
@@ -160,24 +163,22 @@ class TestEvolution:
 
     def test_norm_preserved_exactly(self):
         sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: qcore.pauli_vector((math.cos(t), 0.0,
-                                                    math.sin(t))),
-            duration=10.0)
+            lambda t: (0.0, np.cos(t), 0.0, np.sin(t)), duration=10.0)
         psi0 = qcore.StateVector.normalized([1.0, 0.0])
         final = qcore.evolve(sched, psi0, 0.01)
         assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0,
                                                                  abs=1e-12)
 
     def test_energy_integral_for_constant_hamiltonian(self):
-        sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: 2.0 * qcore.SIGMA_3, duration=5.0)
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 2.0),
+                                          duration=5.0)
         psi0 = qcore.StateVector([0.0 + 0j, 1.0 + 0j])
         _, energy = qcore.evolve_with_energy(sched, psi0, 0.001)
         assert energy == pytest.approx(-10.0, rel=1e-9)
 
     def test_trajectory_brackets_run(self):
-        sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: qcore.SIGMA_3, duration=1.0)
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 1.0),
+                                          duration=1.0)
         psi0 = qcore.StateVector([1.0 + 0j, 0.0 + 0j])
         times, states = qcore.evolve_trajectory(sched, psi0, 0.01,
                                                 sample_every=7)
@@ -187,18 +188,119 @@ class TestEvolution:
         assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
 
     def test_step_validation(self):
-        sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: qcore.SIGMA_3, duration=1.0)
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 1.0),
+                                          duration=1.0)
         psi0 = qcore.StateVector([1.0 + 0j, 0.0 + 0j])
         with pytest.raises(ValueError):
             qcore.evolve(sched, psi0, 0.0)
 
 
+def scalar_midpoint(coefficients, duration, steps, psi):
+    """Step-by-step reference for the kernel: H frozen at each midpoint,
+    exp(-i H dt) from numpy's eigh.  Returns (states, energy integral)."""
+    dt = duration / steps
+    states = [np.asarray(psi, dtype=complex)]
+    energy = 0.0
+    for k in range(steps):
+        c0, a1, a2, a3 = (float(np.real(c))
+                          for c in coefficients(np.float64((k + 0.5) * dt)))
+        h = np.array([[c0 + a3, a1 - 1j * a2], [a1 + 1j * a2, c0 - a3]])
+        psi = states[-1]
+        energy += dt * float(np.vdot(psi, h @ psi).real)
+        w, v = np.linalg.eigh(h)
+        states.append(v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi)))
+    return np.array(states), energy
+
+
+class TestChunkedKernel:
+    CHUNK = qcore._CHUNK
+    # one step, either side of a chunk boundary, and a ragged last chunk
+    STEPS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+    DT = 2.0 ** -12  # exact, so duration / DT is exactly the step count
+
+    @staticmethod
+    def drive(t):
+        return 0.2, np.cos(3.0 * t), 0.5 * np.sin(2.0 * t), 1.0 - t
+
+    @staticmethod
+    def dark_then_lit(t):
+        # no field before t = 0.5: only the c0 phase runs there
+        lit = t >= 0.5
+        return 0.4, np.where(lit, 0.8, 0.0), 0.0, np.where(lit, -0.6, 0.0)
+
+    def test_constant_hamiltonian_closed_form(self):
+        c0, a = 0.3, np.array([0.4, -0.7, 1.1])
+        r = float(np.linalg.norm(a))
+        psi0 = qcore.StateVector.normalized([0.6, 0.8j])
+        mean_energy = qcore.expectation(c0 * np.eye(2) + qcore.pauli_vector(a),
+                                        psi0)
+        for steps in self.STEPS:
+            duration = steps * self.DT
+            sched = qcore.HamiltonianSchedule(lambda t: (c0, *a), duration)
+            final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
+            exact = cmath.exp(-1j * c0 * duration) * (
+                math.cos(r * duration) * np.eye(2)
+                - 1j * math.sin(r * duration) * qcore.pauli_vector(a / r)
+            ) @ psi0.amplitudes
+            assert np.abs(final.amplitudes - exact).max() < 1e-12, steps
+            assert abs(energy - mean_energy * duration) < 1e-12, steps
+
+    def test_matches_scalar_reference(self):
+        psi0 = qcore.StateVector.normalized([0.6, 0.8j])
+        for steps in self.STEPS:
+            sched = qcore.HamiltonianSchedule(self.drive, steps * self.DT)
+            final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
+            ref, ref_energy = scalar_midpoint(self.drive, sched.duration,
+                                              steps, psi0.amplitudes)
+            assert np.abs(final.amplitudes - ref[-1]).max() < 1e-12, steps
+            assert abs(energy - ref_energy) < 1e-12, steps
+        times, states = qcore.evolve_trajectory(sched, psi0, self.DT,
+                                                sample_every=7)
+        kept = np.arange(0, steps + 1, 7)
+        assert np.array_equal(times[:-1], kept * self.DT)
+        assert times[-1] == sched.duration
+        assert np.abs(states[:-1] - ref[kept]).max() < 1e-12
+        assert np.abs(states[-1] - ref[-1]).max() < 1e-12
+
+    def test_zero_field_stretch(self):
+        psi0 = qcore.StateVector.normalized([0.6, 0.8j])
+        dark = qcore.HamiltonianSchedule(self.dark_then_lit, 0.5)
+        final = qcore.evolve(dark, psi0, self.DT)
+        assert np.abs(final.amplitudes - cmath.exp(-0.2j) * psi0.amplitudes
+                      ).max() < 1e-12
+        steps = self.CHUNK + 1
+        sched = qcore.HamiltonianSchedule(self.dark_then_lit, steps * self.DT)
+        final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
+        ref, ref_energy = scalar_midpoint(self.dark_then_lit, sched.duration,
+                                          steps, psi0.amplitudes)
+        assert np.abs(final.amplitudes - ref[-1]).max() < 1e-12
+        assert abs(energy - ref_energy) < 1e-12
+
+    def test_zero_duration(self):
+        sched = qcore.HamiltonianSchedule(self.drive, 0.0)
+        psi0 = qcore.StateVector.normalized([0.6, 0.8j])
+        final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
+        assert np.array_equal(final.amplitudes, psi0.amplitudes)
+        assert energy == 0.0
+        times, states = qcore.evolve_trajectory(sched, psi0, self.DT)
+        assert times.tolist() == [0.0]
+        assert np.array_equal(states, [psi0.amplitudes])
+
+    def test_every_midpoint_is_checked(self):
+        # the bad stretch starts in the third chunk of the run
+        not_finite = lambda t: (0.0, 1.0, 0.0, np.where(t < 0.5, 0.5, np.nan))
+        psi0 = qcore.StateVector.normalized([1.0, 0.0])
+        for coefficients in (turns_complex, not_finite):
+            sched = qcore.HamiltonianSchedule(coefficients, duration=1.0)
+            with pytest.raises(ScheduleError):
+                qcore.evolve(sched, psi0, 2.0 ** -14)
+
+
 class TestPhaseDecompose:
     def test_identity_split_for_stationary_state(self):
         # eigenstate evolution: total phase is purely dynamical
-        sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: 0.3 * qcore.SIGMA_3, duration=4.0)
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 0.3),
+                                          duration=4.0)
         psi0 = qcore.StateVector([0.0 + 0j, 1.0 + 0j])
         dec = qcore.phase_decompose(sched, psi0, 0.001)
         assert dec.overlap_modulus == pytest.approx(1.0, abs=1e-10)
@@ -207,8 +309,8 @@ class TestPhaseDecompose:
         assert qcore.circle_distance(dec.geometric, 0.0) < 1e-6
 
     def test_geometric_is_wrapped_difference(self):
-        sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: 0.3 * qcore.SIGMA_3, duration=4.0)
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 0.3),
+                                          duration=4.0)
         psi0 = qcore.StateVector([0.0 + 0j, 1.0 + 0j])
         dec = qcore.phase_decompose(sched, psi0, 0.001)
         assert dec.geometric == qcore.wrap_angle(dec.total - dec.dynamical)
@@ -217,9 +319,8 @@ class TestPhaseDecompose:
         # slow half-turn of the field: the state follows it to the opposite
         # pole and ends nearly orthogonal to where it started
         sched = qcore.HamiltonianSchedule(
-            evaluator=lambda t: qcore.pauli_vector(
-                (math.sin(t * math.pi / 10.0), 0.0,
-                 math.cos(t * math.pi / 10.0))),
+            lambda t: (0.0, np.sin(t * math.pi / 10.0), 0.0,
+                       np.cos(t * math.pi / 10.0)),
             duration=10.0)
         psi0 = qcore.ground_state(sched.operator(0.0))
         with pytest.raises(CyclicityError) as err:
