@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import qcore
 from .errors import GeometryError, StabilityError
@@ -256,19 +255,55 @@ def _gaussian_packet(x: np.ndarray, center: float, width: float, p: float,
     return psi / math.sqrt(float(np.sum(np.abs(psi) ** 2) * dx))
 
 
+def _cn_midpoint_solver(pot: np.ndarray, kin: float, dt: float):
+    """Factor I + i dt H / 2 once (H = T + diag(pot), Dirichlet walls) and
+    return the solve psi -> m, the Crank-Nicolson midpoint state; the step
+    is then psi_new = 2 m - psi = (I + i dt H/2)^-1 (I - i dt H/2) psi."""
+    half = 0.5j * dt
+    off = np.full(pot.shape[0] - 1, -half * kin)
+    *factors, info = zgttrf(off, 1.0 + half * (2.0 * kin + pot), off)
+    if info != 0:
+        raise StabilityError(f"Crank-Nicolson matrix is singular "
+                             f"(zgttrf info {info})")
+
+    def solve(psi: np.ndarray) -> np.ndarray:
+        return zgttrs(*factors, psi)[0]
+    return solve
+
+
+def _ledger_kicks(mid: np.ndarray, j: int, v: float, kin: float,
+                  dt: float) -> tuple[float, float, float]:
+    """Momentum handed to the particle in one step by the barrier, the left
+    and the right wall: i dt <m|[V, P]|m> and the two wall parts of
+    i dt <m|[T, P]|m> in closed form, for V = v on cell j (1 <= j <= n-2)."""
+    a, b, c = mid[j - 1:j + 2].tolist()
+    barrier = v * ((b.conjugate() * c).real - (a.conjugate() * b).real)
+    return (dt * barrier, dt * kin * abs(complex(mid[0])) ** 2,
+            -dt * kin * abs(complex(mid[-1])) ** 2)
+
+
+def _packet_momentum(psi: np.ndarray) -> float:
+    """<psi|P|psi> dx for the central-difference P: Im sum psi_k* psi_k+1."""
+    return float(np.vdot(psi[:-1], psi[1:]).imag)
+
+
 def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketResult:
     """Crank-Nicolson evolution of a packet thrown at the mirror+barrier.
 
-    The barrier is one grid cell of area gamma.  Per step, the change of <P> equals i dt <m|[H, P]|m>
-    exactly for the Crank-Nicolson midpoint state m; splitting [H, P] into
-    the potential part (barrier force) and the kinetic-boundary part
-    (wall forces, split by half-domain) yields a momentum ledger that
-    closes identically.  Survival in [0, X] is fit stroboscopically, one
-    sample per round trip, to extract the trapping decay.
+    The barrier is the grid cell j = round(X / dx) - 1, V = gamma / dx.
+    Per step, the change of <P> equals i dt <m|[H, P]|m> exactly for the
+    Crank-Nicolson midpoint state m.  For the central-difference P and
+    T = -kin (psi[k+1] - 2 psi[k] + psi[k-1]), kin = 1 / (2 m dx^2), the
+    commutators live on a few cells, and the ledger terms are
+      barrier     dt V (Re(m_j* m_j+1) - Re(m_j-1* m_j)),
+      walls       dt kin |m_0|^2 (left) and -dt kin |m_n-1|^2 (right);
+    they close against <P> = Im sum psi_k* psi_k+1, measured on each new
+    state.  Survival in [0, X] is fit stroboscopically, one sample per
+    round trip, to extract the trapping decay.
 
-    Raises StabilityError on norm drift > 1e-6 and GeometryError if more
-    than 1e-3 of probability reaches the far 5% of the box during the
-    measurement window.
+    Raises ValueError if the packet or the barrier cell does not fit the
+    grid, StabilityError on norm drift > 1e-6, and GeometryError if more
+    than 1e-3 of probability reaches the far 5% of the box at any step.
     """
     n = run.grid_points
     dx = run.length / (n + 1)
@@ -283,34 +318,16 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
         raise ValueError("packet must start well to the right of the barrier")
     if run.length <= run.center + 5.0 * run.width:
         raise ValueError("box must extend well beyond the packet start")
+    j = int(round(X / dx)) - 1
+    if not 1 <= j <= n - 2:
+        raise ValueError(f"barrier cell {j} must lie in [1, {n - 2}]")
 
     pot = np.zeros(n)
-    pot[int(round(X / dx)) - 1] = config.barrier.strength / dx
-
+    pot[j] = config.barrier.strength / dx
     kin = 1.0 / (2.0 * m * dx * dx)
+    solve = _cn_midpoint_solver(pot, kin, run.dt)
 
-    def apply_t(psi):
-        out = -2.0 * psi.copy()
-        out[:-1] += psi[1:]
-        out[1:] += psi[:-1]
-        return -kin * out
-
-    def apply_p_op(psi):
-        out = np.zeros_like(psi)
-        out[:-1] = psi[1:]
-        out[1:] -= psi[:-1]
-        return -0.5j * out / dx
-
-    def apply_h(psi):
-        return apply_t(psi) + pot * psi
-
-    # Crank-Nicolson: (I + i dt H / 2) psi_new = (I - i dt H / 2) psi_old
-    half = 0.5j * run.dt
-    main = 1.0 + half * (2.0 * kin + pot)
-    off = np.full(n - 1, -half * kin)
-    stepper = splu(diags([off, main, off], offsets=(-1, 0, 1), format="csc"))
-
-    psi = _gaussian_packet(x, run.center, run.width, p, dx).astype(complex)
+    psi = _gaussian_packet(x, run.center, run.width, p, dx)
 
     v = config.velocity
     round_trip = 2.0 * X / v
@@ -318,70 +335,43 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
     t_end = t_first + run.round_trips * round_trip
     steps = int(math.ceil(t_end / run.dt))
 
-    in_channel = x <= X
-    left_half = x <= 0.5 * run.length
-    far_zone = x >= 0.95 * run.length
+    # the channel x <= X is a prefix of the grid, the far zone a suffix
+    channel_end = int(np.searchsorted(x, X, side="right"))
+    far_start = int(np.searchsorted(x, 0.95 * run.length, side="left"))
 
-    def pexp(psi):
-        return float(np.vdot(psi, apply_p_op(psi)).real * dx)
+    def prob(segment):
+        return float(np.vdot(segment, segment).real) * dx
 
-    times = np.empty(steps + 1)
-    survival = np.empty(steps + 1)
-    barrier_mom = np.empty(steps + 1)
-    wall_mom = np.empty(steps + 1)
-    packet_mom = np.empty(steps + 1)
-    norms = np.empty(steps + 1)
+    times = run.dt * np.arange(steps + 1)
+    survival, barrier_kick, wall_kick, packet_mom, norms = np.zeros((5, steps + 1))
+    survival[0] = prob(psi[:channel_end])
+    packet_mom[0] = _packet_momentum(psi)
+    norms[0] = prob(psi)
 
-    # the incident direction is -x; ledger columns are reported along it
-    axis = -1.0
-    barrier_acc = 0.0
-    wall_acc = 0.0
-    ledger_residual = 0.0
-    p_prev = pexp(psi)
-
-    times[0] = 0.0
-    survival[0] = float(np.sum(np.abs(psi[in_channel]) ** 2) * dx)
-    barrier_mom[0] = 0.0
-    wall_mom[0] = 0.0
-    packet_mom[0] = p_prev
-    norms[0] = float(np.sum(np.abs(psi) ** 2) * dx)
-
-    for k in range(steps):
-        rhs = 2.0 * psi - (main * psi + np.concatenate(
-            ([0.0], off * psi[:-1])) + np.concatenate((off * psi[1:], [0.0])))
-        # rhs computed as (I - i dt H/2) psi = 2 psi - (I + i dt H/2) psi
-        new = stepper.solve(rhs)
-        mid = 0.5 * (psi + new)
-
-        # force on the particle from the barrier: i [V, P]
-        pv = pot * apply_p_op(mid) - apply_p_op(pot * mid)
-        dp_from_barrier = float((1j * np.vdot(mid, pv)).real * dx) * run.dt
-        # boundary part: i [T, P], supported only at the walls
-        tp = apply_t(apply_p_op(mid)) - apply_p_op(apply_t(mid))
-        comm = (1j * mid.conj() * tp).real * dx
-        dp_from_left = float(np.sum(comm[left_half])) * run.dt
-        dp_from_right = float(np.sum(comm[~left_half])) * run.dt
-
-        barrier_acc += axis * (-dp_from_barrier)
-        wall_acc += axis * (-(dp_from_left + dp_from_right))
-        psi = new
-        p_now = pexp(psi)
-        ledger_residual = max(ledger_residual, abs(
-            (p_now - p_prev) - (dp_from_barrier + dp_from_left + dp_from_right)))
-        p_prev = p_now
-
-        times[k + 1] = (k + 1) * run.dt
-        survival[k + 1] = float(np.sum(np.abs(psi[in_channel]) ** 2) * dx)
-        barrier_mom[k + 1] = barrier_acc
-        wall_mom[k + 1] = wall_acc
-        packet_mom[k + 1] = p_now
-        norms[k + 1] = float(np.sum(np.abs(psi) ** 2) * dx)
-        if float(np.sum(np.abs(psi[far_zone]) ** 2) * dx) > 1e-3:
+    for k in range(1, steps + 1):
+        mid = solve(psi)
+        barrier_kick[k], left, right = _ledger_kicks(mid, j, pot[j], kin, run.dt)
+        wall_kick[k] = left + right
+        # psi_new = 2 m - psi, built in the solve's output array
+        mid *= 2.0
+        mid -= psi
+        psi = mid
+        packet_mom[k] = _packet_momentum(psi)
+        survival[k] = prob(psi[:channel_end])
+        norms[k] = prob(psi)
+        if prob(psi[far_start:]) > 1e-3:
             raise GeometryError("packet reached the far wall inside the "
                                 "measurement window; enlarge the box")
 
+    ledger_residual = float(np.max(np.abs(
+        np.diff(packet_mom) - (barrier_kick + wall_kick)[1:])))
+    # a push dp along +x on the particle is a kick dp along the incident
+    # direction -x handed to the barrier or the walls
+    barrier_mom = np.cumsum(barrier_kick, out=barrier_kick)
+    wall_mom = np.cumsum(wall_kick, out=wall_kick)
+
     norm_drift = float(np.max(np.abs(norms - norms[0])))
-    if norm_drift > 1e-6:
+    if not norm_drift <= 1e-6:  # NaN included
         raise StabilityError(f"norm drift {norm_drift:.3e} exceeds 1e-6")
 
     eps_plane = transmission_probability(config)

@@ -24,9 +24,10 @@ TWO_PI = qcore.TWO_PI
 class Parameter:
     """One scenario knob: default value, unit label, coercion.
 
-    ``parse`` is set on list parameters, which stay text: the command line
-    runs it on the coerced text, so a malformed or out-of-domain list is a
-    config error, and the runner parses the same text with it.
+    ``parse`` runs on the coerced value before any computation and raises
+    ValueError outside the parameter's domain, so such a value is a config
+    error.  List parameters stay text, and the runner parses the same text
+    with it; on scalars it is a bound check.
     """
 
     default: object
@@ -60,6 +61,22 @@ def _positive_list(text: str) -> list[float]:
     if min(values) <= 0.0:
         raise ValueError("list entries must be positive")
     return values
+
+
+def _at_least(floor: int) -> Callable:
+    """Bound check for a count that the library needs to be >= floor."""
+    def check(value: int) -> int:
+        if value < floor:
+            raise ValueError(f"must be at least {floor}")
+        return value
+    return check
+
+
+def _positive(value: float) -> float:
+    """Bound check for a scale that must be finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise ValueError("must be finite and positive")
+    return value
 
 
 def _pair_list(text: str) -> list[tuple[float, float]]:
@@ -725,7 +742,7 @@ def _scenario_table() -> dict:
             {"amplitude": Parameter(1.0, "energy", f),
              "wobble": Parameter(0.005, "1/time", f),
              "step": Parameter(0.02, "time", f),
-             "wilson_samples": Parameter(800, "count", i)},
+             "wilson_samples": Parameter(800, "count", i, _at_least(3))},
             _run_berry_equator),
         Scenario(
             "berry-latitude",
@@ -733,7 +750,7 @@ def _scenario_table() -> dict:
             "solid-angle law pi(1 - cos theta).",
             {"colatitudes_deg": Parameter("30,60,90,120", "degrees", s,
                                           _float_list),
-             "samples": Parameter(800, "count", i)},
+             "samples": Parameter(800, "count", i, _at_least(3))},
             _run_berry_latitude),
         Scenario(
             "berry-wilson-sweep",
@@ -743,7 +760,7 @@ def _scenario_table() -> dict:
              "factor": Parameter(5.0, "dimensionless", f),
              "wobble": Parameter(0.005, "1/time", f),
              "step": Parameter(0.02, "time", f),
-             "wilson_samples": Parameter(800, "count", i)},
+             "wilson_samples": Parameter(800, "count", i, _at_least(3))},
             _run_berry_wilson_sweep),
         Scenario(
             "linking",
@@ -821,7 +838,7 @@ def _scenario_table() -> dict:
             {"pairs": Parameter("0.5:1.0,0.4:0.8,0.4:0.4,0.3:0.5,0.75:0.8",
                                 "energy:energy^2", s, _pair_list),
              "span_factor": Parameter(14.0, "dimensionless", f),
-             "step_scale": Parameter(0.04, "dimensionless", f)},
+             "step_scale": Parameter(0.04, "dimensionless", f, _positive)},
             _run_two_level_sweep),
         Scenario(
             "rect-loop",
@@ -830,7 +847,7 @@ def _scenario_table() -> dict:
             "squares to minus the identity.",
             {"delta0": Parameter(10.0, "energy", f),
              "epsilon0": Parameter(0.5, "energy", f),
-             "samples": Parameter(2000, "count", i),
+             "samples": Parameter(2000, "count", i, _at_least(8)),
              "adiabaticity": Parameter(1e-3, "dimensionless", f),
              "transport_step": Parameter(0.01, "1/energy", f)},
             _run_rect_loop),

@@ -93,6 +93,21 @@ class TestConfigRejection:
             assert manifest["error"]["kind"] == "config-error"
             assert manifest["outputs"] == {}
 
+    def test_out_of_domain_scalar_parameter(self, tmp_path, capsys):
+        # scalar bounds are config errors too, not library ValueErrors
+        for scenario, parameters in (
+                ("berry-latitude", {"samples": 2}),
+                ("rect-loop", {"samples": 4}),
+                ("two-level-sweep", {"step_scale": 0})):
+            code, out, cap = run_cli(tmp_path, capsys, scenario,
+                                     parameters=parameters)
+            assert code == 2, f"{parameters!r} accepted"
+            assert cap.err.startswith("phaselab: config-error:")
+            manifest = json.loads(
+                (out / scenario / "manifest.json").read_text())
+            assert manifest["error"]["kind"] == "config-error"
+            assert manifest["outputs"] == {}
+
     def test_bad_seed(self, tmp_path, capsys):
         for seed in (-1, True, 1.5):
             code, _, cap = run_cli(tmp_path, capsys, "scatter-phase",
