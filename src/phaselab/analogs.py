@@ -10,8 +10,11 @@ orbiting a fixed sun while a slow outer perturber circles: the frozen-probe
 period prediction versus the fully integrated orbital phase, whose mismatch
 is the adiabatic residual.
 
-Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13 by default; the
-pendulum ODE runs at rtol 1e-10 / atol 1e-12.  All units are G = hbar = 1.
+Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13 by default.  The
+pendulum equations are linear, y' = A(t) y, and are stepped with a
+sixth-order Magnus integrator whose step exponentials are built in batches;
+its rtol (1e-10 by default) bounds the Richardson estimate of the global
+error over the sampled states.  All units are G = hbar = 1.
 """
 
 from __future__ import annotations
@@ -37,18 +40,18 @@ TWO_PI = 2.0 * math.pi
 # length schedules
 
 class FrozenLength:
-    """Constant pendulum length."""
+    """Constant pendulum length; value and second broadcast over arrays."""
 
     def __init__(self, length: float):
         if length <= 0.0:
             raise ValueError("length must be positive")
         self.length = float(length)
 
-    def value(self, t: float) -> float:
-        return self.length
+    def value(self, t):
+        return np.full(np.shape(t), self.length)[()]
 
-    def second(self, t: float) -> float:
-        return 0.0
+    def second(self, t):
+        return np.zeros(np.shape(t))[()]
 
 
 class ArctanDetuningRamp:
@@ -60,7 +63,9 @@ class ArctanDetuningRamp:
     far wings where nothing happens.  width should be the detuning scale of
     the avoided crossing, kappa/omega for spring coupling kappa.  The length
     l_e(t) = g/(omega_mu - delta(t))^2 follows, with analytic second
-    derivative for the support term.
+    derivative for the support term.  value and second take a time or an
+    array of times; outside [0, duration] the length is held at its end
+    value and its second derivative is 0.
     """
 
     def __init__(self, l_mu: float, g: float, delta_max: float,
@@ -79,23 +84,23 @@ class ArctanDetuningRamp:
         self.theta_rate = crossing_rate / width
         self.duration = 2.0 * self.theta0 / self.theta_rate
 
-    def _delta(self, t: float) -> float:
-        theta = self.theta0 - self.theta_rate * min(max(t, 0.0), self.duration)
-        return self.width * math.tan(theta)
+    def _theta(self, t):
+        return self.theta0 - self.theta_rate * np.clip(t, 0.0, self.duration)
 
-    def value(self, t: float) -> float:
-        return self.g / (self.omega_mu - self._delta(t)) ** 2
+    def value(self, t):
+        delta = self.width * np.tan(self._theta(t))
+        return (self.g / (self.omega_mu - delta) ** 2)[()]
 
-    def second(self, t: float) -> float:
-        if t < 0.0 or t > self.duration:
-            return 0.0
-        theta = self.theta0 - self.theta_rate * t
-        sec2 = 1.0 / math.cos(theta) ** 2
-        d = self.width * math.tan(theta)
+    def second(self, t):
+        theta = self._theta(t)
+        sec2 = 1.0 / np.cos(theta) ** 2
+        d = self.width * np.tan(theta)
         d1 = -self.width * self.theta_rate * sec2
-        d2 = 2.0 * self.width * self.theta_rate ** 2 * sec2 * math.tan(theta)
+        d2 = 2.0 * self.width * self.theta_rate ** 2 * sec2 * np.tan(theta)
         w = self.omega_mu - d
-        return 2.0 * self.g * d2 / w ** 3 + 6.0 * self.g * d1 * d1 / w ** 4
+        inside = (t >= 0.0) & (t <= self.duration)
+        return np.where(inside, 2.0 * self.g * d2 / w ** 3
+                        + 6.0 * self.g * d1 * d1 / w ** 4, 0.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +109,8 @@ class ArctanDetuningRamp:
 @dataclass(frozen=True)
 class PendulumSystem:
     """Two pendulums, spring-coupled; the 'e' length follows a schedule
-    with value(t) and second(t), the length and its second derivative.
+    whose value(t) and second(t), the length and its second derivative,
+    map an array of times to an array of the same shape.
 
     kappa is the spring constant per unit mass (1/time^2).  The weak-coupling
     regime kappa << g/l is recorded by pendulum_sweep, never enforced.
@@ -145,23 +151,120 @@ class TransferReport:
     weak_coupling_ratio: float
 
 
-def _stiffness(we2: float, wm2: float, kappa: float) -> np.ndarray:
-    return np.array([[we2 + kappa, -kappa], [-kappa, wm2 + kappa]])
+# Magnus steps built as arrays at once: a (512, 4, 4) float stack is 64 kB,
+# and the temporaries of one chunk stay near 1 MB
+_CHUNK = 512
+# 3-point Gauss-Legendre nodes on [0, 1]
+_GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+# start at h = _STEP_PHASE / omega_max, then halve h until the Richardson
+# estimate meets rtol, at most _MAX_DOUBLINGS times
+_STEP_PHASE = 0.5
+_MAX_DOUBLINGS = 5
+# exp(W) for ||W||_1 <= _EXP_THETA is a degree-14 Taylor polynomial:
+# the remainder 0.5^15/15! = 2.3e-17 is below half an ulp of 1
+_EXP_THETA = 0.5
+_EXP_DEGREE = 14
 
 
-def _mode_split(x: np.ndarray, v: np.ndarray, stiffness: np.ndarray):
-    # energy per normal mode and its mu-flavor attribution
-    vals, vecs = np.linalg.eigh(stiffness)
-    qx = vecs.T @ x
-    qv = vecs.T @ v
-    energies = 0.5 * qv ** 2 + 0.5 * vals * qx ** 2
-    mu_share = float(np.dot(energies, vecs[1, :] ** 2))
-    return energies, mu_share
+def _expm_taylor(w: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (..., n, n) stack.
+
+    A matrix whose 1-norm exceeds _EXP_THETA is scaled by the power of two
+    2^-s that brings it below, and the polynomial is squared s times.
+    """
+    norm = np.abs(w).sum(axis=-2).max(axis=-1)
+    _, s = np.frexp(norm / _EXP_THETA)
+    s = np.where(norm > _EXP_THETA, s, 0)
+    w = np.ldexp(w, -s[..., None, None])
+    diag = np.arange(w.shape[-1])
+    p = w / _EXP_DEGREE
+    p[..., diag, diag] += 1.0
+    for k in range(_EXP_DEGREE - 1, 0, -1):
+        p = w @ p
+        p /= k
+        p[..., diag, diag] += 1.0
+    for j in range(int(s.max(initial=0))):
+        p = np.where((s > j)[..., None, None], p @ p, p)
+    return p
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x @ y - y @ x
+
+
+def _fold(steps: np.ndarray) -> np.ndarray:
+    """Ordered product over axis -3 of a (..., k, n, n) stack, later steps
+    on the left, by pairwise products in log2(k) rounds."""
+    while steps.shape[-3] > 1:
+        if steps.shape[-3] % 2:
+            pad = np.broadcast_to(np.eye(steps.shape[-1]),
+                                  steps.shape[:-3] + (1,) + steps.shape[-2:])
+            steps = np.concatenate((steps, pad), axis=-3)
+        steps = steps[..., 1::2, :, :] @ steps[..., 0::2, :, :]
+    return steps[..., 0, :, :]
+
+
+def _magnus_steps(system: PendulumSystem, starts: np.ndarray, h: np.ndarray,
+                  first: int, stop: int) -> np.ndarray:
+    """Sixth-order Magnus step exponentials, shape (intervals, stop - first,
+    4, 4): substeps first..stop-1 of length h of the sample intervals that
+    begin at starts.
+
+    y' = A(t) y for y = (x_e, v_e, x_mu, v_mu); A is sampled at the three
+    Gauss-Legendre nodes of each step (Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470 (2009) 151).
+    """
+    g, kappa = system.g, system.kappa
+    sched = system.length_schedule
+    t = starts[:, None, None] + (np.arange(first, stop)[None, :, None]
+                                 + _GAUSS_NODES) * h[:, None, None]
+    a = np.zeros(t.shape + (4, 4))
+    a[..., 0, 1] = 1.0
+    a[..., 1, 0] = -(g - sched.second(t)) / sched.value(t) - kappa
+    a[..., 1, 2] = kappa
+    a[..., 2, 3] = 1.0
+    a[..., 3, 0] = kappa
+    a[..., 3, 2] = -g / system.l_mu - kappa
+    a *= h[:, None, None, None, None]
+    a1, a2, a3 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
+    alpha1 = a2
+    alpha2 = (math.sqrt(15.0) / 3.0) * (a3 - a1)
+    alpha3 = (10.0 / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = _commutator(alpha1, alpha2)
+    c2 = -(1.0 / 60.0) * _commutator(alpha1, 2.0 * alpha3 + c1)
+    omega = (alpha1 + alpha3 / 12.0 + (1.0 / 240.0) * _commutator(
+        -20.0 * alpha1 - alpha3 + c1, alpha2 + c2))
+    return _expm_taylor(omega)
+
+
+def _magnus_run(system: PendulumSystem, times: np.ndarray,
+                substeps: int) -> np.ndarray:
+    """States at the sample times, each sample interval cut into substeps
+    equal Magnus steps.  Step exponentials are built _CHUNK at a time and
+    folded per sample interval (a chunk holds whole intervals, or part of
+    one when substeps > _CHUNK); only the state update walks the
+    intervals in Python."""
+    starts = times[:-1]
+    h = np.diff(times) / substeps
+    n = len(starts)
+    products = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
+    per_chunk = max(1, _CHUNK // substeps)
+    span = min(substeps, _CHUNK)
+    for i in range(0, n, per_chunk):
+        block = slice(i, i + per_chunk)
+        for first in range(0, substeps, span):
+            steps = _magnus_steps(system, starts[block], h[block], first,
+                                  min(first + span, substeps))
+            products[block] = _fold(steps) @ products[block]
+    ys = np.empty((n + 1, 4))
+    ys[0] = system.state
+    for i in range(n):
+        ys[i + 1] = products[i] @ ys[i]
+    return ys
 
 
 def pendulum_sweep(system: PendulumSystem, duration: float,
-                   rtol: float = 1e-10, atol: float = 1e-12,
-                   samples: int = 1200) -> TransferReport:
+                   rtol: float = 1e-10, samples: int = 1200) -> TransferReport:
     """Integrate the coupled small-angle equations through a length sweep.
 
     Displacement coordinates x = l * angle obey
@@ -169,66 +272,74 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
     support-acceleration correction.  duration = 0 is the sudden limit:
     state unchanged, attributed directly at the final lengths.
 
-    Raises IntegratorError when a constant schedule shows relative energy
-    drift above 1e-6 (the integrator, not the physics, is then at fault).
+    The linear system y' = A(t) y is stepped with the sixth-order Magnus
+    integrator (three Gauss-Legendre samples of A per step, exact when A is
+    constant).  Each of the samples - 1 intervals starts with
+    m = ceil(interval * omega_max / 0.5) steps, omega_max the fastest
+    normal-mode frequency at the samples; the run is repeated with 2m, and
+    the Richardson estimate max|y_2m - y_m| / 63 of the global error over
+    all samples must not exceed rtol * max|y|, else m doubles.  The 2m run
+    is reported.
+
+    Raises ValueError for a non-positive length, fewer than 2 samples or
+    an rtol that is not finite and positive; IntegratorError when rtol is still not met after
+    five doublings, or when a constant schedule shows relative energy drift
+    above 1e-6 (the integrator, not the physics, is then at fault).
     """
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
+    if not 0.0 < rtol < math.inf:
+        raise ValueError("rtol must be finite and positive")
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
     sched = system.length_schedule
     g = system.g
     kappa = system.kappa
     wm2 = g / system.l_mu
 
-    probe = np.linspace(0.0, duration, 33) if duration > 0.0 else np.zeros(1)
-    lengths = np.array([sched.value(t) for t in probe])
+    times = np.linspace(0.0, duration, samples) if duration > 0.0 else np.zeros(1)
+    lengths = sched.value(times)
     if np.any(lengths <= 0.0):
         raise ValueError("length schedule must stay positive")
     frozen = float(np.ptp(lengths)) <= 1e-12 * float(np.max(lengths))
     weak = kappa / min(wm2, g / float(np.max(lengths)))
 
-    y0 = np.asarray(system.state, dtype=float)
+    # normal modes at every sample: stiffness [[we2 + k, -k], [-k, wm2 + k]]
+    we2 = g / lengths
+    stiffness = np.empty((len(times), 2, 2))
+    stiffness[:, 0, 0] = we2 + kappa
+    stiffness[:, 0, 1] = stiffness[:, 1, 0] = -kappa
+    stiffness[:, 1, 1] = wm2 + kappa
+    mode_k, mode_vecs = np.linalg.eigh(stiffness)
+
     if duration == 0.0:
-        times = np.zeros(1)
-        ys = y0.reshape(1, 4)
+        ys = np.asarray(system.state, dtype=float).reshape(1, 4)
     else:
-        if frozen:
-            we2_const = g / float(lengths[0])  # skip schedule calls in the hot loop
-
-            def rhs(t, y):
-                ax_e = -we2_const * y[0] - kappa * (y[0] - y[2])
-                ax_m = -wm2 * y[2] - kappa * (y[2] - y[0])
-                return (y[1], ax_e, y[3], ax_m)
+        omega_max = math.sqrt(float(np.max(mode_k)))
+        m = max(1, math.ceil(float(np.max(np.diff(times))) * omega_max
+                             / _STEP_PHASE))
+        coarse = _magnus_run(system, times, m)
+        for _ in range(_MAX_DOUBLINGS):
+            ys = _magnus_run(system, times, 2 * m)
+            estimate = float(np.max(np.abs(ys - coarse))) / 63.0
+            if estimate <= rtol * float(np.max(np.abs(ys))):
+                break
+            coarse, m = ys, 2 * m
         else:
-            def rhs(t, y):
-                le = sched.value(t)
-                acc = sched.second(t)
-                ax_e = -((g - acc) / le) * y[0] - kappa * (y[0] - y[2])
-                ax_m = -wm2 * y[2] - kappa * (y[2] - y[0])
-                return (y[1], ax_e, y[3], ax_m)
+            raise IntegratorError(
+                f"Richardson error estimate {estimate:.3e} still above rtol "
+                f"{rtol:.3e} times the state scale at {2 * m} steps per "
+                f"sample interval")
 
-        times = np.linspace(0.0, duration, samples)
-        sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
-                        rtol=rtol, atol=atol, t_eval=times, dense_output=False)
-        if not sol.success:
-            raise IntegratorError(f"pendulum integration failed: {sol.message}")
-        ys = sol.y.T
-
-    n = len(times)
-    flavor = np.empty((n, 3))
-    modes = np.empty((n, 2))
-    total = np.empty(n)
-    for i, t in enumerate(times):
-        le = sched.value(t) if duration > 0.0 else sched.value(0.0)
-        we2 = g / le
-        xe, ve, xm, vm = ys[i]
-        flavor[i] = (0.5 * ve * ve + 0.5 * we2 * xe * xe,
-                     0.5 * vm * vm + 0.5 * wm2 * xm * xm,
-                     0.5 * kappa * (xe - xm) ** 2)
-        x = np.array([xe, xm])
-        v = np.array([ve, vm])
-        energies, _ = _mode_split(x, v, _stiffness(we2, wm2, kappa))
-        modes[i] = energies
-        total[i] = flavor[i].sum()
+    xe, ve, xm, vm = ys.T
+    flavor = np.column_stack((0.5 * ve * ve + 0.5 * we2 * xe * xe,
+                              0.5 * vm * vm + 0.5 * wm2 * xm * xm,
+                              0.5 * kappa * (xe - xm) ** 2))
+    total = flavor[:, 0] + flavor[:, 1] + flavor[:, 2]
+    # energy per normal mode
+    qx = np.einsum("nji,nj->ni", mode_vecs, np.column_stack((xe, xm)))
+    qv = np.einsum("nji,nj->ni", mode_vecs, np.column_stack((ve, vm)))
+    modes = 0.5 * qv ** 2 + 0.5 * mode_k * qx ** 2
 
     drift = None
     if frozen:
@@ -237,10 +348,7 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
             raise IntegratorError(
                 f"energy drift {drift:.3e} with frozen lengths exceeds 1e-6")
 
-    le_end = sched.value(times[-1]) if duration > 0.0 else sched.value(0.0)
-    xe, ve, xm, vm = ys[-1]
-    _, mu_share = _mode_split(np.array([xe, xm]), np.array([ve, vm]),
-                              _stiffness(g / le_end, wm2, kappa))
+    mu_share = float(np.dot(modes[-1], mode_vecs[-1, 1, :] ** 2))
     tot_end = float(total[-1])
     fraction = mu_share / tot_end if tot_end > 0.0 else 0.0
     return TransferReport(fraction=fraction, times=times,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -66,6 +67,8 @@ def _coerce(name: str, scenario: str, schema_entry, value):
             coerced = int(as_float)
         else:
             coerced = schema_entry.kind(value)
+            if schema_entry.kind is float and not math.isfinite(coerced):
+                raise ValueError("must be finite")
         if schema_entry.parse is not None:
             schema_entry.parse(coerced)
         return coerced

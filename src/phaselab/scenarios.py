@@ -825,7 +825,7 @@ def _scenario_table() -> dict:
              "rate_scale": Parameter(1.0, "dimensionless", f),
              "l_mu": Parameter(1.0, "length", f),
              "g": Parameter(1.0, "length/time^2", f),
-             "rtol": Parameter(1e-10, "dimensionless", f),
+             "rtol": Parameter(1e-10, "dimensionless", f, _positive),
              "conservation_time": Parameter(200.0, "time", f),
              "ladder_multipliers": Parameter("2816,906,453,249,137",
                                              "dimensionless", s,
@@ -860,7 +860,7 @@ def _scenario_table() -> dict:
              "eccentricity": Parameter(0.05, "dimensionless", f),
              "nodes": Parameter(32, "count", i),
              "orbits": Parameter(8.5, "orbits", f),
-             "rtol": Parameter(1e-12, "dimensionless", f)},
+             "rtol": Parameter(1e-12, "dimensionless", f, _positive)},
             _run_celestial_frozen),
         Scenario(
             "celestial-residual",
@@ -872,7 +872,7 @@ def _scenario_table() -> dict:
              "n_periods": Parameter(1.0, "perturber_cycles", f),
              "phi0": Parameter(0.0, "radians", f),
              "nodes": Parameter(32, "count", i),
-             "rtol": Parameter(1e-12, "dimensionless", f)},
+             "rtol": Parameter(1e-12, "dimensionless", f, _positive)},
             _run_celestial_residual),
         Scenario(
             "monopole-angmom",

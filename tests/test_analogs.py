@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from phaselab import analogs, qcore
 from phaselab.analogs import (ArctanDetuningRamp, FrozenLength,
                               PendulumSystem, TwoLevelSweep)
-from phaselab.errors import GeometryError, RegimeWarning, ResolutionError
+from phaselab.errors import (GeometryError, IntegratorError, RegimeWarning,
+                             ResolutionError)
 
 
 def central_second(fn, t, h=1e-4):
@@ -47,6 +50,20 @@ class TestLengthSchedules:
                 central_second(ramp.value, t), rel=1e-4)
         assert ramp.second(-1.0) == 0.0
         assert ramp.second(ramp.duration + 1.0) == 0.0
+
+    def test_schedules_take_arrays(self):
+        ramp = ArctanDetuningRamp(l_mu=1.0, g=1.0, delta_max=0.3,
+                                  crossing_rate=0.01, width=0.1)
+        t = np.array([-1.0, 0.0, 0.3 * ramp.duration, ramp.duration,
+                      ramp.duration + 1.0])
+        assert ramp.value(t) == pytest.approx(
+            [ramp.value(float(x)) for x in t], rel=1e-15)
+        second = ramp.second(t)
+        assert second[0] == 0.0 and second[-1] == 0.0
+        assert second[2] == pytest.approx(ramp.second(float(t[2])), rel=1e-15)
+        frozen = FrozenLength(1.3)
+        assert np.array_equal(frozen.value(t), np.full(5, 1.3))
+        assert np.array_equal(frozen.second(t), np.zeros(5))
 
     def test_arctan_ramp_validation(self):
         with pytest.raises(ValueError):
@@ -116,6 +133,11 @@ class TestPendulumTransfer:
                               kappa=0.1)
         with pytest.raises(ValueError):
             analogs.pendulum_sweep(good, -1.0)
+        for bad in (0.0, -1e-10, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                analogs.pendulum_sweep(good, 10.0, rtol=bad)
+        with pytest.raises(ValueError):
+            analogs.pendulum_sweep(good, 10.0, samples=1)
 
         class Sinking:
             def value(self, t):
@@ -128,6 +150,97 @@ class TestPendulumTransfer:
                                  kappa=0.1)
         with pytest.raises(ValueError):
             analogs.pendulum_sweep(sinking, 10.0)
+
+
+class TestMagnusPropagator:
+    KAPPA = 0.025
+    # a fast ramp: the length and its support term change within a few
+    # periods, so the step size, not roundoff, sets the error
+    FAST_RAMP = dict(l_mu=1.0, g=1.0, delta_max=0.3, crossing_rate=0.01,
+                     width=0.1)
+
+    def fast_system(self):
+        return PendulumSystem(length_schedule=ArctanDetuningRamp(
+            **self.FAST_RAMP), l_mu=1.0, kappa=self.KAPPA)
+
+    def test_constant_schedule_matches_normal_modes(self):
+        we2, wm2 = 1.0 / 1.3, 1.0
+        state = np.array([1.0, 0.2, -0.3, 0.1])
+        system = PendulumSystem(length_schedule=FrozenLength(1.3), l_mu=1.0,
+                                kappa=self.KAPPA, state=tuple(state))
+        times = np.linspace(0.0, 50.0, 240)
+        ys = analogs._magnus_run(system, times, 3)
+        k2, vecs = np.linalg.eigh(np.array([[we2 + self.KAPPA, -self.KAPPA],
+                                            [-self.KAPPA, wm2 + self.KAPPA]]))
+        w = np.sqrt(k2)
+        q0 = vecs.T @ state[[0, 2]]
+        p0 = vecs.T @ state[[1, 3]]
+        wt = np.outer(times, w)
+        q = q0 * np.cos(wt) + p0 / w * np.sin(wt)
+        p = -q0 * w * np.sin(wt) + p0 * np.cos(wt)
+        exact = np.column_stack((q @ vecs.T, p @ vecs.T))[:, [0, 2, 1, 3]]
+        assert np.max(np.abs(ys - exact)) < 1e-12
+
+    def test_sixth_order(self):
+        system = self.fast_system()
+        times = np.array([0.0, system.length_schedule.duration])
+        ref = analogs._magnus_run(system, times, 1024)[-1]
+        err = [np.max(np.abs(analogs._magnus_run(system, times, m)[-1] - ref))
+               for m in (64, 128)]
+        assert err[1] > 1e-12  # still above roundoff
+        assert err[0] / err[1] >= 40.0
+
+    def test_ladder_sweep_matches_dop853(self):
+        eps = self.KAPPA / 2.0
+        system, duration = analogs.msw_benchmark_system(
+            crossing_rate=137.0 * 0.01 * eps * eps)
+        sched = system.length_schedule
+
+        def rhs(t, y):
+            we2 = (1.0 - sched.second(t)) / sched.value(t)
+            return (y[1], -we2 * y[0] - self.KAPPA * (y[0] - y[2]),
+                    y[3], -y[2] - self.KAPPA * (y[2] - y[0]))
+
+        sol = solve_ivp(rhs, (0.0, duration), system.state, method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+        assert sol.success
+        # the sudden path attributes a state at the lengths it is given
+        reference = analogs.pendulum_sweep(PendulumSystem(
+            length_schedule=FrozenLength(sched.value(duration)), l_mu=1.0,
+            kappa=self.KAPPA, state=tuple(sol.y[:, -1])), 0.0).fraction
+        fraction = analogs.pendulum_sweep(system, duration).fraction
+        assert fraction == pytest.approx(reference, rel=1e-10)
+
+    def test_taylor_exponential_matches_expm(self):
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal((500, 4, 4))
+        norms = np.abs(w).sum(axis=1).max(axis=1)
+        w *= (analogs._EXP_THETA * rng.uniform(0.0, 1.0, 500)
+              / norms)[:, None, None]
+        assert np.max(np.abs(analogs._expm_taylor(w) - expm(w))) <= 1e-15
+        # above the threshold: scaled by 2^-s and squared back s times
+        big = 20.0 * w
+        ref = expm(big)
+        rel = (np.abs(analogs._expm_taylor(big) - ref).max(axis=(1, 2))
+               / np.abs(ref).max(axis=(1, 2)))
+        assert rel.max() < 1e-12
+
+    def test_unreachable_rtol_raises(self):
+        system = self.fast_system()
+        with pytest.raises(IntegratorError):
+            analogs.pendulum_sweep(system, system.length_schedule.duration,
+                                   rtol=1e-20, samples=40)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        system = self.fast_system()
+        times = np.linspace(0.0, system.length_schedule.duration, 9)
+        whole = analogs._magnus_run(system, times, 24)
+        # 7 < 24: every interval spans four chunks, the last one ragged;
+        # 50: two whole intervals per chunk and a single one at the end
+        for chunk in (7, 50):
+            monkeypatch.setattr(analogs, "_CHUNK", chunk)
+            ys = analogs._magnus_run(system, times, 24)
+            assert np.max(np.abs(ys - whole)) < 1e-13
 
 
 class TestTwoLevelSweep:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from phaselab import cli
 from phaselab.cli import main, render_listing
 from phaselab.scenarios import SCENARIOS
 
@@ -98,7 +99,10 @@ class TestConfigRejection:
         for scenario, parameters in (
                 ("berry-latitude", {"samples": 2}),
                 ("rect-loop", {"samples": 4}),
-                ("two-level-sweep", {"step_scale": 0})):
+                ("two-level-sweep", {"step_scale": 0}),
+                ("pendulum-msw", {"rtol": 0}),
+                ("celestial-frozen", {"rtol": -1e-12}),
+                ("celestial-residual", {"rtol": 0})):
             code, out, cap = run_cli(tmp_path, capsys, scenario,
                                      parameters=parameters)
             assert code == 2, f"{parameters!r} accepted"
@@ -107,6 +111,24 @@ class TestConfigRejection:
                 (out / scenario / "manifest.json").read_text())
             assert manifest["error"]["kind"] == "config-error"
             assert manifest["outputs"] == {}
+
+    def test_non_finite_float_parameter(self, tmp_path, capsys):
+        for value in ("inf", "-inf", "nan", math.inf, math.nan):
+            code, out, cap = run_cli(tmp_path, capsys, "scatter-phase",
+                                     parameters={"gamma_max": value})
+            assert code == 2, f"gamma_max {value!r} accepted"
+            assert cap.err.startswith("phaselab: config-error:")
+            manifest = json.loads(
+                (out / "scatter-phase" / "manifest.json").read_text())
+            assert manifest["error"]["kind"] == "config-error"
+        # rejected before any computation, so these long runs never start
+        for scenario, parameters in (("pendulum-msw", {"rtol": "nan"}),
+                                     ("celestial-frozen",
+                                      {"m_jupiter": "nan"})):
+            with pytest.raises(cli._CliFailure) as failure:
+                cli._validate({"scenario": scenario,
+                               "parameters": parameters}, None)
+            assert failure.value.kind == "config-error"
 
     def test_bad_seed(self, tmp_path, capsys):
         for seed in (-1, True, 1.5):
