@@ -11,10 +11,16 @@ period prediction versus the fully integrated orbital phase, whose mismatch
 is the adiabatic residual.
 
 Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13 by default.  The
-pendulum equations are linear, y' = A(t) y, and are stepped with a
-sixth-order Magnus integrator whose step exponentials are built in batches;
-its rtol (1e-10 by default) bounds the Richardson estimate of the global
-error over the sampled states.  All units are G = hbar = 1.
+frozen-perturber periods are measured in lane stacks: every perturber angle
+(and mass) of a grid is one lane of a (4, N) state, integrated by one DOP853
+run forward and one backward in time with a numpy right-hand side, and the
+apsis refinement handles every crossing of every lane in one dense-output
+call per round.  The moving-perturber runs are single lanes with a scalar
+right-hand side, which is faster for one planet.  The pendulum equations
+are linear, y' = A(t) y, and are stepped with a sixth-order Magnus
+integrator whose step exponentials are built in batches; its rtol (1e-10
+by default) bounds the Richardson estimate of the global error over the
+sampled states.  All units are G = hbar = 1.
 """
 
 from __future__ import annotations
@@ -157,9 +163,11 @@ _CHUNK = 512
 # 3-point Gauss-Legendre nodes on [0, 1]
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 # start at h = _STEP_PHASE / omega_max, then halve h until the Richardson
-# estimate meets rtol, at most _MAX_DOUBLINGS times
+# estimate meets rtol, at most _MAX_DOUBLINGS times, and give up as soon
+# as one halving cuts the estimate by less than _MIN_CUT
 _STEP_PHASE = 0.5
 _MAX_DOUBLINGS = 5
+_MIN_CUT = 8.0
 # exp(W) for ||W||_1 <= _EXP_THETA is a degree-14 Taylor polynomial:
 # the remainder 0.5^15/15! = 2.3e-17 is below half an ulp of 1
 _EXP_THETA = 0.5
@@ -282,9 +290,11 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
     is reported.
 
     Raises ValueError for a non-positive length, fewer than 2 samples or
-    an rtol that is not finite and positive; IntegratorError when rtol is still not met after
-    five doublings, or when a constant schedule shows relative energy drift
-    above 1e-6 (the integrator, not the physics, is then at fault).
+    an rtol that is not finite and positive; IntegratorError when rtol is
+    still not met after five doublings or a doubling cuts the estimate
+    less than 8-fold (about 64-fold is due), or when a constant schedule
+    shows relative energy drift above 1e-6 (the integrator, not the
+    physics, is then at fault).
     """
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
@@ -319,17 +329,22 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
         m = max(1, math.ceil(float(np.max(np.diff(times))) * omega_max
                              / _STEP_PHASE))
         coarse = _magnus_run(system, times, m)
-        for _ in range(_MAX_DOUBLINGS):
+        previous = math.inf
+        for doubling in range(_MAX_DOUBLINGS):
             ys = _magnus_run(system, times, 2 * m)
             estimate = float(np.max(np.abs(ys - coarse))) / 63.0
             if estimate <= rtol * float(np.max(np.abs(ys))):
                 break
-            coarse, m = ys, 2 * m
-        else:
-            raise IntegratorError(
-                f"Richardson error estimate {estimate:.3e} still above rtol "
-                f"{rtol:.3e} times the state scale at {2 * m} steps per "
-                f"sample interval")
+            # a sixth-order step cuts the estimate about 64-fold per
+            # doubling; less than _MIN_CUT-fold means roundoff or a fault,
+            # not the step size, sets it, and more doublings cannot help
+            if (estimate > previous / _MIN_CUT
+                    or doubling == _MAX_DOUBLINGS - 1):
+                raise IntegratorError(
+                    f"Richardson error estimate {estimate:.3e} still above "
+                    f"rtol {rtol:.3e} times the state scale at {2 * m} "
+                    f"steps per sample interval")
+            coarse, m, previous = ys, 2 * m, estimate
 
     xe, ve, xm, vm = ys.T
     flavor = np.column_stack((0.5 * ve * ve + 0.5 * we2 * xe * xe,
@@ -711,25 +726,47 @@ def force_ratio(cfg: CelestialConfig) -> float:
         (cfg.r_jupiter - cfg.r_earth) ** 2
 
 
-def _make_events(cfg: CelestialConfig):
+def _radii(y: np.ndarray) -> np.ndarray:
+    """Sun distance of each lane of a flat (4, N) state (x, z, vx, vz rows)."""
+    lanes = y.reshape(4, -1)
+    return np.hypot(lanes[0], lanes[1])
+
+
+def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,
+           rtol: float, atol: float, lane_name=lambda k: ""):
+    """DOP853 from t = 0 to t_end with dense output, over a flat (4, N)
+    lane state.  A lane closing on the sun (r < 0.01 r_earth) or escaping
+    (r > 2.5 r_jupiter) ends the run: the terminal events watch the
+    closest and the farthest lane, and the DynamicsError names the lane
+    through lane_name(k)."""
     r_min = 0.01 * cfg.r_earth
     r_max = 2.5 * cfg.r_jupiter
 
     def collision(t, y):
-        return math.hypot(y[0], y[1]) - r_min
+        return _radii(y).min() - r_min
 
     def escape(t, y):
-        return math.hypot(y[0], y[1]) - r_max
+        return _radii(y).max() - r_max
 
-    collision.terminal = True
-    escape.terminal = True
-    return collision, escape
+    collision.terminal = escape.terminal = True
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
+                    atol=atol, dense_output=True, events=(collision, escape))
+    for k, pick, what in ((0, np.argmin, "collided with the sun"),
+                          (1, np.argmax, "escaped past 2.5 r_jupiter")):
+        if sol.t_events[k].size:
+            lane = int(pick(_radii(sol.y_events[k][0])))
+            raise DynamicsError(f"planet {what} at t = "
+                                f"{sol.t_events[k][0]:.3f}{lane_name(lane)}")
+    if not sol.success:
+        raise DynamicsError(f"orbit integration failed: {sol.message}")
+    return sol
 
 
 def _integrate(cfg: CelestialConfig, jupiter_angle, t_max: float,
                rtol: float, atol: float):
-    """Integrate the planet; jupiter_angle is a callable t -> angle, or None
-    for no perturber.  Raises DynamicsError on collision or escape."""
+    """Integrate one planet; jupiter_angle is a callable t -> angle of the
+    moving perturber, or None for no perturber.  Raises DynamicsError on
+    collision or escape."""
     mu = cfg.g_const * cfg.m_sun
     muj = cfg.g_const * cfg.m_jupiter
     rj = cfg.r_jupiter
@@ -751,110 +788,189 @@ def _integrate(cfg: CelestialConfig, jupiter_angle, t_max: float,
             d3 = (dx * dx + dz * dz) ** 1.5
             return (vx, vz, ax - muj * dx / d3, az - muj * dz / d3)
 
-    collision, escape = _make_events(cfg)
-    sol = solve_ivp(rhs, (0.0, t_max), cfg.initial_state(), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True,
-                    events=(collision, escape))
-    if sol.t_events[0].size:
-        raise DynamicsError(f"planet collided with the sun at t = {sol.t_events[0][0]:.3f}")
-    if sol.t_events[1].size:
-        raise DynamicsError(f"planet escaped past 2.5 r_jupiter at t = {sol.t_events[1][0]:.3f}")
-    if not sol.success:
-        raise DynamicsError(f"orbit integration failed: {sol.message}")
-    return sol
+    return _solve(cfg, rhs, cfg.initial_state(), t_max, rtol, atol)
 
 
-def _refine_apsis(geval, ta: float, tb: float, rounds: int = 3) -> float:
-    # quadratic fit of r.v on a shrinking window; error ~ (window)^3
-    lo, hi = ta, tb
-    root = 0.5 * (ta + tb)
-    for _ in range(rounds):
-        ts = np.linspace(lo, hi, 7)
-        gs = geval(ts)
-        coeff = np.polyfit(ts - root, gs, 2)
-        cand = np.roots(coeff) + root
-        cand = cand[np.isreal(cand)].real
-        if cand.size == 0:
-            break
-        root = float(cand[np.argmin(np.abs(cand - 0.5 * (lo + hi)))])
-        span = (hi - lo) / 20.0
-        lo, hi = root - span, root + span
-    return root
+def _integrate_lanes(cfg: CelestialConfig, phis: np.ndarray,
+                     masses: np.ndarray, t_end: float, rtol: float,
+                     atol: float):
+    """One DOP853 run of N planets side by side, lane k in the static field
+    of the sun and a perturber of mass masses[k] frozen at angle phis[k].
+    All lanes start from cfg.initial_state() and share one step sequence."""
+    n = len(phis)
+    mu = cfg.g_const * cfg.m_sun
+    muj = cfg.g_const * masses
+    px = cfg.r_jupiter * np.cos(phis)
+    pz = cfg.r_jupiter * np.sin(phis)
+
+    def rhs(t, y):
+        x, z, vx, vz = y.reshape(4, n)
+        r3 = (x * x + z * z) ** 1.5
+        dx = x - px
+        dz = z - pz
+        d3 = (dx * dx + dz * dz) ** 1.5
+        return np.concatenate((vx, vz, -mu * x / r3 - muj * dx / d3,
+                               -mu * z / r3 - muj * dz / d3))
+
+    return _solve(cfg, rhs, np.repeat(cfg.initial_state(), n), t_end, rtol,
+                  atol, lambda k: " in " + _lane_name(phis, masses, k))
 
 
-def _radial_velocity_eval(sol, mirror: bool = False):
-    """r.v along the dense solution; mirror evaluates the time-reflected
-    trajectory tau -> state(-tau), whose r.v flips sign."""
-    if mirror:
-        def geval(ts):
-            ys = sol.sol(-np.asarray(ts))
-            return -(ys[0] * ys[2] + ys[1] * ys[3])
-    else:
-        def geval(ts):
-            ys = sol.sol(np.asarray(ts))
-            return ys[0] * ys[2] + ys[1] * ys[3]
-    return geval
+def _lane_name(phis: np.ndarray, masses: np.ndarray, k: int) -> str:
+    return f"lane {k} (perturber angle {phis[k]:.6g}, mass {masses[k]:.6g})"
+
+
+# apsis refinement: r.v sampled at 7 points of a window, u its coordinate
+# in [-1, 1]; rows of _APSIS_FIT map the samples to the least-squares
+# coefficients (a, b, c) of a u^2 + b u + c.  On the symmetric window the
+# odd coefficient b decouples, and (a, c) solve the 2x2 normal equations
+# of (u^2, 1): the pseudo-inverse in closed form, with no LAPACK call at
+# import
+_APSIS_U = np.linspace(-1.0, 1.0, 7)
+_S2 = float(np.sum(_APSIS_U ** 2))
+_S4 = float(np.sum(_APSIS_U ** 4))
+_APSIS_FIT = np.stack(((7.0 * _APSIS_U ** 2 - _S2) / (7.0 * _S4 - _S2 ** 2),
+                       _APSIS_U / _S2,
+                       (_S4 - _S2 * _APSIS_U ** 2) / (7.0 * _S4 - _S2 ** 2)))
+_APSIS_ROUNDS = 3
+
+
+def _quadratic_root(g: np.ndarray) -> np.ndarray:
+    """Root nearest u = 0 of the quadratic fitted to each row of 7 samples
+    of g at _APSIS_U; nan where that quadratic has no real root.
+
+    The roots are q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2,
+    which never subtracts nearly equal numbers.  A window on a crossing
+    is nearly linear (|ac| << b^2), and there the textbook
+    (-b +- sqrt(b^2 - 4ac))/2a loses the wanted small root to cancellation.
+    """
+    a, b, c = np.moveaxis(g @ _APSIS_FIT.T, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        r1 = np.nan_to_num(q / a, nan=np.inf)
+        r2 = np.nan_to_num(c / q, nan=np.inf)
+    root = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
+    return np.where(np.isfinite(root), root, np.nan)
+
+
+def _radial_velocity(states: np.ndarray, lanes: int) -> np.ndarray:
+    """r.v of each lane from dense-output states of shape (4 * lanes, ...)."""
+    x, z, vx, vz = states.reshape((4, lanes) + states.shape[1:])
+    return x * vx + z * vz
 
 
 def _perihelion_times(sol, cfg: CelestialConfig, t_end: float,
-                      mirror: bool = False) -> np.ndarray:
+                      lanes: int = 1, mirror: bool = False) -> list:
+    """Perihelion times of each lane of a dense solution, one array per lane.
+
+    Upward sign changes of r.v are found on a grid of step t_kep / 400
+    from 0.3 t_kep to t_end.  Each is refined by _APSIS_ROUNDS quadratic
+    fits on a window centred on the current estimate, shrinking tenfold
+    per round; a crossing whose fit has no real root keeps its estimate
+    for that round.  One dense-output call serves the grid, and one serves
+    every crossing of every lane in each round.  mirror reads the
+    time-reflected trajectory tau -> state(-tau), whose r.v flips sign.
+    """
+    sign = -1.0 if mirror else 1.0
     t_kep = kepler_period(cfg)
-    geval = _radial_velocity_eval(sol, mirror)
     grid = np.arange(0.3 * t_kep, t_end, t_kep / 400.0)
-    g = geval(grid)
-    crossings = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
-    times = [_refine_apsis(geval, grid[i], grid[i + 1]) for i in crossings]
-    return np.asarray(times)
+    g = sign * _radial_velocity(sol.sol(sign * grid), lanes)
+    lane, i = np.nonzero((g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0))
+    if not lane.size:
+        return [np.empty(0)] * lanes
+    root = 0.5 * (grid[i] + grid[i + 1])
+    half = 0.5 * (grid[i + 1] - grid[i])
+    crossing = np.arange(len(root))
+    for _ in range(_APSIS_ROUNDS):
+        ts = root[:, None] + half[:, None] * _APSIS_U
+        states = sol.sol(sign * ts.ravel()).reshape(4 * lanes, *ts.shape)
+        g = sign * _radial_velocity(states, lanes)[lane, crossing]
+        root = root + half * np.nan_to_num(_quadratic_root(g))
+        half = half / 10.0
+    return np.split(root, np.cumsum(np.bincount(lane, minlength=lanes))[:-1])
 
 
-def celestial_frozen_period(cfg: CelestialConfig, phi: float,
-                            rtol: float = 1e-12, atol: float = 1e-13,
-                            orbits: float = 8.5) -> float:
+def frozen_grid_angles(nodes: int) -> np.ndarray:
+    """Uniform perturber-angle grid 2 pi k / nodes; nodes even and >= 4,
+    so the grid holds each angle's mirror image -phi."""
+    if nodes < 4 or nodes % 2:
+        raise ValueError("nodes must be an even number >= 4")
+    return TWO_PI * np.arange(nodes) / nodes
+
+
+def celestial_frozen_period(cfg: CelestialConfig, phi, rtol: float = 1e-12,
+                            atol: float = 1e-13, orbits: float = 8.5,
+                            masses=None):
     """Radial period with the perturber frozen at angle phi.
 
-    Integrates the static two-center field over a window centred on the
-    start time (half of `orbits` each way) and averages successive
-    perihelion-to-perihelion gaps, apsis times taken from sign changes of
-    r.v refined by local quadratic fits on the dense output.
+    phi is an angle or an array of angles, one lane each; masses, when
+    given, is the perturber mass of each lane (default cfg.m_jupiter for
+    all).  Returns a float for a scalar phi, else an array of periods.
+
+    All lanes are integrated side by side as one stack: one DOP853 run
+    forward over half of `orbits` Kepler periods and one backward over the
+    other half, each with a single step sequence for the whole stack.
+    Each lane's period is the mean of its perihelion-to-perihelion gaps,
+    apsis times taken from sign changes of r.v refined by local quadratic
+    fits on the dense output (_perihelion_times).
 
     The window is short and centred on purpose.  Short: the frozen
     perturber slowly precesses the apsis line, so a long average would
     blur periods across orientations instead of measuring the
     instantaneous one.  Centred: the leading precession bias is odd in
-    time and cancels between the two half-windows, and mirroring the
-    backward branch makes the measurement even in phi exactly (the
-    time-reversed run at angle phi is the mirror of the forward run at
-    -phi).
+    time and cancels between the two half-windows.  The measurement is
+    even in phi: the time-reversed run at angle phi is the mirror image
+    (z, vx -> -z, -vx) of the forward run at -phi, and the backward branch
+    is read through that mirror.  The backward stack is integrated, not
+    built from the forward one; for a grid that holds each angle's mirror
+    image it is the mirror of the forward stack with its lanes permuted,
+    so the two agree up to the roundoff of the order in which the step
+    control sums the lanes' errors, and a period profile that is not even
+    in phi points at the integration.
     """
+    phis = np.asarray(phi, dtype=float)
+    angles = np.atleast_1d(phis)
+    if masses is None:
+        masses = np.full(angles.shape, cfg.m_jupiter)
+    masses = np.asarray(masses, dtype=float)
+    if angles.ndim != 1 or masses.shape != angles.shape:
+        raise ValueError("phi and masses must be one angle and mass per lane")
+    if not np.all(masses >= 0.0):
+        raise ValueError("perturber masses must be non-negative")
+    if not orbits > 0.0:
+        raise ValueError("orbits must be positive")
     t_half = 0.5 * orbits * kepler_period(cfg)
-    ang = (lambda t: phi) if cfg.m_jupiter > 0.0 else None
-    fwd = _integrate(cfg, ang, t_half, rtol, atol)
-    back = _integrate(cfg, ang, -t_half, rtol, atol)
-    ahead = _perihelion_times(fwd, cfg, t_half)
-    behind = _perihelion_times(back, cfg, t_half, mirror=True)
-    if len(ahead) + len(behind) < 4:
-        raise DynamicsError("fewer than four perihelion passages detected")
-    # gaps within each branch only: the start apsis sits between the two
-    # detection windows, so a gap across t = 0 would span two periods
-    gaps = np.concatenate((np.diff(behind), np.diff(ahead)))
-    if gaps.size == 0:
-        raise DynamicsError("no perihelion-to-perihelion gap on either side")
-    return float(np.mean(gaps))
+    n = len(angles)
+    # one dense solution alive at a time
+    ahead = _perihelion_times(
+        _integrate_lanes(cfg, angles, masses, t_half, rtol, atol),
+        cfg, t_half, n)
+    behind = _perihelion_times(
+        _integrate_lanes(cfg, angles, masses, -t_half, rtol, atol),
+        cfg, t_half, n, mirror=True)
+    periods = np.empty(n)
+    for k in range(n):
+        if len(ahead[k]) + len(behind[k]) < 4:
+            raise DynamicsError("fewer than four perihelion passages "
+                                f"detected in {_lane_name(angles, masses, k)}")
+        # gaps within each branch only: the start apsis sits between the
+        # two detection windows, so a gap across t = 0 would span two
+        # periods; four passages leave at least one gap on one side
+        periods[k] = np.mean(np.concatenate((np.diff(behind[k]),
+                                             np.diff(ahead[k]))))
+    return float(periods[0]) if phis.ndim == 0 else periods
 
 
 def frozen_period_grid(cfg: CelestialConfig, nodes: int = 32,
                        rtol: float = 1e-12, atol: float = 1e-13,
                        orbits: float = 8.5):
-    """Frozen-probe period on a uniform perturber-angle grid.
+    """Frozen-probe period on a uniform perturber-angle grid, all nodes in
+    one lane stack.
 
     Returns (angles, periods).
     """
-    if nodes < 4 or nodes % 2:
-        raise ValueError("nodes must be an even number >= 4")
-    phis = TWO_PI * np.arange(nodes) / nodes
-    periods = [celestial_frozen_period(cfg, p, rtol, atol, orbits)
-               for p in phis]
-    return phis, np.asarray(periods)
+    phis = frozen_grid_angles(nodes)
+    return phis, celestial_frozen_period(cfg, phis, rtol, atol, orbits)
 
 
 def orbit_conservation(cfg: CelestialConfig, orbits: float = 100.0,
@@ -960,7 +1076,7 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, n_periods: float = 1.0,
 
     def run(rt, at):
         sol = _integrate(cfg, lambda t: phi0 + omega_j * t, t_max, rt, at)
-        times = _perihelion_times(sol, cfg, t_max)
+        times = _perihelion_times(sol, cfg, t_max)[0]
         if len(times) < 3:
             raise DynamicsError("fewer than three perihelion passages detected")
         x, z, vx, vz = sol.sol(times)

@@ -79,6 +79,12 @@ def _positive(value: float) -> float:
     return value
 
 
+def _grid_nodes(value: int) -> int:
+    """Node count of the frozen-period grid: even and at least 4."""
+    analogs.frozen_grid_angles(value)
+    return value
+
+
 def _pair_list(text: str) -> list[tuple[float, float]]:
     """Comma-separated a:b pairs of finite positive numbers."""
     pairs = []
@@ -619,13 +625,15 @@ def _run_celestial_frozen(p, seed, emit):
                                   r_jupiter=p["r_jupiter"],
                                   eccentricity=p["eccentricity"])
     kep = analogs.kepler_period(cfg)
-    free = analogs.CelestialConfig(m_jupiter=0.0, r_jupiter=p["r_jupiter"],
-                                   eccentricity=p["eccentricity"])
-    kepler_err = abs(analogs.celestial_frozen_period(free, 0.0, rtol=p["rtol"])
-                     - kep)
-
-    phis, periods = analogs.frozen_period_grid(
-        cfg, nodes=int(p["nodes"]), rtol=p["rtol"], orbits=p["orbits"])
+    nodes = int(p["nodes"])
+    phis = analogs.frozen_grid_angles(nodes)
+    # the free Kepler lane and the half-mass lane ride in the grid's stacks
+    lanes = analogs.celestial_frozen_period(
+        cfg, np.append(phis, [0.0, 0.0]), rtol=p["rtol"], orbits=p["orbits"],
+        masses=np.append(np.full(nodes, p["m_jupiter"]),
+                         [0.0, 0.5 * p["m_jupiter"]]))
+    periods = lanes[:nodes]
+    kepler_err = abs(float(lanes[nodes]) - kep)
     shifts = (periods - kep) / kep
     emit("frozen_grid.csv",
          [("perturber_angle", "radians", phis),
@@ -633,13 +641,7 @@ def _run_celestial_frozen(p, seed, emit):
           ("fractional_shift", "dimensionless", shifts)])
 
     asym = float(np.abs(shifts[1:] - shifts[:0:-1]).max())
-    half_cfg = analogs.CelestialConfig(m_jupiter=0.5 * p["m_jupiter"],
-                                       r_jupiter=p["r_jupiter"],
-                                       eccentricity=p["eccentricity"])
-    s_full = float(periods[0]) - kep
-    s_half = analogs.celestial_frozen_period(half_cfg, 0.0, rtol=p["rtol"],
-                                             orbits=p["orbits"]) - kep
-    halving = s_full / s_half
+    halving = (float(periods[0]) - kep) / (float(lanes[nodes + 1]) - kep)
     ratio = analogs.force_ratio(cfg)
     results = {
         "kepler_error": kepler_err,
@@ -858,8 +860,8 @@ def _scenario_table() -> dict:
             {"m_jupiter": Parameter(1e-3, "m_sun", f),
              "r_jupiter": Parameter(5.2, "r_earth", f),
              "eccentricity": Parameter(0.05, "dimensionless", f),
-             "nodes": Parameter(32, "count", i),
-             "orbits": Parameter(8.5, "orbits", f),
+             "nodes": Parameter(32, "count", i, _grid_nodes),
+             "orbits": Parameter(8.5, "orbits", f, _positive),
              "rtol": Parameter(1e-12, "dimensionless", f, _positive)},
             _run_celestial_frozen),
         Scenario(
@@ -871,7 +873,7 @@ def _scenario_table() -> dict:
              "eccentricity": Parameter(0.05, "dimensionless", f),
              "n_periods": Parameter(1.0, "perturber_cycles", f),
              "phi0": Parameter(0.0, "radians", f),
-             "nodes": Parameter(32, "count", i),
+             "nodes": Parameter(32, "count", i, _grid_nodes),
              "rtol": Parameter(1e-12, "dimensionless", f, _positive)},
             _run_celestial_residual),
         Scenario(

@@ -231,6 +231,23 @@ class TestMagnusPropagator:
             analogs.pendulum_sweep(system, system.length_schedule.duration,
                                    rtol=1e-20, samples=40)
 
+    def test_unreachable_rtol_fails_fast(self, monkeypatch):
+        # a constant schedule steps exactly, so the first estimate is
+        # roundoff and the next doubling cannot cut it 8-fold
+        system = PendulumSystem(length_schedule=FrozenLength(1.3), l_mu=1.0,
+                                kappa=self.KAPPA)
+        runs = []
+        magnus_run = analogs._magnus_run
+
+        def counted(*args):
+            runs.append(args[2])
+            return magnus_run(*args)
+
+        monkeypatch.setattr(analogs, "_magnus_run", counted)
+        with pytest.raises(IntegratorError):
+            analogs.pendulum_sweep(system, 50.0, rtol=1e-20, samples=40)
+        assert len(runs) <= 3
+
     def test_chunk_boundaries(self, monkeypatch):
         system = self.fast_system()
         times = np.linspace(0.0, system.length_schedule.duration, 9)

@@ -7,6 +7,7 @@ import pytest
 
 from phaselab import analogs
 from phaselab.analogs import CelestialConfig
+from phaselab.errors import DynamicsError
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,6 +95,76 @@ class TestFrozenPeriod:
             analogs.frozen_period_grid(celestial_config, nodes=7)
         with pytest.raises(ValueError):
             analogs.frozen_period_grid(celestial_config, nodes=2)
+
+
+class TestLaneStacks:
+    def test_stack_matches_single_lanes(self, celestial_config,
+                                        celestial_grid):
+        phis, periods = celestial_grid
+        for k in (0, 5, 27):
+            alone = analogs.celestial_frozen_period(celestial_config, phis[k])
+            assert abs(alone - periods[k]) < 1e-11
+
+    def test_failing_lane_is_named(self):
+        # at r_jupiter 1.2 the heavy lane falls into the sun near t = 11.7;
+        # the free lane beside it would run to the end
+        cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.2)
+        with pytest.raises(DynamicsError, match=r"collided.* lane 1 "
+                           r"\(perturber angle 0, mass 0\.05\)"):
+            analogs.celestial_frozen_period(cfg, [0.0, 0.0],
+                                            masses=[0.0, 0.05])
+
+    def test_lane_validation(self, celestial_config):
+        with pytest.raises(ValueError):
+            analogs.celestial_frozen_period(celestial_config, [0.0, 1.0],
+                                            masses=[1e-3])
+        with pytest.raises(ValueError):
+            analogs.celestial_frozen_period(celestial_config, [0.0],
+                                            masses=[-1e-3])
+        with pytest.raises(ValueError):
+            analogs.celestial_frozen_period(celestial_config, 0.0, orbits=0.0)
+
+
+def _reference_root(g):
+    """Real root nearest u = 0 of np.polyfit + np.roots on the unit window."""
+    roots = np.roots(np.polyfit(analogs._APSIS_U, g, 2))
+    real = roots[np.isreal(roots)].real
+    return real[np.argmin(np.abs(real))] if real.size else math.nan
+
+
+class TestApsisFit:
+    def test_matches_polyfit_roots(self):
+        rng = np.random.default_rng(3)
+        u = analogs._APSIS_U
+        # exact quadratics with a root inside the window, and noisy ones
+        roots = rng.uniform(-0.9, 0.9, 40)
+        curv = rng.uniform(-2.0, 2.0, 40)
+        slope = rng.choice((-1.0, 1.0), 40) * rng.uniform(0.5, 3.0, 40)
+        g = curv[:, None] * (u - roots[:, None]) ** 2 \
+            + slope[:, None] * (u - roots[:, None])
+        g = np.concatenate((g, g + 1e-3 * rng.standard_normal(g.shape)))
+        got = analogs._quadratic_root(g)
+        want = np.array([_reference_root(row) for row in g])
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_nearly_linear_window(self):
+        # b^2 >> |4ac|: the textbook formula subtracts nearly equal numbers
+        a, b, c = 1e-8, 1.0, 1e-3
+        g = np.polyval((a, b, c), analogs._APSIS_U)
+        got = float(analogs._quadratic_root(g[None])[0])
+        want = _reference_root(g)
+        assert got == pytest.approx(want, rel=1e-13)
+        coeff = np.polyfit(analogs._APSIS_U, g, 2)
+        textbook = (-coeff[1] + math.sqrt(coeff[1] ** 2 - 4.0 * coeff[0]
+                                          * coeff[2])) / (2.0 * coeff[0])
+        assert abs(textbook - want) > 1e-9 * abs(want)
+
+    def test_linear_and_rootless_windows(self):
+        u = analogs._APSIS_U
+        g = np.stack((2.0 * u - 0.5, u * u + 1.0))
+        got = analogs._quadratic_root(g)
+        assert got[0] == pytest.approx(0.25, rel=1e-14)
+        assert math.isnan(got[1])
 
 
 class TestConservation:

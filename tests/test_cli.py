@@ -130,6 +130,27 @@ class TestConfigRejection:
                                "parameters": parameters}, None)
             assert failure.value.kind == "config-error"
 
+    def test_celestial_grid_domains(self):
+        # an odd or too small grid, or a window of no orbits, is a config
+        # error; checked without a run, since a run would be a long one
+        for scenario, parameters in (
+                ("celestial-frozen", {"nodes": 7}),
+                ("celestial-frozen", {"nodes": 3}),
+                ("celestial-frozen", {"nodes": 2}),
+                ("celestial-frozen", {"orbits": -1}),
+                ("celestial-frozen", {"orbits": 0}),
+                ("celestial-residual", {"nodes": 7}),
+                ("celestial-residual", {"nodes": 3})):
+            with pytest.raises(cli._CliFailure) as failure:
+                cli._validate({"scenario": scenario,
+                               "parameters": parameters}, None)
+            assert failure.value.kind == "config-error", parameters
+        for scenario, parameters in (("celestial-frozen",
+                                      {"nodes": 4, "orbits": 2.5}),
+                                     ("celestial-residual", {"nodes": 6})):
+            cli._validate({"scenario": scenario, "parameters": parameters},
+                          None)
+
     def test_bad_seed(self, tmp_path, capsys):
         for seed in (-1, True, 1.5):
             code, _, cap = run_cli(tmp_path, capsys, "scatter-phase",
