@@ -867,14 +867,15 @@ def _perihelion_times(sol, cfg: CelestialConfig, t_end: float,
     from 0.3 t_kep to t_end.  Each is refined by _APSIS_ROUNDS quadratic
     fits on a window centred on the current estimate, shrinking tenfold
     per round; a crossing whose fit has no real root keeps its estimate
-    for that round.  One dense-output call serves the grid, and one serves
-    every crossing of every lane in each round.  mirror reads the
+    for that round.  The grid is read a Kepler period per dense-output call,
+    the crossings of all lanes in one call per round.  mirror reads the
     time-reflected trajectory tau -> state(-tau), whose r.v flips sign.
     """
     sign = -1.0 if mirror else 1.0
     t_kep = kepler_period(cfg)
     grid = np.arange(0.3 * t_kep, t_end, t_kep / 400.0)
-    g = sign * _radial_velocity(sol.sol(sign * grid), lanes)
+    g = np.concatenate([_radial_velocity(sol.sol(sign * grid[k:k + 400]), lanes)
+                        for k in range(0, len(grid), 400)], axis=1) * sign
     lane, i = np.nonzero((g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0))
     if not lane.size:
         return [np.empty(0)] * lanes

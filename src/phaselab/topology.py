@@ -5,8 +5,9 @@ degenerate where both coefficient fields vanish; generically that zero set
 is a curve in 3-space.  The loop phase of the ground band around a probe
 loop is 0 or pi, and it is pi exactly when the probe links the degeneracy
 curve an odd number of times.  This module computes Gauss linking numbers
-exactly per segment pair, exposes the parity rule, and measures the loop
-phase directly; the degeneracy curve itself is supplied by the caller.
+exactly per segment pair, on one grid of vertex differences whose face
+normals neighbouring pairs share, exposes the parity rule, and measures the
+loop phase directly; the degeneracy curve itself is supplied by the caller.
 """
 
 from __future__ import annotations
@@ -103,18 +104,44 @@ class RealFieldHamiltonian:
 # ---------------------------------------------------------------------------
 # Gauss linking number
 
-def _min_point_distance(a: np.ndarray, b: np.ndarray) -> float:
-    best = math.inf
-    for block in range(0, a.shape[0], 256):
-        chunk = a[block:block + 256]
-        d2 = np.sum((chunk[:, None, :] - b[None, :, :]) ** 2, axis=2)
-        best = min(best, float(d2.min()))
-    return math.sqrt(best)
+_ROW_BLOCK = 32
 
 
-def _unitize(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    return np.where(norm > 1e-300, v / np.maximum(norm, 1e-300), 0.0)
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _unit_cross(a, b):
+    """Components of a x b scaled to unit length; a zero product stays zero."""
+    c = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+         a[0] * b[1] - a[1] * b[0])
+    norm = np.maximum(np.sqrt(_dot(c, c)), 1e-300)
+    return [x / norm for x in c]
+
+
+def _gauss_pass(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """Raw Gauss sum and least squared vertex distance of closed polylines
+    p and q, on the vertex grid R[i, j] = q[j] - p[i] in blocks of rows.
+
+    Pair (i, j) spans R[i, j], R[i, j+1], R[i+1, j+1], R[i+1, j].  With
+    H[i, j] = R[i, j] x R[i, j+1] and V[i, j] = R[i, j] x R[i+1, j], its
+    face normals are H^[i, j], V^[i, j+1], -H^[i+1, j] and -V^[i, j].
+    """
+    total, nearest = 0.0, math.inf
+    for start in range(0, p.shape[0] - 1, _ROW_BLOCK):
+        rows = p[start:start + _ROW_BLOCK + 1]
+        r = [q[None, :, k] - rows[:, None, k] for k in range(3)]
+        nearest = min(nearest, float(_dot(r, r).min()))
+        h = _unit_cross([c[:, :-1] for c in r], [c[:, 1:] for c in r])
+        v = _unit_cross([c[:-1] for c in r], [c[1:] for c in r])
+        h0, h1 = [c[:-1] for c in h], [c[1:] for c in h]
+        v0, v1 = [c[:, :-1] for c in v], [c[:, 1:] for c in v]
+        dots = (_dot(h0, v1), -_dot(v1, h1), _dot(h1, v0), -_dot(v0, h0))
+        omega = sum(np.arcsin(np.clip(d, -1.0, 1.0)) for d in dots)
+        # orientation (tb x ta) . r1 of the pair, which is ta . H[i, j]
+        ta = np.diff(rows, axis=0).T[:, :, None]
+        total += float(np.sum(omega * np.sign(_dot(h0, ta))))
+    return total / (4.0 * math.pi), nearest
 
 
 def gauss_linking_sum(a: Curve3D, b: Curve3D) -> float:
@@ -123,45 +150,19 @@ def gauss_linking_sum(a: Curve3D, b: Curve3D) -> float:
     Each pair contributes the exact signed solid angle of the quadrilateral
     spanned by the two segments (sum of four arcsin terms), so the total is
     exact for the polygons themselves rather than a quadrature estimate.
+    Normals and vertex distances come from one grid (_gauss_pass); curves
+    closer than 1e-9 touch and raise GeometryError.
     """
-    pa, pb = a.points[:-1], a.points[1:]
-    qa, qb = b.points[:-1], b.points[1:]
-    ta = pb - pa
-    tb = qb - qa
-    total = 0.0
-    for block in range(0, pa.shape[0], 128):
-        sl = slice(block, block + 128)
-        r1 = qa[None, :, :] - pa[sl][:, None, :]
-        r2 = qb[None, :, :] - pa[sl][:, None, :]
-        r3 = qb[None, :, :] - pb[sl][:, None, :]
-        r4 = qa[None, :, :] - pb[sl][:, None, :]
-        n1 = _unitize(np.cross(r1, r2))
-        n2 = _unitize(np.cross(r2, r3))
-        n3 = _unitize(np.cross(r3, r4))
-        n4 = _unitize(np.cross(r4, r1))
-
-        def dots(u, v):
-            return np.clip(np.einsum("ijk,ijk->ij", u, v), -1.0, 1.0)
-
-        omega = (np.arcsin(dots(n1, n2)) + np.arcsin(dots(n2, n3))
-                 + np.arcsin(dots(n3, n4)) + np.arcsin(dots(n4, n1)))
-        sign = np.sign(np.einsum("ijk,ijk->ij",
-                                 np.cross(tb[None, :, :], ta[sl][:, None, :]), r1))
-        total += float(np.sum(omega * sign))
-    return total / (4.0 * math.pi)
-
-
-def linking_number(a: Curve3D, b: Curve3D) -> int:
-    """Linking number of two disjoint closed curves, rounded from the exact
-    segment-pair solid-angle sum.
-
-    Curves closer than 1e-9 are treated as touching (GeometryError); a
-    pre-rounding residual above 0.05 means the polygons are too coarse for
-    their separation and raises ResolutionError.
-    """
-    if _min_point_distance(a.points, b.points) < 1e-9:
+    raw, nearest = _gauss_pass(a.points, b.points)
+    if math.sqrt(nearest) < 1e-9:
         raise GeometryError("curves touch; linking number undefined")
-    raw = gauss_linking_sum(a, b)
+    return raw
+
+
+def integer_linking(raw: float) -> int:
+    """Nearest integer to a Gauss sum.  The sum is exact for disjoint
+    polygons; a residual above 0.05 means segments cross between vertices,
+    closer than the sampling shows, and raises ResolutionError."""
     nearest = round(raw)
     residual = abs(raw - nearest)
     if residual > 0.05:
@@ -169,6 +170,12 @@ def linking_number(a: Curve3D, b: Curve3D) -> int:
             f"linking sum {raw:.4f} is not close to an integer; "
             "refine the curve sampling", residual=residual)
     return int(nearest)
+
+
+def linking_number(a: Curve3D, b: Curve3D) -> int:
+    """Linking number of two disjoint closed curves: gauss_linking_sum
+    rounded by integer_linking."""
+    return integer_linking(gauss_linking_sum(a, b))
 
 
 def topological_phase_predict(probe: Curve3D, degeneracy: Curve3D) -> float:

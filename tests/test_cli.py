@@ -99,6 +99,8 @@ class TestConfigRejection:
         for scenario, parameters in (
                 ("berry-latitude", {"samples": 2}),
                 ("rect-loop", {"samples": 4}),
+                ("linking", {"samples": 6}),
+                ("topo-phase", {"samples": 6}),
                 ("two-level-sweep", {"step_scale": 0}),
                 ("pendulum-msw", {"rtol": 0}),
                 ("celestial-frozen", {"rtol": -1e-12}),

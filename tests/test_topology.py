@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from phaselab import qcore, topology
-from phaselab.errors import GeometryError
+from phaselab.errors import GeometryError, ResolutionError
+from phaselab.scenarios import SCENARIOS
 from phaselab.topology import Curve3D, RealFieldHamiltonian
 
 
@@ -103,6 +104,121 @@ class TestLinkingNumber:
         a = Curve3D.circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 16)
         with pytest.raises(GeometryError):
             topology.linking_number(a, a)
+        # one shared vertex is enough, and the raw sum refuses as well
+        b = Curve3D.circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), 16)
+        moved = b.transformed(translation=a.points[3] - b.points[5])
+        with pytest.raises(GeometryError):
+            topology.gauss_linking_sum(a, moved)
+        with pytest.raises(GeometryError):
+            topology.gauss_linking_sum(moved, a)
+
+    def test_crossing_segments_raise_resolution_error(self):
+        # the two polygons cross at (1, -0.5, 0), inside a segment of each,
+        # so no vertex pair is near and the sum is left half-way
+        square = [(1.0, -1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+                  (-1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0), (0.0, -1.0),
+                  (1.0, -1.0)]
+        a = Curve3D(np.array([(x, y, 0.0) for x, y in square]))
+        frame = [(1.0, -0.5), (1.0, 0.5), (1.5, 0.5), (2.0, 0.5), (2.0, 0.0),
+                 (2.0, -0.5), (1.5, -0.5), (1.0, -0.5)]
+        b = Curve3D(np.array([(x, -0.5, z) for x, z in frame]))
+        raw = topology.gauss_linking_sum(a, b)
+        assert abs(abs(raw - round(raw)) - 0.5) < 1e-12
+        with pytest.raises(ResolutionError):
+            topology.linking_number(a, b)
+        # moved off the crossing, the same polygons link once
+        assert abs(topology.linking_number(
+            a, b.transformed(translation=(-0.25, 0.0, 0.0)))) == 1
+
+
+def _reference_gauss_sum(a, b):
+    """Segment by segment: four face normals per pair, each from its own
+    cross product, and the exact solid angle as four arcsin terms."""
+    def unit(v):
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        return np.where(norm > 1e-300, v / np.maximum(norm, 1e-300), 0.0)
+
+    def dots(u, v):
+        return np.clip(np.einsum("ijk,ijk->ij", u, v), -1.0, 1.0)
+
+    pa, pb = a.points[:-1, None, :], a.points[1:, None, :]
+    qa, qb = b.points[None, :-1, :], b.points[None, 1:, :]
+    r1, r2, r3, r4 = qa - pa, qb - pa, qb - pb, qa - pb
+    n1, n2 = unit(np.cross(r1, r2)), unit(np.cross(r2, r3))
+    n3, n4 = unit(np.cross(r3, r4)), unit(np.cross(r4, r1))
+    omega = (np.arcsin(dots(n1, n2)) + np.arcsin(dots(n2, n3))
+             + np.arcsin(dots(n3, n4)) + np.arcsin(dots(n4, n1)))
+    sign = np.sign(np.einsum("ijk,ijk->ij", np.cross(qb - qa, pb - pa), r1))
+    return float(np.sum(omega * sign)) / (4.0 * math.pi)
+
+
+def _wobbly_pair(rng, na, nb, linked):
+    """A unit circle and a partner that threads it (or sits beside it), each
+    vertex pushed off the circle by up to 0.1, closed again afterwards."""
+    a = Curve3D.circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), na)
+    b = Curve3D.circle((1.0 if linked else 3.5, 0.0, 0.0), 1.0,
+                       (0.0, 1.0, 0.0), nb)
+
+    def wobble(curve):
+        pts = curve.points + rng.uniform(-0.1, 0.1, curve.points.shape)
+        pts[-1] = pts[0]
+        return Curve3D(pts)
+
+    return wobble(a), wobble(b)
+
+
+class TestSharedNormalKernel:
+    """gauss_linking_sum against the per-pair formula it replaces."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_random_polygons(self, seed):
+        rng = np.random.default_rng(seed)
+        na, nb = rng.integers(8, 90, size=2)
+        linked = seed % 3 != 0
+        a, b = _wobbly_pair(rng, int(na), int(nb), linked)
+        raw = topology.gauss_linking_sum(a, b)
+        assert abs(raw - _reference_gauss_sum(a, b)) <= 1e-12
+        assert abs(topology.gauss_linking_sum(b, a) - raw) <= 1e-12
+        assert topology.linking_number(a, b) == int(linked)
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    def test_block_edges(self, offset):
+        # the first curve's segment count below, at and just above one block
+        rng = np.random.default_rng(100 + offset)
+        rows = topology._ROW_BLOCK + offset
+        a, b = _wobbly_pair(rng, rows, 37, linked=True)
+        assert a.segment_count == rows
+        raw = topology.gauss_linking_sum(a, b)
+        assert abs(raw - _reference_gauss_sum(a, b)) <= 1e-12
+        assert abs(abs(raw) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("rows", (9, 32, 33, 130))
+    def test_folded_min_distance_is_brute_force(self, rows):
+        rng = np.random.default_rng(rows)
+        a, b = _wobbly_pair(rng, rows, 23, linked=True)
+        _, nearest = topology._gauss_pass(a.points, b.points)
+        brute = min(float(np.sum((p - q) ** 2))
+                    for p in a.points for q in b.points)
+        assert nearest == brute
+
+
+class TestLinkingScenario:
+    def test_catalog_defaults(self):
+        scenario = SCENARIOS["linking"]
+        params = {k: entry.default for k, entry in scenario.parameters.items()}
+        tables = {}
+
+        def emit(name, columns):
+            tables[name] = {column: values for column, _, values in columns}
+
+        results, checks = scenario.runner(params, 0, emit)
+        table = tables["linking.csv"]
+        assert list(table["linking_number"]) == [0, 0, 1, -1, 1, 2, 1, 1, 1,
+                                                 1, 1]
+        assert list(table["expected"]) == list(table["linking_number"])
+        assert results["pair_count"] == 11
+        assert results["max_integer_residual"] <= 1e-9
+        assert checks and all(ok for _, ok in checks)
 
 
 class TestPhasePrediction:
