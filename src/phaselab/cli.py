@@ -284,7 +284,7 @@ def render_listing() -> str:
     for sc in SCENARIOS.values():
         lines.append(sc.name)
         lines.append(f"  {sc.description}")
-        width = max(len(k) for k in sc.parameters)
+        width = max((len(k) for k in sc.parameters), default=0)
         for key, entry in sc.parameters.items():
             lines.append(f"    {key:<{width}}  {entry.default!r:<26} "
                          f"[{entry.units}]")

@@ -19,6 +19,20 @@ from . import abduality, analogs, berry, qcore, scattering, topology
 
 TWO_PI = qcore.TWO_PI
 
+# Method settings, fixed so the catalog exposes physical inputs only.  The
+# library functions take them as arguments, so convergence studies go
+# through the Python API.
+SPIN_STEP = 0.02            # time step of the dynamical spin sweeps
+WILSON_SAMPLES = 800        # directions per Wilson loop
+CURVE_SAMPLES = 200         # vertices per closed probe or partner curve
+LINE_SPAN = 30.0            # half-height of the closed degeneracy line
+LOOP_PHASE_TOLERANCE = 1e-2  # radians from the {0, pi} lattice
+PHASE_SWEEP_POINTS = 33     # barrier strengths in the reflection sweep
+BOUNCE_TRIALS = 200_000     # Monte Carlo bounce chains
+WAVEPACKET_DT = 0.01        # Crank-Nicolson time step
+DUALITY_DRAWS = 1000        # random capacitor settings
+CONSERVATION_TIME = 200.0   # frozen-length pendulum control run
+
 
 @dataclass(frozen=True)
 class Parameter:
@@ -63,22 +77,6 @@ def _positive_list(text: str) -> list[float]:
     return values
 
 
-def _at_least(floor: int) -> Callable:
-    """Bound check for a count that the library needs to be >= floor."""
-    def check(value: int) -> int:
-        if value < floor:
-            raise ValueError(f"must be at least {floor}")
-        return value
-    return check
-
-
-def _positive(value: float) -> float:
-    """Bound check for a scale that must be finite and positive."""
-    if not 0.0 < value < math.inf:
-        raise ValueError("must be finite and positive")
-    return value
-
-
 def _grid_nodes(value: int) -> int:
     """Node count of the frozen-period grid: even and at least 4."""
     analogs.frozen_grid_angles(value)
@@ -110,8 +108,8 @@ def _pair_list(text: str) -> list[tuple[float, float]]:
 def _run_berry_equator(p, seed, emit):
     period = TWO_PI / p["wobble"]
     dec = berry.cyclic_phase_decomposition(p["amplitude"], 0.5 * math.pi,
-                                           period, p["step"])
-    dirs = berry.latitude_directions(0.5 * math.pi, int(p["wilson_samples"]))
+                                           period, SPIN_STEP)
+    dirs = berry.latitude_directions(0.5 * math.pi, WILSON_SAMPLES)
     wilson = berry.wilson_loop_phase(dirs)
     geo_dev = qcore.circle_distance(dec.geometric, math.pi)
     wil_dev = qcore.circle_distance(wilson, math.pi)
@@ -133,11 +131,11 @@ def _run_berry_equator(p, seed, emit):
 
 def _run_berry_latitude(p, seed, emit):
     angles = _float_list(p["colatitudes_deg"])
-    samples = int(p["samples"])
     rows = []
     for deg in angles:
         theta = math.radians(deg)
-        wilson = berry.wilson_loop_phase(berry.latitude_directions(theta, samples))
+        wilson = berry.wilson_loop_phase(
+            berry.latitude_directions(theta, WILSON_SAMPLES))
         law = math.pi * (1.0 - math.cos(theta))
         rows.append((deg, wilson, law, qcore.circle_distance(wilson, law)))
     table = np.array(rows)
@@ -155,16 +153,16 @@ def _run_berry_latitude(p, seed, emit):
 
 def _run_berry_wilson_sweep(p, seed, emit):
     amp, factor, wobble = p["amplitude"], p["factor"], p["wobble"]
-    dirs = berry.latitude_directions(0.5 * math.pi, int(p["wilson_samples"]))
+    dirs = berry.latitude_directions(0.5 * math.pi, WILSON_SAMPLES)
     wil_base = berry.wilson_loop_phase(amp * dirs)
     wil_scaled = berry.wilson_loop_phase(factor * amp * dirs)
     wil_diff = abs(wil_base - wil_scaled)
 
     period = TWO_PI / wobble
     geo_base = berry.cyclic_phase_decomposition(amp, 0.5 * math.pi, period,
-                                                p["step"]).geometric
+                                                SPIN_STEP).geometric
     geo_scaled = berry.cyclic_phase_decomposition(factor * amp, 0.5 * math.pi,
-                                                  period, p["step"]).geometric
+                                                  period, SPIN_STEP).geometric
     geo_diff = qcore.circle_distance(geo_base, geo_scaled)
     bound = 2.0 * wobble / amp
     results = {
@@ -217,7 +215,7 @@ def _linking_catalog(samples: int):
 
 
 def _run_linking(p, seed, emit):
-    catalog = _linking_catalog(int(p["samples"]))
+    catalog = _linking_catalog(CURVE_SAMPLES)
     rows = []
     for _, a, b, expected in catalog:
         raw = topology.gauss_linking_sum(a, b)
@@ -274,23 +272,23 @@ def _rotation_about_axis(axis, angle: float) -> np.ndarray:
 
 
 def _run_topo_phase(p, seed, emit):
-    samples = int(p["samples"])
     h = topology.RealFieldHamiltonian(a1=lambda r: r[0], a3=lambda r: r[1])
     # the degeneracy set is the z axis; close it far from every probe
-    span = p["line_span"]
+    span = LINE_SPAN
     line = topology.Curve3D(np.array(
         [[0.0, 0.0, -span], [0.0, 0.0, span], [50.0, 0.0, span],
          [50.0, 50.0, span], [50.0, 50.0, -span], [50.0, 0.0, -span],
          [25.0, 0.0, -span], [0.0, 0.0, -span]]))
     rows, names, ok = [], [], True
     worst = 0.0
-    for name, probe, winding in _topo_cases(samples):
+    for name, probe, winding in _topo_cases(CURVE_SAMPLES):
         predicted = topology.topological_phase_predict(probe, line)
         measured = topology.real_field_loop_phase(h, probe)
         target = math.pi if winding % 2 else 0.0
         dev = min(qcore.circle_distance(measured, 0.0),
                   qcore.circle_distance(measured, math.pi))
-        agree = (qcore.circle_distance(measured, target) <= p["tolerance"]
+        agree = (qcore.circle_distance(measured, target)
+                 <= LOOP_PHASE_TOLERANCE
                  and qcore.circle_distance(predicted, target) <= 1e-12)
         ok = ok and agree
         worst = max(worst, dev)
@@ -306,7 +304,8 @@ def _run_topo_phase(p, seed, emit):
     results = {"case_count": len(rows), "max_off_lattice": worst}
     checks = [
         ("loop phase is pi exactly when the winding is odd", ok),
-        ("every phase sits on {0, pi} within tolerance", worst <= p["tolerance"]),
+        ("every phase sits on {0, pi} within tolerance",
+         worst <= LOOP_PHASE_TOLERANCE),
     ]
     return results, checks
 
@@ -328,7 +327,7 @@ def _run_scatter_phase(p, seed, emit):
     strong_dev = qcore.circle_distance(strong_phase, target)
 
     gammas = np.concatenate([[0.0], np.geomspace(1e-3, p["gamma_max"],
-                                                 int(p["points"]) - 1)])
+                                                 PHASE_SWEEP_POINTS - 1)])
     phases = np.array([phase(g) for g in gammas])
     unwrapped = np.unwrap(phases)
     emit("phase_sweep.csv",
@@ -352,7 +351,7 @@ def _run_scatter_phase(p, seed, emit):
 def _run_scatter_bounce(p, seed, emit):
     chain = scattering.BounceChain(epsilon=p["epsilon"], p=p["p"])
     exact = scattering.bounce_chain_expectation(chain)
-    mc = scattering.bounce_chain_sample(chain, int(p["trials"]), seed)
+    mc = scattering.bounce_chain_sample(chain, BOUNCE_TRIALS, seed)
     eps_grid = np.linspace(0.01, 0.9, 90)
     rows = [scattering.bounce_chain_expectation(
         scattering.BounceChain(epsilon=float(e), p=p["p"])) for e in eps_grid]
@@ -391,7 +390,7 @@ def _run_scatter_wavepacket(p, seed, emit):
         p=p["p"], m=p["m"], X=p["X"],
         barrier=scattering.DeltaBarrier(p["strength"]))
     run = scattering.WavepacketRun(grid_points=int(p["grid_points"]),
-                                   dt=p["dt"], length=p["length"],
+                                   dt=WAVEPACKET_DT, length=p["length"],
                                    center=p["center"], width=p["width"],
                                    round_trips=int(p["round_trips"]))
     res = scattering.wavepacket_run(run, cfg)
@@ -435,12 +434,11 @@ def _run_scatter_wavepacket(p, seed, emit):
 
 def _run_ab_electric(p, seed, emit):
     rng = np.random.default_rng(seed)
-    count = int(p["count"])
     rows = []
     matches = 0
     min_ratio = math.inf
     max_phase = 0.0
-    for _ in range(count):
+    for _ in range(DUALITY_DRAWS):
         e, field, x = rng.uniform(0.5, 2.0, size=3)
         bound_fraction = rng.uniform(0.1, 1.0)
         t = bound_fraction * math.pi / (2.0 * e * field * x)
@@ -462,14 +460,15 @@ def _run_ab_electric(p, seed, emit):
     vis_dev = abs(abduality.fringe_visibility(2.0, 0.5) -
                   math.exp(-0.5 * (2.0 * 0.5) ** 2))
     results = {
-        "count": count,
+        "count": DUALITY_DRAWS,
         "exact_matches": matches,
         "min_which_path_ratio": min_ratio,
         "max_probe_phase": max_phase,
         "visibility_closed_form_deviation": vis_dev,
     }
     checks = [
-        ("probe and system phases identical on every draw", matches == count),
+        ("probe and system phases identical on every draw",
+         matches == DUALITY_DRAWS),
         ("momentum bookkeeping beats localization whenever fringes survive",
          min_ratio > 1.0),
         ("all draws honored the phase bound", max_phase <= math.pi + 1e-12),
@@ -489,7 +488,7 @@ def _run_pendulum_msw(p, seed, emit):
     system, duration = analogs.msw_benchmark_system(
         kappa=kappa, delta_max=delta_max,
         crossing_rate=p["rate_scale"] * base_rate, l_mu=l_mu, g=grav)
-    slow = analogs.pendulum_sweep(system, duration, rtol=p["rtol"])
+    slow = analogs.pendulum_sweep(system, duration)
 
     sudden_sys, _ = analogs.msw_benchmark_system(
         kappa=kappa, delta_max=delta_max, crossing_rate=base_rate,
@@ -515,8 +514,7 @@ def _run_pendulum_msw(p, seed, emit):
         length_schedule=analogs.FrozenLength(
             system.length_schedule.value(0.0)),
         l_mu=l_mu, kappa=kappa, g=grav)
-    frozen = analogs.pendulum_sweep(frozen_sys, p["conservation_time"],
-                                    rtol=p["rtol"])
+    frozen = analogs.pendulum_sweep(frozen_sys, CONSERVATION_TIME)
     results = {
         "transfer_fraction": slow.fraction,
         "sweep_duration": duration,
@@ -541,9 +539,8 @@ def _run_two_level_sweep(p, seed, emit):
     rows = []
     worst = 0.0
     for eps, rate in pairs:
-        sweep = analogs.linear_two_level_sweep(eps, rate,
-                                               span_factor=p["span_factor"])
-        rep = analogs.two_level_sweep(sweep, step_scale=p["step_scale"])
+        sweep = analogs.linear_two_level_sweep(eps, rate)
+        rep = analogs.two_level_sweep(sweep)
         rel = abs(rep.conversion - rep.lz_conversion) / rep.lz_conversion
         worst = max(worst, rel)
         rows.append((eps, rate, rep.conversion, rep.lz_conversion, rel))
@@ -555,9 +552,8 @@ def _run_two_level_sweep(p, seed, emit):
           ("landau_zener", "probability", table[:, 3]),
           ("relative_deviation", "dimensionless", table[:, 4])])
 
-    crossing = analogs.linear_two_level_sweep(0.0, pairs[0][1],
-                                              span_factor=p["span_factor"])
-    closed_gap = analogs.two_level_sweep(crossing, step_scale=p["step_scale"])
+    crossing = analogs.linear_two_level_sweep(0.0, pairs[0][1])
+    closed_gap = analogs.two_level_sweep(crossing)
     results = {
         "pair_count": len(pairs),
         "worst_relative_deviation": worst,
@@ -573,13 +569,12 @@ def _run_two_level_sweep(p, seed, emit):
 
 def _run_rect_loop(p, seed, emit):
     loop = analogs.rectangular_loop_phase(
-        p["epsilon0"], p["delta0"], samples=int(p["samples"]),
-        adiabaticity=p["adiabaticity"], transport_step=p["transport_step"])
+        p["epsilon0"], p["delta0"], adiabaticity=p["adiabaticity"],
+        transport_step=p["transport_step"])
     shift = 3.0 * p["delta0"]
     moved = analogs.rectangular_loop_phase(
-        p["epsilon0"], p["delta0"], samples=int(p["samples"]),
-        center=(shift, 0.0), adiabaticity=p["adiabaticity"],
-        transport_step=p["transport_step"])
+        p["epsilon0"], p["delta0"], center=(shift, 0.0),
+        adiabaticity=p["adiabaticity"], transport_step=p["transport_step"])
 
     times, deltas, epsilons = analogs._warped_rectangle(
         p["delta0"], p["epsilon0"], (0.0, 0.0), p["adiabaticity"])
@@ -620,7 +615,7 @@ def _run_celestial_frozen(p, seed, emit):
     phis = analogs.frozen_grid_angles(nodes)
     # the free Kepler lane and the half-mass lane ride in the grid's stacks
     lanes = analogs.celestial_frozen_period(
-        cfg, np.append(phis, [0.0, 0.0]), rtol=p["rtol"], orbits=p["orbits"],
+        cfg, np.append(phis, [0.0, 0.0]),
         masses=np.append(np.full(nodes, p["m_jupiter"]),
                          [0.0, 0.5 * p["m_jupiter"]]))
     periods = lanes[:nodes]
@@ -658,13 +653,12 @@ def _run_celestial_residual(p, seed, emit):
                                   r_jupiter=p["r_jupiter"],
                                   eccentricity=p["eccentricity"])
     res = analogs.celestial_adiabatic_residual(
-        cfg, n_periods=p["n_periods"], phi0=p["phi0"], nodes=int(p["nodes"]),
-        rtol=p["rtol"])
+        cfg, n_periods=p["n_periods"], phi0=p["phi0"], nodes=int(p["nodes"]))
     free = analogs.CelestialConfig(m_jupiter=0.0, r_jupiter=p["r_jupiter"],
                                    eccentricity=p["eccentricity"])
     control = analogs.celestial_adiabatic_residual(
         free, n_periods=p["n_periods"], nodes=int(p["nodes"]),
-        rtol=p["rtol"], check_convergence=False)
+        check_convergence=False)
     ratio = abs(res.residual) / abs(res.dynamical_correction)
     results = {
         "residual": res.residual,
@@ -691,7 +685,7 @@ def _run_monopole_angmom(p, seed, emit):
     rows = []
     for sep in seps:
         fam = berry.field_angular_momentum(p["charge"], p["pole_strength"],
-                                           sep, p["excision_scale"])
+                                           sep)
         rows.append((sep, fam.component, fam.coefficient,
                      fam.refinement_difference))
     table = np.array(rows)
@@ -733,17 +727,14 @@ def _scenario_table() -> dict:
             "Sweep a spin around the equator slowly and split off the "
             "geometric half-sphere phase; cross-check with the Wilson loop.",
             {"amplitude": Parameter(1.0, "energy", f),
-             "wobble": Parameter(0.005, "1/time", f),
-             "step": Parameter(0.02, "time", f),
-             "wilson_samples": Parameter(800, "count", i, _at_least(3))},
+             "wobble": Parameter(0.005, "1/time", f)},
             _run_berry_equator),
         Scenario(
             "berry-latitude",
             "Wilson-loop phases on latitude circles against the half "
             "solid-angle law pi(1 - cos theta).",
             {"colatitudes_deg": Parameter("30,60,90,120", "degrees", s,
-                                          _float_list),
-             "samples": Parameter(800, "count", i, _at_least(3))},
+                                          _float_list)},
             _run_berry_latitude),
         Scenario(
             "berry-wilson-sweep",
@@ -751,23 +742,19 @@ def _scenario_table() -> dict:
             "move while the dynamical run shifts only at the wobble level.",
             {"amplitude": Parameter(1.0, "energy", f),
              "factor": Parameter(5.0, "dimensionless", f),
-             "wobble": Parameter(0.005, "1/time", f),
-             "step": Parameter(0.02, "time", f),
-             "wilson_samples": Parameter(800, "count", i, _at_least(3))},
+             "wobble": Parameter(0.005, "1/time", f)},
             _run_berry_wilson_sweep),
         Scenario(
             "linking",
             "Gauss linking numbers for a catalog of closed curve pairs: "
             "chains, reversals, double winds, scalings.",
-            {"samples": Parameter(200, "count", i, _at_least(7))},
+            {},
             _run_linking),
         Scenario(
             "topo-phase",
             "Loop phases of a real two-level field against the parity of "
             "the winding around its degeneracy line.",
-            {"samples": Parameter(200, "count", i, _at_least(7)),
-             "line_span": Parameter(30.0, "length", f),
-             "tolerance": Parameter(1e-2, "radians", f)},
+            {},
             _run_topo_phase),
         Scenario(
             "scatter-phase",
@@ -776,16 +763,14 @@ def _scenario_table() -> dict:
             {"p": Parameter(1.0, "momentum", f),
              "m": Parameter(1.0, "mass", f),
              "X": Parameter(2.0, "length", f),
-             "gamma_max": Parameter(1e6, "energy*length", f),
-             "points": Parameter(33, "count", i)},
+             "gamma_max": Parameter(1e6, "energy*length", f)},
             _run_scatter_phase),
         Scenario(
             "scatter-bounce",
             "Reflect/tunnel bounce chain: the trapped branch exactly "
             "cancels the first kick; Monte Carlo agrees with closed form.",
             {"epsilon": Parameter(0.1, "probability", f),
-             "p": Parameter(1.0, "momentum", f),
-             "trials": Parameter(200000, "count", i)},
+             "p": Parameter(1.0, "momentum", f)},
             _run_scatter_bounce),
         Scenario(
             "scatter-wavepacket",
@@ -796,7 +781,6 @@ def _scenario_table() -> dict:
              "X": Parameter(20.0, "length", f),
              "strength": Parameter(3.0, "energy*length", f),
              "grid_points": Parameter(8192, "count", i),
-             "dt": Parameter(0.01, "1/energy", f),
              "length": Parameter(1000.0, "length", f),
              "center": Parameter(35.0, "length", f),
              "width": Parameter(2.5, "length", f),
@@ -806,8 +790,7 @@ def _scenario_table() -> dict:
             "ab-electric",
             "Capacitor pulse duality: probe phase equals the two-plate "
             "momentum phase identically; which-path bookkeeping ratios.",
-            {"count": Parameter(1000, "count", i),
-             "localization_fraction": Parameter(0.25, "dimensionless", f)},
+            {"localization_fraction": Parameter(0.25, "dimensionless", f)},
             _run_ab_electric),
         Scenario(
             "pendulum-msw",
@@ -818,8 +801,6 @@ def _scenario_table() -> dict:
              "rate_scale": Parameter(1.0, "dimensionless", f),
              "l_mu": Parameter(1.0, "length", f),
              "g": Parameter(1.0, "length/time^2", f),
-             "rtol": Parameter(1e-10, "dimensionless", f, _positive),
-             "conservation_time": Parameter(200.0, "time", f),
              "ladder_multipliers": Parameter("2816,906,453,249,137",
                                              "dimensionless", s,
                                              _positive_list)},
@@ -829,9 +810,7 @@ def _scenario_table() -> dict:
             "Linear sweep through an avoided crossing against the "
             "Landau-Zener conversion formula.",
             {"pairs": Parameter("0.5:1.0,0.4:0.8,0.4:0.4,0.3:0.5,0.75:0.8",
-                                "energy:energy^2", s, _pair_list),
-             "span_factor": Parameter(14.0, "dimensionless", f),
-             "step_scale": Parameter(0.04, "dimensionless", f, _positive)},
+                                "energy:energy^2", s, _pair_list)},
             _run_two_level_sweep),
         Scenario(
             "rect-loop",
@@ -840,7 +819,6 @@ def _scenario_table() -> dict:
             "squares to minus the identity.",
             {"delta0": Parameter(10.0, "energy", f),
              "epsilon0": Parameter(0.5, "energy", f),
-             "samples": Parameter(2000, "count", i, _at_least(8)),
              "adiabaticity": Parameter(1e-3, "dimensionless", f),
              "transport_step": Parameter(0.01, "1/energy", f)},
             _run_rect_loop),
@@ -851,9 +829,7 @@ def _scenario_table() -> dict:
             {"m_jupiter": Parameter(1e-3, "m_sun", f),
              "r_jupiter": Parameter(5.2, "r_earth", f),
              "eccentricity": Parameter(0.05, "dimensionless", f),
-             "nodes": Parameter(32, "count", i, _grid_nodes),
-             "orbits": Parameter(8.5, "orbits", f, _positive),
-             "rtol": Parameter(1e-12, "dimensionless", f, _positive)},
+             "nodes": Parameter(32, "count", i, _grid_nodes)},
             _run_celestial_frozen),
         Scenario(
             "celestial-residual",
@@ -864,8 +840,7 @@ def _scenario_table() -> dict:
              "eccentricity": Parameter(0.05, "dimensionless", f),
              "n_periods": Parameter(1.0, "perturber_cycles", f),
              "phi0": Parameter(0.0, "radians", f),
-             "nodes": Parameter(32, "count", i, _grid_nodes),
-             "rtol": Parameter(1e-12, "dimensionless", f, _positive)},
+             "nodes": Parameter(32, "count", i, _grid_nodes)},
             _run_celestial_residual),
         Scenario(
             "monopole-angmom",
@@ -874,8 +849,7 @@ def _scenario_table() -> dict:
             {"charge": Parameter(1.0, "charge", f),
              "pole_strength": Parameter(1.0, "pole", f),
              "separations": Parameter("0.7,1.0,2.5", "length", s,
-                                      _positive_list),
-             "excision_scale": Parameter(0.01, "dimensionless", f)},
+                                      _positive_list)},
             _run_monopole_angmom),
     ]
     return {sc.name: sc for sc in table}

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from phaselab import analogs, berry, scattering
-from phaselab.scenarios import SCENARIOS
+from phaselab.scenarios import SCENARIOS, WAVEPACKET_DT
 
 
 EQUATOR_AMPLITUDE = 1.0
@@ -22,7 +22,7 @@ WAVEPACKET_CONFIG = scattering.ScatteringConfig(
     p=_WAVEPACKET["p"], m=_WAVEPACKET["m"], X=_WAVEPACKET["X"],
     barrier=scattering.DeltaBarrier(_WAVEPACKET["strength"]))
 WAVEPACKET_RUN = scattering.WavepacketRun(
-    grid_points=_WAVEPACKET["grid_points"], dt=_WAVEPACKET["dt"],
+    grid_points=_WAVEPACKET["grid_points"], dt=WAVEPACKET_DT,
     length=_WAVEPACKET["length"], center=_WAVEPACKET["center"],
     width=_WAVEPACKET["width"], round_trips=_WAVEPACKET["round_trips"])
 

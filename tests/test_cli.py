@@ -1,14 +1,50 @@
 """Command line contract: exit codes, artifacts, determinism."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab import cli
 from phaselab.cli import main, render_listing
 from phaselab.scenarios import SCENARIOS
+
+
+# (scenario, name, former default) of each method setting the catalog
+# fixed at its default value
+REMOVED_PARAMETERS = (
+    ("berry-equator", "step", 0.02),
+    ("berry-equator", "wilson_samples", 800),
+    ("berry-wilson-sweep", "step", 0.02),
+    ("berry-wilson-sweep", "wilson_samples", 800),
+    ("berry-latitude", "samples", 800),
+    ("linking", "samples", 200),
+    ("topo-phase", "samples", 200),
+    ("topo-phase", "line_span", 30.0),
+    ("topo-phase", "tolerance", 1e-2),
+    ("scatter-phase", "points", 33),
+    ("scatter-bounce", "trials", 200000),
+    ("scatter-wavepacket", "dt", 0.01),
+    ("ab-electric", "count", 1000),
+    ("pendulum-msw", "rtol", 1e-10),
+    ("pendulum-msw", "conservation_time", 200.0),
+    ("two-level-sweep", "span_factor", 14.0),
+    ("two-level-sweep", "step_scale", 0.04),
+    ("rect-loop", "samples", 2000),
+    ("celestial-frozen", "orbits", 8.5),
+    ("celestial-frozen", "rtol", 1e-12),
+    ("celestial-residual", "rtol", 1e-12),
+    ("monopole-angmom", "excision_scale", 0.01),
+)
 
 
 def write_config(tmp_path, name="config.json", **body):
@@ -39,6 +75,15 @@ class TestListing:
             assert name in text
             for key in sc.parameters:
                 assert key in text
+
+    def test_scenarios_without_parameters_listed(self):
+        # name and description only, then the blank separator line
+        lines = render_listing().splitlines()
+        for name in ("linking", "topo-phase"):
+            assert SCENARIOS[name].parameters == {}
+            at = lines.index(name)
+            assert lines[at + 1] == f"  {SCENARIOS[name].description}"
+            assert lines[at + 2] == ""
 
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
@@ -74,7 +119,7 @@ class TestConfigRejection:
 
     def test_uncoercible_parameter(self, tmp_path, capsys):
         for scenario, parameters in (("scatter-phase", {"p": "fast"}),
-                                     ("berry-latitude", {"samples": True})):
+                                     ("celestial-frozen", {"nodes": True})):
             code, _, cap = run_cli(tmp_path, capsys, scenario,
                                    parameters=parameters)
             assert code == 2, f"{parameters!r} accepted"
@@ -95,16 +140,12 @@ class TestConfigRejection:
             assert manifest["outputs"] == {}
 
     def test_out_of_domain_scalar_parameter(self, tmp_path, capsys):
-        # scalar bounds are config errors too, not library ValueErrors
+        # scalar domains are config errors too, not library ValueErrors
         for scenario, parameters in (
-                ("berry-latitude", {"samples": 2}),
-                ("rect-loop", {"samples": 4}),
-                ("linking", {"samples": 6}),
-                ("topo-phase", {"samples": 6}),
-                ("two-level-sweep", {"step_scale": 0}),
-                ("pendulum-msw", {"rtol": 0}),
-                ("celestial-frozen", {"rtol": -1e-12}),
-                ("celestial-residual", {"rtol": 0})):
+                ("celestial-frozen", {"nodes": 7}),
+                ("celestial-residual", {"nodes": 2}),
+                ("scatter-wavepacket", {"grid_points": 8192.5}),
+                ("scatter-wavepacket", {"round_trips": 1.5})):
             code, out, cap = run_cli(tmp_path, capsys, scenario,
                                      parameters=parameters)
             assert code == 2, f"{parameters!r} accepted"
@@ -124,7 +165,7 @@ class TestConfigRejection:
                 (out / "scatter-phase" / "manifest.json").read_text())
             assert manifest["error"]["kind"] == "config-error"
         # rejected before any computation, so these long runs never start
-        for scenario, parameters in (("pendulum-msw", {"rtol": "nan"}),
+        for scenario, parameters in (("pendulum-msw", {"rate_scale": "nan"}),
                                      ("celestial-frozen",
                                       {"m_jupiter": "nan"})):
             with pytest.raises(cli._CliFailure) as failure:
@@ -133,25 +174,44 @@ class TestConfigRejection:
             assert failure.value.kind == "config-error"
 
     def test_celestial_grid_domains(self):
-        # an odd or too small grid, or a window of no orbits, is a config
-        # error; checked without a run, since a run would be a long one
+        # an odd or too small grid is a config error; checked without a
+        # run, since a run would be a long one
         for scenario, parameters in (
                 ("celestial-frozen", {"nodes": 7}),
                 ("celestial-frozen", {"nodes": 3}),
                 ("celestial-frozen", {"nodes": 2}),
-                ("celestial-frozen", {"orbits": -1}),
-                ("celestial-frozen", {"orbits": 0}),
                 ("celestial-residual", {"nodes": 7}),
                 ("celestial-residual", {"nodes": 3})):
             with pytest.raises(cli._CliFailure) as failure:
                 cli._validate({"scenario": scenario,
                                "parameters": parameters}, None)
             assert failure.value.kind == "config-error", parameters
-        for scenario, parameters in (("celestial-frozen",
-                                      {"nodes": 4, "orbits": 2.5}),
+        for scenario, parameters in (("celestial-frozen", {"nodes": 4}),
                                      ("celestial-residual", {"nodes": 6})):
             cli._validate({"scenario": scenario, "parameters": parameters},
                           None)
+
+    def test_removed_method_settings_rejected(self, tmp_path, capsys,
+                                              monkeypatch):
+        # method settings are fixed values, not catalog knobs: naming one
+        # is an unknown parameter, found before any runner starts
+        for name, sc in SCENARIOS.items():
+            monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(
+                sc, runner=lambda *args: pytest.fail("runner started")))
+        for scenario, key, value in REMOVED_PARAMETERS:
+            with pytest.raises(cli._CliFailure) as failure:
+                cli._validate({"scenario": scenario,
+                               "parameters": {key: value}}, None)
+            assert failure.value.kind == "config-error"
+            assert f"unknown parameter '{key}'" in str(failure.value)
+            code, out, cap = run_cli(tmp_path, capsys, scenario,
+                                     parameters={key: value})
+            assert code == 2, f"{scenario} {key} accepted"
+            assert cap.err.startswith("phaselab: config-error:")
+            manifest = json.loads(
+                (out / scenario / "manifest.json").read_text())
+            assert manifest["error"]["kind"] == "config-error"
+            assert manifest["outputs"] == {}
 
     def test_bad_seed(self, tmp_path, capsys):
         for seed in (-1, True, 1.5):
@@ -188,15 +248,21 @@ class TestComputationFailure:
         assert manifest["error"]["kind"] == "computation-error"
         assert "m_j" in manifest["error"]["message"]
 
-    def test_runner_crash(self, tmp_path, capsys):
+    def test_runner_crash(self, tmp_path, capsys, monkeypatch):
         # any exception out of a runner is a computation error, not exit 1
-        code, out, cap = run_cli(tmp_path, capsys, "ab-electric",
-                                 parameters={"count": 0})
+        def crash(p, seed, emit):
+            raise IndexError("runner crashed")
+
+        monkeypatch.setitem(SCENARIOS, "ab-electric", dataclasses.replace(
+            SCENARIOS["ab-electric"], runner=crash))
+        code, out, cap = run_cli(tmp_path, capsys, "ab-electric")
         assert code == 3
-        assert cap.err.startswith("phaselab: computation-error:")
+        assert cap.err.startswith(
+            "phaselab: computation-error: IndexError: runner crashed")
         manifest = json.loads(
             (out / "ab-electric" / "manifest.json").read_text())
         assert manifest["error"]["kind"] == "computation-error"
+        assert manifest["outputs"] == {}
 
     def test_failed_rerun_drops_stale_summary(self, tmp_path, capsys):
         code, out, _ = run_cli(tmp_path, capsys, "scatter-phase")
@@ -361,3 +427,40 @@ class TestOutputRootPrecedence:
         manifest = json.loads(
             (out / "scatter-phase" / "manifest.json").read_text())
         assert manifest["config"]["parameters"]["p"] == 2.0
+
+
+# bounded floats and short list texts: no draw starts a large allocation
+_FUZZ_VALUES = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                         st.text(alphabet="0123456789.,:-e ", max_size=12))
+
+
+def _fuzz_parameters(scenario):
+    keys = list(SCENARIOS[scenario].parameters)
+    return st.dictionaries(st.sampled_from(keys), _FUZZ_VALUES,
+                           max_size=len(keys)).map(
+        lambda parameters: (scenario, parameters))
+
+
+class TestContractFuzz:
+    @given(draw=st.one_of([_fuzz_parameters(name) for name in (
+               "scatter-phase", "berry-latitude", "ab-electric",
+               "scatter-bounce")]),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_cheap_scenarios_keep_the_contract(self, draw, seed):
+        scenario, parameters = draw
+        cwd_before = sorted(os.listdir("."))
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            cfg = base / "config.json"
+            cfg.write_text(json.dumps({"scenario": scenario, "seed": seed,
+                                       "parameters": parameters}))
+            out = base / "out"
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["run", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            assert (out / scenario / "manifest.json").is_file()
+            written = {p for p in base.rglob("*") if p.is_file()} - {cfg}
+            assert all(out in p.parents for p in written), written
+        assert sorted(os.listdir(".")) == cwd_before

@@ -77,11 +77,9 @@ class TestRunValidation:
 class TestConservation:
     def test_momentum_ledger_closes_to_roundoff(self, wavepacket_result):
         scale = 2.0 * WAVEPACKET_CONFIG.p
-        assert wavepacket_result.ledger_residual < 1e-12 * scale
-        # records the roundoff value; approx's default abs of 1e-12 is
-        # wider than rel=1e-6 here, so the bound above is the check
-        assert wavepacket_result.ledger_residual == pytest.approx(
-            3.06604242862607e-15, rel=1e-6)
+        # measured 3.07e-15: the bound sits 100x above roundoff, so it
+        # holds on any BLAS and still fails a ledger term gone missing
+        assert wavepacket_result.ledger_residual <= 1e-13 * scale
 
     def test_norm_is_preserved(self, wavepacket_result):
         assert wavepacket_result.norm_drift < 1e-8
