@@ -69,8 +69,6 @@ def _coerce(name: str, scenario: str, schema_entry, value):
             coerced = schema_entry.kind(value)
             if schema_entry.kind is float and not math.isfinite(coerced):
                 raise ValueError("must be finite")
-        if schema_entry.parse is not None:
-            schema_entry.parse(coerced)
         return coerced
     except (TypeError, ValueError) as exc:
         raise _fail("config-error",
@@ -79,7 +77,8 @@ def _coerce(name: str, scenario: str, schema_entry, value):
 
 
 def _validate(raw: dict, seed_override):
-    """Resolve (scenario, parameters, seed) or raise before any computation."""
+    """Resolve (scenario, parameters, inputs, seed) or raise before any
+    computation; any exception out of ``prepare`` is a config error."""
     known_top = {"scenario", "parameters", "seed", "out_dir"}
     for key in raw:
         if key not in known_top:
@@ -106,7 +105,12 @@ def _validate(raw: dict, seed_override):
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise _fail("config-error", f"seed must be an unsigned integer, got {seed!r}")
-    return name, params, seed
+    try:
+        inputs = SCENARIOS[name].prepare(params)
+    except Exception as exc:
+        raise _fail("config-error", f"scenario '{name}' rejects its "
+                    f"parameters: {type(exc).__name__}: {exc}")
+    return name, params, inputs, seed
 
 
 def _resolve_root(cli_out, raw) -> Path:
@@ -172,7 +176,7 @@ def _dump_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # execution
 
-def _execute(name: str, params: dict, seed: int, outdir: Path):
+def _execute(name: str, inputs, seed: int, outdir: Path):
     """Run one scenario into outdir; returns (results, checks, inventory)."""
     outputs = {}
 
@@ -183,7 +187,7 @@ def _execute(name: str, params: dict, seed: int, outdir: Path):
         _write_csv(target, columns)
         outputs[filename] = _sha256(target)
 
-    results, checks = SCENARIOS[name].runner(params, seed, emit)
+    results, checks = SCENARIOS[name].runner(inputs, seed, emit)
     return results, checks, outputs
 
 
@@ -199,7 +203,7 @@ def _run_command(args) -> int:
     status = 0
     try:
         raw = _read_config(args.config)
-        name, params, seed = _validate(raw, args.seed)
+        name, params, inputs, seed = _validate(raw, args.seed)
     except _CliFailure as exc:
         error, status = exc, _EXIT_CODES[exc.kind]
         if isinstance(raw, dict) and raw.get("scenario") in SCENARIOS:
@@ -220,7 +224,7 @@ def _run_command(args) -> int:
 
     if error is None:
         try:
-            results, checks, outputs = _execute(name, params, seed, outdir)
+            results, checks, outputs = _execute(name, inputs, seed, outdir)
             summary = {
                 "scenario": name,
                 "seed": seed,
@@ -295,13 +299,11 @@ def render_listing() -> str:
 def _check_command() -> int:
     failures = 0
     for name in CHECK_SCENARIOS:
-        schema = SCENARIOS[name].parameters
-        params = {k: entry.default for k, entry in schema.items()}
-        params = {k: _coerce(k, name, schema[k], v) for k, v in params.items()}
         t0 = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                _, checks, _ = _execute(name, params, 0, Path(tmp))
+                _, _, inputs, seed = _validate({"scenario": name}, None)
+                _, checks, _ = _execute(name, inputs, seed, Path(tmp))
             except Exception as exc:
                 print(f"{name}: ERROR {type(exc).__name__}: {exc}")
                 failures += 1

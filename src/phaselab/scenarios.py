@@ -1,16 +1,18 @@
 """Named experiment catalog behind the command line runner.
 
-Each scenario bundles a parameter schema (defaults plus units), a runner
-that exercises the library modules, summary scalars, and the built-in
-pass/fail checks the exit status reports.  Runners draw all randomness
-from the seed they are handed and emit CSV tables through a callback, so
-a fixed (config, seed) pair reproduces every output byte for byte.
+Each scenario bundles a parameter schema (defaults plus units), a
+``prepare`` step that builds its library inputs before any computation, and
+a runner that exercises the library modules on them and returns summary
+scalars and the built-in pass/fail checks the exit status reports.  Runners
+draw all randomness from the seed they are handed and emit CSV tables
+through a callback, so a fixed (config, seed) pair reproduces every output
+byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -36,26 +38,23 @@ CONSERVATION_TIME = 200.0   # frozen-length pendulum control run
 
 @dataclass(frozen=True)
 class Parameter:
-    """One scenario knob: default value, unit label, coercion.
-
-    ``parse`` runs on the coerced value before any computation and raises
-    ValueError outside the parameter's domain, so such a value is a config
-    error.  List parameters stay text, and the runner parses the same text
-    with it; on scalars it is a bound check.
-    """
+    """One scenario knob: default value, unit label, coercion."""
 
     default: object
     units: str
     kind: Callable = float
-    parse: Callable | None = None
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """``prepare(params) -> inputs`` raises outside the domain of the library
+    objects it builds; ``runner(inputs, seed, emit)`` -> (results, checks)."""
+
     name: str
     description: str
     parameters: dict
     runner: Callable
+    prepare: Callable = lambda params: params
 
 
 def _float_list(text: str) -> list[float]:
@@ -75,12 +74,6 @@ def _positive_list(text: str) -> list[float]:
     if min(values) <= 0.0:
         raise ValueError("list entries must be positive")
     return values
-
-
-def _grid_nodes(value: int) -> int:
-    """Node count of the frozen-period grid: even and at least 4."""
-    analogs.frozen_grid_angles(value)
-    return value
 
 
 def _pair_list(text: str) -> list[tuple[float, float]]:
@@ -129,8 +122,7 @@ def _run_berry_equator(p, seed, emit):
     return results, checks
 
 
-def _run_berry_latitude(p, seed, emit):
-    angles = _float_list(p["colatitudes_deg"])
+def _run_berry_latitude(angles, seed, emit):
     rows = []
     for deg in angles:
         theta = math.radians(deg)
@@ -313,22 +305,23 @@ def _run_topo_phase(p, seed, emit):
 # ---------------------------------------------------------------------------
 # scattering scenarios
 
-def _run_scatter_phase(p, seed, emit):
-    pm, mass, length = p["p"], p["m"], p["X"]
-
-    def phase(strength):
-        cfg = scattering.ScatteringConfig(p=pm, m=mass, X=length,
-                                          barrier=scattering.DeltaBarrier(strength))
-        return scattering.reflection_phase(cfg)
-
-    mirror_phase = phase(0.0)
-    strong_phase = phase(p["gamma_max"])
-    target = qcore.wrap_angle(math.pi - 2.0 * pm * length)
-    strong_dev = qcore.circle_distance(strong_phase, target)
-
+def _prepare_scatter_phase(p):
+    cfg = scattering.ScatteringConfig(
+        p=p["p"], m=p["m"], X=p["X"],
+        barrier=scattering.DeltaBarrier(p["gamma_max"]))
     gammas = np.concatenate([[0.0], np.geomspace(1e-3, p["gamma_max"],
                                                  PHASE_SWEEP_POINTS - 1)])
-    phases = np.array([phase(g) for g in gammas])
+    return cfg, gammas
+
+
+def _run_scatter_phase(inputs, seed, emit):
+    cfg, gammas = inputs
+    phases = np.array([scattering.reflection_phase(replace(
+        cfg, barrier=scattering.DeltaBarrier(g))) for g in gammas])
+    # the sweep runs from the bare mirror to the barrier at gamma_max
+    mirror_phase, strong_phase = float(phases[0]), float(phases[-1])
+    target = qcore.wrap_angle(math.pi - 2.0 * cfg.p * cfg.X)
+    strong_dev = qcore.circle_distance(strong_phase, target)
     unwrapped = np.unwrap(phases)
     emit("phase_sweep.csv",
          [("gamma", "energy*length", gammas),
@@ -348,13 +341,19 @@ def _run_scatter_phase(p, seed, emit):
     return results, checks
 
 
-def _run_scatter_bounce(p, seed, emit):
-    chain = scattering.BounceChain(epsilon=p["epsilon"], p=p["p"])
+def _z_score(offset: float, spread: float) -> float:
+    """|offset| / spread, or inf when a nonzero offset has zero spread."""
+    if spread == 0.0:
+        return 0.0 if offset == 0.0 else math.inf
+    return abs(offset) / spread
+
+
+def _run_scatter_bounce(chain, seed, emit):
     exact = scattering.bounce_chain_expectation(chain)
     mc = scattering.bounce_chain_sample(chain, BOUNCE_TRIALS, seed)
     eps_grid = np.linspace(0.01, 0.9, 90)
     rows = [scattering.bounce_chain_expectation(
-        scattering.BounceChain(epsilon=float(e), p=p["p"])) for e in eps_grid]
+        replace(chain, epsilon=float(e))) for e in eps_grid]
     emit("expectation.csv",
          [("epsilon", "probability", eps_grid),
           ("first_kick", "momentum", np.array([r.first_kick for r in rows])),
@@ -364,9 +363,9 @@ def _run_scatter_bounce(p, seed, emit):
            np.array([r.net_momentum for r in rows])),
           ("trapped_dwell", "round_trips",
            np.array([r.trapped_dwell for r in rows]))])
-    z_net = abs(mc.mean_net_momentum) / mc.net_standard_error
-    z_dwell = abs(mc.mean_trapped_dwell - exact.trapped_dwell) / \
-        mc.dwell_standard_error
+    z_net = _z_score(mc.mean_net_momentum, mc.net_standard_error)
+    z_dwell = _z_score(mc.mean_trapped_dwell - exact.trapped_dwell,
+                       mc.dwell_standard_error)
     results = {
         "net_momentum": exact.net_momentum,
         "first_kick": exact.first_kick,
@@ -385,14 +384,19 @@ def _run_scatter_bounce(p, seed, emit):
     return results, checks
 
 
-def _run_scatter_wavepacket(p, seed, emit):
+def _prepare_scatter_wavepacket(p):
     cfg = scattering.ScatteringConfig(
         p=p["p"], m=p["m"], X=p["X"],
         barrier=scattering.DeltaBarrier(p["strength"]))
-    run = scattering.WavepacketRun(grid_points=int(p["grid_points"]),
+    run = scattering.WavepacketRun(grid_points=p["grid_points"],
                                    dt=WAVEPACKET_DT, length=p["length"],
                                    center=p["center"], width=p["width"],
-                                   round_trips=int(p["round_trips"]))
+                                   round_trips=p["round_trips"])
+    return cfg, run
+
+
+def _run_scatter_wavepacket(inputs, seed, emit):
+    cfg, run = inputs
     res = scattering.wavepacket_run(run, cfg)
     emit("timeseries.csv",
          [("time", "1/energy", res.times),
@@ -401,7 +405,7 @@ def _run_scatter_wavepacket(p, seed, emit):
           ("wall_momentum", "momentum", res.wall_momentum),
           ("packet_momentum", "momentum", res.packet_momentum),
           ("norm", "probability", res.norm)])
-    two_p = 2.0 * p["p"]
+    two_p = 2.0 * cfg.p
     first_target = two_p * (1.0 - res.epsilon_packet)
     results = {
         "epsilon_plane": res.epsilon_plane,
@@ -479,29 +483,31 @@ def _run_ab_electric(p, seed, emit):
 # ---------------------------------------------------------------------------
 # analog scenarios
 
-def _run_pendulum_msw(p, seed, emit):
-    kappa, delta_max = p["kappa"], p["delta_max"]
-    l_mu, grav = p["l_mu"], p["g"]
-    omega_mu = math.sqrt(grav / l_mu)
-    eps = kappa / (2.0 * omega_mu)
+def _prepare_pendulum_msw(p):
+    """(system, duration) sweeps at rate_scale, 1 and each ladder multiplier
+    times the base rate 0.01 eps^2, with eps = kappa / (2 omega_mu)."""
+    eps = p["kappa"] / (2.0 * math.sqrt(p["g"] / p["l_mu"]))
     base_rate = 0.01 * eps * eps
-    system, duration = analogs.msw_benchmark_system(
-        kappa=kappa, delta_max=delta_max,
-        crossing_rate=p["rate_scale"] * base_rate, l_mu=l_mu, g=grav)
-    slow = analogs.pendulum_sweep(system, duration)
-
-    sudden_sys, _ = analogs.msw_benchmark_system(
-        kappa=kappa, delta_max=delta_max, crossing_rate=base_rate,
-        l_mu=l_mu, g=grav)
-    sudden = analogs.pendulum_sweep(sudden_sys, 0.0)
-
     multipliers = _positive_list(p["ladder_multipliers"])
-    fractions = []
-    for mult in multipliers:
-        sys_m, dur_m = analogs.msw_benchmark_system(
-            kappa=kappa, delta_max=delta_max, crossing_rate=mult * base_rate,
-            l_mu=l_mu, g=grav)
-        fractions.append(analogs.pendulum_sweep(sys_m, dur_m).fraction)
+
+    def sweep(rate):
+        return analogs.msw_benchmark_system(
+            kappa=p["kappa"], delta_max=p["delta_max"], crossing_rate=rate,
+            l_mu=p["l_mu"], g=p["g"])
+
+    return dict(adiabaticity=eps, base_rate=base_rate, multipliers=multipliers,
+                slow=sweep(p["rate_scale"] * base_rate), sudden=sweep(base_rate),
+                ladder=[sweep(mult * base_rate) for mult in multipliers])
+
+
+def _run_pendulum_msw(inputs, seed, emit):
+    system, duration = inputs["slow"]
+    base_rate = inputs["base_rate"]
+    slow = analogs.pendulum_sweep(system, duration)
+    sudden = analogs.pendulum_sweep(inputs["sudden"][0], 0.0)
+    multipliers = inputs["multipliers"]
+    fractions = [analogs.pendulum_sweep(*sweep).fraction
+                 for sweep in inputs["ladder"]]
     emit("rate_ladder.csv",
          [("rate_multiplier", "dimensionless", np.array(multipliers)),
           ("crossing_rate", "1/time^2",
@@ -510,10 +516,8 @@ def _run_pendulum_msw(p, seed, emit):
     monotone = all(a < b for a, b in zip(fractions, fractions[1:]))
 
     # conservation control: same pendulums, lengths pinned at the start
-    frozen_sys = analogs.PendulumSystem(
-        length_schedule=analogs.FrozenLength(
-            system.length_schedule.value(0.0)),
-        l_mu=l_mu, kappa=kappa, g=grav)
+    start_length = analogs.FrozenLength(system.length_schedule.value(0.0))
+    frozen_sys = replace(system, length_schedule=start_length)
     frozen = analogs.pendulum_sweep(frozen_sys, CONSERVATION_TIME)
     results = {
         "transfer_fraction": slow.fraction,
@@ -521,7 +525,7 @@ def _run_pendulum_msw(p, seed, emit):
         "sudden_fraction": sudden.fraction,
         "frozen_energy_drift": frozen.energy_drift,
         "weak_coupling_ratio": slow.weak_coupling_ratio,
-        "adiabaticity": eps,
+        "adiabaticity": inputs["adiabaticity"],
     }
     checks = [
         ("slow sweep converts at least 99% of the energy",
@@ -534,8 +538,7 @@ def _run_pendulum_msw(p, seed, emit):
     return results, checks
 
 
-def _run_two_level_sweep(p, seed, emit):
-    pairs = _pair_list(p["pairs"])
+def _run_two_level_sweep(pairs, seed, emit):
     rows = []
     worst = 0.0
     for eps, rate in pairs:
@@ -606,18 +609,22 @@ def _run_rect_loop(p, seed, emit):
     return results, checks
 
 
-def _run_celestial_frozen(p, seed, emit):
+def _prepare_celestial(p):
     cfg = analogs.CelestialConfig(m_jupiter=p["m_jupiter"],
                                   r_jupiter=p["r_jupiter"],
                                   eccentricity=p["eccentricity"])
+    return cfg, analogs.frozen_grid_angles(p["nodes"])
+
+
+def _run_celestial_frozen(inputs, seed, emit):
+    cfg, phis = inputs
     kep = analogs.kepler_period(cfg)
-    nodes = int(p["nodes"])
-    phis = analogs.frozen_grid_angles(nodes)
+    nodes = len(phis)
     # the free Kepler lane and the half-mass lane ride in the grid's stacks
     lanes = analogs.celestial_frozen_period(
         cfg, np.append(phis, [0.0, 0.0]),
-        masses=np.append(np.full(nodes, p["m_jupiter"]),
-                         [0.0, 0.5 * p["m_jupiter"]]))
+        masses=np.append(np.full(nodes, cfg.m_jupiter),
+                         [0.0, 0.5 * cfg.m_jupiter]))
     periods = lanes[:nodes]
     kepler_err = abs(float(lanes[nodes]) - kep)
     shifts = (periods - kep) / kep
@@ -648,16 +655,12 @@ def _run_celestial_frozen(p, seed, emit):
     return results, checks
 
 
-def _run_celestial_residual(p, seed, emit):
-    cfg = analogs.CelestialConfig(m_jupiter=p["m_jupiter"],
-                                  r_jupiter=p["r_jupiter"],
-                                  eccentricity=p["eccentricity"])
-    res = analogs.celestial_adiabatic_residual(
-        cfg, n_periods=p["n_periods"], phi0=p["phi0"], nodes=int(p["nodes"]))
-    free = analogs.CelestialConfig(m_jupiter=0.0, r_jupiter=p["r_jupiter"],
-                                   eccentricity=p["eccentricity"])
+def _run_celestial_residual(inputs, seed, emit):
+    cfg, phis, phi0 = inputs
+    res = analogs.celestial_adiabatic_residual(cfg, phi0=phi0,
+                                               nodes=len(phis))
     control = analogs.celestial_adiabatic_residual(
-        free, n_periods=p["n_periods"], nodes=int(p["nodes"]),
+        replace(cfg, m_jupiter=0.0), nodes=len(phis),
         check_convergence=False)
     ratio = abs(res.residual) / abs(res.dynamical_correction)
     results = {
@@ -681,7 +684,7 @@ def _run_celestial_residual(p, seed, emit):
 
 
 def _run_monopole_angmom(p, seed, emit):
-    seps = _positive_list(p["separations"])
+    seps = p["separations"]
     rows = []
     for sep in seps:
         fam = berry.field_angular_momentum(p["charge"], p["pole_strength"],
@@ -697,21 +700,15 @@ def _run_monopole_angmom(p, seed, emit):
     coeffs = table[:, 2]
     worst = float(np.abs(coeffs - 1.0).max())
     spread = float(coeffs.max() - coeffs.min())
-    # the coefficient is independent of the pole: reuse the first row's
-    half_component = (p["charge"] * (0.5 * p["pole_strength"])) * rows[0][2]
     results = {
         "separation_count": len(seps),
         "worst_coefficient_error": worst,
         "separation_spread": spread,
-        "half_pole_component": half_component,
     }
     checks = [
         ("field stores one unit of charge*pole along the axis (1e-6)",
          worst <= 1e-6),
         ("answer independent of separation (1e-6)", spread <= 1e-6),
-        ("component scales linearly with the pole strength",
-         abs(half_component - 0.5 * p["charge"] * p["pole_strength"]
-             * coeffs[0]) <= 1e-6),
     ]
     return results, checks
 
@@ -733,9 +730,9 @@ def _scenario_table() -> dict:
             "berry-latitude",
             "Wilson-loop phases on latitude circles against the half "
             "solid-angle law pi(1 - cos theta).",
-            {"colatitudes_deg": Parameter("30,60,90,120", "degrees", s,
-                                          _float_list)},
-            _run_berry_latitude),
+            {"colatitudes_deg": Parameter("30,60,90,120", "degrees", s)},
+            _run_berry_latitude,
+            lambda p: _float_list(p["colatitudes_deg"])),
         Scenario(
             "berry-wilson-sweep",
             "Scale the field strength and confirm the loop phase does not "
@@ -764,14 +761,15 @@ def _scenario_table() -> dict:
              "m": Parameter(1.0, "mass", f),
              "X": Parameter(2.0, "length", f),
              "gamma_max": Parameter(1e6, "energy*length", f)},
-            _run_scatter_phase),
+            _run_scatter_phase, _prepare_scatter_phase),
         Scenario(
             "scatter-bounce",
             "Reflect/tunnel bounce chain: the trapped branch exactly "
             "cancels the first kick; Monte Carlo agrees with closed form.",
             {"epsilon": Parameter(0.1, "probability", f),
              "p": Parameter(1.0, "momentum", f)},
-            _run_scatter_bounce),
+            _run_scatter_bounce,
+            lambda p: scattering.BounceChain(epsilon=p["epsilon"], p=p["p"])),
         Scenario(
             "scatter-wavepacket",
             "Crank-Nicolson wavepacket in the closed channel: momentum "
@@ -785,7 +783,7 @@ def _scenario_table() -> dict:
              "center": Parameter(35.0, "length", f),
              "width": Parameter(2.5, "length", f),
              "round_trips": Parameter(16, "count", i)},
-            _run_scatter_wavepacket),
+            _run_scatter_wavepacket, _prepare_scatter_wavepacket),
         Scenario(
             "ab-electric",
             "Capacitor pulse duality: probe phase equals the two-plate "
@@ -802,16 +800,15 @@ def _scenario_table() -> dict:
              "l_mu": Parameter(1.0, "length", f),
              "g": Parameter(1.0, "length/time^2", f),
              "ladder_multipliers": Parameter("2816,906,453,249,137",
-                                             "dimensionless", s,
-                                             _positive_list)},
-            _run_pendulum_msw),
+                                             "dimensionless", s)},
+            _run_pendulum_msw, _prepare_pendulum_msw),
         Scenario(
             "two-level-sweep",
             "Linear sweep through an avoided crossing against the "
             "Landau-Zener conversion formula.",
             {"pairs": Parameter("0.5:1.0,0.4:0.8,0.4:0.4,0.3:0.5,0.75:0.8",
-                                "energy:energy^2", s, _pair_list)},
-            _run_two_level_sweep),
+                                "energy:energy^2", s)},
+            _run_two_level_sweep, lambda p: _pair_list(p["pairs"])),
         Scenario(
             "rect-loop",
             "Rectangular detuning-coupling circuit: Wilson phase pi when "
@@ -829,8 +826,8 @@ def _scenario_table() -> dict:
             {"m_jupiter": Parameter(1e-3, "m_sun", f),
              "r_jupiter": Parameter(5.2, "r_earth", f),
              "eccentricity": Parameter(0.05, "dimensionless", f),
-             "nodes": Parameter(32, "count", i, _grid_nodes)},
-            _run_celestial_frozen),
+             "nodes": Parameter(32, "count", i)},
+            _run_celestial_frozen, _prepare_celestial),
         Scenario(
             "celestial-residual",
             "Full moving-perturber orbit phase minus the frozen-probe "
@@ -838,19 +835,19 @@ def _scenario_table() -> dict:
             {"m_jupiter": Parameter(1e-3, "m_sun", f),
              "r_jupiter": Parameter(5.2, "r_earth", f),
              "eccentricity": Parameter(0.05, "dimensionless", f),
-             "n_periods": Parameter(1.0, "perturber_cycles", f),
              "phi0": Parameter(0.0, "radians", f),
-             "nodes": Parameter(32, "count", i, _grid_nodes)},
-            _run_celestial_residual),
+             "nodes": Parameter(32, "count", i)},
+            _run_celestial_residual,
+            lambda p: (*_prepare_celestial(p), p["phi0"])),
         Scenario(
             "monopole-angmom",
             "Field angular momentum of a charge and a magnetic pole: one "
             "unit of charge*pole regardless of separation.",
             {"charge": Parameter(1.0, "charge", f),
              "pole_strength": Parameter(1.0, "pole", f),
-             "separations": Parameter("0.7,1.0,2.5", "length", s,
-                                      _positive_list)},
-            _run_monopole_angmom),
+             "separations": Parameter("0.7,1.0,2.5", "length", s)},
+            _run_monopole_angmom,
+            lambda p: dict(p, separations=_positive_list(p["separations"]))),
     ]
     return {sc.name: sc for sc in table}
 

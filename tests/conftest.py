@@ -9,22 +9,16 @@ import math
 import pytest
 
 from phaselab import analogs, berry, scattering
-from phaselab.scenarios import SCENARIOS, WAVEPACKET_DT
+from phaselab.scenarios import SCENARIOS
 
 
 EQUATOR_AMPLITUDE = 1.0
 EQUATOR_WOBBLE = 0.005
 
-# the scatter-wavepacket scenario at its catalog defaults
-_WAVEPACKET = {k: entry.default for k, entry
-               in SCENARIOS["scatter-wavepacket"].parameters.items()}
-WAVEPACKET_CONFIG = scattering.ScatteringConfig(
-    p=_WAVEPACKET["p"], m=_WAVEPACKET["m"], X=_WAVEPACKET["X"],
-    barrier=scattering.DeltaBarrier(_WAVEPACKET["strength"]))
-WAVEPACKET_RUN = scattering.WavepacketRun(
-    grid_points=_WAVEPACKET["grid_points"], dt=WAVEPACKET_DT,
-    length=_WAVEPACKET["length"], center=_WAVEPACKET["center"],
-    width=_WAVEPACKET["width"], round_trips=_WAVEPACKET["round_trips"])
+# the scatter-wavepacket scenario's inputs at its catalog defaults
+_WAVEPACKET = SCENARIOS["scatter-wavepacket"]
+WAVEPACKET_CONFIG, WAVEPACKET_RUN = _WAVEPACKET.prepare(
+    {k: entry.default for k, entry in _WAVEPACKET.parameters.items()})
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from phaselab import analogs, berry, qcore, scattering, topology
+from phaselab import analogs, berry, cli, qcore, scattering, topology
 from phaselab.analogs import CelestialConfig
 from phaselab.cli import main
 from phaselab.scattering import BounceChain, DeltaBarrier, ScatteringConfig
@@ -151,9 +151,9 @@ def test_criterion_7_bounce_ledger(wavepacket_result):
 
 
 def test_criterion_8_capacitor_duality():
-    scenario = SCENARIOS["ab-electric"]
-    params = {k: entry.default for k, entry in scenario.parameters.items()}
-    results, checks = scenario.runner(params, 0, lambda name, columns: None)
+    _, _, inputs, seed = cli._validate({"scenario": "ab-electric"}, None)
+    results, checks = SCENARIOS["ab-electric"].runner(
+        inputs, seed, lambda name, columns: None)
     assert all(ok for _, ok in checks)
     assert results["exact_matches"] == results["count"] == 1000
     report(8, "1000 random capacitor settings: probe-side and system-side "

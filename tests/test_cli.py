@@ -43,6 +43,7 @@ REMOVED_PARAMETERS = (
     ("celestial-frozen", "orbits", 8.5),
     ("celestial-frozen", "rtol", 1e-12),
     ("celestial-residual", "rtol", 1e-12),
+    ("celestial-residual", "n_periods", 1.0),
     ("monopole-angmom", "excision_scale", 0.01),
 )
 
@@ -139,13 +140,32 @@ class TestConfigRejection:
             assert manifest["error"]["kind"] == "config-error"
             assert manifest["outputs"] == {}
 
-    def test_out_of_domain_scalar_parameter(self, tmp_path, capsys):
-        # scalar domains are config errors too, not library ValueErrors
+    def test_out_of_domain_scalar_parameter(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a value outside the domain of a library object the scenario
+        # builds is a config error, found before any runner starts
+        for name, sc in SCENARIOS.items():
+            monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(
+                sc, runner=lambda *args: pytest.fail("runner started")))
         for scenario, parameters in (
                 ("celestial-frozen", {"nodes": 7}),
                 ("celestial-residual", {"nodes": 2}),
                 ("scatter-wavepacket", {"grid_points": 8192.5}),
-                ("scatter-wavepacket", {"round_trips": 1.5})):
+                ("scatter-wavepacket", {"round_trips": 1.5}),
+                ("scatter-phase", {"p": 0}),
+                ("scatter-phase", {"m": 0}),
+                ("scatter-phase", {"X": 0}),
+                ("scatter-phase", {"gamma_max": 0}),
+                ("scatter-phase", {"gamma_max": -1}),
+                ("scatter-bounce", {"epsilon": 0}),
+                ("scatter-bounce", {"epsilon": 1}),
+                ("scatter-bounce", {"p": -1}),
+                ("pendulum-msw", {"rate_scale": 0}),
+                ("pendulum-msw", {"l_mu": 0}),
+                ("pendulum-msw", {"delta_max": 1}),
+                ("scatter-wavepacket", {"width": 0}),
+                ("scatter-wavepacket", {"center": 2000}),
+                ("celestial-frozen", {"eccentricity": 0.5})):
             code, out, cap = run_cli(tmp_path, capsys, scenario,
                                      parameters=parameters)
             assert code == 2, f"{parameters!r} accepted"
@@ -238,19 +258,21 @@ class TestConfigRejection:
 
 class TestComputationFailure:
     def test_invalid_physics_parameter(self, tmp_path, capsys):
-        # parameter passes schema coercion, construction then rejects it
+        # parameter passes schema coercion, the library constructor then
+        # rejects it before the runner starts
         code, out, cap = run_cli(tmp_path, capsys, "celestial-residual",
                                  parameters={"m_jupiter": 0.2})
-        assert code == 3
-        assert cap.err.startswith("phaselab: computation-error:")
+        assert code == 2
+        assert cap.err.startswith("phaselab: config-error:")
         manifest = json.loads(
             (out / "celestial-residual" / "manifest.json").read_text())
-        assert manifest["error"]["kind"] == "computation-error"
+        assert manifest["error"]["kind"] == "config-error"
         assert "m_j" in manifest["error"]["message"]
+        assert manifest["outputs"] == {}
 
     def test_runner_crash(self, tmp_path, capsys, monkeypatch):
         # any exception out of a runner is a computation error, not exit 1
-        def crash(p, seed, emit):
+        def crash(inputs, seed, emit):
             raise IndexError("runner crashed")
 
         monkeypatch.setitem(SCENARIOS, "ab-electric", dataclasses.replace(
@@ -269,11 +291,11 @@ class TestComputationFailure:
         assert code == 0
         code, out, _ = run_cli(tmp_path, capsys, "scatter-phase",
                                parameters={"p": 0})
-        assert code == 3
+        assert code == 2
         outdir = out / "scatter-phase"
         assert not (outdir / "summary.json").exists()
         manifest = json.loads((outdir / "manifest.json").read_text())
-        assert manifest["error"]["kind"] == "computation-error"
+        assert manifest["error"]["kind"] == "config-error"
 
 
 class TestAssertionFailure:
@@ -292,6 +314,23 @@ class TestAssertionFailure:
         assert manifest["error"]["kind"] == "assertion-failure"
         # summary was still produced and inventoried
         assert "summary.json" in manifest["outputs"]
+
+    def test_untrapped_bounce_chain_fails_its_check(self, tmp_path, capsys):
+        # at epsilon 1e-10 no sampled chain is trapped: every net is +2p,
+        # so the spread is zero and the net z-score is infinite
+        code, out, cap = run_cli(tmp_path, capsys, "scatter-bounce",
+                                 parameters={"epsilon": 1e-10})
+        assert code == 1
+        assert cap.err.startswith("phaselab: assertion-failure:")
+        summary = json.loads(
+            (out / "scatter-bounce" / "summary.json").read_text())
+        assert summary["results"]["mc_net_z"] == math.inf
+        assert math.isnan(summary["results"]["mc_dwell"])
+        verdicts = {c["name"]: c["passed"] for c in summary["checks"]}
+        assert verdicts == {
+            "expected net momentum cancels exactly": True,
+            "monte carlo net momentum within 3 sigma of zero": False,
+            "monte carlo dwell matches (1-eps)/eps within 3 sigma": False}
 
 
 class TestSuccessArtifacts:
@@ -460,6 +499,9 @@ class TestContractFuzz:
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(["run", "--config", str(cfg), "--out", str(out)])
             assert code in (0, 1, 2, 3)
+            if scenario != "ab-electric":
+                # every domain of these scenarios is checked by prepare
+                assert code != 3, parameters
             assert (out / scenario / "manifest.json").is_file()
             written = {p for p in base.rglob("*") if p.is_file()} - {cfg}
             assert all(out in p.parents for p in written), written
