@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (DynamicsError, GeometryError, IntegratorError,
                      QuadratureError, RegimeWarning)
@@ -386,6 +385,10 @@ def msw_benchmark_system(kappa: float = 0.025, delta_max: float = 0.34,
     fraction saturates below 1 at roughly 1 - 2 (kappa / d(omega^2))^2,
     the endpoint misalignment; kappa = 0.025 puts the ceiling near 0.995.
     """
+    if not l_mu > 0.0:
+        raise ValueError(f"l_mu must be positive, got {l_mu!r}")
+    if not g > 0.0:
+        raise ValueError(f"g must be positive, got {g!r}")
     omega_mu = math.sqrt(g / l_mu)
     epsilon = kappa / (2.0 * omega_mu)
     if crossing_rate is None:
@@ -730,6 +733,14 @@ def _radii(y: np.ndarray) -> np.ndarray:
     """Sun distance of each lane of a flat (4, N) state (x, z, vx, vz rows)."""
     lanes = y.reshape(4, -1)
     return np.hypot(lanes[0], lanes[1])
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's solve_ivp, imported when an orbit run calls it rather than
+    with phaselab: scipy.integrate takes longer to import than most
+    scenarios take to run, and only the celestial scenarios call it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import qcore
 from .errors import DegeneracyError, QuadratureError, RegimeError, ResolutionError
@@ -193,6 +192,8 @@ class FieldAngularMomentum:
 def _angular_momentum_integral(separation: float, excision: float,
                                epsrel: float = 1e-10) -> float:
     """(R/2) * II rho^3 / (|s|^3 |r|^3) drho dz over the excised half-plane."""
+    from scipy.integrate import quad
+
     big = max(2.0 * separation, 1.0)
 
     def rho_floor(z: float) -> float:

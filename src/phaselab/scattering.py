@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import qcore
 from .errors import GeometryError, StabilityError
@@ -220,6 +219,11 @@ class WavepacketRun:
         if self.round_trips < 1:
             raise ValueError("round_trips must be >= 1")
 
+    @property
+    def dx(self) -> float:
+        """Node spacing of the Dirichlet box."""
+        return self.length / (self.grid_points + 1)
+
 
 @dataclass(frozen=True)
 class WavepacketResult:
@@ -259,6 +263,8 @@ def _cn_midpoint_solver(pot: np.ndarray, kin: float, dt: float):
     """Factor I + i dt H / 2 once (H = T + diag(pot), Dirichlet walls) and
     return the solve psi -> m, the Crank-Nicolson midpoint state; the step
     is then psi_new = 2 m - psi = (I + i dt H/2)^-1 (I - i dt H/2) psi."""
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     half = 0.5j * dt
     off = np.full(pot.shape[0] - 1, -half * kin)
     *factors, info = zgttrf(off, 1.0 + half * (2.0 * kin + pot), off)
@@ -287,6 +293,26 @@ def _packet_momentum(psi: np.ndarray) -> float:
     return float(np.vdot(psi[:-1], psi[1:]).imag)
 
 
+def wavepacket_barrier_cell(run: WavepacketRun, config: ScatteringConfig) -> int:
+    """Grid index j = round(X / dx) - 1 of the barrier cell, once the grid
+    is checked to hold the run: the packet resolved (width >= 8 dx, p dx <
+    0.5), its start five widths clear of the barrier and of the far wall,
+    and the barrier cell inside the grid.  Raises ValueError otherwise."""
+    n, dx = run.grid_points, run.dx
+    if run.width < 8.0 * dx:
+        raise ValueError("packet width must be well resolved (width >= 8 dx)")
+    if config.p * dx >= 0.5:
+        raise ValueError("momentum not resolved on the grid (p dx >= 0.5)")
+    if run.center <= config.X + 5.0 * run.width:
+        raise ValueError("packet must start well to the right of the barrier")
+    if run.length <= run.center + 5.0 * run.width:
+        raise ValueError("box must extend well beyond the packet start")
+    j = int(round(config.X / dx)) - 1
+    if not 1 <= j <= n - 2:
+        raise ValueError(f"barrier cell {j} must lie in [1, {n - 2}]")
+    return j
+
+
 def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketResult:
     """Crank-Nicolson evolution of a packet thrown at the mirror+barrier.
 
@@ -302,25 +328,14 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
     round trip, to extract the trapping decay.
 
     Raises ValueError if the packet or the barrier cell does not fit the
-    grid, StabilityError on norm drift > 1e-6, and GeometryError if more
-    than 1e-3 of probability reaches the far 5% of the box at any step.
+    grid (wavepacket_barrier_cell), StabilityError on norm drift > 1e-6,
+    and GeometryError if more than 1e-3 of probability reaches the far 5%
+    of the box at any step.
     """
-    n = run.grid_points
-    dx = run.length / (n + 1)
+    j = wavepacket_barrier_cell(run, config)
+    n, dx = run.grid_points, run.dx
     x = dx * np.arange(1, n + 1)
     p, m, X = config.p, config.m, config.X
-
-    if run.width < 8.0 * dx:
-        raise ValueError("packet width must be well resolved (width >= 8 dx)")
-    if p * dx >= 0.5:
-        raise ValueError("momentum not resolved on the grid (p dx >= 0.5)")
-    if run.center <= X + 5.0 * run.width:
-        raise ValueError("packet must start well to the right of the barrier")
-    if run.length <= run.center + 5.0 * run.width:
-        raise ValueError("box must extend well beyond the packet start")
-    j = int(round(X / dx)) - 1
-    if not 1 <= j <= n - 2:
-        raise ValueError(f"barrier cell {j} must lie in [1, {n - 2}]")
 
     pot = np.zeros(n)
     pot[j] = config.barrier.strength / dx

@@ -98,10 +98,18 @@ def _pair_list(text: str) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 # spin-phase scenarios
 
+def _prepare_berry_sweep(p):
+    """The params and the sweep period 2 pi / wobble; amplitude, wobble and
+    (where the scenario has it) factor must be positive."""
+    for name in ("amplitude", "wobble", "factor"):
+        if name in p and not p[name] > 0.0:
+            raise ValueError(f"{name} must be positive, got {p[name]!r}")
+    return dict(p, period=TWO_PI / p["wobble"])
+
+
 def _run_berry_equator(p, seed, emit):
-    period = TWO_PI / p["wobble"]
     dec = berry.cyclic_phase_decomposition(p["amplitude"], 0.5 * math.pi,
-                                           period, SPIN_STEP)
+                                           p["period"], SPIN_STEP)
     dirs = berry.latitude_directions(0.5 * math.pi, WILSON_SAMPLES)
     wilson = berry.wilson_loop_phase(dirs)
     geo_dev = qcore.circle_distance(dec.geometric, math.pi)
@@ -144,19 +152,18 @@ def _run_berry_latitude(angles, seed, emit):
 
 
 def _run_berry_wilson_sweep(p, seed, emit):
-    amp, factor, wobble = p["amplitude"], p["factor"], p["wobble"]
+    amp, factor, period = p["amplitude"], p["factor"], p["period"]
     dirs = berry.latitude_directions(0.5 * math.pi, WILSON_SAMPLES)
     wil_base = berry.wilson_loop_phase(amp * dirs)
     wil_scaled = berry.wilson_loop_phase(factor * amp * dirs)
     wil_diff = abs(wil_base - wil_scaled)
 
-    period = TWO_PI / wobble
     geo_base = berry.cyclic_phase_decomposition(amp, 0.5 * math.pi, period,
                                                 SPIN_STEP).geometric
     geo_scaled = berry.cyclic_phase_decomposition(factor * amp, 0.5 * math.pi,
                                                   period, SPIN_STEP).geometric
     geo_diff = qcore.circle_distance(geo_base, geo_scaled)
-    bound = 2.0 * wobble / amp
+    bound = 2.0 * p["wobble"] / amp
     results = {
         "wilson_base": wil_base,
         "wilson_scaled": wil_scaled,
@@ -392,6 +399,7 @@ def _prepare_scatter_wavepacket(p):
                                    dt=WAVEPACKET_DT, length=p["length"],
                                    center=p["center"], width=p["width"],
                                    round_trips=p["round_trips"])
+    scattering.wavepacket_barrier_cell(run, cfg)  # the grid holds the run
     return cfg, run
 
 
@@ -435,6 +443,13 @@ def _run_scatter_wavepacket(inputs, seed, emit):
 
 # ---------------------------------------------------------------------------
 # electric duality scenario
+
+def _prepare_ab_electric(p):
+    if not p["localization_fraction"] > 0.0:
+        raise ValueError("localization_fraction must be positive, got "
+                         f"{p['localization_fraction']!r}")
+    return p
+
 
 def _run_ab_electric(p, seed, emit):
     rng = np.random.default_rng(seed)
@@ -486,17 +501,19 @@ def _run_ab_electric(p, seed, emit):
 def _prepare_pendulum_msw(p):
     """(system, duration) sweeps at rate_scale, 1 and each ladder multiplier
     times the base rate 0.01 eps^2, with eps = kappa / (2 omega_mu)."""
-    eps = p["kappa"] / (2.0 * math.sqrt(p["g"] / p["l_mu"]))
-    base_rate = 0.01 * eps * eps
-    multipliers = _positive_list(p["ladder_multipliers"])
-
     def sweep(rate):
         return analogs.msw_benchmark_system(
             kappa=p["kappa"], delta_max=p["delta_max"], crossing_rate=rate,
             l_mu=p["l_mu"], g=p["g"])
 
+    # the library's default rate is the base rate; building that sweep first
+    # checks l_mu and g before eps divides by them
+    sudden = sweep(None)
+    eps = p["kappa"] / (2.0 * math.sqrt(p["g"] / p["l_mu"]))
+    base_rate = 0.01 * eps * eps
+    multipliers = _positive_list(p["ladder_multipliers"])
     return dict(adiabaticity=eps, base_rate=base_rate, multipliers=multipliers,
-                slow=sweep(p["rate_scale"] * base_rate), sudden=sweep(base_rate),
+                slow=sweep(p["rate_scale"] * base_rate), sudden=sudden,
                 ladder=[sweep(mult * base_rate) for mult in multipliers])
 
 
@@ -725,7 +742,7 @@ def _scenario_table() -> dict:
             "geometric half-sphere phase; cross-check with the Wilson loop.",
             {"amplitude": Parameter(1.0, "energy", f),
              "wobble": Parameter(0.005, "1/time", f)},
-            _run_berry_equator),
+            _run_berry_equator, _prepare_berry_sweep),
         Scenario(
             "berry-latitude",
             "Wilson-loop phases on latitude circles against the half "
@@ -740,7 +757,7 @@ def _scenario_table() -> dict:
             {"amplitude": Parameter(1.0, "energy", f),
              "factor": Parameter(5.0, "dimensionless", f),
              "wobble": Parameter(0.005, "1/time", f)},
-            _run_berry_wilson_sweep),
+            _run_berry_wilson_sweep, _prepare_berry_sweep),
         Scenario(
             "linking",
             "Gauss linking numbers for a catalog of closed curve pairs: "
@@ -789,7 +806,7 @@ def _scenario_table() -> dict:
             "Capacitor pulse duality: probe phase equals the two-plate "
             "momentum phase identically; which-path bookkeeping ratios.",
             {"localization_fraction": Parameter(0.25, "dimensionless", f)},
-            _run_ab_electric),
+            _run_ab_electric, _prepare_ab_electric),
         Scenario(
             "pendulum-msw",
             "Spring-coupled pendulums with a slowly shortening arm: "
