@@ -497,21 +497,28 @@ def two_level_sweep(s: TwoLevelSweep, step_scale: float = 0.04) -> ConversionRep
 # ---------------------------------------------------------------------------
 # rectangular loop around the degeneracy
 
-def rectangle_path(delta0: float, epsilon0: float, samples: int,
-                   center: tuple = (0.0, 0.0)) -> np.ndarray:
-    """Closed rectangle (center +- delta0, center +- epsilon0), sampled
-    uniformly by arc length.  Columns: (delta, epsilon).  Starts at the
-    (+delta0, +epsilon0) corner and first crosses to negative detuning."""
+def rectangle_corners(delta0: float, epsilon0: float,
+                      center: tuple = (0.0, 0.0)) -> np.ndarray:
+    """The five (delta, epsilon) corners of the closed rectangle (center +-
+    delta0, center +- epsilon0), from (+delta0, +epsilon0) towards negative
+    detuning and back.  Raises ValueError unless delta0, epsilon0 > 0."""
     if delta0 <= 0.0 or epsilon0 <= 0.0:
         raise ValueError("delta0 and epsilon0 must be positive")
+    cd, ce = float(center[0]), float(center[1])
+    return np.array([[cd + delta0, ce + epsilon0],
+                     [cd - delta0, ce + epsilon0],
+                     [cd - delta0, ce - epsilon0],
+                     [cd + delta0, ce - epsilon0],
+                     [cd + delta0, ce + epsilon0]])
+
+
+def rectangle_path(delta0: float, epsilon0: float, samples: int,
+                   center: tuple = (0.0, 0.0)) -> np.ndarray:
+    """Closed rectangle (rectangle_corners), sampled uniformly by arc
+    length.  Columns: (delta, epsilon)."""
+    corners = rectangle_corners(delta0, epsilon0, center)
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    cd, ce = float(center[0]), float(center[1])
-    corners = np.array([[cd + delta0, ce + epsilon0],
-                        [cd - delta0, ce + epsilon0],
-                        [cd - delta0, ce - epsilon0],
-                        [cd + delta0, ce - epsilon0],
-                        [cd + delta0, ce + epsilon0]])
     seg = np.linalg.norm(np.diff(corners, axis=0), axis=1)
     perimeter = seg.sum()
     arc = np.linspace(0.0, perimeter, samples, endpoint=False)
@@ -539,12 +546,7 @@ def _warped_rectangle(delta0: float, epsilon0: float, center: tuple,
     come from the exact arctan antiderivative of 1/(x^2 + c^2).  Returns
     (times, deltas, epsilons) knot arrays.
     """
-    cd, ce = float(center[0]), float(center[1])
-    corners = np.array([[cd + delta0, ce + epsilon0],
-                        [cd - delta0, ce + epsilon0],
-                        [cd - delta0, ce - epsilon0],
-                        [cd + delta0, ce - epsilon0],
-                        [cd + delta0, ce + epsilon0]])
+    corners = rectangle_corners(delta0, epsilon0, center)
     for k in range(4):
         if _segment_origin_distance(corners[k], corners[k + 1]) < 1e-9:
             raise GeometryError("loop boundary passes through the degeneracy")
@@ -721,6 +723,17 @@ class CelestialConfig:
 
 def kepler_period(cfg: CelestialConfig) -> float:
     return TWO_PI * math.sqrt(cfg.r_earth ** 3 / (cfg.g_const * cfg.m_sun))
+
+
+def adiabatic_periods(cfg: CelestialConfig) -> tuple[float, float]:
+    """(t_jupiter, t_earth), once the perturber is checked slow enough for
+    the adiabatic reading: t_jupiter >= 5 t_earth, which the default
+    Kepler period meets for r_jupiter above 5^(2/3) r_earth, about 2.92.
+    Raises ValueError otherwise."""
+    t_j, t_e = cfg.jupiter_period, kepler_period(cfg)
+    if t_j < 5.0 * t_e:
+        raise ValueError("adiabatic regime requires t_jupiter >= 5 t_earth")
+    return t_j, t_e
 
 
 def force_ratio(cfg: CelestialConfig) -> float:
@@ -1077,10 +1090,7 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, n_periods: float = 1.0,
     Raises QuadratureError when the residual fails to stabilize under
     tolerance refinement.
     """
-    t_j = cfg.jupiter_period
-    t_e = kepler_period(cfg)
-    if t_j < 5.0 * t_e:
-        raise ValueError("adiabatic regime requires t_jupiter >= 5 t_earth")
+    t_j, t_e = adiabatic_periods(cfg)
     omega_j = TWO_PI / t_j
     t_max = n_periods * t_j + 1.5 * t_e
 

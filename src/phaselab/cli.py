@@ -127,25 +127,27 @@ def _resolve_root(cli_out, raw) -> Path:
 # ---------------------------------------------------------------------------
 # output files
 
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+_CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(path: Path, columns) -> None:
-    """Header line, units line, then rows at 17 significant digits."""
+    """Header line, units line, then rows at 17 significant digits.
+
+    Each row is one %-template built from the column dtypes (floats at
+    %.17g, integers at %d, anything else as str), formatted a block of
+    rows at a time."""
     arrays = [np.asarray(col[2]) for col in columns]
     length = len(arrays[0])
     if any(len(a) != length for a in arrays):
         raise PhaseLabError("csv columns of unequal length")
-    lines = [",".join(col[0] for col in columns),
-             ",".join(col[1] for col in columns)]
-    for i in range(length):
-        lines.append(",".join(_format_cell(a[i]) for a in arrays))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    row = ",".join(_CSV_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
+    with path.open("w", newline="\n") as out:
+        out.write(",".join(col[0] for col in columns) + "\n"
+                  + ",".join(col[1] for col in columns) + "\n")
+        for start in range(0, length, _CSV_BLOCK_ROWS):
+            block = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
+            out.write("".join(row % cells for cells in zip(*block)))
 
 
 def _sha256(path: Path) -> str:

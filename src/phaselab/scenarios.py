@@ -587,6 +587,11 @@ def _run_two_level_sweep(pairs, seed, emit):
     return results, checks
 
 
+def _prepare_rect_loop(p):
+    analogs.rectangle_corners(p["delta0"], p["epsilon0"])
+    return p
+
+
 def _run_rect_loop(p, seed, emit):
     loop = analogs.rectangular_loop_phase(
         p["epsilon0"], p["delta0"], adiabaticity=p["adiabaticity"],
@@ -631,6 +636,12 @@ def _prepare_celestial(p):
                                   r_jupiter=p["r_jupiter"],
                                   eccentricity=p["eccentricity"])
     return cfg, analogs.frozen_grid_angles(p["nodes"])
+
+
+def _prepare_celestial_residual(p):
+    cfg, phis = _prepare_celestial(p)
+    analogs.adiabatic_periods(cfg)
+    return cfg, phis, p["phi0"]
 
 
 def _run_celestial_frozen(inputs, seed, emit):
@@ -835,7 +846,7 @@ def _scenario_table() -> dict:
              "epsilon0": Parameter(0.5, "energy", f),
              "adiabaticity": Parameter(1e-3, "dimensionless", f),
              "transport_step": Parameter(0.01, "1/energy", f)},
-            _run_rect_loop),
+            _run_rect_loop, _prepare_rect_loop),
         Scenario(
             "celestial-frozen",
             "Radial period of a planet with the outer perturber frozen at "
@@ -854,8 +865,7 @@ def _scenario_table() -> dict:
              "eccentricity": Parameter(0.05, "dimensionless", f),
              "phi0": Parameter(0.0, "radians", f),
              "nodes": Parameter(32, "count", i)},
-            _run_celestial_residual,
-            lambda p: (*_prepare_celestial(p), p["phi0"])),
+            _run_celestial_residual, _prepare_celestial_residual),
         Scenario(
             "monopole-angmom",
             "Field angular momentum of a charge and a magnetic pole: one "

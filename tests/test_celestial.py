@@ -222,3 +222,13 @@ class TestAdiabaticResidual:
         cfg = CelestialConfig(m_jupiter=1e-3, r_jupiter=5.2, t_jupiter=10.0)
         with pytest.raises(ValueError):
             analogs.celestial_adiabatic_residual(cfg)
+
+    def test_regime_edge_in_r_jupiter(self):
+        # Kepler's third law puts t_jupiter = 5 t_earth at r = 5^(2/3)
+        edge = 5.0 ** (2.0 / 3.0)
+        t_j, t_e = analogs.adiabatic_periods(
+            CelestialConfig(m_jupiter=1e-3, r_jupiter=1.001 * edge))
+        assert t_j == pytest.approx(5.0 * t_e, rel=2e-3)
+        with pytest.raises(ValueError, match="adiabatic regime"):
+            analogs.adiabatic_periods(
+                CelestialConfig(m_jupiter=1e-3, r_jupiter=0.999 * edge))

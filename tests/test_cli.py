@@ -12,6 +12,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,7 +178,10 @@ class TestConfigRejection:
                 ("berry-wilson-sweep", {"amplitude": -1}),
                 ("berry-wilson-sweep", {"factor": 0}),
                 ("ab-electric", {"localization_fraction": 0}),
-                ("ab-electric", {"localization_fraction": -0.25})):
+                ("ab-electric", {"localization_fraction": -0.25}),
+                ("rect-loop", {"delta0": 0}),
+                ("rect-loop", {"epsilon0": -0.5}),
+                ("celestial-residual", {"r_jupiter": 2.5})):
             code, out, cap = run_cli(tmp_path, capsys, scenario,
                                      parameters=parameters)
             assert code == 2, f"{parameters!r} accepted"
@@ -418,6 +422,46 @@ class TestSuccessArtifacts:
             assert len(cells) == len(header)
             for cell in cells:
                 float(cell)
+
+
+class TestCsvWriter:
+    @staticmethod
+    def reference(columns):
+        # one cell at a time: floats at %.17g, anything else as str
+        def cell(value):
+            if isinstance(value, np.floating):
+                return "%.17g" % float(value)
+            return str(value)
+        arrays = [np.asarray(col[2]) for col in columns]
+        lines = [",".join(col[0] for col in columns),
+                 ",".join(col[1] for col in columns)]
+        lines += [",".join(cell(a[i]) for a in arrays)
+                  for i in range(len(arrays[0]))]
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_cells_match_the_per_cell_format(self, tmp_path):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1,
+                  1.0 / 3.0, 2.0 ** 60]
+        n = len(floats)
+        for columns in (
+                [("x", "length", np.array(floats)),
+                 ("k", "count", np.arange(-3, n - 3)),
+                 ("big", "count", np.full(n, 2 ** 62, dtype=np.int64)),
+                 ("u", "count", np.arange(n, dtype=np.uint8)),
+                 ("f32", "length", np.linspace(0, 1, n, dtype=np.float32)),
+                 ("ok", "flag", np.arange(n) % 3 == 0),
+                 ("label", "name", [f"case {k}" for k in range(n)])],
+                [("x", "length", np.zeros(0)), ("k", "count", [])],
+                [("t", "time", np.linspace(0.0, 1.0, 2 * 4096 + 3)),
+                 ("step", "count", np.arange(2 * 4096 + 3))]):
+            path = tmp_path / "table.csv"
+            cli._write_csv(path, columns)
+            assert path.read_bytes() == self.reference(columns)
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(cli.PhaseLabError, match="unequal length"):
+            cli._write_csv(tmp_path / "table.csv",
+                           [("a", "1", [1.0, 2.0]), ("b", "1", [1.0])])
 
 
 class TestDeterminism:

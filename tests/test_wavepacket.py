@@ -176,6 +176,54 @@ class TestClosedForms:
         assert np.linalg.norm(step - explicit) <= 1e-12 * np.linalg.norm(explicit)
 
 
+def cn_tridiagonal(n, strength, dt=0.01, length=1000.0, m=1.0):
+    """Off-diagonal and diagonal of I + i dt H / 2 on the scenario's box,
+    with a barrier of the given strength on the middle cell."""
+    dx = length / (n + 1)
+    kin = 1.0 / (2.0 * m * dx * dx)
+    pot = np.zeros(n)
+    pot[n // 2] = strength / dx
+    off = np.full(n - 1, -0.5j * dt * kin)
+    return pot, kin, dt, off, 1.0 + 0.5j * dt * (2.0 * kin + pot)
+
+
+class TestLdltSolve:
+    """The solve relies on zgttrf never swapping rows of the CN matrix."""
+
+    @pytest.mark.parametrize("n", [64, 257, 3200])
+    @pytest.mark.parametrize("strength", [0.0, 3.0, 1e6])
+    def test_factor_swaps_no_rows(self, n, strength):
+        from scipy.linalg.lapack import zgttrf
+        *_, off, diag = cn_tridiagonal(n, strength)
+        *_, ipiv, info = zgttrf(off, diag, off)
+        assert info == 0
+        assert np.array_equal(ipiv, np.arange(1, n + 1))
+
+    @pytest.mark.parametrize("n", [64, 257, 3200])
+    @pytest.mark.parametrize("strength", [0.0, 3.0, 1e6])
+    def test_solve_matches_general_tridiagonal_solve(self, n, strength):
+        from scipy.linalg.lapack import zgttrf, zgttrs
+        pot, kin, dt, off, diag = cn_tridiagonal(n, strength)
+        *factors, _ = zgttrf(off, diag, off)
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        before = psi.copy()
+        reference = zgttrs(*factors, psi)[0]
+        mid = scattering._cn_midpoint_solver(pot, kin, dt)(psi)
+        assert np.array_equal(psi, before)
+        assert np.linalg.norm(mid - reference) <= \
+            1e-14 * np.linalg.norm(reference)
+
+    def test_row_swap_on_a_finite_diagonal_is_refused(self):
+        # a well of depth kin on one cell breaks the diagonal dominance
+        # that no barrier of strength >= 0 can break; zgttrf swaps there
+        kin = 1e4
+        pot = np.zeros(64)
+        pot[32] = -kin
+        with pytest.raises(StabilityError, match="swapped rows"):
+            scattering._cn_midpoint_solver(pot, kin, 0.01)
+
+
 class TestRunErrors:
     def test_far_wall_reached(self):
         # the reflected front crosses x = 57 about 48 time units in,
