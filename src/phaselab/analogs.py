@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DynamicsError, GeometryError, IntegratorError,
-                     QuadratureError, RegimeWarning)
+                     QuadratureError, RegimeWarning, ResolutionError)
 from . import berry
 from .qcore import (HamiltonianSchedule, StateVector, evolve_with_energy,
                     instantaneous_eigensystem, wrap_angle)
@@ -462,6 +462,14 @@ class ConversionReport:
     lz_deviation: float | None
 
 
+def two_level_step(s: TwoLevelSweep, step_scale: float = 0.04) -> float:
+    """Propagator step of two_level_sweep: step_scale over the largest
+    coefficient of H at the ends of the sweep."""
+    h_scale = max(abs(s.detuning(0.0)), abs(s.detuning(s.duration)),
+                  s.epsilon, 1e-12)
+    return step_scale / h_scale
+
+
 def two_level_sweep(s: TwoLevelSweep, step_scale: float = 0.04) -> ConversionReport:
     """Evolve the ground-flavor state through the sweep; report conversion.
 
@@ -476,11 +484,9 @@ def two_level_sweep(s: TwoLevelSweep, step_scale: float = 0.04) -> ConversionRep
     eps = s.epsilon
     sched = HamiltonianSchedule(lambda t: (0.0, eps, 0.0, s.detuning(t)),
                                 s.duration)
-    h_scale = max(abs(s.detuning(0.0)), abs(s.detuning(s.duration)), eps, 1e-12)
-    step = step_scale / h_scale
     psi0 = StateVector(
         instantaneous_eigensystem(sched.operator(0.0)).vectors[:, 0])
-    final, _ = evolve_with_energy(sched, psi0, step)
+    final, _ = evolve_with_energy(sched, psi0, two_level_step(s, step_scale))
     ground_end = instantaneous_eigensystem(
         sched.operator(s.duration)).vectors[:, 0]
     conversion = float(abs(np.vdot(ground_end, final.amplitudes)) ** 2)
@@ -536,21 +542,42 @@ def _segment_origin_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(p + t * d))
 
 
-def _warped_rectangle(delta0: float, epsilon0: float, center: tuple,
-                      mu: float, knots_per_edge: int = 2000):
-    """Time table for traversing the rectangle at speed mu * gap^2.
+def rectangle_transport(delta0: float, epsilon0: float,
+                        center: tuple = (0.0, 0.0), samples: int = 2000,
+                        adiabaticity: float = 1e-3, transport_step: float = 0.01,
+                        knots_per_edge: int = 2000):
+    """Time table for traversing the rectangle at speed mu * gap^2, with mu
+    the adiabaticity, and the propagator steps the transport takes on it.
 
     gap^2 means 4 (delta^2 + epsilon^2), the squared level splitting, so the
     local adiabaticity parameter speed/gap^2 is held constant at mu: slow
     through the resonance crossings, fast in the far wings.  Per-edge times
     come from the exact arctan antiderivative of 1/(x^2 + c^2).  Returns
-    (times, deltas, epsilons) knot arrays.
-    """
-    corners = rectangle_corners(delta0, epsilon0, center)
-    for k in range(4):
-        if _segment_origin_distance(corners[k], corners[k + 1]) < 1e-9:
-            raise GeometryError("loop boundary passes through the degeneracy")
+    (times, deltas, epsilons, steps): knot arrays and duration /
+    transport_step.
 
+    Raises ValueError unless adiabaticity and transport_step are positive
+    (and for the corners, rectangle_corners), GeometryError when the
+    boundary passes through the degeneracy, and ResolutionError when the
+    loop's samples lie further apart than sqrt(3) times its distance from
+    the degeneracy: only then can neighbouring band states of the Wilson
+    loop turn by more than 120 degrees (overlap below 0.5).
+    """
+    if not adiabaticity > 0.0:
+        raise ValueError(f"adiabaticity must be positive, got {adiabaticity!r}")
+    if not transport_step > 0.0:
+        raise ValueError(
+            f"transport_step must be positive, got {transport_step!r}")
+    corners = rectangle_corners(delta0, epsilon0, center)
+    clearance = min(_segment_origin_distance(corners[k], corners[k + 1])
+                    for k in range(4))
+    if clearance < 1e-9:
+        raise GeometryError("loop boundary passes through the degeneracy")
+    if 4.0 * (delta0 + epsilon0) / samples > math.sqrt(3.0) * clearance:
+        raise ResolutionError("loop samples lie further apart than sqrt(3) "
+                              "times the loop's distance from the degeneracy")
+
+    mu = adiabaticity
     ts = [np.array([0.0])]
     ds = [np.array([corners[0, 0]])]
     es = [np.array([corners[0, 1]])]
@@ -577,7 +604,8 @@ def _warped_rectangle(delta0: float, epsilon0: float, center: tuple,
             es.append(xs)
         ts.append(tk)
         t0 = float(tk[-1])
-    return np.concatenate(ts), np.concatenate(ds), np.concatenate(es)
+    return (np.concatenate(ts), np.concatenate(ds), np.concatenate(es),
+            t0 / transport_step)
 
 
 def _winding(path: np.ndarray) -> int:
@@ -594,16 +622,12 @@ class RectangleLoop:
     (sweep through resonance plus coupling-sign flip, applied twice).
     half_loop_square_deviation is || psi_final * exp(+i int E dt)
     - (-1)^winding psi_0 ||, the distance from the transposition-squared
-    prediction after dynamical-phase removal.  transposition_fidelity is the
-    overlap modulus of the midpoint state with the instantaneous ground
-    state there.
+    prediction after dynamical-phase removal.
     """
 
     wilson_phase: float
     winding: int
     half_loop_geometric: float
-    half_loop_overlap: float
-    transposition_fidelity: float
     half_loop_square_deviation: float
     transport_duration: float
 
@@ -633,8 +657,8 @@ def rectangular_loop_phase(epsilon0: float, delta0: float, samples: int = 2000,
     winding = _winding(path)
 
     knots = 2000
-    times, dk, ek = _warped_rectangle(delta0, epsilon0, center, adiabaticity,
-                                      knots)
+    times, dk, ek, _ = rectangle_transport(delta0, epsilon0, center, samples,
+                                           adiabaticity, transport_step, knots)
     t_half = float(times[2 * knots])
     t_full = float(times[-1])
 
@@ -647,20 +671,15 @@ def rectangular_loop_phase(epsilon0: float, delta0: float, samples: int = 2000,
     psi0 = StateVector(
         instantaneous_eigensystem(sched_a.operator(0.0)).vectors[:, 0])
     mid, energy_a = evolve_with_energy(sched_a, psi0, transport_step)
-    ground_mid = instantaneous_eigensystem(sched_b.operator(0.0)).vectors[:, 0]
-    fidelity = float(abs(np.vdot(ground_mid, mid.amplitudes)))
     final, energy_b = evolve_with_energy(sched_b, mid, transport_step)
 
     energy = energy_a + energy_b
-    overlap = complex(np.vdot(psi0.amplitudes, final.amplitudes))
-    geometric = wrap_angle(np.angle(overlap) + energy)
+    geometric = wrap_angle(np.angle(psi0.overlap(final)) + energy)
     corrected = final.amplitudes * np.exp(1j * energy)
     target = psi0.amplitudes if winding % 2 == 0 else -psi0.amplitudes
     deviation = float(np.linalg.norm(corrected - target))
     return RectangleLoop(wilson_phase=wilson, winding=winding,
                          half_loop_geometric=geometric,
-                         half_loop_overlap=float(abs(overlap)),
-                         transposition_fidelity=fidelity,
                          half_loop_square_deviation=deviation,
                          transport_duration=t_full)
 
@@ -996,29 +1015,6 @@ def frozen_period_grid(cfg: CelestialConfig, nodes: int = 32,
     """
     phis = frozen_grid_angles(nodes)
     return phis, celestial_frozen_period(cfg, phis, rtol, atol, orbits)
-
-
-def orbit_conservation(cfg: CelestialConfig, orbits: float = 100.0,
-                       rtol: float = 1e-12, atol: float = 1e-13,
-                       samples: int = 2000) -> tuple[float, float]:
-    """Worst relative drift of (energy, angular momentum) along the orbit.
-
-    Meaningful as a conservation check only with the perturber removed;
-    with m_jupiter > 0 the returned numbers include the real physical
-    exchange with the moving perturber, not integrator error.
-    """
-    t_max = orbits * kepler_period(cfg)
-    omega_j = TWO_PI / cfg.jupiter_period
-    ang = (lambda t: omega_j * t) if cfg.m_jupiter > 0.0 else None
-    sol = _integrate(cfg, ang, t_max, rtol, atol)
-    ts = np.linspace(0.0, t_max, samples)
-    x, z, vx, vz = sol.sol(ts)
-    mu = cfg.g_const * cfg.m_sun
-    energy = 0.5 * (vx * vx + vz * vz) - mu / np.hypot(x, z)
-    angmom = x * vz - z * vx
-    e_drift = float(np.abs(energy - energy[0]).max() / abs(energy[0]))
-    l_drift = float(np.abs(angmom - angmom[0]).max() / abs(angmom[0]))
-    return e_drift, l_drift
 
 
 def _trig_series_integral(values: np.ndarray, phi0: float, omega: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import DegeneracyError, QuadratureError, RegimeError, ResolutionError
+from .errors import DegeneracyError, QuadratureError, ResolutionError
 
 
 def latitude_directions(colatitude: float, samples: int) -> np.ndarray:
@@ -132,42 +132,6 @@ def cyclic_phase_decomposition(amplitude: float, colatitude: float, period: floa
     schedule = spin_rotation_schedule(amplitude, colatitude, period)
     psi0 = qcore.ground_state(schedule.operator(0.0))
     return qcore.phase_decompose(schedule, psi0, step)
-
-
-@dataclass(frozen=True)
-class RotatingFrameCone:
-    """Slow-sweep corrections from the co-rotating frame, to leading order.
-
-    For an equatorial sweep at angular velocity w under field amplitude A
-    the dressed axis tilts out of the equator: the ground state picks up
-    sigma3_expectation = w / (2A) in magnitude, the swept cone loses
-    cone_deficit = w / A of polar opening, and the cycle's geometric phase
-    stays pi to this order.
-    """
-
-    amplitude: float
-    angular_velocity: float
-    sigma3_expectation: float
-    cone_deficit: float
-    accumulated_phase: float
-
-
-def rotating_frame_analysis(amplitude: float, angular_velocity: float) -> RotatingFrameCone:
-    """Leading-order dressed-state tilt for an equatorial field sweep.
-
-    Valid only well inside the adiabatic regime; w/A >= 0.5 raises
-    RegimeError since the expansion in w/(2A) has broken down there.
-    """
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
-    ratio = angular_velocity / amplitude
-    if abs(ratio) >= 0.5:
-        raise RegimeError(f"w/A = {ratio:.3f} is outside the slow-sweep regime")
-    return RotatingFrameCone(amplitude=amplitude,
-                             angular_velocity=angular_velocity,
-                             sigma3_expectation=0.5 * ratio,
-                             cone_deficit=ratio,
-                             accumulated_phase=math.pi)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class DegeneracyError(PhaseLabError):
         self.index = index
 
 
-class RegimeError(PhaseLabError):
-    """Parameters fall outside the validity regime of a closed-form result."""
-
-
 class RegimeWarning(UserWarning):
     """Parameters are near the edge of a derivation's validity regime."""
 

@@ -27,7 +27,6 @@ from .errors import CyclicityError, ScheduleError
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA_1, SIGMA_2, SIGMA_3)
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -52,12 +51,6 @@ def circle_distance(a: float, b: float) -> float:
     return abs(wrap_angle(float(a) - float(b)))
 
 
-def pauli_vector(coefficients: Sequence[float]) -> np.ndarray:
-    """Return c1*sigma1 + c2*sigma2 + c3*sigma3 for real coefficients."""
-    c1, c2, c3 = (float(c) for c in coefficients)
-    return np.array([[c3, c1 - 1j * c2], [c1 + 1j * c2, -c3]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex state vector (norm 1 within 1e-12)."""
@@ -74,18 +67,6 @@ class StateVector:
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def normalized(cls, values) -> "StateVector":
-        vec = np.asarray(values, dtype=complex)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(vec / norm)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
@@ -222,25 +203,21 @@ def ground_state(operator) -> StateVector:
     return StateVector(eig.vectors[:, 0])
 
 
-def expectation(operator, state: StateVector) -> float:
-    """Real expectation value <psi|O|psi> of a Hermitian operator."""
-    mat = _coerce_hermitian(operator, "expectation input")
-    amp = state.amplitudes
-    return float(np.vdot(amp, mat @ amp).real)
-
-
 @dataclass(frozen=True)
 class PhaseDecomposition:
     """Total/dynamical/geometric phase split of a cyclic evolution.
 
     geometric is (total - dynamical) reduced to (-pi, pi]; total is the
     argument of the final overlap, dynamical is -integral of <psi|H|psi> dt.
+    sigma3_mean is the time average of <psi|sigma3|psi> on the same midpoint
+    grid (nan for a run of zero length).
     """
 
     total: float
     dynamical: float
     geometric: float
     overlap_modulus: float
+    sigma3_mean: float
 
     def __post_init__(self):
         if circle_distance(self.geometric, self.total - self.dynamical) > 1e-9:
@@ -256,8 +233,7 @@ def _step_count(duration: float, step: float) -> tuple[int, float]:
     return n, duration / n
 
 
-def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float,
-               sample_every: int = 0):
+def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float):
     """March psi0 through the schedule with the midpoint-exponential rule.
 
     Step k applies exp(-i H(t_k) dt) at the midpoint t_k = (k + 1/2) dt, in
@@ -267,23 +243,17 @@ def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float,
     2-component state update is a Python loop.  Memory is bounded by the
     chunk, not by the step count.
 
-    Returns (final, energy, times, states).  energy is the integral of
-    <psi|H|psi> dt on the same midpoint grid: H is frozen within a step, so
-    <psi|H|psi> taken with the step's starting state already is the
-    midpoint-rule sample.  times/states hold the state after every
-    sample_every-th step (step 0 is psi0), and are empty for sample_every 0.
+    Returns (final, energy, sigma3): the integrals of <psi|H|psi> dt and of
+    <psi|sigma3|psi> dt on the same midpoint grid.  H is frozen within a
+    step, so <psi|H|psi> taken with the step's starting state already is the
+    midpoint-rule sample.
     """
     if psi0.size != 2:
         raise ValueError(f"propagation needs a 2-level state, got {psi0.size}")
     n, dt = _step_count(schedule.duration, step)
-    energy = 0.0
+    energy = sigma3 = 0.0
     p0 = complex(psi0[0])
     p1 = complex(psi0[1])
-    times: list[float] = []
-    states: list[tuple[complex, complex]] = []
-    if sample_every:
-        times.append(0.0)
-        states.append((p0, p1))
     for first in range(0, n, _CHUNK):
         k = np.arange(first, min(first + _CHUNK, n))
         c0, a1, a2, a3 = _coefficients(schedule, (k + 0.5) * dt)
@@ -295,56 +265,34 @@ def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float,
         u01 = phase * (-1j * s) * (a1 - 1j * a2)
         u10 = phase * (-1j * s) * (a1 + 1j * a2)
         u11 = phase * (c + 1j * s * a3)
-        q0 = [p0]
-        q1 = [p1]
+        # each step's starting amplitudes
+        b0 = []
+        b1 = []
         for v00, v01, v10, v11 in zip(u00.tolist(), u01.tolist(),
                                       u10.tolist(), u11.tolist()):
+            b0.append(p0)
+            b1.append(p1)
             p0, p1 = v00 * p0 + v01 * p1, v10 * p0 + v11 * p1
-            q0.append(p0)
-            q1.append(p1)
-        q0 = np.array(q0)
-        q1 = np.array(q1)
-        b0 = q0[:-1]
-        b1 = q1[:-1]
+        b0 = np.array(b0)
+        b1 = np.array(b1)
+        n0 = b0.real * b0.real + b0.imag * b0.imag
+        n1 = b1.real * b1.real + b1.imag * b1.imag
         energy += dt * float(np.sum(
-            (c0 + a3) * (b0.real * b0.real + b0.imag * b0.imag)
-            + (c0 - a3) * (b1.real * b1.real + b1.imag * b1.imag)
+            (c0 + a3) * n0 + (c0 - a3) * n1
             + 2.0 * ((a1 - 1j * a2) * b1 * b0.conj()).real))
-        if sample_every:
-            done = k + 1
-            kept = np.flatnonzero(done % sample_every == 0)
-            times.extend((done[kept] * dt).tolist())
-            states.extend(zip(q0[kept + 1].tolist(), q1[kept + 1].tolist()))
-    return np.array([p0, p1]), energy, times, states
-
-
-def evolve(schedule: HamiltonianSchedule, psi0: StateVector, step: float) -> StateVector:
-    """Propagate psi0 to t = duration with the norm-preserving midpoint rule.
-
-    The step should resolve the Hamiltonian: step * max ||H|| < 0.1.
-    """
-    final, _, _, _ = _propagate(schedule, psi0.amplitudes, step)
-    return StateVector(final)
+        sigma3 += dt * float(np.sum(n0 - n1))
+    return np.array([p0, p1]), energy, sigma3
 
 
 def evolve_with_energy(schedule: HamiltonianSchedule, psi0: StateVector,
                        step: float) -> tuple[StateVector, float]:
-    """Like evolve, additionally returning the integral of <psi|H|psi> dt."""
-    final, energy, _, _ = _propagate(schedule, psi0.amplitudes, step)
+    """Propagate psi0 to t = duration with the norm-preserving midpoint rule,
+    returning the final state and the integral of <psi|H|psi> dt.
+
+    The step should resolve the Hamiltonian: step * max ||H|| < 0.1.
+    """
+    final, energy, _ = _propagate(schedule, psi0.amplitudes, step)
     return StateVector(final), energy
-
-
-def evolve_trajectory(schedule: HamiltonianSchedule, psi0: StateVector, step: float,
-                      sample_every: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate and record (times, states); row 0 is the initial state."""
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    final, _, times, states = _propagate(schedule, psi0.amplitudes, step,
-                                         sample_every)
-    if times[-1] != schedule.duration and schedule.duration > 0.0:
-        times.append(schedule.duration)
-        states.append(tuple(final))
-    return np.asarray(times), np.asarray(states)
 
 
 def phase_decompose(schedule: HamiltonianSchedule, psi0: StateVector,
@@ -354,7 +302,7 @@ def phase_decompose(schedule: HamiltonianSchedule, psi0: StateVector,
     Raises CyclicityError (carrying the overlap modulus) when the final state
     has wandered off the initial ray, |<psi0|psi(T)>| < 0.99.
     """
-    final, energy, _, _ = _propagate(schedule, psi0.amplitudes, step)
+    final, energy, sigma3 = _propagate(schedule, psi0.amplitudes, step)
     ov = complex(np.vdot(psi0.amplitudes, final))
     modulus = abs(ov)
     if modulus < _CYCLIC_OVERLAP:
@@ -365,4 +313,6 @@ def phase_decompose(schedule: HamiltonianSchedule, psi0: StateVector,
     dynamical = -energy
     return PhaseDecomposition(total=total, dynamical=dynamical,
                               geometric=wrap_angle(total - dynamical),
-                              overlap_modulus=modulus)
+                              overlap_modulus=modulus,
+                              sigma3_mean=(sigma3 / schedule.duration
+                                           if schedule.duration else math.nan))

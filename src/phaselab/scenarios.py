@@ -35,6 +35,12 @@ WAVEPACKET_DT = 0.01        # Crank-Nicolson time step
 DUALITY_DRAWS = 1000        # random capacitor settings
 CONSERVATION_TIME = 200.0   # frozen-length pendulum control run
 
+# Work cap on the 2x2 propagator: a scenario whose runs would take more steps
+# in all (about 0.9 us each on a 2-vCPU machine, so 1e7 is about 9 s) is a
+# config error.  The catalog takes 9,800 steps per two-level pair and about
+# 306,000 for the two rect-loop transports.
+MAX_PROPAGATOR_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class Parameter:
@@ -74,6 +80,14 @@ def _positive_list(text: str) -> list[float]:
     if min(values) <= 0.0:
         raise ValueError("list entries must be positive")
     return values
+
+
+def _check_step_cap(steps: float) -> None:
+    """Raise ValueError when a run needs more than MAX_PROPAGATOR_STEPS
+    propagator steps (an overflowing or undefined count included)."""
+    if not steps <= MAX_PROPAGATOR_STEPS:
+        raise ValueError(f"the run needs {steps:.3g} propagator steps, above "
+                         f"the cap of {MAX_PROPAGATOR_STEPS:.0e}")
 
 
 def _pair_list(text: str) -> list[tuple[float, float]]:
@@ -121,11 +135,16 @@ def _run_berry_equator(p, seed, emit):
         "wilson_phase": wilson,
         "geometric_deviation": geo_dev,
         "wilson_deviation": wil_dev,
+        "sigma3_mean": dec.sigma3_mean,
     }
+    # leading slow-sweep tilt of the dressed axis out of the equator
+    ratio = p["wobble"] / p["amplitude"]
     checks = [
         ("dynamical geometric phase within 0.05 of pi", geo_dev <= 0.05),
         ("wilson phase within 1e-3 of pi", wil_dev <= 1e-3),
         ("evolution stayed cyclic", dec.overlap_modulus >= 0.99),
+        ("mean sigma3 within 2(w/A)^2 of the rotating-frame tilt w/2A",
+         abs(dec.sigma3_mean - 0.5 * ratio) < 2.0 * ratio * ratio),
     ]
     return results, checks
 
@@ -555,15 +574,29 @@ def _run_pendulum_msw(inputs, seed, emit):
     return results, checks
 
 
-def _run_two_level_sweep(pairs, seed, emit):
+def _prepare_two_level_sweep(p):
+    """One linear sweep per (eps, rate) pair and the closed-gap sweep at the
+    first rate, once their propagator steps fit the cap."""
+    pairs = _pair_list(p["pairs"])
+    sweeps = [analogs.linear_two_level_sweep(eps, rate) for eps, rate in pairs]
+    crossing = analogs.linear_two_level_sweep(0.0, pairs[0][1])
+    _check_step_cap(sum(s.duration / analogs.two_level_step(s)
+                        for s in sweeps + [crossing]))
+    return sweeps, crossing
+
+
+def _run_two_level_sweep(inputs, seed, emit):
+    sweeps, crossing = inputs
     rows = []
     worst = 0.0
-    for eps, rate in pairs:
-        sweep = analogs.linear_two_level_sweep(eps, rate)
+    for sweep in sweeps:
         rep = analogs.two_level_sweep(sweep)
-        rel = abs(rep.conversion - rep.lz_conversion) / rep.lz_conversion
+        # total: a Landau-Zener value that rounds to 0 reads inf (0 when
+        # nothing converts either)
+        rel = _z_score(rep.conversion - rep.lz_conversion, rep.lz_conversion)
         worst = max(worst, rel)
-        rows.append((eps, rate, rep.conversion, rep.lz_conversion, rel))
+        rows.append((sweep.epsilon, sweep.sweep_rate, rep.conversion,
+                     rep.lz_conversion, rel))
     table = np.array(rows)
     emit("conversion.csv",
          [("epsilon", "energy", table[:, 0]),
@@ -572,10 +605,9 @@ def _run_two_level_sweep(pairs, seed, emit):
           ("landau_zener", "probability", table[:, 3]),
           ("relative_deviation", "dimensionless", table[:, 4])])
 
-    crossing = analogs.linear_two_level_sweep(0.0, pairs[0][1])
     closed_gap = analogs.two_level_sweep(crossing)
     results = {
-        "pair_count": len(pairs),
+        "pair_count": len(sweeps),
         "worst_relative_deviation": worst,
         "closed_gap_conversion": closed_gap.conversion,
     }
@@ -588,21 +620,25 @@ def _run_two_level_sweep(pairs, seed, emit):
 
 
 def _prepare_rect_loop(p):
-    analogs.rectangle_corners(p["delta0"], p["epsilon0"])
-    return p
+    """The params, the shifted center 3 delta0 and the enclosing loop's
+    transport table, once both loops' transports fit the step cap."""
+    shifted = (3.0 * p["delta0"], 0.0)
+    tables = [analogs.rectangle_transport(
+        p["delta0"], p["epsilon0"], center, adiabaticity=p["adiabaticity"],
+        transport_step=p["transport_step"]) for center in ((0.0, 0.0), shifted)]
+    _check_step_cap(tables[0][3] + tables[1][3])
+    return dict(p, shifted=shifted, path=tables[0][:3])
 
 
 def _run_rect_loop(p, seed, emit):
     loop = analogs.rectangular_loop_phase(
         p["epsilon0"], p["delta0"], adiabaticity=p["adiabaticity"],
         transport_step=p["transport_step"])
-    shift = 3.0 * p["delta0"]
     moved = analogs.rectangular_loop_phase(
-        p["epsilon0"], p["delta0"], center=(shift, 0.0),
+        p["epsilon0"], p["delta0"], center=p["shifted"],
         adiabaticity=p["adiabaticity"], transport_step=p["transport_step"])
 
-    times, deltas, epsilons = analogs._warped_rectangle(
-        p["delta0"], p["epsilon0"], (0.0, 0.0), p["adiabaticity"])
+    times, deltas, epsilons = p["path"]
     stride = max(1, len(times) // 2000)
     emit("transport_path.csv",
          [("time", "1/energy", times[::stride]),
@@ -750,7 +786,8 @@ def _scenario_table() -> dict:
         Scenario(
             "berry-equator",
             "Sweep a spin around the equator slowly and split off the "
-            "geometric half-sphere phase; cross-check with the Wilson loop.",
+            "geometric half-sphere phase; cross-check with the Wilson loop "
+            "and the w/2A tilt of the mean sigma3.",
             {"amplitude": Parameter(1.0, "energy", f),
              "wobble": Parameter(0.005, "1/time", f)},
             _run_berry_equator, _prepare_berry_sweep),
@@ -836,7 +873,7 @@ def _scenario_table() -> dict:
             "Landau-Zener conversion formula.",
             {"pairs": Parameter("0.5:1.0,0.4:0.8,0.4:0.4,0.3:0.5,0.75:0.8",
                                 "energy:energy^2", s)},
-            _run_two_level_sweep, lambda p: _pair_list(p["pairs"])),
+            _run_two_level_sweep, _prepare_two_level_sweep),
         Scenario(
             "rect-loop",
             "Rectangular detuning-coupling circuit: Wilson phase pi when "

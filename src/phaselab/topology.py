@@ -46,18 +46,6 @@ class Curve3D:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def from_function(cls, fn: Callable[[float], object], samples: int) -> "Curve3D":
-        """Sample fn on [0, 1]; fn(1) must return to fn(0) within 1e-9."""
-        if samples < 8:
-            raise ValueError("need at least 8 samples")
-        pts = np.array([np.asarray(fn(t), dtype=float)
-                        for t in np.linspace(0.0, 1.0, samples + 1)])
-        if np.linalg.norm(pts[0] - pts[-1]) > 1e-9:
-            raise ValueError("fn does not close the loop")
-        pts[-1] = pts[0]
-        return cls(pts)
-
-    @classmethod
     def circle(cls, center, radius: float, normal, samples: int = 200,
                turns: int = 1) -> "Curve3D":
         """Planar circle (optionally wound several turns) about an axis."""
@@ -77,10 +65,6 @@ class Curve3D:
                + radius * np.sin(ang)[:, None] * v[None, :])
         pts[-1] = pts[0]
         return cls(pts)
-
-    @property
-    def segment_count(self) -> int:
-        return self.points.shape[0] - 1
 
     def reversed(self) -> "Curve3D":
         return Curve3D(self.points[::-1])

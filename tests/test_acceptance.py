@@ -1,8 +1,11 @@
 """Acceptance gate: every headline claim of the laboratory, one test each.
 
-Each test re-derives its claim end to end at the stated tolerance and
-prints a single ``PASS criterion N`` line (visible under ``pytest -s``).
-A failure here means a physics claim broke, not a unit regressed.
+Each test asserts at the stated tolerance on what the scenarios compute at
+their catalog defaults (the session fixture ``scenario`` in conftest.py runs
+each one once), checks the closed forms it compares against in the test
+itself, and prints a single ``PASS criterion N`` line (visible under
+``pytest -s``).  A failure here means a physics claim broke, not a unit
+regressed.
 """
 
 import hashlib
@@ -13,136 +16,104 @@ import time
 import numpy as np
 import pytest
 
-from phaselab import analogs, berry, cli, qcore, scattering, topology
-from phaselab.analogs import CelestialConfig
+from phaselab import qcore
 from phaselab.cli import main
-from phaselab.scattering import BounceChain, DeltaBarrier, ScatteringConfig
 from phaselab.scenarios import SCENARIOS
-from phaselab.topology import Curve3D, RealFieldHamiltonian
 
-from tests.conftest import WAVEPACKET_CONFIG
+
+def default(name, parameter):
+    return SCENARIOS[name].parameters[parameter].default
 
 
 def report(n, text):
     print(f"PASS criterion {n}: {text}")
 
 
-def test_criterion_1_equatorial_loop(equatorial_decomposition):
-    dec = equatorial_decomposition
-    assert qcore.circle_distance(dec.geometric, math.pi) < 0.05
-    loop = berry.latitude_directions(math.pi / 2.0, 800)
-    assert qcore.circle_distance(berry.wilson_loop_phase(loop),
-                                 math.pi) < 1e-3
+def test_criterion_1_equatorial_loop(scenario):
+    results, _, _ = scenario("berry-equator")
+    assert qcore.circle_distance(results["geometric_phase"], math.pi) < 0.05
+    assert qcore.circle_distance(results["wilson_phase"], math.pi) < 1e-3
     report(1, "equatorial loop carries geometric phase pi "
               "(dynamics within 0.05, discrete loop within 1e-3)")
 
 
-def test_criterion_2_latitude_law():
-    for theta in (math.pi / 6.0, math.pi / 3.0, math.pi / 2.0,
-                  2.0 * math.pi / 3.0):
-        loop = berry.latitude_directions(theta, 400)
-        target = math.pi * (1.0 - math.cos(theta))
-        assert qcore.circle_distance(berry.wilson_loop_phase(loop),
-                                     target) < 1e-3
+def test_criterion_2_latitude_law(scenario):
+    _, _, tables = scenario("berry-latitude")
+    table = tables["latitude.csv"]
+    assert len(table["colatitude"]) == 4
+    for deg, wilson in zip(table["colatitude"], table["wilson_phase"]):
+        target = math.pi * (1.0 - math.cos(math.radians(deg)))
+        assert qcore.circle_distance(wilson, target) < 1e-3
     report(2, "loop phase equals half the enclosed solid angle, "
               "pi(1 - cos theta), within 1e-3 at four latitudes")
 
 
-def test_criterion_3_scale_blindness(equatorial_decomposition):
-    loop = berry.latitude_directions(math.pi / 3.0, 400)
-    assert abs(berry.wilson_loop_phase(loop)
-               - berry.wilson_loop_phase(7.0 * loop)) < 1e-12
-    period = 2.0 * math.pi / 0.005
-    dec5 = berry.cyclic_phase_decomposition(5.0, math.pi / 2.0, period, 0.02)
-    geo_diff = qcore.circle_distance(equatorial_decomposition.geometric,
-                                     dec5.geometric)
-    dyn_diff = abs(dec5.dynamical - equatorial_decomposition.dynamical)
-    assert geo_diff < 2.0 * 0.005 / 1.0
-    assert dyn_diff > 1000.0
-    report(3, "field rescaling moves the dynamical phase by thousands of "
-              "radians yet the geometric part stays put (loop phase "
-              "exactly, evolved phase within 2 w/A)")
+def test_criterion_3_scale_blindness(scenario):
+    equator, _, _ = scenario("berry-equator")
+    sweep, _, _ = scenario("berry-wilson-sweep")
+    assert sweep["wilson_difference"] < 1e-12
+    bound = 2.0 * default("berry-wilson-sweep", "wobble") \
+        / default("berry-wilson-sweep", "amplitude")
+    assert qcore.circle_distance(sweep["geometric_base"],
+                                 sweep["geometric_scaled"]) < bound
+    assert abs(equator["dynamical_phase"]) > 1000.0
+    report(3, "field rescaling leaves the loop phase exactly and the evolved "
+              "geometric phase within 2 w/A, while the dynamical phase runs "
+              "to over a thousand radians")
 
 
-def test_criterion_4_rotating_frame():
-    for amplitude, wobble in ((1.0, 0.02), (2.0, 0.04), (5.0, 0.01)):
-        rf = berry.rotating_frame_analysis(amplitude, wobble)
-        assert rf.sigma3_expectation == wobble / (2.0 * amplitude)
-        assert rf.accumulated_phase == math.pi
-    amplitude, wobble = 1.0, 0.02
-    sched = berry.spin_rotation_schedule(amplitude, math.pi / 2.0,
-                                         2.0 * math.pi / wobble)
-    psi0 = qcore.ground_state(sched.operator(0.0))
-    _, states = qcore.evolve_trajectory(sched, psi0, 0.02, sample_every=10)
-    s3 = np.einsum("ij,ij->i", states.conj(), states @ qcore.SIGMA_3.T).real
-    assert abs(float(s3.mean()) - wobble / (2.0 * amplitude)) \
-        < 2.0 * (wobble / amplitude) ** 2
-    report(4, "rotating-frame tilt w/2A reproduced exactly and by real-time "
-              "evolution within 2 (w/A)^2; equatorial phase pi for three "
-              "(A, w) pairs")
+def test_criterion_4_rotating_frame(scenario):
+    equator, _, _ = scenario("berry-equator")
+    sweep, _, _ = scenario("berry-wilson-sweep")
+    ratio = default("berry-equator", "wobble") \
+        / default("berry-equator", "amplitude")
+    assert abs(equator["sigma3_mean"] - 0.5 * ratio) < 2.0 * ratio ** 2
+    for geometric in (equator["geometric_phase"], sweep["geometric_scaled"]):
+        assert qcore.circle_distance(geometric, math.pi) < 0.05
+    report(4, "rotating-frame tilt w/2A reproduced by real-time evolution "
+              "within 2 (w/A)^2; equatorial phase pi at field strengths 1 "
+              "and 5")
 
 
-def test_criterion_5_linking_parity():
-    h = RealFieldHamiltonian(a1=lambda x: x[0], a3=lambda x: x[1])
-    span = 30.0
-    closure = Curve3D(np.array([
-        [0.0, 0.0, -span], [0.0, 0.0, span], [50.0, 0.0, span],
-        [50.0, 50.0, span], [50.0, 50.0, -span], [50.0, 0.0, -span],
-        [25.0, 0.0, -span], [0.0, 0.0, -span]]))
-    probes = [
-        Curve3D.circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 400),
-        Curve3D.circle((0.0, 0.0, 2.0), 0.5, (0.0, 0.0, 1.0), 400),
-        Curve3D.circle((0.0, 0.0, -1.0), 2.0, (0.0, 0.0, 1.0), 400),
-        Curve3D.circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 400).reversed(),
-        Curve3D.circle((0.0, 0.0, 1.0), 1.0, (0.1, 0.1, 1.0), 400),
-        Curve3D.circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 800, turns=2),
-        Curve3D.circle((3.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 400),
-        Curve3D.circle((3.0, 0.0, 2.0), 2.0, (0.0, 0.0, 1.0), 400),
-        Curve3D.circle((0.0, 3.0, 0.0), 1.5, (0.0, 1.0, 0.0), 400),
-        Curve3D.circle((-4.0, -4.0, 0.0), 1.0, (1.0, 0.0, 0.0), 400),
-        Curve3D.from_function(
-            lambda t: (1.5 * math.cos(2.0 * math.pi * t),
-                       0.7 * math.sin(2.0 * math.pi * t),
-                       0.4 * math.sin(4.0 * math.pi * t)), 600),
-    ]
-    assert len(probes) >= 10
-    odd_seen = even_seen = 0
-    for probe in probes:
-        lk = topology.linking_number(probe, closure)
-        phase = topology.real_field_loop_phase(h, probe)
-        target = math.pi if lk % 2 else 0.0
+def test_criterion_5_linking_parity(scenario):
+    _, checks, tables = scenario("topo-phase")
+    assert all(checks.values())
+    table = tables["interlock.csv"]
+    windings = table["winding"]
+    assert len(windings) >= 10
+    for winding, predicted, phase in zip(windings, table["predicted_phase"],
+                                         table["loop_phase"]):
+        target = math.pi if winding % 2 else 0.0
+        assert qcore.circle_distance(predicted, target) < 1e-12
         assert qcore.circle_distance(phase, target) < 1e-2
-        if lk % 2:
-            odd_seen += 1
-        else:
-            even_seen += 1
-    assert odd_seen >= 3 and even_seen >= 3
-    report(5, f"{len(probes)} probe loops land on {{0, pi}} within 1e-2, "
+    odd = int(np.sum(windings % 2 != 0))
+    assert odd >= 3 and len(windings) - odd >= 3
+    report(5, f"{len(windings)} probe loops land on {{0, pi}} within 1e-2, "
               "pi exactly when the linking number with the degeneracy "
               "line is odd")
 
 
-def test_criterion_6_barrier_phase_limits():
-    bare = ScatteringConfig(p=1.0, m=1.0, X=2.0, barrier=DeltaBarrier(0.0))
-    assert scattering.reflection_phase(bare) == math.pi
-    opaque = ScatteringConfig(p=1.0, m=1.0, X=2.0, barrier=DeltaBarrier(1e6))
-    target = qcore.wrap_angle(math.pi - 2.0 * 1.0 * 2.0)
-    assert qcore.circle_distance(scattering.reflection_phase(opaque),
-                                 target) < 1e-3
+def test_criterion_6_barrier_phase_limits(scenario):
+    results, _, _ = scenario("scatter-phase")
+    assert results["mirror_phase"] == math.pi
+    target = qcore.wrap_angle(math.pi - 2.0 * default("scatter-phase", "p")
+                              * default("scatter-phase", "X"))
+    assert qcore.circle_distance(results["strong_phase"], target) < 1e-3
     report(6, "reflection phase walks from pi (transparent barrier) to "
               "pi - 2pX (opaque barrier) within 1e-3")
 
 
-def test_criterion_7_bounce_ledger(wavepacket_result):
-    for eps in (0.01, 0.1, 0.3, 0.5, 0.9):
-        exp = scattering.bounce_chain_expectation(BounceChain(eps, 1.5))
-        assert exp.net_momentum == 0.0
-    res = wavepacket_result
-    p = WAVEPACKET_CONFIG.p
-    first_target = 2.0 * p * (1.0 - res.epsilon_packet)
-    assert abs(res.first_kick - first_target) < 0.1 * first_target
-    assert abs(res.long_kick) < 0.05 * 2.0 * p
-    assert res.efold_roundtrips * res.epsilon_packet == pytest.approx(
+def test_criterion_7_bounce_ledger(scenario):
+    _, _, tables = scenario("scatter-bounce")
+    expectation = tables["expectation.csv"]
+    assert len(expectation["epsilon"]) == 90
+    assert np.all(expectation["net_momentum"] == 0.0)
+    res, _, _ = scenario("scatter-wavepacket")
+    p = default("scatter-wavepacket", "p")
+    first_target = 2.0 * p * (1.0 - res["epsilon_packet"])
+    assert abs(res["first_kick"] - first_target) < 0.1 * first_target
+    assert abs(res["long_kick"]) < 0.05 * 2.0 * p
+    assert res["efold_roundtrips"] * res["epsilon_packet"] == pytest.approx(
         1.0, abs=0.2)
     report(7, "expected barrier momentum is exactly zero for every "
               "transparency; the wavepacket shows the same cancellation "
@@ -150,56 +121,48 @@ def test_criterion_7_bounce_ledger(wavepacket_result):
               "5%, dwell 1/eps within 20%)")
 
 
-def test_criterion_8_capacitor_duality():
-    _, _, inputs, seed = cli._validate({"scenario": "ab-electric"}, None)
-    results, checks = SCENARIOS["ab-electric"].runner(
-        inputs, seed, lambda name, columns: None)
-    assert all(ok for _, ok in checks)
+def test_criterion_8_capacitor_duality(scenario):
+    results, checks, _ = scenario("ab-electric")
+    assert all(checks.values())
     assert results["exact_matches"] == results["count"] == 1000
     report(8, "1000 random capacitor settings: probe-side and system-side "
               "phases identical to the last bit, and no which-path record "
               "survives while the phase stays under pi")
 
 
-def test_criterion_9_flavor_conversion(adiabatic_pendulum):
-    assert adiabatic_pendulum.fraction >= 0.99
-    system, _ = analogs.msw_benchmark_system()
-    sudden = analogs.pendulum_sweep(system, 0.0)
-    assert sudden.fraction <= 0.05
-    for eps, rate in ((0.5, 1.0), (0.4, 0.8), (0.4, 0.4), (0.3, 0.5),
-                      (0.75, 0.8)):
-        rep = analogs.two_level_sweep(analogs.linear_two_level_sweep(eps, rate))
+def test_criterion_9_flavor_conversion(scenario):
+    pendulum, _, _ = scenario("pendulum-msw")
+    assert pendulum["transfer_fraction"] >= 0.99
+    assert pendulum["sudden_fraction"] <= 0.05
+    _, _, tables = scenario("two-level-sweep")
+    table = tables["conversion.csv"]
+    assert len(table["epsilon"]) == 5
+    for eps, rate, conversion in zip(table["epsilon"], table["sweep_rate"],
+                                     table["conversion"]):
         target = 1.0 - math.exp(-math.pi * eps * eps / rate)
-        assert abs(rep.conversion - target) / target <= 0.02
+        assert abs(conversion - target) / target <= 0.02
     report(9, "slow pendulum sweep transfers >= 99% of the energy, the "
               "sudden jump under 5%; quantum sweeps track the crossing "
               "formula within 2% on five (gap, rate) pairs")
 
 
-def test_criterion_10_rectangle_loop(rectangle_transport):
-    rec = rectangle_transport
-    assert qcore.circle_distance(rec.wilson_phase, math.pi) < 1e-3
-    assert rec.winding == 1
-    assert rec.half_loop_square_deviation < 1e-2
+def test_criterion_10_rectangle_loop(scenario):
+    rec, _, _ = scenario("rect-loop")
+    assert qcore.circle_distance(rec["wilson_phase"], math.pi) < 1e-3
+    assert rec["winding"] == 1
+    assert rec["half_loop_square_deviation"] < 1e-2
     report(10, "rectangle around the degeneracy: loop phase pi within 1e-3 "
                "and the transported state returns to minus itself within "
                "1e-2 after dynamical-phase removal")
 
 
-def test_criterion_11_celestial_shift(celestial_config, celestial_grid,
-                                      celestial_residual_report):
-    kepler = analogs.celestial_frozen_period(
-        CelestialConfig(m_jupiter=0.0, r_jupiter=5.2), 0.0)
-    assert abs(kepler - 2.0 * math.pi) < 1e-8
-    ratio = analogs.force_ratio(celestial_config)
-    assert 5e-5 / 1.3 <= ratio <= 5e-5 * 1.3
-    _, periods = celestial_grid
-    s_full = float(periods[0]) - 2.0 * math.pi
-    half = CelestialConfig(m_jupiter=5e-4, r_jupiter=5.2)
-    s_half = analogs.celestial_frozen_period(half, 0.0) - 2.0 * math.pi
-    assert s_full / s_half == pytest.approx(2.0, abs=0.04)
-    res = celestial_residual_report
-    assert abs(res.residual) / abs(res.dynamical_correction) <= 0.15
+def test_criterion_11_celestial_shift(scenario):
+    frozen, _, _ = scenario("celestial-frozen")
+    assert frozen["kepler_error"] < 1e-8
+    assert 5e-5 / 1.3 <= frozen["force_ratio"] <= 5e-5 * 1.3
+    assert frozen["halving_ratio"] == pytest.approx(2.0, abs=0.04)
+    res, _, _ = scenario("celestial-residual")
+    assert abs(res["residual"]) / abs(res["dynamical_correction"]) <= 0.15
     report(11, "unperturbed clock recovers the Kepler period to 1e-8, the "
                "frozen-probe shift is first order in the perturber mass "
                "(halving test within 2%), and the leftover beyond the "
@@ -207,7 +170,7 @@ def test_criterion_11_celestial_shift(celestial_config, celestial_grid,
                "correction")
 
 
-def test_criterion_12_reproducibility(tmp_path, capsys, wavepacket_result):
+def test_criterion_12_reproducibility(tmp_path, capsys, scenario):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"scenario": "scatter-phase"}))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -218,14 +181,9 @@ def test_criterion_12_reproducibility(tmp_path, capsys, wavepacket_result):
         pb = (out_b / "scatter-phase" / fname).read_bytes()
         assert hashlib.sha256(pa).hexdigest() == hashlib.sha256(pb).hexdigest()
 
-    e_drift, l_drift = analogs.orbit_conservation(
-        CelestialConfig(m_jupiter=0.0, r_jupiter=5.2))
-    assert e_drift < 1e-10 and l_drift < 1e-10
-    frozen = analogs.pendulum_sweep(
-        analogs.PendulumSystem(length_schedule=analogs.FrozenLength(1.3),
-                               l_mu=1.0, kappa=0.025), 50.0)
-    assert frozen.energy_drift is not None and frozen.energy_drift < 1e-6
-    assert wavepacket_result.norm_drift < 1e-8
+    assert abs(scenario("celestial-residual")[0]["control_residual"]) < 1e-8
+    assert scenario("pendulum-msw")[0]["frozen_energy_drift"] < 1e-6
+    assert scenario("scatter-wavepacket")[0]["norm_drift"] < 1e-8
 
     started = time.perf_counter()
     assert main(["check"]) == 0
@@ -233,5 +191,6 @@ def test_criterion_12_reproducibility(tmp_path, capsys, wavepacket_result):
     capsys.readouterr()
     assert elapsed < 60.0
     report(12, "reruns are byte-identical, every conservation suite holds "
-               f"(orbit 1e-10, pendulum 1e-6, packet norm 1e-8), and the "
-               f"smoke check passes in {elapsed:.1f}s (< 60s)")
+               "(perturber-free orbit residual 1e-8, pendulum 1e-6, packet "
+               f"norm 1e-8), and the smoke check passes in {elapsed:.1f}s "
+               "(< 60s)")

@@ -1,4 +1,7 @@
-"""Coupled pendulums, two-level sweeps, and the rectangle loop."""
+"""Coupled pendulums, two-level sweeps, and the rectangle loop.
+
+Runs at catalog defaults come from the session fixture ``scenario``.
+"""
 
 import math
 import warnings
@@ -8,7 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from phaselab import analogs, qcore
+from phaselab import analogs
 from phaselab.analogs import (ArctanDetuningRamp, FrozenLength,
                               PendulumSystem, TwoLevelSweep)
 from phaselab.errors import (GeometryError, IntegratorError, RegimeWarning,
@@ -79,38 +82,36 @@ class TestLengthSchedules:
 
 
 class TestPendulumTransfer:
-    def test_slow_sweep_converts(self, adiabatic_pendulum):
-        rep = adiabatic_pendulum
-        assert rep.fraction >= 0.99
-        assert rep.fraction == pytest.approx(0.9951510297129077, rel=1e-9)
-        assert rep.energy_drift is None
-        assert rep.weak_coupling_ratio < 0.1
+    def test_slow_sweep_converts(self, scenario):
+        results = scenario("pendulum-msw")[0]
+        assert results["transfer_fraction"] == pytest.approx(
+            0.9951510297129077, rel=1e-9)
+        assert results["weak_coupling_ratio"] < 0.1
 
-    def test_report_bookkeeping(self, adiabatic_pendulum):
-        rep = adiabatic_pendulum
+    def test_report_bookkeeping(self):
+        # the fastest sweep of the rate ladder
+        system, duration = analogs.msw_benchmark_system(
+            crossing_rate=2816.0 * 0.01 * 0.0125 ** 2)
+        rep = analogs.pendulum_sweep(system, duration)
+        assert rep.energy_drift is None
         n = rep.times.shape[0]
         assert rep.flavor_energies.shape == (n, 3)
         assert rep.mode_energies.shape == (n, 2)
         assert np.allclose(rep.flavor_energies.sum(axis=1), rep.total_energy)
 
-    def test_sudden_jump_leaves_energy_behind(self):
-        system, _ = analogs.msw_benchmark_system()
-        rep = analogs.pendulum_sweep(system, 0.0)
-        assert rep.fraction <= 0.05
-        assert rep.fraction == pytest.approx(0.006278976699103181, rel=1e-9)
+    def test_sudden_jump_leaves_energy_behind(self, scenario):
+        fraction = scenario("pendulum-msw")[0]["sudden_fraction"]
+        assert fraction == pytest.approx(0.006278976699103181, rel=1e-9)
 
-    def test_rate_ladder_is_monotone(self):
-        eps = 0.025 / 2.0
-        base = 0.01 * eps * eps
-        fractions = []
-        for mult in (2816.0, 453.0, 137.0):
-            system, duration = analogs.msw_benchmark_system(
-                crossing_rate=mult * base)
-            fractions.append(analogs.pendulum_sweep(system, duration).fraction)
+    def test_rate_ladder_is_monotone(self, scenario):
+        ladder = scenario("pendulum-msw")[2]["rate_ladder.csv"]
+        assert ladder["rate_multiplier"].tolist() == [2816.0, 906.0, 453.0,
+                                                      249.0, 137.0]
+        fractions = ladder["transfer_fraction"]
         assert fractions[0] == pytest.approx(0.024739025215911852, rel=1e-9)
-        assert fractions[1] == pytest.approx(0.7318220772872159, rel=1e-9)
-        assert fractions[2] == pytest.approx(0.99733558072327, rel=1e-9)
-        assert fractions[0] < fractions[1] < fractions[2]
+        assert fractions[2] == pytest.approx(0.7318220772872159, rel=1e-9)
+        assert fractions[4] == pytest.approx(0.99733558072327, rel=1e-9)
+        assert np.all(np.diff(fractions) > 0.0)
 
     def test_frozen_lengths_conserve_energy(self):
         system = PendulumSystem(length_schedule=FrozenLength(1.3), l_mu=1.0,
@@ -267,15 +268,17 @@ class TestTwoLevelSweep:
              (0.3, 0.5, 0.43187621730169007),
              (0.75, 0.8, 0.89026859038154493))
 
-    def test_linear_sweeps_track_the_crossing_formula(self):
+    def test_linear_sweeps_track_the_crossing_formula(self, scenario):
+        # the catalog pairs, as two-level-sweep runs them
+        table = scenario("two-level-sweep")[2]["conversion.csv"]
+        assert len(table["epsilon"]) == len(self.PAIRS)
         worst = 0.0
-        for eps, rate, frozen in self.PAIRS:
-            rep = analogs.two_level_sweep(
-                analogs.linear_two_level_sweep(eps, rate))
-            assert rep.conversion == pytest.approx(frozen, rel=1e-9)
+        for k, (eps, rate, frozen) in enumerate(self.PAIRS):
+            assert (table["epsilon"][k], table["sweep_rate"][k]) == (eps, rate)
+            assert table["conversion"][k] == pytest.approx(frozen, rel=1e-9)
             target = 1.0 - math.exp(-math.pi * eps * eps / rate)
-            assert rep.lz_conversion == pytest.approx(target, rel=1e-14)
-            worst = max(worst, abs(rep.conversion - target) / target)
+            assert table["landau_zener"][k] == pytest.approx(target, rel=1e-14)
+            worst = max(worst, abs(table["conversion"][k] - target) / target)
         assert worst <= 0.02
 
     def test_uncoupled_levels_cross_freely(self):
@@ -338,29 +341,36 @@ class TestRectanglePath:
 
 
 class TestRectangleLoop:
-    def test_enclosing_loop(self, rectangle_transport):
-        rec = rectangle_transport
-        assert rec.winding == 1
-        assert qcore.circle_distance(rec.wilson_phase, math.pi) < 1e-3
-        assert rec.wilson_phase == pytest.approx(math.pi, abs=1e-12)
-        assert rec.half_loop_square_deviation < 1e-2
-        assert rec.half_loop_square_deviation == pytest.approx(
+    def test_enclosing_loop(self, scenario):
+        rec = scenario("rect-loop")[0]
+        assert rec["winding"] == 1
+        assert rec["wilson_phase"] == pytest.approx(math.pi, abs=1e-12)
+        assert rec["half_loop_square_deviation"] == pytest.approx(
             0.005697642834566676, rel=1e-6)
-        assert rec.half_loop_geometric == pytest.approx(-3.1359516602827213,
-                                                        rel=1e-6)
-        assert rec.half_loop_overlap > 0.999
-        assert rec.transposition_fidelity > 0.999
-        assert rec.transport_duration == pytest.approx(3046.6717017181018,
-                                                       rel=1e-9)
+        assert rec["half_loop_geometric"] == pytest.approx(
+            -3.1359516602827213, rel=1e-6)
+        assert rec["transport_duration"] == pytest.approx(3046.6717017181018,
+                                                          rel=1e-9)
 
-    def test_displaced_loop_encloses_nothing(self):
-        rec = analogs.rectangular_loop_phase(0.5, 10.0, samples=2000,
-                                             center=(30.0, 0.0),
-                                             adiabaticity=1e-3,
-                                             transport_step=0.01)
-        assert rec.winding == 0
-        assert abs(rec.wilson_phase) < 1e-12
-        assert rec.half_loop_square_deviation < 1e-2
+    def test_displaced_loop_encloses_nothing(self, scenario):
+        # the scenario's second loop sits at center (3 delta0, 0) = (30, 0)
+        rec = scenario("rect-loop")[0]
+        assert rec["shifted_winding"] == 0
+        assert abs(rec["shifted_wilson_phase"]) < 1e-12
+        assert rec["shifted_square_deviation"] < 1e-2
+
+    def test_transport_domain(self):
+        for kwargs in ({"adiabaticity": 0.0}, {"adiabaticity": -1e-3},
+                       {"transport_step": 0.0}):
+            with pytest.raises(ValueError):
+                analogs.rectangle_transport(10.0, 0.5, **kwargs)
+            with pytest.raises(ValueError):
+                analogs.rectangular_loop_phase(0.5, 10.0, **kwargs)
+        # 2000 samples 0.02 apart on a loop passing 0.01 from the crossing
+        with pytest.raises(ResolutionError):
+            analogs.rectangle_transport(10.0, 0.01)
+        *_, steps = analogs.rectangle_transport(10.0, 0.5)
+        assert steps == pytest.approx(3046.6717017181018 / 0.01, rel=1e-12)
 
     def test_resonant_corners_warn(self):
         with pytest.warns(RegimeWarning):
@@ -371,7 +381,7 @@ class TestRectangleLoop:
     def test_edge_through_degeneracy(self):
         # direct time-table construction refuses the touching edge
         with pytest.raises(GeometryError):
-            analogs._warped_rectangle(10.0, 0.5, (10.0, 0.0), 1e-3)
+            analogs.rectangle_transport(10.0, 0.5, (10.0, 0.0))
         # through the full entry point the loop sampling straddles the
         # degeneracy and the band overlap collapses first
         with pytest.raises(ResolutionError):

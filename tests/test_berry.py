@@ -1,4 +1,7 @@
-"""Loop phases on the sphere, slow-sweep corrections, field momentum."""
+"""Loop phases on the sphere, slow-sweep corrections, field momentum.
+
+Runs at catalog defaults come from the session fixture ``scenario``.
+"""
 
 import math
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from phaselab import berry, qcore
-from phaselab.errors import RegimeError, ResolutionError
+from phaselab.errors import ResolutionError
 
 LATITUDES = (math.pi / 6.0, math.pi / 3.0, math.pi / 2.0, 2.0 * math.pi / 3.0)
 
@@ -114,24 +117,22 @@ class TestSolidAngle:
 
 
 class TestCyclicDecomposition:
-    def test_equatorial_geometric_phase(self, equatorial_decomposition):
-        dec = equatorial_decomposition
-        dev = qcore.circle_distance(dec.geometric, math.pi)
-        assert dev < 0.05
+    def test_equatorial_geometric_phase(self, scenario):
+        results = scenario("berry-equator")[0]
+        dev = qcore.circle_distance(results["geometric_phase"], math.pi)
         # the leading slow-sweep deviation (3/4) pi w/A, not a numerics bug
         assert dev == pytest.approx(0.75 * math.pi * 0.005, rel=0.02)
-        assert dec.overlap_modulus > 0.999
+        assert results["overlap_modulus"] > 0.999
 
-    def test_faster_field_tightens_the_phase(self, equatorial_decomposition):
-        period = 2.0 * math.pi / 0.005
-        dec5 = berry.cyclic_phase_decomposition(5.0, math.pi / 2.0, period,
-                                                0.02)
-        dev1 = qcore.circle_distance(equatorial_decomposition.geometric,
-                                     math.pi)
-        dev5 = qcore.circle_distance(dec5.geometric, math.pi)
+    def test_faster_field_tightens_the_phase(self, scenario):
+        # the same sweep at field amplitude 1 and 5
+        results = scenario("berry-wilson-sweep")[0]
+        dev1 = qcore.circle_distance(results["geometric_base"], math.pi)
+        dev5 = qcore.circle_distance(results["geometric_scaled"], math.pi)
         assert dev5 < dev1
-        assert qcore.circle_distance(equatorial_decomposition.geometric,
-                                     dec5.geometric) < 2.0 * 0.005 / 1.0
+        assert qcore.circle_distance(results["geometric_base"],
+                                     results["geometric_scaled"]) \
+            < 2.0 * 0.005 / 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -141,38 +142,21 @@ class TestCyclicDecomposition:
 
 
 class TestRotatingFrame:
-    def test_exact_tilt(self):
-        rf = berry.rotating_frame_analysis(1.0, 0.02)
-        assert rf.sigma3_expectation == 0.01
-        assert rf.cone_deficit == 0.02
-        assert rf.accumulated_phase == math.pi
-
     def test_numeric_long_time_average(self):
         # evolved <sigma3> averages to w/2A within O((w/A)^2)
         amplitude, wobble = 1.0, 0.02
-        sched = berry.spin_rotation_schedule(amplitude, math.pi / 2.0,
-                                             2.0 * math.pi / wobble)
-        psi0 = qcore.ground_state(sched.operator(0.0))
-        _, states = qcore.evolve_trajectory(sched, psi0, 0.02,
-                                            sample_every=10)
-        s3 = np.einsum("ij,ij->i", states.conj(),
-                       states @ qcore.SIGMA_3.T).real
-        avg = float(s3.mean())
-        assert abs(avg - wobble / (2.0 * amplitude)) < 2.0 * (wobble / amplitude) ** 2
-
-    def test_regime_guard(self):
-        with pytest.raises(RegimeError):
-            berry.rotating_frame_analysis(1.0, 0.5)
-        with pytest.raises(ValueError):
-            berry.rotating_frame_analysis(-1.0, 0.01)
+        dec = berry.cyclic_phase_decomposition(
+            amplitude, math.pi / 2.0, 2.0 * math.pi / wobble, 0.02)
+        assert abs(dec.sigma3_mean - wobble / (2.0 * amplitude)) \
+            < 2.0 * (wobble / amplitude) ** 2
 
 
 class TestFieldAngularMomentum:
-    def test_one_unit_for_any_separation(self):
-        for separation in (0.7, 1.0, 2.5):
-            fam = berry.field_angular_momentum(1.0, 1.0, separation)
-            assert abs(fam.coefficient - 1.0) < 1e-6
-            assert abs(fam.refinement_difference) < 1e-3
+    def test_one_unit_for_any_separation(self, scenario):
+        # monopole-angmom at separations 0.7, 1 and 2.5, charge = pole = 1
+        table = scenario("monopole-angmom")[2]["field_momentum.csv"]
+        assert np.all(np.abs(table["coefficient"] - 1.0) < 1e-6)
+        assert np.all(np.abs(table["refinement_difference"]) < 1e-3)
 
     def test_scales_with_charge_and_pole(self):
         fam = berry.field_angular_momentum(2.0, 0.5, 1.0)

@@ -1,4 +1,7 @@
-"""Perturbed orbit clock: frozen-probe periods and the adiabatic residual."""
+"""Perturbed orbit clock: frozen-probe periods and the adiabatic residual.
+
+Runs at catalog defaults come from the session fixture ``scenario``.
+"""
 
 import math
 
@@ -10,25 +13,34 @@ from phaselab.analogs import CelestialConfig
 from phaselab.errors import DynamicsError
 
 TWO_PI = 2.0 * math.pi
+# the celestial scenarios' catalog configuration
+CONFIG = CelestialConfig(m_jupiter=1e-3, r_jupiter=5.2)
+
+
+@pytest.fixture
+def grid(scenario):
+    """(perturber angles, periods) of celestial-frozen's 32-node grid."""
+    table = scenario("celestial-frozen")[2]["frozen_grid.csv"]
+    return table["perturber_angle"], table["radial_period"]
 
 
 class TestConfig:
-    def test_closed_form_scales(self, celestial_config):
-        assert analogs.kepler_period(celestial_config) == pytest.approx(
+    def test_closed_form_scales(self):
+        assert analogs.kepler_period(CONFIG) == pytest.approx(
             TWO_PI, rel=1e-15)
         # m_j (r_e / (r_j - r_e))^2 at closest approach
-        assert analogs.force_ratio(celestial_config) == pytest.approx(
+        assert analogs.force_ratio(CONFIG) == pytest.approx(
             1e-3 / 4.2 ** 2, rel=1e-15)
-        assert celestial_config.jupiter_period == pytest.approx(
+        assert CONFIG.jupiter_period == pytest.approx(
             TWO_PI * 5.2 ** 1.5, rel=1e-15)
 
     def test_explicit_perturber_period_wins(self):
         cfg = CelestialConfig(m_jupiter=1e-3, r_jupiter=5.2, t_jupiter=80.0)
         assert cfg.jupiter_period == 80.0
 
-    def test_initial_state_is_perihelion(self, celestial_config):
-        x, z, vx, vz = celestial_config.initial_state()
-        e = celestial_config.eccentricity
+    def test_initial_state_is_perihelion(self):
+        x, z, vx, vz = CONFIG.initial_state()
+        e = CONFIG.eccentricity
         assert x == pytest.approx(1.0 - e, rel=1e-15)
         assert z == 0.0 and vx == 0.0
         # angular momentum of an a = 1 ellipse
@@ -55,8 +67,8 @@ class TestFrozenPeriod:
         period = analogs.celestial_frozen_period(cfg, 0.0)
         assert abs(period - TWO_PI) < 1e-8
 
-    def test_angle_dependence(self, celestial_grid):
-        phis, periods = celestial_grid
+    def test_angle_dependence(self, grid):
+        phis, periods = grid
         # conjunction stretches the period most, quadrature compresses it
         assert periods[0] == pytest.approx(6.275461594868436, abs=1e-8)
         assert periods[8] == pytest.approx(6.2831873837580074, abs=1e-8)
@@ -67,15 +79,15 @@ class TestFrozenPeriod:
         assert shifts.max() == pytest.approx(0.0012842770722234944,
                                              rel=1e-6)
 
-    def test_even_in_angle(self, celestial_config):
-        plus = analogs.celestial_frozen_period(celestial_config, 0.7)
-        minus = analogs.celestial_frozen_period(celestial_config, -0.7)
+    def test_even_in_angle(self):
+        plus = analogs.celestial_frozen_period(CONFIG, 0.7)
+        minus = analogs.celestial_frozen_period(CONFIG, -0.7)
         assert plus == pytest.approx(6.277271002784782, abs=1e-8)
         # mirror construction makes the measurement even in phi exactly
         assert abs(plus - minus) < 1e-13
 
-    def test_grid_symmetry_and_smoothness(self, celestial_grid):
-        phis, periods = celestial_grid
+    def test_grid_symmetry_and_smoothness(self, grid):
+        phis, periods = grid
         shifts = (periods - TWO_PI) / TWO_PI
         asym = np.max(np.abs(shifts[1:] - shifts[:0:-1]))
         assert asym < 1e-10
@@ -83,26 +95,23 @@ class TestFrozenPeriod:
         second = wrapped[2:] - 2.0 * wrapped[1:-1] + wrapped[:-2]
         assert np.max(np.abs(second)) < 1e-4
 
-    def test_shift_scales_linearly_in_mass(self, celestial_grid):
-        _, periods = celestial_grid
-        s_full = float(periods[0]) - TWO_PI
-        half = CelestialConfig(m_jupiter=5e-4, r_jupiter=5.2)
-        s_half = analogs.celestial_frozen_period(half, 0.0) - TWO_PI
-        assert s_full / s_half == pytest.approx(2.0, abs=0.04)
+    def test_shift_scales_linearly_in_mass(self, scenario):
+        # the conjunction shift at full over half the perturber mass
+        halving = scenario("celestial-frozen")[0]["halving_ratio"]
+        assert halving == pytest.approx(2.0, abs=0.04)
 
-    def test_grid_validation(self, celestial_config):
+    def test_grid_validation(self):
         with pytest.raises(ValueError):
-            analogs.frozen_period_grid(celestial_config, nodes=7)
+            analogs.frozen_period_grid(CONFIG, nodes=7)
         with pytest.raises(ValueError):
-            analogs.frozen_period_grid(celestial_config, nodes=2)
+            analogs.frozen_period_grid(CONFIG, nodes=2)
 
 
 class TestLaneStacks:
-    def test_stack_matches_single_lanes(self, celestial_config,
-                                        celestial_grid):
-        phis, periods = celestial_grid
+    def test_stack_matches_single_lanes(self, grid):
+        phis, periods = grid
         for k in (0, 5, 27):
-            alone = analogs.celestial_frozen_period(celestial_config, phis[k])
+            alone = analogs.celestial_frozen_period(CONFIG, phis[k])
             assert abs(alone - periods[k]) < 1e-11
 
     def test_failing_lane_is_named(self):
@@ -114,15 +123,15 @@ class TestLaneStacks:
             analogs.celestial_frozen_period(cfg, [0.0, 0.0],
                                             masses=[0.0, 0.05])
 
-    def test_lane_validation(self, celestial_config):
+    def test_lane_validation(self):
         with pytest.raises(ValueError):
-            analogs.celestial_frozen_period(celestial_config, [0.0, 1.0],
+            analogs.celestial_frozen_period(CONFIG, [0.0, 1.0],
                                             masses=[1e-3])
         with pytest.raises(ValueError):
-            analogs.celestial_frozen_period(celestial_config, [0.0],
+            analogs.celestial_frozen_period(CONFIG, [0.0],
                                             masses=[-1e-3])
         with pytest.raises(ValueError):
-            analogs.celestial_frozen_period(celestial_config, 0.0, orbits=0.0)
+            analogs.celestial_frozen_period(CONFIG, 0.0, orbits=0.0)
 
 
 def _reference_root(g):
@@ -167,37 +176,22 @@ class TestApsisFit:
         assert math.isnan(got[1])
 
 
-class TestConservation:
-    def test_unperturbed_invariants_hold(self):
-        cfg = CelestialConfig(m_jupiter=0.0, r_jupiter=5.2)
-        e_drift, l_drift = analogs.orbit_conservation(cfg, orbits=100.0)
-        assert e_drift < 1e-10
-        assert l_drift < 1e-10
-
-
 class TestAdiabaticResidual:
-    def test_residual_is_subleading(self, celestial_residual_report):
-        res = celestial_residual_report
-        assert res.residual == pytest.approx(0.0005398639405456152, rel=1e-6)
-        assert res.dynamical_correction == pytest.approx(
+    def test_residual_is_subleading(self, scenario):
+        residual = scenario("celestial-residual")[0]
+        assert residual["residual"] == pytest.approx(0.0005398639405456152,
+                                                     rel=1e-6)
+        assert residual["dynamical_correction"] == pytest.approx(
             0.010122667922189521, rel=1e-6)
-        # the non-geometric delay dominates the leftover
-        assert abs(res.residual) / abs(res.dynamical_correction) <= 0.15
 
-    def test_bookkeeping(self, celestial_residual_report):
-        res = celestial_residual_report
-        assert res.perihelion_count == 13
-        assert res.full_phase == TWO_PI * (res.perihelion_count - 1)
-        t1, t2 = res.window
-        assert 0.0 <= t1 < t2
-        cycles = (t2 - t1) / (TWO_PI * 5.2 ** 1.5)
-        assert res.per_cycle_residual == pytest.approx(res.residual / cycles,
-                                                       rel=1e-12)
-        assert res.per_cycle_residual == pytest.approx(
+    def test_bookkeeping(self, scenario):
+        residual = scenario("celestial-residual")[0]
+        assert residual["perihelion_count"] == 13
+        assert residual["per_cycle_residual"] == pytest.approx(
             0.0005335431031690366, rel=1e-6)
 
-    def test_converged(self, celestial_residual_report):
-        gap = celestial_residual_report.convergence_gap
+    def test_converged(self, scenario):
+        gap = scenario("celestial-residual")[0]["convergence_gap"]
         assert gap is not None
         assert gap < 1e-4
 
@@ -207,6 +201,13 @@ class TestAdiabaticResidual:
                                                    check_convergence=False)
         assert abs(res.residual) < 1e-8
         assert res.convergence_gap is None
+        # the window and phase bookkeeping behind per_cycle_residual
+        assert res.full_phase == TWO_PI * (res.perihelion_count - 1)
+        t1, t2 = res.window
+        assert 0.0 <= t1 < t2
+        cycles = (t2 - t1) / (TWO_PI * 5.2 ** 1.5)
+        assert res.per_cycle_residual == pytest.approx(res.residual / cycles,
+                                                       rel=1e-12)
 
     def test_strong_perturber_breaks_first_order(self):
         # ten-fold mass at close range: the frozen-field prediction is no

@@ -181,6 +181,11 @@ class TestConfigRejection:
                 ("ab-electric", {"localization_fraction": -0.25}),
                 ("rect-loop", {"delta0": 0}),
                 ("rect-loop", {"epsilon0": -0.5}),
+                ("rect-loop", {"adiabaticity": 0}),
+                ("rect-loop", {"adiabaticity": -0.001}),
+                ("rect-loop", {"transport_step": 0}),
+                # 2.45e9 propagator steps, above the work cap
+                ("two-level-sweep", {"pairs": "0.5:1e-6"}),
                 ("celestial-residual", {"r_jupiter": 2.5})):
             code, out, cap = run_cli(tmp_path, capsys, scenario,
                                      parameters=parameters)
@@ -585,7 +590,7 @@ def _fuzz_parameters(scenario):
 class TestContractFuzz:
     @given(draw=st.one_of([_fuzz_parameters(name) for name in (
                "scatter-phase", "berry-latitude", "ab-electric",
-               "scatter-bounce")]),
+               "scatter-bounce", "rect-loop", "two-level-sweep")]),
            seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_cheap_scenarios_keep_the_contract(self, draw, seed):

@@ -15,6 +15,18 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
 
 
+def state(values):
+    """A StateVector along the given amplitudes."""
+    vec = np.asarray(values, dtype=complex)
+    return qcore.StateVector(vec / np.linalg.norm(vec))
+
+
+def pauli(coefficients):
+    """c1 sigma1 + c2 sigma2 + c3 sigma3."""
+    c1, c2, c3 = coefficients
+    return c1 * qcore.SIGMA_1 + c2 * qcore.SIGMA_2 + c3 * qcore.SIGMA_3
+
+
 def turns_complex(t):
     """a1 picks up an imaginary part from t = 0.5 on: H stops being Hermitian."""
     return 0.0, np.where(t < 0.5, 1.0, 1.0 + 1e-6j), 0.0, 0.5
@@ -51,14 +63,14 @@ class TestAngles:
 
 
 class TestPauli:
-    def test_pauli_vector_matches_matrix_sum(self):
-        c = (0.3, -1.2, 0.7)
-        expected = c[0] * qcore.SIGMA_1 + c[1] * qcore.SIGMA_2 \
-            + c[2] * qcore.SIGMA_3
-        assert np.allclose(qcore.pauli_vector(c), expected)
+    def test_operator_matches_pauli_sum(self):
+        # a schedule's operator is c0 I + a . sigma
+        c0, c = 0.4, (0.3, -1.2, 0.7)
+        sched = qcore.HamiltonianSchedule(lambda t: (c0, *c), duration=1.0)
+        assert np.allclose(sched.operator(0.5), c0 * np.eye(2) + pauli(c))
 
     def test_pauli_algebra(self):
-        for s in qcore.PAULI:
+        for s in (qcore.SIGMA_1, qcore.SIGMA_2, qcore.SIGMA_3):
             assert np.allclose(s @ s, np.eye(2))
         assert np.allclose(qcore.SIGMA_1 @ qcore.SIGMA_2,
                            1j * qcore.SIGMA_3)
@@ -69,22 +81,17 @@ class TestStateVector:
         with pytest.raises(ValueError):
             qcore.StateVector(np.array([1.0, 1.0]))
 
-    def test_normalized_constructor(self):
-        s = qcore.StateVector.normalized([3.0, 4.0])
-        assert s.amplitudes[0] == pytest.approx(0.6)
-        assert s.dim == 2
-
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            qcore.StateVector.normalized([0.0, 0.0])
+            qcore.StateVector(np.zeros(2))
 
     def test_overlap_conjugation(self):
-        a = qcore.StateVector.normalized([1.0, 1j])
-        b = qcore.StateVector.normalized([1.0, -1.0])
+        a = state([1.0, 1j])
+        b = state([1.0, -1.0])
         assert a.overlap(b) == pytest.approx(np.conj(b.overlap(a)))
 
     def test_amplitudes_read_only(self):
-        s = qcore.StateVector.normalized([1.0, 0.0])
+        s = state([1.0, 0.0])
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
@@ -92,11 +99,8 @@ class TestStateVector:
 class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         mat = np.array([[0.0, 1.0], [2.0, 0.0]])
-        psi = qcore.StateVector.normalized(np.array([1.0, 0.0]))
         with pytest.raises(ScheduleError):
             qcore.instantaneous_eigensystem(mat)
-        with pytest.raises(ScheduleError):
-            qcore.expectation(mat, psi)
 
     def test_schedule_checks_every_query(self):
         sched = qcore.HamiltonianSchedule(turns_complex, duration=1.0)
@@ -110,7 +114,7 @@ class TestEigensystem:
         lambda c: math.hypot(math.hypot(c[0], c[1]), c[2]) > 1e-6))
     @settings(max_examples=60)
     def test_closed_form_matches_numpy(self, coeffs):
-        mat = qcore.pauli_vector(coeffs)
+        mat = pauli(coeffs)
         eig = qcore.instantaneous_eigensystem(mat)
         ref_vals = np.linalg.eigvalsh(mat)
         scale = max(1.0, float(np.max(np.abs(ref_vals))))
@@ -121,9 +125,10 @@ class TestEigensystem:
 
     def test_ground_state_aligns_against_field(self):
         # field along +z: ground state is spin-down
-        psi = qcore.ground_state(qcore.pauli_vector((0.0, 0.0, 2.0)))
+        psi = qcore.ground_state(pauli((0.0, 0.0, 2.0)))
         assert abs(psi.amplitudes[1]) == pytest.approx(1.0)
-        assert qcore.expectation(qcore.SIGMA_3, psi) == pytest.approx(-1.0)
+        amp = psi.amplitudes
+        assert np.vdot(amp, qcore.SIGMA_3 @ amp).real == pytest.approx(-1.0)
 
     def test_degenerate_flag(self):
         eig = qcore.instantaneous_eigensystem(np.zeros((2, 2)))
@@ -137,16 +142,9 @@ class TestEigensystem:
             qcore.instantaneous_eigensystem(mat)
         sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 1.0),
                                           duration=1.0)
-        psi0 = qcore.StateVector.normalized(np.ones(5))
+        psi0 = state(np.ones(5))
         with pytest.raises(ValueError):
-            qcore.evolve(sched, psi0, 0.1)
-
-
-class TestExpectation:
-    def test_matches_direct_form(self):
-        psi = qcore.StateVector.normalized([1.0, 1.0])
-        assert qcore.expectation(qcore.SIGMA_1, psi) == pytest.approx(1.0)
-        assert qcore.expectation(qcore.SIGMA_3, psi) == pytest.approx(0.0)
+            qcore.evolve_with_energy(sched, psi0, 0.1)
 
 
 class TestEvolution:
@@ -155,8 +153,8 @@ class TestEvolution:
         amp = 0.8
         sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, amp),
                                           duration=3.0)
-        psi0 = qcore.StateVector.normalized([1.0, 1.0])
-        final = qcore.evolve(sched, psi0, 0.001)
+        psi0 = state([1.0, 1.0])
+        final, _ = qcore.evolve_with_energy(sched, psi0, 0.001)
         expected = np.array([cmath.exp(-1j * amp * 3.0),
                              cmath.exp(1j * amp * 3.0)]) / math.sqrt(2.0)
         assert np.allclose(final.amplitudes, expected, atol=1e-6)
@@ -164,8 +162,8 @@ class TestEvolution:
     def test_norm_preserved_exactly(self):
         sched = qcore.HamiltonianSchedule(
             lambda t: (0.0, np.cos(t), 0.0, np.sin(t)), duration=10.0)
-        psi0 = qcore.StateVector.normalized([1.0, 0.0])
-        final = qcore.evolve(sched, psi0, 0.01)
+        psi0 = state([1.0, 0.0])
+        final, _ = qcore.evolve_with_energy(sched, psi0, 0.01)
         assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0,
                                                                  abs=1e-12)
 
@@ -176,40 +174,31 @@ class TestEvolution:
         _, energy = qcore.evolve_with_energy(sched, psi0, 0.001)
         assert energy == pytest.approx(-10.0, rel=1e-9)
 
-    def test_trajectory_brackets_run(self):
-        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 1.0),
-                                          duration=1.0)
-        psi0 = qcore.StateVector([1.0 + 0j, 0.0 + 0j])
-        times, states = qcore.evolve_trajectory(sched, psi0, 0.01,
-                                                sample_every=7)
-        assert times[0] == 0.0
-        assert times[-1] == 1.0
-        assert np.allclose(states[0], psi0.amplitudes)
-        assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
-
     def test_step_validation(self):
         sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 1.0),
                                           duration=1.0)
         psi0 = qcore.StateVector([1.0 + 0j, 0.0 + 0j])
         with pytest.raises(ValueError):
-            qcore.evolve(sched, psi0, 0.0)
+            qcore.evolve_with_energy(sched, psi0, 0.0)
 
 
 def scalar_midpoint(coefficients, duration, steps, psi):
     """Step-by-step reference for the kernel: H frozen at each midpoint,
-    exp(-i H dt) from numpy's eigh.  Returns (states, energy integral)."""
+    exp(-i H dt) from numpy's eigh.  Returns (states, energy integral,
+    sigma3 integral)."""
     dt = duration / steps
     states = [np.asarray(psi, dtype=complex)]
-    energy = 0.0
+    energy = sigma3 = 0.0
     for k in range(steps):
         c0, a1, a2, a3 = (float(np.real(c))
                           for c in coefficients(np.float64((k + 0.5) * dt)))
         h = np.array([[c0 + a3, a1 - 1j * a2], [a1 + 1j * a2, c0 - a3]])
         psi = states[-1]
         energy += dt * float(np.vdot(psi, h @ psi).real)
+        sigma3 += dt * float(np.vdot(psi, qcore.SIGMA_3 @ psi).real)
         w, v = np.linalg.eigh(h)
         states.append(v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi)))
-    return np.array(states), energy
+    return np.array(states), energy, sigma3
 
 
 class TestChunkedKernel:
@@ -231,69 +220,63 @@ class TestChunkedKernel:
     def test_constant_hamiltonian_closed_form(self):
         c0, a = 0.3, np.array([0.4, -0.7, 1.1])
         r = float(np.linalg.norm(a))
-        psi0 = qcore.StateVector.normalized([0.6, 0.8j])
-        mean_energy = qcore.expectation(c0 * np.eye(2) + qcore.pauli_vector(a),
-                                        psi0)
+        psi0 = state([0.6, 0.8j])
+        h = c0 * np.eye(2) + pauli(a)
+        mean_energy = float(np.vdot(psi0.amplitudes, h @ psi0.amplitudes).real)
         for steps in self.STEPS:
             duration = steps * self.DT
             sched = qcore.HamiltonianSchedule(lambda t: (c0, *a), duration)
             final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
             exact = cmath.exp(-1j * c0 * duration) * (
                 math.cos(r * duration) * np.eye(2)
-                - 1j * math.sin(r * duration) * qcore.pauli_vector(a / r)
+                - 1j * math.sin(r * duration) * pauli(a / r)
             ) @ psi0.amplitudes
             assert np.abs(final.amplitudes - exact).max() < 1e-12, steps
             assert abs(energy - mean_energy * duration) < 1e-12, steps
 
     def test_matches_scalar_reference(self):
-        psi0 = qcore.StateVector.normalized([0.6, 0.8j])
+        psi0 = state([0.6, 0.8j])
         for steps in self.STEPS:
             sched = qcore.HamiltonianSchedule(self.drive, steps * self.DT)
-            final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
-            ref, ref_energy = scalar_midpoint(self.drive, sched.duration,
-                                              steps, psi0.amplitudes)
-            assert np.abs(final.amplitudes - ref[-1]).max() < 1e-12, steps
+            final, energy, sigma3 = qcore._propagate(sched, psi0.amplitudes,
+                                                     self.DT)
+            ref, ref_energy, ref_sigma3 = scalar_midpoint(
+                self.drive, sched.duration, steps, psi0.amplitudes)
+            assert np.abs(final - ref[-1]).max() < 1e-12, steps
             assert abs(energy - ref_energy) < 1e-12, steps
-        times, states = qcore.evolve_trajectory(sched, psi0, self.DT,
-                                                sample_every=7)
-        kept = np.arange(0, steps + 1, 7)
-        assert np.array_equal(times[:-1], kept * self.DT)
-        assert times[-1] == sched.duration
-        assert np.abs(states[:-1] - ref[kept]).max() < 1e-12
-        assert np.abs(states[-1] - ref[-1]).max() < 1e-12
+            assert abs(sigma3 - ref_sigma3) < 1e-12, steps
 
     def test_zero_field_stretch(self):
-        psi0 = qcore.StateVector.normalized([0.6, 0.8j])
+        psi0 = state([0.6, 0.8j])
         dark = qcore.HamiltonianSchedule(self.dark_then_lit, 0.5)
-        final = qcore.evolve(dark, psi0, self.DT)
+        final, _ = qcore.evolve_with_energy(dark, psi0, self.DT)
         assert np.abs(final.amplitudes - cmath.exp(-0.2j) * psi0.amplitudes
                       ).max() < 1e-12
         steps = self.CHUNK + 1
         sched = qcore.HamiltonianSchedule(self.dark_then_lit, steps * self.DT)
         final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
-        ref, ref_energy = scalar_midpoint(self.dark_then_lit, sched.duration,
-                                          steps, psi0.amplitudes)
+        ref, ref_energy, _ = scalar_midpoint(self.dark_then_lit,
+                                             sched.duration, steps,
+                                             psi0.amplitudes)
         assert np.abs(final.amplitudes - ref[-1]).max() < 1e-12
         assert abs(energy - ref_energy) < 1e-12
 
     def test_zero_duration(self):
         sched = qcore.HamiltonianSchedule(self.drive, 0.0)
-        psi0 = qcore.StateVector.normalized([0.6, 0.8j])
+        psi0 = state([0.6, 0.8j])
         final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
         assert np.array_equal(final.amplitudes, psi0.amplitudes)
         assert energy == 0.0
-        times, states = qcore.evolve_trajectory(sched, psi0, self.DT)
-        assert times.tolist() == [0.0]
-        assert np.array_equal(states, [psi0.amplitudes])
+        assert qcore._propagate(sched, psi0.amplitudes, self.DT)[2] == 0.0
 
     def test_every_midpoint_is_checked(self):
         # the bad stretch starts in the third chunk of the run
         not_finite = lambda t: (0.0, 1.0, 0.0, np.where(t < 0.5, 0.5, np.nan))
-        psi0 = qcore.StateVector.normalized([1.0, 0.0])
+        psi0 = state([1.0, 0.0])
         for coefficients in (turns_complex, not_finite):
             sched = qcore.HamiltonianSchedule(coefficients, duration=1.0)
             with pytest.raises(ScheduleError):
-                qcore.evolve(sched, psi0, 2.0 ** -14)
+                qcore.evolve_with_energy(sched, psi0, 2.0 ** -14)
 
 
 class TestPhaseDecompose:
@@ -307,6 +290,7 @@ class TestPhaseDecompose:
         assert dec.dynamical == pytest.approx(1.2, rel=1e-9)
         assert qcore.circle_distance(dec.total, dec.dynamical) < 1e-6
         assert qcore.circle_distance(dec.geometric, 0.0) < 1e-6
+        assert dec.sigma3_mean == pytest.approx(-1.0, abs=1e-12)
 
     def test_geometric_is_wrapped_difference(self):
         sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 0.3),

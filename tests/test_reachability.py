@@ -1,0 +1,83 @@
+"""Guard: every function, class and method in src/phaselab is reached from
+the program, so no library code lives on for the unit tests alone.
+
+The scan is static (ast) and generous.  A name or ``module.name`` reference
+in a reachable body reaches that definition, and ``x.attr`` reaches every
+method called ``attr``.  The roots are ``cli.main`` and the module-level
+statements of each module, which hold ``SCENARIOS``.  A reached class
+brings its dunder methods.
+"""
+
+import ast
+from pathlib import Path
+
+import phaselab
+
+# berry.solid_angle: ROADMAP open item 5 makes it the solid-angle primitive
+# of the Gauss linking sum, its first caller in the program
+ALLOWED = {"berry.solid_angle"}
+
+
+def _scan():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(phaselab.__file__).parent.glob("*.py")}
+    defs, methods, imports = {}, {}, {}
+    for mod, tree in trees.items():
+        names = imports[mod] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = (alias.name if node.module is None
+                              else f"{node.module}.{alias.name}")
+                    names[alias.asname or alias.name] = target
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{mod}.{node.name}"] = node
+                if isinstance(node, ast.FunctionDef):
+                    continue
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        key = f"{mod}.{node.name}.{sub.name}"
+                        defs[key] = sub
+                        methods.setdefault(sub.name, []).append(key)
+
+    def refs(mod, nodes):
+        found = set()
+        for node in (n for top in nodes for n in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                found.add(imports[mod].get(node.id, f"{mod}.{node.id}"))
+            elif isinstance(node, ast.Attribute):
+                found.update(methods.get(node.attr, []))
+                if isinstance(node.value, ast.Name):
+                    # module.name, or Class.method of a class in scope
+                    owner = imports[mod].get(node.value.id,
+                                             f"{mod}.{node.value.id}")
+                    found.add(f"{owner}.{node.attr}")
+        return found
+
+    edges = {}
+    for key, node in defs.items():
+        mod = key.split(".")[0]
+        if isinstance(node, ast.ClassDef):
+            body = [n for n in node.body if not isinstance(n, ast.FunctionDef)]
+            edges[key] = refs(mod, body + node.bases + node.decorator_list) | {
+                k for k in defs if k.startswith(key + ".__")}
+        else:
+            edges[key] = refs(mod, [node])
+    stack = ["cli.main"]
+    for mod, tree in trees.items():
+        stack += refs(mod, [n for n in tree.body if not isinstance(
+            n, (ast.FunctionDef, ast.ClassDef))])
+    reached = set()
+    while stack:
+        key = stack.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            stack += edges[key]
+    return set(defs), reached
+
+
+def test_library_code_is_reached_from_the_program():
+    defined, reached = _scan()
+    assert "qcore.StateVector.overlap" in reached  # through an attribute
+    assert sorted(defined - reached - ALLOWED) == []
+    assert ALLOWED <= defined - reached, "allowlisted name now reached"

@@ -45,9 +45,9 @@ class TestReflectionPhase:
         cfg = ScatteringConfig(p=1.7, m=1.0, X=5.0, barrier=DeltaBarrier(0.0))
         assert scattering.reflection_phase(cfg) == math.pi
 
-    def test_opaque_barrier_shortens_the_channel(self):
-        cfg = ScatteringConfig(p=1.0, m=1.0, X=2.0, barrier=DeltaBarrier(1e6))
-        phase = scattering.reflection_phase(cfg)
+    def test_opaque_barrier_shortens_the_channel(self, scenario):
+        # scatter-phase's strongest barrier: p = 1, X = 2, gamma = 1e6
+        phase = scenario("scatter-phase")[0]["strong_phase"]
         assert phase == pytest.approx(-0.8584063464099779, rel=1e-12)
         assert qcore.circle_distance(
             phase, qcore.wrap_angle(math.pi - 4.0)) < 2e-6

@@ -7,7 +7,6 @@ import pytest
 
 from phaselab import qcore, topology
 from phaselab.errors import GeometryError, ResolutionError
-from phaselab.scenarios import SCENARIOS
 from phaselab.topology import Curve3D, RealFieldHamiltonian
 
 
@@ -49,11 +48,7 @@ class TestCurve3D:
         r = np.linalg.norm(c.points - np.array([1.0, 2.0, 3.0]), axis=1)
         assert np.allclose(r, 0.5)
         assert np.allclose(c.points[:, 2], 3.0)
-        assert c.segment_count == 64
-
-    def test_from_function_requires_closure(self):
-        with pytest.raises(ValueError):
-            Curve3D.from_function(lambda t: (t, 0.0, 0.0), 32)
+        assert len(c.points) == 65
 
 
 class TestLinkingNumber:
@@ -187,7 +182,7 @@ class TestSharedNormalKernel:
         rng = np.random.default_rng(100 + offset)
         rows = topology._ROW_BLOCK + offset
         a, b = _wobbly_pair(rng, rows, 37, linked=True)
-        assert a.segment_count == rows
+        assert len(a.points) - 1 == rows
         raw = topology.gauss_linking_sum(a, b)
         assert abs(raw - _reference_gauss_sum(a, b)) <= 1e-12
         assert abs(abs(raw) - 1.0) <= 1e-9
@@ -203,22 +198,15 @@ class TestSharedNormalKernel:
 
 
 class TestLinkingScenario:
-    def test_catalog_defaults(self):
-        scenario = SCENARIOS["linking"]
-        params = {k: entry.default for k, entry in scenario.parameters.items()}
-        tables = {}
-
-        def emit(name, columns):
-            tables[name] = {column: values for column, _, values in columns}
-
-        results, checks = scenario.runner(params, 0, emit)
+    def test_catalog_defaults(self, scenario):
+        results, checks, tables = scenario("linking")
         table = tables["linking.csv"]
         assert list(table["linking_number"]) == [0, 0, 1, -1, 1, 2, 1, 1, 1,
                                                  1, 1]
         assert list(table["expected"]) == list(table["linking_number"])
         assert results["pair_count"] == 11
         assert results["max_integer_residual"] <= 1e-9
-        assert checks and all(ok for _, ok in checks)
+        assert checks and all(checks.values())
 
 
 class TestPhasePrediction:
@@ -255,10 +243,11 @@ class TestRealFieldLoopPhase:
 
     def test_tilted_probe_still_odd(self):
         # only the winding of (a1, a3) about zero matters, not the shape
-        probe = Curve3D.from_function(
-            lambda t: (1.4 * math.cos(2.0 * math.pi * t),
-                       0.6 * math.sin(2.0 * math.pi * t),
-                       0.3 * math.sin(4.0 * math.pi * t)), 600)
+        t = np.linspace(0.0, 2.0 * math.pi, 601)
+        pts = np.column_stack((1.4 * np.cos(t), 0.6 * np.sin(t),
+                               0.3 * np.sin(2.0 * t)))
+        pts[-1] = pts[0]
+        probe = Curve3D(pts)
         phase = topology.real_field_loop_phase(self.H_AXIS, probe)
         assert qcore.circle_distance(phase, math.pi) < 1e-6
 
