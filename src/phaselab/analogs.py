@@ -142,16 +142,11 @@ class TransferReport:
 
     fraction is the share of the final energy attributed to the mu pendulum
     in the instantaneous normal-mode basis at the frozen final lengths.
-    flavor_energies columns: e pendulum, mu pendulum, spring.  mode_energies
-    columns: lower mode, upper mode.  energy_drift is filled only when the
-    schedule is constant (conservation check), else None.
+    energy_drift is filled only when the schedule is constant (conservation
+    check), else None.
     """
 
     fraction: float
-    times: np.ndarray
-    flavor_energies: np.ndarray
-    mode_energies: np.ndarray
-    total_energy: np.ndarray
     energy_drift: float | None
     weak_coupling_ratio: float
 
@@ -346,14 +341,14 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
             coarse, m, previous = ys, 2 * m, estimate
 
     xe, ve, xm, vm = ys.T
-    flavor = np.column_stack((0.5 * ve * ve + 0.5 * we2 * xe * xe,
-                              0.5 * vm * vm + 0.5 * wm2 * xm * xm,
-                              0.5 * kappa * (xe - xm) ** 2))
-    total = flavor[:, 0] + flavor[:, 1] + flavor[:, 2]
-    # energy per normal mode
-    qx = np.einsum("nji,nj->ni", mode_vecs, np.column_stack((xe, xm)))
-    qv = np.einsum("nji,nj->ni", mode_vecs, np.column_stack((ve, vm)))
-    modes = 0.5 * qv ** 2 + 0.5 * mode_k * qx ** 2
+    # e pendulum, mu pendulum and spring
+    total = (0.5 * ve * ve + 0.5 * we2 * xe * xe
+             + (0.5 * vm * vm + 0.5 * wm2 * xm * xm)
+             + 0.5 * kappa * (xe - xm) ** 2)
+    # energy per normal mode at the end
+    qx = np.einsum("ji,j->i", mode_vecs[-1], ys[-1, 0::2])
+    qv = np.einsum("ji,j->i", mode_vecs[-1], ys[-1, 1::2])
+    modes = 0.5 * qv ** 2 + 0.5 * mode_k[-1] * qx ** 2
 
     drift = None
     if frozen:
@@ -362,12 +357,10 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
             raise IntegratorError(
                 f"energy drift {drift:.3e} with frozen lengths exceeds 1e-6")
 
-    mu_share = float(np.dot(modes[-1], mode_vecs[-1, 1, :] ** 2))
+    mu_share = float(np.dot(modes, mode_vecs[-1, 1, :] ** 2))
     tot_end = float(total[-1])
     fraction = mu_share / tot_end if tot_end > 0.0 else 0.0
-    return TransferReport(fraction=fraction, times=times,
-                          flavor_energies=flavor, mode_energies=modes,
-                          total_energy=total, energy_drift=drift,
+    return TransferReport(fraction=fraction, energy_drift=drift,
                           weak_coupling_ratio=float(weak))
 
 
@@ -457,9 +450,7 @@ def linear_two_level_sweep(epsilon: float, rate: float,
 @dataclass(frozen=True)
 class ConversionReport:
     conversion: float
-    survival: float
     lz_conversion: float | None
-    lz_deviation: float | None
 
 
 def two_level_step(s: TwoLevelSweep, step_scale: float = 0.04) -> float:
@@ -490,14 +481,10 @@ def two_level_sweep(s: TwoLevelSweep, step_scale: float = 0.04) -> ConversionRep
     ground_end = instantaneous_eigensystem(
         sched.operator(s.duration)).vectors[:, 0]
     conversion = float(abs(np.vdot(ground_end, final.amplitudes)) ** 2)
-    survival = 1.0 - conversion
     lz = None
-    dev = None
     if s.sweep_rate is not None:
         lz = 1.0 - math.exp(-math.pi * eps * eps / s.sweep_rate)
-        dev = abs(conversion - lz)
-    return ConversionReport(conversion=conversion, survival=survival,
-                            lz_conversion=lz, lz_deviation=dev)
+    return ConversionReport(conversion=conversion, lz_conversion=lz)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +531,7 @@ def _segment_origin_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 def rectangle_transport(delta0: float, epsilon0: float,
                         center: tuple = (0.0, 0.0), samples: int = 2000,
-                        adiabaticity: float = 1e-3, transport_step: float = 0.01,
-                        knots_per_edge: int = 2000):
+                        adiabaticity: float = 1e-3, transport_step: float = 0.01):
     """Time table for traversing the rectangle at speed mu * gap^2, with mu
     the adiabaticity, and the propagator steps the transport takes on it.
 
@@ -553,8 +539,8 @@ def rectangle_transport(delta0: float, epsilon0: float,
     local adiabaticity parameter speed/gap^2 is held constant at mu: slow
     through the resonance crossings, fast in the far wings.  Per-edge times
     come from the exact arctan antiderivative of 1/(x^2 + c^2).  Returns
-    (times, deltas, epsilons, steps): knot arrays and duration /
-    transport_step.
+    (times, deltas, epsilons, steps): knot arrays, 2,000 knots per edge
+    after the start, and duration / transport_step.
 
     Raises ValueError unless adiabaticity and transport_step are positive
     (and for the corners, rectangle_corners), GeometryError when the
@@ -578,6 +564,7 @@ def rectangle_transport(delta0: float, epsilon0: float,
                               "times the loop's distance from the degeneracy")
 
     mu = adiabaticity
+    knots = 2000
     ts = [np.array([0.0])]
     ds = [np.array([corners[0, 0]])]
     es = [np.array([corners[0, 1]])]
@@ -594,13 +581,13 @@ def rectangle_transport(delta0: float, epsilon0: float,
                 return np.arctan(x / c) / c / (4.0 * mu)
             return -1.0 / (4.0 * mu * x)
 
-        xs = np.linspace(x1, x2, knots_per_edge + 1)[1:]
+        xs = np.linspace(x1, x2, knots + 1)[1:]
         tk = t0 + np.abs(anti(xs) - anti(x1))
         if e1 == e2:
             ds.append(xs)
-            es.append(np.full(knots_per_edge, e1))
+            es.append(np.full(knots, e1))
         else:
-            ds.append(np.full(knots_per_edge, d1))
+            ds.append(np.full(knots, d1))
             es.append(xs)
         ts.append(tk)
         t0 = float(tk[-1])
@@ -632,15 +619,15 @@ class RectangleLoop:
     transport_duration: float
 
 
-def rectangular_loop_phase(epsilon0: float, delta0: float, samples: int = 2000,
-                           center: tuple = (0.0, 0.0),
-                           adiabaticity: float = 1e-3,
+def rectangular_loop_phase(epsilon0: float, delta0: float, transport,
+                           samples: int = 2000, center: tuple = (0.0, 0.0),
                            transport_step: float = 0.01) -> RectangleLoop:
     """Wilson phase and adiabatic transport around the (delta, epsilon) rectangle.
 
     For H = epsilon sigma1 + delta sigma3 the degeneracy sits at the origin;
     a rectangle enclosing it carries Wilson phase pi, one that misses it
-    carries 0.  The transport traverses the loop at parameter speed
+    carries 0.  ``transport`` is the rectangle_transport table of the same
+    rectangle, center and samples: the loop is traversed at parameter speed
     adiabaticity * gap^2, which keeps the residual cone correction to the
     geometric phase at O(adiabaticity) uniformly along the path.  Warns
     (RegimeWarning) when delta0 < 10 epsilon0: the corners then sit too
@@ -656,10 +643,8 @@ def rectangular_loop_phase(epsilon0: float, delta0: float, samples: int = 2000,
     wilson = berry.wilson_loop_phase(directions)
     winding = _winding(path)
 
-    knots = 2000
-    times, dk, ek, _ = rectangle_transport(delta0, epsilon0, center, samples,
-                                           adiabaticity, transport_step, knots)
-    t_half = float(times[2 * knots])
+    times, dk, ek, _ = transport
+    t_half = float(times[len(times) // 2])  # the corner opposite the start
     t_full = float(times[-1])
 
     def coefficients(t: np.ndarray):
@@ -1053,13 +1038,9 @@ class CelestialResidual:
     """
 
     residual: float
-    full_phase: float
-    adiabatic_phase: float
     dynamical_correction: float
     perihelion_count: int
-    window: tuple
     per_cycle_residual: float
-    per_cycle_dynamical: float
     convergence_gap: float | None
 
 
@@ -1154,10 +1135,8 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, n_periods: float = 1.0,
                 f"residual not converged: gap {gap:.3e} vs residual {residual:.3e}")
 
     cycles = (t2 - t1) / t_j
-    return CelestialResidual(residual=residual, full_phase=full_phase,
-                             adiabatic_phase=adiabatic,
+    return CelestialResidual(residual=residual,
                              dynamical_correction=dynamical,
-                             perihelion_count=count, window=(t1, t2),
+                             perihelion_count=count,
                              per_cycle_residual=residual / cycles,
-                             per_cycle_dynamical=dynamical / cycles,
                              convergence_gap=gap)

@@ -70,6 +70,18 @@ def wilson_loop_phase(directions, band: str = "ground") -> float:
     return qcore.wrap_angle(-cmath.phase(complex(np.prod(overlaps / moduli))))
 
 
+def _triangle_solid_angle(triple, norms, dots):
+    """Signed solid angles 2 atan2(a.(b x c), D) of triangles (a, b, c) seen
+    from the origin, and D = |a||b||c| + (a.b)|c| + (a.c)|b| + (b.c)|a|
+    (Van Oosterom & Strackee, IEEE Trans. Biomed. Eng. 30, 125 (1983)).
+    Takes a.(b x c), (|a|, |b|, |c|) and (a.b, a.c, b.c), which callers
+    share between neighbouring triangles; D > 0 keeps clear of the cut."""
+    la, lb, lc = norms
+    ab, ac, bc = dots
+    denom = la * lb * lc + ab * lc + ac * lb + bc * la
+    return 2.0 * np.arctan2(triple, denom), denom
+
+
 def solid_angle(directions) -> float:
     """Signed solid angle of the geodesic polygon through the directions.
 
@@ -93,10 +105,10 @@ def solid_angle(directions) -> float:
         if nrm < 1e-9:
             continue
         ref = ref / nrm
-        denom = 1.0 + d @ ref + edge_dots + nxt @ ref
+        omega, denom = _triangle_solid_angle(
+            crosses @ ref, (1.0, 1.0, 1.0), (d @ ref, nxt @ ref, edge_dots))
         if np.min(denom) > 0.05:
-            numer = crosses @ ref
-            return float(2.0 * np.sum(np.arctan2(numer, denom)))
+            return float(np.sum(omega))
     raise ResolutionError("no anchor keeps the triangle fan well conditioned; "
                           "refine the loop sampling")
 
@@ -146,10 +158,6 @@ class FieldAngularMomentum:
 
     component: float
     coefficient: float
-    charge: float
-    pole_strength: float
-    separation: float
-    excision_radius: float
     refinement_difference: float
 
 
@@ -213,8 +221,5 @@ def field_angular_momentum(charge: float, pole_strength: float, separation: floa
             f"({coarse!r} vs {fine!r})")
     best = fine + (fine - coarse) / 3.0
     l_z = charge * pole_strength * best
-    return FieldAngularMomentum(component=l_z,
-                                coefficient=best,
-                                charge=charge, pole_strength=pole_strength,
-                                separation=separation, excision_radius=delta,
+    return FieldAngularMomentum(component=l_z, coefficient=best,
                                 refinement_difference=diff)

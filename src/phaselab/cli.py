@@ -3,8 +3,8 @@
 Exit codes: 0 all built-in checks passed, 1 a check failed, 2 the config
 was rejected before any computation, 3 the computation itself raised.
 Every run leaves a manifest.json (resolved config, checks, output digests,
-error record) in the output directory, even when it fails; the one-line
-reason goes to stderr as ``phaselab: <kind>: <message>``.
+warnings, error record) in the output directory, even when it fails; only
+the one-line reason goes to stderr, as ``phaselab: <kind>: <message>``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +180,8 @@ def _dump_json(path: Path, payload: dict) -> None:
 # execution
 
 def _execute(name: str, inputs, seed: int, outdir: Path):
-    """Run one scenario into outdir; returns (results, checks, inventory)."""
+    """Run one scenario into outdir; returns (results, checks, inventory,
+    warnings), each warning the runner raised once, as "Category: message"."""
     outputs = {}
 
     def emit(filename: str, columns) -> None:
@@ -189,8 +191,12 @@ def _execute(name: str, inputs, seed: int, outdir: Path):
         _write_csv(target, columns)
         outputs[filename] = _sha256(target)
 
-    results, checks = SCENARIOS[name].runner(inputs, seed, emit)
-    return results, checks, outputs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results, checks = SCENARIOS[name].runner(inputs, seed, emit)
+    raised = dict.fromkeys(f"{w.category.__name__}: {w.message}"
+                           for w in caught)
+    return results, checks, outputs, list(raised)
 
 
 def _run_command(args) -> int:
@@ -202,6 +208,7 @@ def _run_command(args) -> int:
     error = None
     checks = []
     outputs = {}
+    raised = []
     status = 0
     try:
         raw = _read_config(args.config)
@@ -226,7 +233,8 @@ def _run_command(args) -> int:
 
     if error is None:
         try:
-            results, checks, outputs = _execute(name, inputs, seed, outdir)
+            results, checks, outputs, raised = _execute(name, inputs, seed,
+                                                        outdir)
             summary = {
                 "scenario": name,
                 "seed": seed,
@@ -261,6 +269,7 @@ def _run_command(args) -> int:
         "error": None if error is None else
         {"kind": error.kind, "message": str(error)},
         "outputs": outputs,
+        "warnings": raised,
     }
     try:
         _dump_json(outdir / "manifest.json", manifest)
@@ -305,7 +314,7 @@ def _check_command() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             try:
                 _, _, inputs, seed = _validate({"scenario": name}, None)
-                _, checks, _ = _execute(name, inputs, seed, Path(tmp))
+                _, checks, _, _ = _execute(name, inputs, seed, Path(tmp))
             except Exception as exc:
                 print(f"{name}: ERROR {type(exc).__name__}: {exc}")
                 failures += 1

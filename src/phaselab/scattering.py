@@ -149,7 +149,6 @@ class BounceSample:
     net_standard_error: float
     mean_trapped_dwell: float
     dwell_standard_error: float
-    trapped_count: int
 
 
 def bounce_chain_sample(chain: BounceChain, trials: int, seed: int) -> BounceSample:
@@ -184,8 +183,7 @@ def bounce_chain_sample(chain: BounceChain, trials: int, seed: int) -> BounceSam
     return BounceSample(trials=trials, mean_net_momentum=mean_net,
                         net_standard_error=se_net,
                         mean_trapped_dwell=mean_dwell,
-                        dwell_standard_error=se_dwell,
-                        trapped_count=n_trapped)
+                        dwell_standard_error=se_dwell)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +243,8 @@ class WavepacketResult:
     epsilon_plane: float
     epsilon_packet: float
     first_kick: float
-    first_window_end: float
     long_kick: float
     efold_roundtrips: float
-    round_trip_time: float
     ledger_residual: float
     norm_drift: float
 
@@ -434,9 +430,7 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
                             epsilon_plane=eps_plane,
                             epsilon_packet=float(eps_packet),
                             first_kick=float(first_kick),
-                            first_window_end=float(times[idx_first]),
                             long_kick=float(long_kick),
                             efold_roundtrips=float(efold),
-                            round_trip_time=round_trip,
                             ledger_residual=ledger_residual,
                             norm_drift=norm_drift)

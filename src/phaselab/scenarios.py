@@ -151,10 +151,14 @@ def _run_berry_equator(p, seed, emit):
 
 def _run_berry_latitude(angles, seed, emit):
     rows = []
+    bargmann = 0.0
     for deg in angles:
         theta = math.radians(deg)
-        wilson = berry.wilson_loop_phase(
-            berry.latitude_directions(theta, WILSON_SAMPLES))
+        dirs = berry.latitude_directions(theta, WILSON_SAMPLES)
+        wilson = berry.wilson_loop_phase(dirs)
+        # the Bargmann identity: exact on the sampled polygon itself
+        bargmann = max(bargmann, qcore.circle_distance(
+            wilson, 0.5 * berry.solid_angle(dirs)))
         law = math.pi * (1.0 - math.cos(theta))
         rows.append((deg, wilson, law, qcore.circle_distance(wilson, law)))
     table = np.array(rows)
@@ -164,9 +168,12 @@ def _run_berry_latitude(angles, seed, emit):
           ("half_solid_angle", "radians", table[:, 2]),
           ("deviation", "radians", table[:, 3])])
     worst = float(table[:, 3].max())
-    results = {"angle_count": len(angles), "max_deviation": worst}
+    results = {"angle_count": len(angles), "max_deviation": worst,
+               "max_polygon_deviation": bargmann}
     checks = [("every latitude matches pi(1 - cos theta) within 1e-3",
-               worst <= 1e-3)]
+               worst <= 1e-3),
+              ("wilson phase equals half the polygon solid angle (1e-12)",
+               bargmann <= 1e-12)]
     return results, checks
 
 
@@ -620,25 +627,23 @@ def _run_two_level_sweep(inputs, seed, emit):
 
 
 def _prepare_rect_loop(p):
-    """The params, the shifted center 3 delta0 and the enclosing loop's
-    transport table, once both loops' transports fit the step cap."""
-    shifted = (3.0 * p["delta0"], 0.0)
+    """The params, the centers of the enclosing loop and of the one shifted
+    to 3 delta0, and their transport tables, once both fit the step cap."""
+    centers = ((0.0, 0.0), (3.0 * p["delta0"], 0.0))
     tables = [analogs.rectangle_transport(
         p["delta0"], p["epsilon0"], center, adiabaticity=p["adiabaticity"],
-        transport_step=p["transport_step"]) for center in ((0.0, 0.0), shifted)]
+        transport_step=p["transport_step"]) for center in centers]
     _check_step_cap(tables[0][3] + tables[1][3])
-    return dict(p, shifted=shifted, path=tables[0][:3])
+    return dict(p, centers=centers, tables=tables)
 
 
 def _run_rect_loop(p, seed, emit):
-    loop = analogs.rectangular_loop_phase(
-        p["epsilon0"], p["delta0"], adiabaticity=p["adiabaticity"],
+    loop, moved = [analogs.rectangular_loop_phase(
+        p["epsilon0"], p["delta0"], table, center=center,
         transport_step=p["transport_step"])
-    moved = analogs.rectangular_loop_phase(
-        p["epsilon0"], p["delta0"], center=p["shifted"],
-        adiabaticity=p["adiabaticity"], transport_step=p["transport_step"])
+        for table, center in zip(p["tables"], p["centers"])]
 
-    times, deltas, epsilons = p["path"]
+    times, deltas, epsilons, _ = p["tables"][0]
     stride = max(1, len(times) // 2000)
     emit("transport_path.csv",
          [("time", "1/energy", times[::stride]),
@@ -793,8 +798,8 @@ def _scenario_table() -> dict:
             _run_berry_equator, _prepare_berry_sweep),
         Scenario(
             "berry-latitude",
-            "Wilson-loop phases on latitude circles against the half "
-            "solid-angle law pi(1 - cos theta).",
+            "Wilson-loop phases on latitude circles against half the solid "
+            "angle of the cap, pi(1 - cos theta), and of the sampled polygon.",
             {"colatitudes_deg": Parameter("30,60,90,120", "degrees", s)},
             _run_berry_latitude,
             lambda p: _float_list(p["colatitudes_deg"])),

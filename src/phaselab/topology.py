@@ -5,9 +5,10 @@ degenerate where both coefficient fields vanish; generically that zero set
 is a curve in 3-space.  The loop phase of the ground band around a probe
 loop is 0 or pi, and it is pi exactly when the probe links the degeneracy
 curve an odd number of times.  This module computes Gauss linking numbers
-exactly per segment pair, on one grid of vertex differences whose face
-normals neighbouring pairs share, exposes the parity rule, and measures the
-loop phase directly; the degeneracy curve itself is supplied by the caller.
+exactly per segment pair, as solid angles of triangles on one grid of
+vertex differences whose norms and dots neighbouring pairs share, exposes
+the parity rule, and measures the loop phase directly; the degeneracy curve
+itself is supplied by the caller.
 """
 
 from __future__ import annotations
@@ -95,36 +96,39 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _unit_cross(a, b):
-    """Components of a x b scaled to unit length; a zero product stays zero."""
-    c = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-         a[0] * b[1] - a[1] * b[0])
-    norm = np.maximum(np.sqrt(_dot(c, c)), 1e-300)
-    return [x / norm for x in c]
-
-
 def _gauss_pass(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     """Raw Gauss sum and least squared vertex distance of closed polylines
     p and q, on the vertex grid R[i, j] = q[j] - p[i] in blocks of rows.
 
-    Pair (i, j) spans R[i, j], R[i, j+1], R[i+1, j+1], R[i+1, j].  With
-    H[i, j] = R[i, j] x R[i, j+1] and V[i, j] = R[i, j] x R[i+1, j], its
-    face normals are H^[i, j], V^[i, j+1], -H^[i+1, j] and -V^[i, j].
+    Pair (i, j) spans the quadrilateral R00, R01, R11, R10 (R01 = R[i, j+1],
+    R10 = R[i+1, j]); its solid angle is that of the triangles (R00, R01,
+    R11) and (R00, R11, R10), and with R running from p to q these sum to
+    minus 4 pi times the Gauss sum.  Norms come once per vertex, dots once
+    per grid edge and diagonal, and the diagonal cross X = R00 x R11 gives
+    both triple products: R00.(R01 x R11) = -R01.X, R00.(R11 x R10) = R10.X.
     """
     total, nearest = 0.0, math.inf
     for start in range(0, p.shape[0] - 1, _ROW_BLOCK):
         rows = p[start:start + _ROW_BLOCK + 1]
         r = [q[None, :, k] - rows[:, None, k] for k in range(3)]
-        nearest = min(nearest, float(_dot(r, r).min()))
-        h = _unit_cross([c[:, :-1] for c in r], [c[:, 1:] for c in r])
-        v = _unit_cross([c[:-1] for c in r], [c[1:] for c in r])
-        h0, h1 = [c[:-1] for c in h], [c[1:] for c in h]
-        v0, v1 = [c[:, :-1] for c in v], [c[:, 1:] for c in v]
-        dots = (_dot(h0, v1), -_dot(v1, h1), _dot(h1, v0), -_dot(v0, h0))
-        omega = sum(np.arcsin(np.clip(d, -1.0, 1.0)) for d in dots)
-        # orientation (tb x ta) . r1 of the pair, which is ta . H[i, j]
-        ta = np.diff(rows, axis=0).T[:, :, None]
-        total += float(np.sum(omega * np.sign(_dot(h0, ta))))
+        squares = _dot(r, r)
+        nearest = min(nearest, float(squares.min()))
+        n = np.sqrt(squares)
+        r00, r01 = [c[:-1, :-1] for c in r], [c[:-1, 1:] for c in r]
+        r10, r11 = [c[1:, :-1] for c in r], [c[1:, 1:] for c in r]
+        across = _dot([c[:, :-1] for c in r], [c[:, 1:] for c in r])
+        down = _dot([c[:-1] for c in r], [c[1:] for c in r])
+        diagonal = _dot(r00, r11)
+        x = (r00[1] * r11[2] - r00[2] * r11[1],
+             r00[2] * r11[0] - r00[0] * r11[2],
+             r00[0] * r11[1] - r00[1] * r11[0])
+        upper, _ = berry._triangle_solid_angle(
+            -_dot(r01, x), (n[:-1, :-1], n[:-1, 1:], n[1:, 1:]),
+            (across[:-1], diagonal, down[:, 1:]))
+        lower, _ = berry._triangle_solid_angle(
+            _dot(r10, x), (n[:-1, :-1], n[1:, 1:], n[1:, :-1]),
+            (diagonal, down[:, :-1], across[1:]))
+        total -= float(np.sum(upper) + np.sum(lower))
     return total / (4.0 * math.pi), nearest
 
 
@@ -132,10 +136,11 @@ def gauss_linking_sum(a: Curve3D, b: Curve3D) -> float:
     """Gauss double integral over all segment pairs, before rounding.
 
     Each pair contributes the exact signed solid angle of the quadrilateral
-    spanned by the two segments (sum of four arcsin terms), so the total is
-    exact for the polygons themselves rather than a quadrature estimate.
-    Normals and vertex distances come from one grid (_gauss_pass); curves
-    closer than 1e-9 touch and raise GeometryError.
+    spanned by the two segments, as two Van Oosterom triangles
+    (berry._triangle_solid_angle), so the total is exact for the polygons
+    themselves rather than a quadrature estimate.  Norms, dots and vertex
+    distances come from one grid (_gauss_pass); curves closer than 1e-9
+    touch and raise GeometryError.
     """
     raw, nearest = _gauss_pass(a.points, b.points)
     if math.sqrt(nearest) < 1e-9:

@@ -38,14 +38,16 @@ def test_criterion_1_equatorial_loop(scenario):
 
 
 def test_criterion_2_latitude_law(scenario):
-    _, _, tables = scenario("berry-latitude")
+    results, _, tables = scenario("berry-latitude")
     table = tables["latitude.csv"]
     assert len(table["colatitude"]) == 4
     for deg, wilson in zip(table["colatitude"], table["wilson_phase"]):
         target = math.pi * (1.0 - math.cos(math.radians(deg)))
         assert qcore.circle_distance(wilson, target) < 1e-3
+    assert results["max_polygon_deviation"] <= 1e-12
     report(2, "loop phase equals half the enclosed solid angle, "
-              "pi(1 - cos theta), within 1e-3 at four latitudes")
+              "pi(1 - cos theta), within 1e-3 at four latitudes, and half "
+              "the sampled polygon's solid angle within 1e-12")
 
 
 def test_criterion_3_scale_blindness(scenario):

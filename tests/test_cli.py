@@ -397,6 +397,7 @@ class TestSuccessArtifacts:
                     for k, entry in SCENARIOS["scatter-phase"].parameters.items()}
         assert cfg["parameters"] == defaults
         assert manifest["error"] is None
+        assert manifest["warnings"] == []
         assert manifest["duration_seconds"] > 0.0
 
     def test_list_parameter_echoed_as_text(self, tmp_path, capsys):
@@ -406,6 +407,25 @@ class TestSuccessArtifacts:
         manifest = json.loads(
             (out / "berry-latitude" / "manifest.json").read_text())
         assert manifest["config"]["parameters"]["colatitudes_deg"] == "45, 90"
+
+    def test_warnings_go_to_the_manifest(self, tmp_path):
+        # corners at delta0 < 10 epsilon0 raise RegimeWarning, once per loop;
+        # a fresh interpreter shows what Python's default filter would print
+        src = Path(cli.__file__).resolve().parents[1]
+        cfg = write_config(tmp_path, scenario="rect-loop", parameters={
+            "delta0": 2.0, "transport_step": 0.04})
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "phaselab.cli", "run", "--config", cfg,
+             "--out", str(out)], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        manifest = json.loads((out / "rect-loop" / "manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "RegimeWarning: corners at delta0 < 10*epsilon0 sit close to "
+            "resonance"]
 
     def test_output_digests_match(self, success):
         outdir, _ = success

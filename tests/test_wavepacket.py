@@ -119,12 +119,6 @@ class TestMomentumLedger:
         assert res["epsilon_packet"] == pytest.approx(0.19741598264319232,
                                                       rel=1e-9)
 
-    def test_round_trip_time(self):
-        # 2X at speed p/m
-        res = scattering.wavepacket_run(short_run(round_trips=1), SHORT_CONFIG)
-        assert res.round_trip_time == pytest.approx(
-            2.0 * SHORT_CONFIG.X / SHORT_CONFIG.velocity, rel=1e-12)
-
     def test_time_series_shapes_agree(self, packet):
         res, series = packet
         n = series["time"].shape[0]
