@@ -7,6 +7,10 @@ capacitor's side, the plates pick up momenta +-eEt, so the plate relative
 coordinate acquires the phase (2eEt) * x: the same number.  The module
 keeps that equality exact by computing the product e*E*x*t once and
 deriving both descriptions from it; the match flag records the assertion.
+
+Settings may be numbers or equal-shape numpy arrays.  Arrays are evaluated
+element by element with the same floating-point operations as numbers, so
+a batch of settings gives, bit for bit, what one call per setting would.
 """
 
 from __future__ import annotations
@@ -14,10 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CapacitorScenario:
-    """Charge e, internal field E, plate separation x, dwell time t."""
+    """Charge e, internal field E, plate separation x, dwell time t: numbers,
+    or equal-shape arrays of settings."""
 
     e: float
     E: float
@@ -25,19 +32,18 @@ class CapacitorScenario:
     t: float
 
     def __post_init__(self):
-        if self.e <= 0.0 or self.E <= 0.0 or self.x <= 0.0:
+        if (np.any(self.e <= 0.0) or np.any(self.E <= 0.0)
+                or np.any(self.x <= 0.0)):
             raise ValueError("e, E, x must be positive")
-        if self.t < 0.0:
+        if np.any(self.t < 0.0):
             raise ValueError("t must be non-negative")
 
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Both faces of the same phase, plus the per-plate momentum."""
+    """The probe-side phase, and whether the system side gives the same."""
 
     probe_phase: float
-    plate_momentum: float
-    system_phase: float
     match: bool
 
 
@@ -45,52 +51,34 @@ def duality_report(s: CapacitorScenario) -> DualityReport:
     """Evaluate the two descriptions of the interferometer phase.
 
     probe_phase is the L-R potential-difference phase e(V_L - V_R)t = 2eExt;
-    system_phase is the relative-coordinate phase (2eEt) * x.  Both are
-    assembled from the single product core = e*E*x*t, so the match is exact
-    in floating point, not merely close.
+    the system side is the relative-coordinate phase (2eEt) * x of the
+    plates, whose momenta are +-eEt.  Both are assembled from the single
+    product core = e*E*x*t, so the match is exact in floating point, not
+    merely close.
     """
     core = s.e * s.E * s.x * s.t
     probe_phase = 2.0 * core
     system_phase = 2.0 * core
     return DualityReport(probe_phase=probe_phase,
-                         plate_momentum=s.e * s.E * s.t,
-                         system_phase=system_phase,
                          match=probe_phase == system_phase)
 
 
-@dataclass(frozen=True)
-class WhichPathAssessment:
-    """Can the plates record the path without erasing the fringes?"""
-
-    ratio: float
-    relative_phase: float
-    phase_within_pi: bool
-    fringe_destroying: bool
-
-
-def which_path_ratio(s: CapacitorScenario, localization: float) -> WhichPathAssessment:
+def which_path_ratio(s: CapacitorScenario, localization):
     """Momentum uncertainty forced by localization, against the plate kick.
 
     Resolving which plate moved requires localizing the plate coordinate
     within ``localization``, which costs momentum spread 1/localization
     (hbar = 1, minimum-uncertainty convention of the setup, looser than the
-    1/2 of the exact bound).  ratio = (1/localization)/(eEt): above 1 the
-    uncertainty swamps the kick itself, so whenever the acquired phase is
-    still modest (2eExt <= pi) the which-path record and the fringes cannot
-    coexist.
+    1/2 of the exact bound).  ratio = (1/localization)/(eEt), inf at t = 0:
+    above 1 the uncertainty swamps the kick itself, so whenever the
+    acquired phase is still modest (2eExt <= pi) the which-path record and
+    the fringes cannot coexist.
     """
-    if localization <= 0.0:
+    if np.any(localization <= 0.0):
         raise ValueError("localization must be positive")
-    if s.t == 0.0:
-        return WhichPathAssessment(ratio=math.inf, relative_phase=0.0,
-                                   phase_within_pi=True, fringe_destroying=True)
     kick = s.e * s.E * s.t
-    ratio = (1.0 / localization) / kick
-    phase = 2.0 * s.e * s.E * s.x * s.t
-    within = phase <= math.pi
-    return WhichPathAssessment(ratio=ratio, relative_phase=phase,
-                               phase_within_pi=within,
-                               fringe_destroying=bool(ratio > 1.0 and within))
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0 / localization, kick)
 
 
 def fringe_visibility(momentum_kick: float, width: float) -> float:

@@ -77,8 +77,10 @@ class ArctanDetuningRamp:
                  crossing_rate: float, width: float):
         if l_mu <= 0.0 or g <= 0.0:
             raise ValueError("l_mu and g must be positive")
-        if delta_max <= 0.0 or crossing_rate <= 0.0 or width <= 0.0:
-            raise ValueError("delta_max, crossing_rate, width must be positive")
+        if not all(0.0 < v < math.inf for v in (delta_max, crossing_rate,
+                                                width)):
+            raise ValueError("delta_max, crossing_rate, width must be "
+                             "positive and finite")
         omega_mu = math.sqrt(g / l_mu)
         if delta_max >= omega_mu:
             raise ValueError("delta_max must stay below omega_mu (length blows up)")
@@ -265,6 +267,38 @@ def _magnus_run(system: PendulumSystem, times: np.ndarray,
     return ys
 
 
+def _sweep_samples(system: PendulumSystem, duration: float, samples: int):
+    """(times, lengths, m) of a sweep: the sample times (one at t = 0 for
+    duration 0), the lengths there, and the Magnus steps per sample
+    interval it starts with, m = ceil(interval * omega_max / 0.5), 0 for
+    duration 0.  omega_max^2 is the largest normal-mode stiffness at the
+    samples, the larger root of [[g/l + k, -k], [-k, g/l_mu + k]] in closed
+    form."""
+    times = np.linspace(0.0, duration, samples) if duration > 0.0 else np.zeros(1)
+    lengths = system.length_schedule.value(times)
+    if np.any(lengths <= 0.0):
+        raise ValueError("length schedule must stay positive")
+    if duration == 0.0:
+        return times, lengths, 0
+    we2 = system.g / lengths
+    wm2 = system.g / system.l_mu
+    kappa = system.kappa
+    stiffest = float(np.max(0.5 * (we2 + wm2) + kappa
+                            + np.hypot(0.5 * (we2 - wm2), kappa)))
+    m = max(1, math.ceil(float(np.max(np.diff(times))) * math.sqrt(stiffest)
+                         / _STEP_PHASE))
+    return times, lengths, m
+
+
+def magnus_start_steps(system: PendulumSystem, duration: float,
+                       samples: int = 1200) -> int:
+    """Magnus steps pendulum_sweep takes before any doubling: m per sample
+    interval in the first run and 2m in the second, (samples - 1) * 3m.
+    Raises what pendulum_sweep raises for the schedule's lengths."""
+    times, _, m = _sweep_samples(system, duration, samples)
+    return (len(times) - 1) * 3 * m
+
+
 def pendulum_sweep(system: PendulumSystem, duration: float,
                    rtol: float = 1e-10, samples: int = 1200) -> TransferReport:
     """Integrate the coupled small-angle equations through a length sweep.
@@ -296,15 +330,10 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
         raise ValueError("rtol must be finite and positive")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    sched = system.length_schedule
     g = system.g
     kappa = system.kappa
     wm2 = g / system.l_mu
-
-    times = np.linspace(0.0, duration, samples) if duration > 0.0 else np.zeros(1)
-    lengths = sched.value(times)
-    if np.any(lengths <= 0.0):
-        raise ValueError("length schedule must stay positive")
+    times, lengths, m = _sweep_samples(system, duration, samples)
     frozen = float(np.ptp(lengths)) <= 1e-12 * float(np.max(lengths))
     weak = kappa / min(wm2, g / float(np.max(lengths)))
 
@@ -319,9 +348,6 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
     if duration == 0.0:
         ys = np.asarray(system.state, dtype=float).reshape(1, 4)
     else:
-        omega_max = math.sqrt(float(np.max(mode_k)))
-        m = max(1, math.ceil(float(np.max(np.diff(times))) * omega_max
-                             / _STEP_PHASE))
         coarse = _magnus_run(system, times, m)
         previous = math.inf
         for doubling in range(_MAX_DOUBLINGS):
@@ -543,11 +569,12 @@ def rectangle_transport(delta0: float, epsilon0: float,
     after the start, and duration / transport_step.
 
     Raises ValueError unless adiabaticity and transport_step are positive
-    (and for the corners, rectangle_corners), GeometryError when the
-    boundary passes through the degeneracy, and ResolutionError when the
-    loop's samples lie further apart than sqrt(3) times its distance from
-    the degeneracy: only then can neighbouring band states of the Wilson
-    loop turn by more than 120 degrees (overlap below 0.5).
+    (and for the corners, rectangle_corners) or when gap^2 overflows at a
+    corner, GeometryError when the boundary passes through the degeneracy,
+    and ResolutionError when the loop's samples lie further apart than
+    sqrt(3) times its distance from the degeneracy: only then can
+    neighbouring band states of the Wilson loop turn by more than 120
+    degrees (overlap below 0.5).
     """
     if not adiabaticity > 0.0:
         raise ValueError(f"adiabaticity must be positive, got {adiabaticity!r}")
@@ -555,6 +582,11 @@ def rectangle_transport(delta0: float, epsilon0: float,
         raise ValueError(
             f"transport_step must be positive, got {transport_step!r}")
     corners = rectangle_corners(delta0, epsilon0, center)
+    # gap^2 at the farthest corner bounds every square formed below, the
+    # squared edge lengths included
+    if not max(4.0 * (d * d + e * e) for d, e in corners.tolist()) < math.inf:
+        raise ValueError("rectangle too large: its squared level splitting "
+                         "overflows")
     clearance = min(_segment_origin_distance(corners[k], corners[k + 1])
                     for k in range(4))
     if clearance < 1e-9:

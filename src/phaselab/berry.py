@@ -161,35 +161,40 @@ class FieldAngularMomentum:
     refinement_difference: float
 
 
+def _rho_integral(z: float, separation: float, excision: float) -> float:
+    """Exact inner integral of rho^3 / (|s|^3 |r|^3) over rho >= rho_floor(z).
+
+    With a = z^2, b = (z - separation)^2, L = rho_floor^2 (the excised
+    disks of radius ``excision`` about both points), S = a + b and
+    q = sqrt((L + a)(L + b)), the antiderivative gives
+    (S L + a b) / (q (S q + S L + 2 a b)).  Every term is positive, so
+    nothing cancels, and q >= excision^2 on the disks; at L = 0 it is
+    1 / (|z| + |z - separation|)^2.
+    """
+    a = z * z
+    b = (z - separation) * (z - separation)
+    floor2 = max(excision * excision - a, excision * excision - b, 0.0)
+    total = a + b
+    q = math.sqrt((floor2 + a) * (floor2 + b))
+    return (total * floor2 + a * b) / (q * (total * q + total * floor2
+                                            + 2.0 * a * b))
+
+
 def _angular_momentum_integral(separation: float, excision: float,
                                epsrel: float = 1e-10) -> float:
-    """(R/2) * II rho^3 / (|s|^3 |r|^3) drho dz over the excised half-plane."""
+    """(R/2) * II rho^3 / (|s|^3 |r|^3) drho dz over the excised half-plane.
+
+    The rho integral is exact (_rho_integral); the z integral is numerical,
+    an adaptive quadrature over the five pieces cut at the disk edges.
+    """
     from scipy.integrate import quad
-
-    big = max(2.0 * separation, 1.0)
-
-    def rho_floor(z: float) -> float:
-        gap2 = max(excision * excision - z * z,
-                   excision * excision - (z - separation) * (z - separation), 0.0)
-        return math.sqrt(gap2)
-
-    def inner(z: float) -> float:
-        lo = rho_floor(z)
-
-        def f(rho: float) -> float:
-            s3 = (rho * rho + z * z) ** 1.5
-            r3 = (rho * rho + (z - separation) ** 2) ** 1.5
-            return rho ** 3 / (s3 * r3)
-
-        near, _ = quad(f, lo, big, epsabs=1e-13, epsrel=epsrel, limit=200)
-        far, _ = quad(f, big, np.inf, epsabs=1e-13, epsrel=epsrel, limit=200)
-        return near + far
 
     cuts = [-np.inf, -excision, excision, separation - excision,
             separation + excision, np.inf]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        piece, _ = quad(inner, a, b, epsabs=1e-13, epsrel=epsrel, limit=200)
+        piece, _ = quad(_rho_integral, a, b, args=(separation, excision),
+                        epsabs=1e-13, epsrel=epsrel, limit=200)
         total += piece
     return 0.5 * separation * total
 
@@ -200,10 +205,12 @@ def field_angular_momentum(charge: float, pole_strength: float, separation: floa
 
     The E x B / 4 pi momentum density is reduced to a half-plane integral by
     axial symmetry and evaluated in physical coordinates, so recovering a
-    separation-independent answer is a genuine check rather than built in.
-    Small disks around both singular points are excised; the integrand is
-    bounded there, so the excision removes O(delta^2) which Richardson
-    extrapolation over a halved radius takes back out.  A shift between the
+    separation-independent answer is a genuine check rather than built in:
+    the radial integral has a closed form, the axial one is done by
+    adaptive quadrature.  Small disks around both singular points are
+    excised; the integrand is bounded there, so the excision removes
+    O(delta^2) which Richardson extrapolation over a halved radius takes
+    back out.  A shift between the
     two runs outside the delta^2 budget raises QuadratureError.
     """
     if separation <= 0.0:

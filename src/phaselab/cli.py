@@ -10,6 +10,7 @@ the one-line reason goes to stderr, as ``phaselab: <kind>: <message>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -34,6 +35,7 @@ class _CliFailure(Exception):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
+        self.warnings = []  # raised by prepare before it failed
 
 
 def _fail(kind: str, message: str) -> _CliFailure:
@@ -77,9 +79,24 @@ def _coerce(name: str, scenario: str, schema_entry, value):
                     f"rejects {value!r}: {exc}")
 
 
+@contextlib.contextmanager
+def _recording_warnings():
+    """Hold back the warnings raised inside; yields a list that receives
+    each distinct one as "Category: message" on exit, also on an error."""
+    raised = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield raised
+        finally:
+            raised.extend(dict.fromkeys(f"{w.category.__name__}: {w.message}"
+                                        for w in caught))
+
+
 def _validate(raw: dict, seed_override):
-    """Resolve (scenario, parameters, inputs, seed) or raise before any
-    computation; any exception out of ``prepare`` is a config error."""
+    """Resolve (scenario, parameters, inputs, seed, warnings) or raise
+    before any computation; any exception out of ``prepare`` is a config
+    error, and the warnings ``prepare`` raised are recorded, not printed."""
     known_top = {"scenario", "parameters", "seed", "out_dir"}
     for key in raw:
         if key not in known_top:
@@ -107,11 +124,14 @@ def _validate(raw: dict, seed_override):
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise _fail("config-error", f"seed must be an unsigned integer, got {seed!r}")
     try:
-        inputs = SCENARIOS[name].prepare(params)
+        with _recording_warnings() as raised:
+            inputs = SCENARIOS[name].prepare(params)
     except Exception as exc:
-        raise _fail("config-error", f"scenario '{name}' rejects its "
-                    f"parameters: {type(exc).__name__}: {exc}")
-    return name, params, inputs, seed
+        failure = _fail("config-error", f"scenario '{name}' rejects its "
+                        f"parameters: {type(exc).__name__}: {exc}")
+        failure.warnings = raised
+        raise failure
+    return name, params, inputs, seed, raised
 
 
 def _resolve_root(cli_out, raw) -> Path:
@@ -191,12 +211,9 @@ def _execute(name: str, inputs, seed: int, outdir: Path):
         _write_csv(target, columns)
         outputs[filename] = _sha256(target)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _recording_warnings() as raised:
         results, checks = SCENARIOS[name].runner(inputs, seed, emit)
-    raised = dict.fromkeys(f"{w.category.__name__}: {w.message}"
-                           for w in caught)
-    return results, checks, outputs, list(raised)
+    return results, checks, outputs, raised
 
 
 def _run_command(args) -> int:
@@ -212,9 +229,9 @@ def _run_command(args) -> int:
     status = 0
     try:
         raw = _read_config(args.config)
-        name, params, inputs, seed = _validate(raw, args.seed)
+        name, params, inputs, seed, raised = _validate(raw, args.seed)
     except _CliFailure as exc:
-        error, status = exc, _EXIT_CODES[exc.kind]
+        error, status, raised = exc, _EXIT_CODES[exc.kind], exc.warnings
         if isinstance(raw, dict) and raw.get("scenario") in SCENARIOS:
             name = raw["scenario"]  # park the failure record with its scenario
 
@@ -233,8 +250,9 @@ def _run_command(args) -> int:
 
     if error is None:
         try:
-            results, checks, outputs, raised = _execute(name, inputs, seed,
-                                                        outdir)
+            results, checks, outputs, run_warnings = _execute(
+                name, inputs, seed, outdir)
+            raised = list(dict.fromkeys(raised + run_warnings))
             summary = {
                 "scenario": name,
                 "seed": seed,
@@ -313,7 +331,7 @@ def _check_command() -> int:
         t0 = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                _, _, inputs, seed = _validate({"scenario": name}, None)
+                _, _, inputs, seed, _ = _validate({"scenario": name}, None)
                 _, checks, _, _ = _execute(name, inputs, seed, Path(tmp))
             except Exception as exc:
                 print(f"{name}: ERROR {type(exc).__name__}: {exc}")

@@ -144,7 +144,6 @@ class Eigensystem:
 
     values: np.ndarray
     vectors: np.ndarray
-    degenerate: bool
 
 
 def field_eigenvectors(fields) -> np.ndarray:
@@ -177,8 +176,9 @@ def instantaneous_eigensystem(operator) -> Eigensystem:
     """Ordered eigen-decomposition of a Hermitian 2x2 operator.
 
     H = c0*I + a.sigma has eigenvalues c0 -+ |a| and the eigenvectors of
-    field_eigenvectors.  A gap below 1e-12 sets the ``degenerate`` flag;
-    callers decide what that means.  Raises ValueError for any other size.
+    field_eigenvectors.  A gap below 1e-12 has no field axis to follow and
+    takes the standard basis as eigenvectors.  Raises ValueError for any
+    other size.
     """
     mat = _coerce_hermitian(operator, "eigensystem input")
     if mat.shape != (2, 2):
@@ -193,8 +193,8 @@ def instantaneous_eigensystem(operator) -> Eigensystem:
     r = math.hypot(math.hypot(a1, a2), a3)
     values = np.array([c0 - r, c0 + r])
     if 2.0 * r <= _DEGENERACY_GAP:
-        return Eigensystem(values, np.eye(2, dtype=complex), True)
-    return Eigensystem(values, field_eigenvectors([[a1, a2, a3]])[0], False)
+        return Eigensystem(values, np.eye(2, dtype=complex))
+    return Eigensystem(values, field_eigenvectors([[a1, a2, a3]])[0])
 
 
 def ground_state(operator) -> StateVector:

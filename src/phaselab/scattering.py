@@ -331,6 +331,19 @@ def wavepacket_barrier_cell(run: WavepacketRun, config: ScatteringConfig) -> int
     return j
 
 
+def wavepacket_schedule(run: WavepacketRun,
+                        config: ScatteringConfig) -> tuple[float, float, int]:
+    """(t_first, round_trip, steps) of a run: the time by which the packet
+    has met the barrier once (its start distance plus four widths, at the
+    group velocity), one round trip 2 X / v of the channel, and the
+    Crank-Nicolson steps that cover t_first plus round_trips round trips."""
+    v = config.velocity
+    round_trip = 2.0 * config.X / v
+    t_first = ((run.center - config.X) + 4.0 * run.width) / v
+    t_end = t_first + run.round_trips * round_trip
+    return t_first, round_trip, int(math.ceil(t_end / run.dt))
+
+
 def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketResult:
     """Crank-Nicolson evolution of a packet thrown at the mirror+barrier.
 
@@ -362,11 +375,7 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
 
     psi = _gaussian_packet(x, run.center, run.width, p, dx)
 
-    v = config.velocity
-    round_trip = 2.0 * X / v
-    t_first = ((run.center - X) + 4.0 * run.width) / v
-    t_end = t_first + run.round_trips * round_trip
-    steps = int(math.ceil(t_end / run.dt))
+    t_first, round_trip, steps = wavepacket_schedule(run, config)
 
     # the channel x <= X is a prefix of the grid, the far zone a suffix
     channel_end = int(np.searchsorted(x, X, side="right"))

@@ -41,6 +41,17 @@ CONSERVATION_TIME = 200.0   # frozen-length pendulum control run
 # 306,000 for the two rect-loop transports.
 MAX_PROPAGATOR_STEPS = 10_000_000
 
+# Work cap on scatter-wavepacket: grid points times Crank-Nicolson steps
+# (about 32 ns per cell update on a 2-vCPU machine, so 1e10 is about 5
+# minutes).  The catalog takes 8,192 x 44,334, about 3.6e8.
+MAX_CELL_UPDATES = 10_000_000_000
+
+# Work cap on pendulum-msw: Magnus steps its sweeps take before any step
+# doubling (about 3.4 us each on a 2-vCPU machine at the default rtol, so
+# 1e7 is about 35 s).  The catalog starts at about 410,000, and rate_scale
+# 10 at about 61,000.
+MAX_MAGNUS_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class Parameter:
@@ -426,6 +437,10 @@ def _prepare_scatter_wavepacket(p):
                                    center=p["center"], width=p["width"],
                                    round_trips=p["round_trips"])
     scattering.wavepacket_barrier_cell(run, cfg)  # the grid holds the run
+    updates = run.grid_points * scattering.wavepacket_schedule(run, cfg)[2]
+    if not updates <= MAX_CELL_UPDATES:
+        raise ValueError(f"the run needs {updates:.3g} cell updates, above "
+                         f"the cap of {MAX_CELL_UPDATES:.0e}")
     return cfg, run
 
 
@@ -479,29 +494,25 @@ def _prepare_ab_electric(p):
 
 def _run_ab_electric(p, seed, emit):
     rng = np.random.default_rng(seed)
-    rows = []
-    matches = 0
-    min_ratio = math.inf
-    max_phase = 0.0
-    for _ in range(DUALITY_DRAWS):
-        e, field, x = rng.uniform(0.5, 2.0, size=3)
-        bound_fraction = rng.uniform(0.1, 1.0)
-        t = bound_fraction * math.pi / (2.0 * e * field * x)
-        s = abduality.CapacitorScenario(e=e, E=field, x=x, t=t)
-        rep = abduality.duality_report(s)
-        wp = abduality.which_path_ratio(s, localization=x * p["localization_fraction"])
-        matches += rep.match
-        min_ratio = min(min_ratio, wp.ratio)
-        max_phase = max(max_phase, rep.probe_phase)
-        rows.append((e, field, x, t, rep.probe_phase, wp.ratio))
-    table = np.array(rows)
+    # per draw: charge, field and separation in [0.5, 2), then the share of
+    # the phase bound pi in [0.1, 1)
+    draws = rng.uniform([0.5] * 3 + [0.1], [2.0] * 3 + [1.0],
+                        size=(DUALITY_DRAWS, 4))
+    e, field, x, bound_fraction = draws.T
+    t = bound_fraction * math.pi / (2.0 * e * field * x)
+    s = abduality.CapacitorScenario(e=e, E=field, x=x, t=t)
+    rep = abduality.duality_report(s)
+    ratio = abduality.which_path_ratio(s, x * p["localization_fraction"])
+    matches = int(np.count_nonzero(rep.match))
+    min_ratio = float(ratio.min())
+    max_phase = float(rep.probe_phase.max())
     emit("scenarios.csv",
-         [("charge", "charge", table[:, 0]),
-          ("field", "energy/(charge*length)", table[:, 1]),
-          ("plate_separation", "length", table[:, 2]),
-          ("pulse_time", "time", table[:, 3]),
-          ("probe_phase", "radians", table[:, 4]),
-          ("which_path_ratio", "dimensionless", table[:, 5])])
+         [("charge", "charge", e),
+          ("field", "energy/(charge*length)", field),
+          ("plate_separation", "length", x),
+          ("pulse_time", "time", t),
+          ("probe_phase", "radians", rep.probe_phase),
+          ("which_path_ratio", "dimensionless", ratio)])
     vis_dev = abs(abduality.fringe_visibility(2.0, 0.5) -
                   math.exp(-0.5 * (2.0 * 0.5) ** 2))
     results = {
@@ -525,8 +536,10 @@ def _run_ab_electric(p, seed, emit):
 # analog scenarios
 
 def _prepare_pendulum_msw(p):
-    """(system, duration) sweeps at rate_scale, 1 and each ladder multiplier
-    times the base rate 0.01 eps^2, with eps = kappa / (2 omega_mu)."""
+    """(system, duration) sweeps at rate_scale and each ladder multiplier
+    times the base rate 0.01 eps^2, with eps = kappa / (2 omega_mu), the
+    sudden change at the base rate, and the frozen-length control of the
+    slow sweep, once their Magnus steps fit the cap."""
     def sweep(rate):
         return analogs.msw_benchmark_system(
             kappa=p["kappa"], delta_max=p["delta_max"], crossing_rate=rate,
@@ -534,20 +547,30 @@ def _prepare_pendulum_msw(p):
 
     # the library's default rate is the base rate; building that sweep first
     # checks l_mu and g before eps divides by them
-    sudden = sweep(None)
+    sudden = (sweep(None)[0], 0.0)
     eps = p["kappa"] / (2.0 * math.sqrt(p["g"] / p["l_mu"]))
     base_rate = 0.01 * eps * eps
     multipliers = _positive_list(p["ladder_multipliers"])
+    slow = sweep(p["rate_scale"] * base_rate)
+    # conservation control: same pendulums, lengths pinned at the start
+    start_length = analogs.FrozenLength(slow[0].length_schedule.value(0.0))
+    frozen = (replace(slow[0], length_schedule=start_length),
+              CONSERVATION_TIME)
+    ladder = [sweep(mult * base_rate) for mult in multipliers]
+    steps = sum(analogs.magnus_start_steps(*s)
+                for s in [slow, sudden, frozen] + ladder)
+    if not steps <= MAX_MAGNUS_STEPS:
+        raise ValueError(f"the sweeps start at {steps:.3g} Magnus steps, "
+                         f"above the cap of {MAX_MAGNUS_STEPS:.0e}")
     return dict(adiabaticity=eps, base_rate=base_rate, multipliers=multipliers,
-                slow=sweep(p["rate_scale"] * base_rate), sudden=sudden,
-                ladder=[sweep(mult * base_rate) for mult in multipliers])
+                slow=slow, sudden=sudden, frozen=frozen, ladder=ladder)
 
 
 def _run_pendulum_msw(inputs, seed, emit):
     system, duration = inputs["slow"]
     base_rate = inputs["base_rate"]
     slow = analogs.pendulum_sweep(system, duration)
-    sudden = analogs.pendulum_sweep(inputs["sudden"][0], 0.0)
+    sudden = analogs.pendulum_sweep(*inputs["sudden"])
     multipliers = inputs["multipliers"]
     fractions = [analogs.pendulum_sweep(*sweep).fraction
                  for sweep in inputs["ladder"]]
@@ -557,11 +580,7 @@ def _run_pendulum_msw(inputs, seed, emit):
            np.array(multipliers) * base_rate),
           ("transfer_fraction", "probability", np.array(fractions))])
     monotone = all(a < b for a, b in zip(fractions, fractions[1:]))
-
-    # conservation control: same pendulums, lengths pinned at the start
-    start_length = analogs.FrozenLength(system.length_schedule.value(0.0))
-    frozen_sys = replace(system, length_schedule=start_length)
-    frozen = analogs.pendulum_sweep(frozen_sys, CONSERVATION_TIME)
+    frozen = analogs.pendulum_sweep(*inputs["frozen"])
     results = {
         "transfer_fraction": slow.fraction,
         "sweep_duration": duration,

@@ -35,7 +35,7 @@ def scenario():
                 tables[filename] = {column: values
                                     for column, _, values in columns}
 
-            _, _, inputs, seed = cli._validate({"scenario": name}, None)
+            _, _, inputs, seed, _ = cli._validate({"scenario": name}, None)
             results, checks = SCENARIOS[name].runner(inputs, seed, emit)
             runs[name] = results, dict(checks), tables
         return runs[name]

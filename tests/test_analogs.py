@@ -4,6 +4,7 @@ Runs at catalog defaults come from the session fixture ``scenario``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,10 @@ class TestLengthSchedules:
             # length diverges when the detuning reaches the mu frequency
             ArctanDetuningRamp(l_mu=1.0, g=1.0, delta_max=1.0,
                                crossing_rate=0.01, width=0.05)
+        with pytest.raises(ValueError):
+            # an overflowed rate would sweep in no time and turn theta NaN
+            ArctanDetuningRamp(l_mu=1.0, g=1.0, delta_max=0.3,
+                               crossing_rate=math.inf, width=0.05)
 
 
 class TestPendulumTransfer:
@@ -158,6 +163,33 @@ class TestMagnusPropagator:
     def fast_system(self):
         return PendulumSystem(length_schedule=ArctanDetuningRamp(
             **self.FAST_RAMP), l_mu=1.0, kappa=self.KAPPA)
+
+    def test_start_steps_count_the_first_two_runs(self, monkeypatch):
+        system = self.fast_system()
+        duration = system.length_schedule.duration
+        substeps = []
+        run = analogs._magnus_run
+
+        def record(system, times, steps):
+            substeps.append(steps)
+            return run(system, times, steps)
+
+        monkeypatch.setattr(analogs, "_magnus_run", record)
+        analogs.pendulum_sweep(system, duration, samples=200)
+        assert substeps[1] == 2 * substeps[0]
+        assert analogs.magnus_start_steps(system, duration, samples=200) \
+            == 199 * (substeps[0] + substeps[1])
+        # m from the closed-form stiffest mode equals m from eigh
+        times = np.linspace(0.0, duration, 200)
+        we2 = 1.0 / system.length_schedule.value(times)
+        stiffness = np.empty((200, 2, 2))
+        stiffness[:, 0, 0] = we2 + self.KAPPA
+        stiffness[:, 0, 1] = stiffness[:, 1, 0] = -self.KAPPA
+        stiffness[:, 1, 1] = 1.0 + self.KAPPA
+        omega_max = math.sqrt(np.linalg.eigvalsh(stiffness).max())
+        assert substeps[0] == math.ceil(np.diff(times).max() * omega_max
+                                        / 0.5)
+        assert analogs.magnus_start_steps(system, 0.0) == 0
 
     def test_constant_schedule_matches_normal_modes(self):
         we2, wm2 = 1.0 / 1.3, 1.0
@@ -360,6 +392,12 @@ class TestRectangleLoop:
         # 2000 samples 0.02 apart on a loop passing 0.01 from the crossing
         with pytest.raises(ResolutionError):
             analogs.rectangle_transport(10.0, 0.01)
+        # squares that overflow are rejected before numpy forms them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for delta0, epsilon0 in ((1e300, 0.5), (10.0, 1e300)):
+                with pytest.raises(ValueError, match="overflows"):
+                    analogs.rectangle_transport(delta0, epsilon0)
         table = analogs.rectangle_transport(10.0, 0.5)
         assert table[3] == pytest.approx(3046.6717017181018 / 0.01, rel=1e-12)
         with pytest.raises(ValueError):

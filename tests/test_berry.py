@@ -167,6 +167,31 @@ class TestFieldAngularMomentum:
         fam = berry.field_angular_momentum(1.0, 0.5, 1.3)
         assert fam.component == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("separation, excision", [(1.0, 0.01),
+                                                      (2.5, 0.025)])
+    @pytest.mark.parametrize("z_over_s", [
+        -1e3, -3.0, -0.004, 0.0, 0.003, 0.5, 0.996, 1.0, 1.008, 40.0])
+    def test_rho_integral_matches_quadrature(self, separation, excision,
+                                             z_over_s):
+        # both tails, both excised disks, the midpoint and the two points
+        from scipy.integrate import quad
+
+        z = z_over_s * separation
+        floor2 = max(excision ** 2 - z ** 2,
+                     excision ** 2 - (z - separation) ** 2, 0.0)
+
+        def integrand(rho):
+            return rho ** 3 / ((rho * rho + z * z) ** 1.5
+                               * (rho * rho + (z - separation) ** 2) ** 1.5)
+
+        split = max(2.0 * separation, 1.0)
+        numeric = sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
+                           limit=400)[0]
+                      for lo, hi in ((math.sqrt(floor2), split),
+                                     (split, np.inf)))
+        exact = berry._rho_integral(z, separation, excision)
+        assert abs(exact - numeric) <= 1e-14 * numeric
+
     def test_validation(self):
         with pytest.raises(ValueError):
             berry.field_angular_momentum(1.0, 1.0, 0.0)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,20 @@ def run_cli(tmp_path, capsys, scenario, parameters=None, seed=None,
     code = main(["run", "--config", cfg, "--out", str(out), *extra_args])
     captured = capsys.readouterr()
     return code, out, captured
+
+
+def run_fresh(tmp_path, scenario, parameters):
+    """``phaselab run`` in a fresh interpreter, where Python's default
+    filter would print any warning that reached it: (process, out root)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    cfg = write_config(tmp_path, scenario=scenario, parameters=parameters)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "phaselab.cli", "run", "--config", cfg,
+         "--out", str(out)], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=300)
+    return proc, out
 
 
 class TestListing:
@@ -206,6 +221,29 @@ class TestConfigRejection:
             assert cap.err.startswith(
                 "phaselab: config-error: scenario 'pendulum-msw' rejects its "
                 f"parameters: ValueError: {reason}"), cap.err
+
+    @pytest.mark.parametrize("scenario, parameters, reason", [
+        # the base crossing rate overflows to inf; this used to hang
+        ("pendulum-msw", {"kappa": 1e300}, "positive and finite"),
+        # 3.9e7 Magnus steps before any doubling
+        ("pendulum-msw", {"rate_scale": 0.01}, "above the cap of 1e+07"),
+        # used to exit 3 after two overflow warnings
+        ("rect-loop", {"delta0": 1e300}, "squared level splitting overflows"),
+        # 1.8e10 cell updates
+        ("scatter-wavepacket", {"grid_points": 400000},
+         "above the cap of 1e+10"),
+    ])
+    def test_work_and_overflow_domains_exit_before_computing(
+            self, tmp_path, scenario, parameters, reason):
+        proc, out = run_fresh(tmp_path, scenario, parameters)
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"phaselab: config-error: scenario "
+                               f"'{scenario}' rejects its parameters: ")
+        assert reason in line
+        manifest = json.loads((out / scenario / "manifest.json").read_text())
+        assert manifest["outputs"] == {}
+        assert manifest["duration_seconds"] < 2.0
 
     def test_non_finite_float_parameter(self, tmp_path, capsys):
         for value in ("inf", "-inf", "nan", math.inf, math.nan):
@@ -409,23 +447,35 @@ class TestSuccessArtifacts:
         assert manifest["config"]["parameters"]["colatitudes_deg"] == "45, 90"
 
     def test_warnings_go_to_the_manifest(self, tmp_path):
-        # corners at delta0 < 10 epsilon0 raise RegimeWarning, once per loop;
-        # a fresh interpreter shows what Python's default filter would print
-        src = Path(cli.__file__).resolve().parents[1]
-        cfg = write_config(tmp_path, scenario="rect-loop", parameters={
-            "delta0": 2.0, "transport_step": 0.04})
-        out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "phaselab.cli", "run", "--config", cfg,
-             "--out", str(out)], cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-            text=True, timeout=300)
+        # corners at delta0 < 10 epsilon0 raise RegimeWarning, once per loop
+        proc, out = run_fresh(tmp_path, "rect-loop",
+                              {"delta0": 2.0, "transport_step": 0.04})
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         manifest = json.loads((out / "rect-loop" / "manifest.json").read_text())
         assert manifest["warnings"] == [
             "RegimeWarning: corners at delta0 < 10*epsilon0 sit close to "
             "resonance"]
+
+    @pytest.mark.parametrize("rejects, code", [(False, 0), (True, 2)])
+    def test_prepare_warnings_go_to_the_manifest(self, tmp_path, capsys,
+                                                 monkeypatch, rejects, code):
+        original = SCENARIOS["scatter-phase"]
+
+        def prepare(params):
+            warnings.warn("prepared", RuntimeWarning)
+            if rejects:
+                raise ValueError("rejected")
+            return original.prepare(params)
+
+        monkeypatch.setitem(SCENARIOS, "scatter-phase", dataclasses.replace(
+            original, prepare=prepare))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one that escaped would raise
+            assert run_cli(tmp_path, capsys, "scatter-phase")[0] == code
+        manifest = json.loads(
+            (tmp_path / "out" / "scatter-phase" / "manifest.json").read_text())
+        assert manifest["warnings"] == ["RuntimeWarning: prepared"]
 
     def test_output_digests_match(self, success):
         outdir, _ = success
@@ -519,6 +569,24 @@ class TestDeterminism:
             (out_b / "ab-electric" / "summary.json").read_text())
         assert sa["seed"] == 7 and sb["seed"] == 8
         assert sa["results"] != sb["results"]
+
+    @pytest.mark.parametrize("seed, csv_digest, summary_digest", [
+        (0, "c3a76302ccb382c87374416b5527e22acba34508f5f1a63a66ded5586e3110ba",
+         "8f4014b7345ec52422d6e76913709160f9a9815faac4ef2ae46a8e843f970a72"),
+        (1, "8d7beceb4583f82abaa4dfd8b19f136021df9ca937a72162c665bf8543e1401f",
+         "b88b199e0ea4203c56f7bba417710ac6a193ca2c8a0410db0dfb7a2cd275ec42"),
+        (7, "421df2a05ca88efe308b8e03b022d2413cdb6a3f163ec24bd0500528df0aedc0",
+         "c24236cb12de7955e46c7835849fd631ce66ceaca071e7ac2c3401bcfff54406"),
+    ])
+    def test_capacitor_draws_frozen(self, tmp_path, capsys, seed, csv_digest,
+                                    summary_digest):
+        # digests of the one-draw-per-setting loop the array pass replaced
+        code, out, _ = run_cli(tmp_path, capsys, "ab-electric", seed=seed)
+        assert code == 0
+        manifest = json.loads(
+            (out / "ab-electric" / "manifest.json").read_text())
+        assert manifest["outputs"]["scenarios.csv"] == csv_digest
+        assert manifest["outputs"]["summary.json"] == summary_digest
 
 
 class TestOutputRootPrecedence:

@@ -130,9 +130,10 @@ class TestEigensystem:
         amp = psi.amplitudes
         assert np.vdot(amp, qcore.SIGMA_3 @ amp).real == pytest.approx(-1.0)
 
-    def test_degenerate_flag(self):
+    def test_closed_gap_takes_the_standard_basis(self):
         eig = qcore.instantaneous_eigensystem(np.zeros((2, 2)))
-        assert eig.degenerate
+        assert np.array_equal(eig.values, [0.0, 0.0])
+        assert np.array_equal(eig.vectors, np.eye(2))
 
     def test_large_matrix_path(self):
         rng = np.random.default_rng(5)

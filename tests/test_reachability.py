@@ -18,16 +18,8 @@ import phaselab
 # names kept although the program does not reach them, each with its reason
 ALLOWED = set()
 
-# fields only tests read, kept until their tests assert on a scenario
-# instead
-ALLOWED_FIELDS = {
-    "abduality.DualityReport.plate_momentum",
-    "abduality.DualityReport.system_phase",
-    "abduality.WhichPathAssessment.relative_phase",
-    "abduality.WhichPathAssessment.phase_within_pi",
-    "abduality.WhichPathAssessment.fringe_destroying",
-    "qcore.Eigensystem.degenerate",
-}
+# fields only tests read, each with its reason
+ALLOWED_FIELDS = set()
 
 
 def _trees():
