@@ -46,6 +46,12 @@ MAX_PROPAGATOR_STEPS = 10_000_000
 # minutes).  The catalog takes 8,192 x 44,334, about 3.6e8.
 MAX_CELL_UPDATES = 10_000_000_000
 
+# Memory ceiling on scatter-wavepacket: the bytes its arrays hold, 200 per
+# grid point (the Crank-Nicolson factors, the state and their temporaries;
+# tracemalloc measures a peak of 196) and 48 per step (six float64 series).
+# The catalog holds about 3.8 MB.
+MAX_RUN_BYTES = 1_000_000_000
+
 # Work cap on pendulum-msw: Magnus steps its sweeps take before any step
 # doubling (about 3.4 us each on a 2-vCPU machine at the default rtol, so
 # 1e7 is about 35 s).  The catalog starts at about 410,000, and rate_scale
@@ -437,10 +443,15 @@ def _prepare_scatter_wavepacket(p):
                                    center=p["center"], width=p["width"],
                                    round_trips=p["round_trips"])
     scattering.wavepacket_barrier_cell(run, cfg)  # the grid holds the run
-    updates = run.grid_points * scattering.wavepacket_schedule(run, cfg)[2]
+    steps = scattering.wavepacket_schedule(run, cfg)[2]
+    updates = run.grid_points * steps
     if not updates <= MAX_CELL_UPDATES:
         raise ValueError(f"the run needs {updates:.3g} cell updates, above "
                          f"the cap of {MAX_CELL_UPDATES:.0e}")
+    held = 200 * run.grid_points + 48 * (steps + 1)
+    if not held <= MAX_RUN_BYTES:
+        raise ValueError(f"the run's arrays need {held:.3g} bytes, above "
+                         f"the ceiling of {MAX_RUN_BYTES:.0e}")
     return cfg, run
 
 

@@ -1,5 +1,6 @@
-"""Session fixtures: every test runs from its own tmp dir, and each scenario
-runs at most once per session.
+"""Session fixtures: every test runs from its own tmp dir, hypothesis keeps
+its storage in a temporary directory, and each scenario runs at most once
+per session.
 
 ``scenario(name)`` runs the named scenario at its catalog defaults the way
 ``phaselab run`` does (``cli._validate``, then the runner with seed 0), the
@@ -10,10 +11,29 @@ the module tests assert on these instead of re-deriving a claim beside the
 scenario that computes it; the 10 s wavepacket run is the largest of them.
 """
 
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from phaselab import cli
 from phaselab.scenarios import SCENARIOS
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    """Point hypothesis's storage (./.hypothesis by default) at a temporary
+    directory for the session: its example database, and the constants its
+    plugin reads out of the test modules while pytest collects them."""
+    home = tempfile.TemporaryDirectory(prefix="phaselab-hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture(autouse=True)

@@ -232,6 +232,9 @@ class TestConfigRejection:
         # 1.8e10 cell updates
         ("scatter-wavepacket", {"grid_points": 400000},
          "above the cap of 1e+10"),
+        # 7 steps, but 2.8e11 bytes of arrays
+        ("scatter-wavepacket", {"p": 1e4, "grid_points": 1400000000},
+         "above the ceiling of 1e+09"),
     ])
     def test_work_and_overflow_domains_exit_before_computing(
             self, tmp_path, scenario, parameters, reason):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from phaselab import qcore, scenarios, topology
+from phaselab import berry, qcore, scenarios, topology
 from phaselab.errors import GeometryError, ResolutionError
 from phaselab.topology import Curve3D, RealFieldHamiltonian
 
@@ -128,21 +128,26 @@ class TestLinkingNumber:
 
 def _reference_gauss_sum(a, b):
     """Segment by segment: four face normals per pair, each from its own
-    cross product, and the exact solid angle as four arcsin terms."""
+    cross product, and the exact solid angle as four arcsin terms.
+
+    arcsin(n.n') of unit normals is taken as atan2(n.n', |n x n'|): the
+    same angle, without the arcsin's loss of about sqrt(eps) where n.n'
+    nears +-1 (up to 3.3e-12 on 2,700 random 19-21 segment pairs)."""
     def unit(v):
         norm = np.linalg.norm(v, axis=-1, keepdims=True)
         return np.where(norm > 1e-300, v / np.maximum(norm, 1e-300), 0.0)
 
-    def dots(u, v):
-        return np.clip(np.einsum("ijk,ijk->ij", u, v), -1.0, 1.0)
+    def arcsin_dot(u, v):
+        return np.arctan2(np.einsum("ijk,ijk->ij", u, v),
+                          np.linalg.norm(np.cross(u, v), axis=-1))
 
     pa, pb = a.points[:-1, None, :], a.points[1:, None, :]
     qa, qb = b.points[None, :-1, :], b.points[None, 1:, :]
     r1, r2, r3, r4 = qa - pa, qb - pa, qb - pb, qa - pb
     n1, n2 = unit(np.cross(r1, r2)), unit(np.cross(r2, r3))
     n3, n4 = unit(np.cross(r3, r4)), unit(np.cross(r4, r1))
-    omega = (np.arcsin(dots(n1, n2)) + np.arcsin(dots(n2, n3))
-             + np.arcsin(dots(n3, n4)) + np.arcsin(dots(n4, n1)))
+    omega = (arcsin_dot(n1, n2) + arcsin_dot(n2, n3)
+             + arcsin_dot(n3, n4) + arcsin_dot(n4, n1))
     sign = np.sign(np.einsum("ijk,ijk->ij", np.cross(qb - qa, pb - pa), r1))
     return float(np.sum(omega * sign)) / (4.0 * math.pi)
 
@@ -178,23 +183,75 @@ class TestSharedNormalKernel:
 
     @pytest.mark.parametrize("offset", (-1, 0, 1))
     def test_block_edges(self, offset):
-        # the first curve's segment count below, at and just above one block
+        # each curve's segment count below, at and just above one block
         rng = np.random.default_rng(100 + offset)
-        rows = topology._ROW_BLOCK + offset
-        a, b = _wobbly_pair(rng, rows, 37, linked=True)
-        assert len(a.points) - 1 == rows
+        rows = topology._BLOCK + offset
+        for columns in range(topology._BLOCK - 1, topology._BLOCK + 2):
+            a, b = _wobbly_pair(rng, rows, columns, linked=True)
+            assert (len(a.points) - 1, len(b.points) - 1) == (rows, columns)
+            raw = topology.gauss_linking_sum(a, b)
+            assert abs(raw - _reference_gauss_sum(a, b)) <= 1e-12
+            assert abs(abs(raw) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_near_and_far_blocks(self, seed, monkeypatch):
+        # a ring of 4.5 blocks threaded by one of 3.5: the blocks that pass
+        # through each other are near, those across the rings far
+        near = []
+        quad_sum = topology._quad_sum
+
+        def counting(r, real):
+            near.append(r[0].shape[-1])
+            return quad_sum(r, real)
+
+        monkeypatch.setattr(topology, "_quad_sum", counting)
+        rng = np.random.default_rng(200 + seed)
+        half = topology._BLOCK // 2
+        a, b = _wobbly_pair(rng, 9 * half, 7 * half, linked=True)
         raw = topology.gauss_linking_sum(a, b)
+        assert 0 < sum(near) < 5 * 4  # of 5 x 4 block pairs
         assert abs(raw - _reference_gauss_sum(a, b)) <= 1e-12
-        assert abs(abs(raw) - 1.0) <= 1e-9
+        assert abs(raw - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("rows", (9, 32, 33, 130))
     def test_folded_min_distance_is_brute_force(self, rows):
+        # the touch guard folded into the Gauss pass raises exactly when the
+        # brute-force least vertex distance is below 1e-9: vertex i of a
+        # and j of b placed at a distance around 1e-9, at block corners
+        # (multiples of 20, the closing vertex) and inside blocks, the last
+        # block of each padded unless its length divides the curve's
         rng = np.random.default_rng(rows)
         a, b = _wobbly_pair(rng, rows, 23, linked=True)
-        _, nearest = topology._gauss_pass(a.points, b.points)
-        brute = min(float(np.sum((p - q) ** 2))
-                    for p in a.points for q in b.points)
-        assert nearest == brute
+        corners = sorted({0, min(20, rows), rows})
+        for i in corners + [rows // 2, rows - 2]:
+            for j in (0, 20, 23, 11, 22):
+                for distance in (0.0, 5e-10, 9.9e-10, 1.01e-9, 3e-9):
+                    step = rng.normal(size=3)
+                    step *= distance / np.linalg.norm(step)
+                    moved = b.transformed(
+                        translation=a.points[i] - b.points[j] + step)
+                    gap = moved.points[None, :, :] - a.points[:, None, :]
+                    brute = math.sqrt(float(np.min(
+                        gap[..., 0] ** 2 + gap[..., 1] ** 2
+                        + gap[..., 2] ** 2)))
+                    assert (brute < 1e-9) == (distance < 1e-9)
+                    for first, second in ((a, moved), (moved, a)):
+                        try:
+                            topology.gauss_linking_sum(first, second)
+                            raised = False
+                        except GeometryError:
+                            raised = True
+                        assert raised == (brute < 1e-9), (i, j, distance)
+
+    def test_touch_guard_on_curves_below_the_touch_distance(self):
+        # rings of radius 1e-10, centres 6e-10 apart, vertices at least
+        # 4e-10 apart: each is one block, and the balls' gap exceeds 1.01
+        # times their radii, so only the 1e-9 term keeps the pair near
+        z = (0.0, 0.0, 1.0)
+        a = Curve3D.circle((0.0, 0.0, 0.0), 1e-10, z, 8)
+        b = Curve3D.circle((6e-10, 0.0, 0.0), 1e-10, z, 8)
+        with pytest.raises(GeometryError):
+            topology.gauss_linking_sum(a, b)
 
 
 class TestLinkingScenario:
@@ -266,6 +323,28 @@ def ring():
     h = RealFieldHamiltonian(a1=lambda x: x[0] ** 2 + x[1] ** 2 - 1.0,
                              a3=lambda x: x[2])
     return h, Curve3D.circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 400)
+
+
+class TestFieldArrays:
+    """real_field_loop_phase evaluates a field once over the probe's
+    component arrays; the values equal one call per point."""
+
+    @pytest.mark.parametrize("field", ("axis", "ring"))
+    def test_array_call_equals_per_point_calls(self, field, ring):
+        # the axis field has the form of topo-phase's, x sigma1 + y sigma3
+        h = {"axis": TestRealFieldLoopPhase.H_AXIS, "ring": ring[0]}[field]
+        t = np.linspace(0.0, 2.0 * math.pi, 301)
+        pts = np.column_stack((1.0 + 0.5 * np.cos(t), 0.3 * np.sin(2.0 * t),
+                               0.5 * np.sin(t)))
+        pts[-1] = pts[0]
+        probe = Curve3D(pts)
+        per_point = np.array([[h.a1(x), 0.0, h.a3(x)]
+                              for x in probe.points[:-1]])
+        r = probe.points[:-1].T
+        assert np.array_equal(h.a1(r), per_point[:, 0])
+        assert np.array_equal(h.a3(r), per_point[:, 2])
+        assert (topology.real_field_loop_phase(h, probe)
+                == berry.wilson_loop_phase(per_point))
 
 
 class TestTracedCurveInterlock:
