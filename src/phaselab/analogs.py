@@ -18,7 +18,8 @@ apsis refinement handles every crossing of every lane in one dense-output
 call per round.  The moving-perturber runs are single lanes with a scalar
 right-hand side, which is faster for one planet.  The pendulum equations
 are linear, y' = A(t) y, and are stepped with a sixth-order Magnus
-integrator whose step exponentials are built in batches; its rtol (1e-10
+integrator whose step exponentials are built in batches, in closed form
+for the generator and from two traces for the exponential; its rtol (1e-10
 by default) bounds the Richardson estimate of the global error over the
 sampled states.  All units are G = hbar = 1.
 """
@@ -164,36 +165,81 @@ _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _STEP_PHASE = 0.5
 _MAX_DOUBLINGS = 5
 _MIN_CUT = 8.0
-# exp(W) for ||W||_1 <= _EXP_THETA is a degree-14 Taylor polynomial:
-# the remainder 0.5^15/15! = 2.3e-17 is below half an ulp of 1
-_EXP_THETA = 0.5
-_EXP_DEGREE = 14
+# exp(W) sums its series in M = W^2 while |mu| <= _EXP_RHO for every
+# eigenvalue mu of M (a step at h omega = 0.5 has |mu| about 0.25); a
+# matrix above is scaled by 2^-j to below and squared j times back
+_EXP_RHO = 0.5
+# bound on the series terms left out, relative to 1: half an ulp of 1
+_EXP_TAIL = 2.0 ** -53
 
 
-def _expm_taylor(w: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (..., n, n) stack.
+def _series_degree(rho: float) -> int:
+    """Least n for which the terms k > n of S(mu) = sum mu^k / (2k+1)!, each
+    weighted by k + 1, sum below _EXP_TAIL for |mu| <= rho <= 1.  The
+    weights bound the divided differences at mu1, mu2 that the coefficients
+    of I and M are; the terms of C1(mu) = (C(mu) - 1) / mu are smaller."""
+    n, term = 0, rho / 6.0  # term = rho^(n+1) / (2n+3)!
+    # each weighted term is below 3/40 of the one before, so the tail after
+    # the first adds less than 1/10 of it
+    while 1.1 * (n + 2) * term > _EXP_TAIL:
+        n += 1
+        term *= rho / ((2 * n + 2) * (2 * n + 3))
+    return n
 
-    A matrix whose 1-norm exceeds _EXP_THETA is scaled by the power of two
-    2^-s that brings it below, and the polynomial is squared s times.
+
+def _expm_hamiltonian(w: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (..., 4, 4) stack of Hamiltonian matrices:
+    J W symmetric for J = diag([[0, 1], [-1, 0]], [[0, 1], [-1, 0]]).
+
+    M = W^2 has eigenvalues mu1, mu1, mu2, mu2 and obeys M^2 = s M - p,
+    with s = mu1 + mu2 = tr(M) / 2 and p = mu1 mu2 = (tr(M)^2 - 2 tr(M^2))
+    / 8.  So the even and odd series C(M) = sum M^k / (2k)! and
+    S(M) = sum M^k / (2k+1)! are each c0 I + c1 M, found by Horner on the
+    pair (c0, c1), and exp(W) = C(M) + W S(M) takes two matrix products:
+    no eigenvalues, and no case for equal, real or complex mu.  The degree
+    follows from |mu| <= |s|/2 + sqrt(|s^2/4 - p|); a matrix with that
+    bound above _EXP_RHO is scaled by 2^-j to below it, and its exponential
+    squared j times.  Raises IntegratorError for a matrix that is not
+    finite.
     """
-    norm = np.abs(w).sum(axis=-2).max(axis=-1)
-    _, s = np.frexp(norm / _EXP_THETA)
-    s = np.where(norm > _EXP_THETA, s, 0)
-    w = np.ldexp(w, -s[..., None, None])
-    diag = np.arange(w.shape[-1])
-    p = w / _EXP_DEGREE
-    p[..., diag, diag] += 1.0
-    for k in range(_EXP_DEGREE - 1, 0, -1):
-        p = w @ p
-        p /= k
-        p[..., diag, diag] += 1.0
-    for j in range(int(s.max(initial=0))):
-        p = np.where((s > j)[..., None, None], p @ p, p)
-    return p
-
-
-def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
+    m = w @ w
+    tr = np.einsum("...ii->...", m)
+    s = 0.5 * tr
+    p = 0.125 * (tr * tr - 2.0 * np.einsum("...ij,...ji->...", m, m))
+    rho = 0.5 * np.abs(s) + np.sqrt(np.abs(0.25 * s * s - p))
+    top = float(rho.max(initial=0.0))
+    if not math.isfinite(top):
+        raise IntegratorError("Magnus step generator is not finite")
+    j = 0
+    if top > _EXP_RHO:
+        # W by 2^-j takes M and s by 4^-j and p by 16^-j
+        _, e = np.frexp(rho / _EXP_RHO)
+        j = np.where(rho > _EXP_RHO, (e + 1) // 2, 0)
+        w = np.ldexp(w, -j[..., None, None])
+        m = np.ldexp(m, -2 * j[..., None, None])
+        s, p = np.ldexp(s, -2 * j), np.ldexp(p, -4 * j)
+        top = float(np.ldexp(rho, -2 * j).max())
+    # Horner on C1(mu) = (C(mu) - 1) / mu = sum mu^k / (2k+2)! and S(mu),
+    # stacked on a first axis; (c0, c1) M = (-p c1, c0 + s c1)
+    n = _series_degree(top)
+    coef = np.reshape([[1.0 / math.factorial(2 * k + 2),
+                        1.0 / math.factorial(2 * k + 1)] for k in range(n + 1)],
+                      (n + 1, 2) + (1,) * s.ndim)
+    c0 = coef[n] + np.zeros_like(s)
+    c1 = np.zeros_like(c0)
+    for k in range(n - 1, -1, -1):
+        c0, c1 = coef[k] - p * c1, c0 + s * c1
+    # C(M) = I + M C1(M) and W S(M); the 1 goes on the diagonal last, so
+    # that its rounding is not a scale error shared by the four entries
+    out = (c0[0] + s * c1[0])[..., None, None] * m
+    out += c0[1][..., None, None] * w
+    out += c1[1][..., None, None] * (w @ m)
+    diagonal = out.reshape(out.shape[:-2] + (16,))[..., ::5]
+    diagonal -= (p * c1[0])[..., None]
+    diagonal += 1.0
+    for i in range(int(np.max(j))):
+        out = np.where((j > i)[..., None, None], out @ out, out)
+    return out
 
 
 def _fold(steps: np.ndarray) -> np.ndarray:
@@ -208,37 +254,61 @@ def _fold(steps: np.ndarray) -> np.ndarray:
     return steps[..., 0, :, :]
 
 
+def _magnus_generator(h, f1, f2, f3, kappa, k_mu) -> np.ndarray:
+    """Sixth-order Magnus generator Omega of steps of length h for
+    y' = A(t) y, y = (x_e, v_e, x_mu, v_mu), with
+    A = [[0, 1, 0, 0], [f, 0, kappa, 0], [0, 0, 0, 1], [kappa, 0, -k_mu, 0]]
+    and f1, f2, f3 the entry f at the three Gauss-Legendre nodes (Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151); shape: the arguments
+    broadcast, plus (4, 4).
+
+    With alpha1 = h A(t2), alpha2 = sqrt(15)/3 h (A(t3) - A(t1)) and
+    alpha3 = 10/3 h (A(t3) - 2 A(t2) + A(t1)), C1 = [alpha1, alpha2] and
+    C2 = -[alpha1, 2 alpha3 + C1] / 60, the scheme's generator is
+    alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
+    Only f changes in time, so alpha2 and alpha3 are multiples of E_10 and
+    the commutators reduce to these entries.  Each is h A(t2) plus a
+    correction that vanishes for f1 = f2 = f3, where Omega = h A exactly.
+    """
+    d = f1 - f3
+    curve = f1 - 2.0 * f2 + f3
+    h2 = h * h
+    h4d2 = h2 * h2 * d * d
+    r15 = math.sqrt(15.0)
+    w = np.zeros(np.broadcast_shapes(*map(np.shape, (h, f1, f2, f3, kappa,
+                                                    k_mu))) + (4, 4))
+    w[..., 0, 0] = r15 * h2 * d * (180.0 - h2 * (f1 + 10.0 * f2 + f3)) / 6480.0
+    w[..., 1, 1] = -w[..., 0, 0]
+    w[..., 0, 1] = h + h * (h4d2 - 40.0 * h2 * curve) / 2160.0
+    w[..., 1, 0] = h * f2 + h * (
+        1800.0 * curve + 3.0 * h4d2 * f2
+        + h2 * (20.0 * curve * (curve + 6.0 * f2) - 90.0 * d * d)) / 6480.0
+    w[..., 1, 2] = w[..., 3, 0] = (h * kappa
+                                   + h * kappa * (h4d2 + 80.0 * h2 * curve)
+                                   / 8640.0)
+    skew = r15 * h2 * h2 * kappa * d / 2160.0
+    w[..., 1, 3] = skew
+    w[..., 2, 0] = -skew
+    w[..., 0, 2] = -3.0 * skew
+    w[..., 3, 1] = 3.0 * skew
+    w[..., 2, 3] = h
+    w[..., 3, 2] = -h * k_mu
+    return w
+
+
 def _magnus_steps(system: PendulumSystem, starts: np.ndarray, h: np.ndarray,
                   first: int, stop: int) -> np.ndarray:
     """Sixth-order Magnus step exponentials, shape (intervals, stop - first,
     4, 4): substeps first..stop-1 of length h of the sample intervals that
-    begin at starts.
-
-    y' = A(t) y for y = (x_e, v_e, x_mu, v_mu); A is sampled at the three
-    Gauss-Legendre nodes of each step (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470 (2009) 151).
-    """
+    begin at starts."""
     g, kappa = system.g, system.kappa
     sched = system.length_schedule
     t = starts[:, None, None] + (np.arange(first, stop)[None, :, None]
                                  + _GAUSS_NODES) * h[:, None, None]
-    a = np.zeros(t.shape + (4, 4))
-    a[..., 0, 1] = 1.0
-    a[..., 1, 0] = -(g - sched.second(t)) / sched.value(t) - kappa
-    a[..., 1, 2] = kappa
-    a[..., 2, 3] = 1.0
-    a[..., 3, 0] = kappa
-    a[..., 3, 2] = -g / system.l_mu - kappa
-    a *= h[:, None, None, None, None]
-    a1, a2, a3 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
-    alpha1 = a2
-    alpha2 = (math.sqrt(15.0) / 3.0) * (a3 - a1)
-    alpha3 = (10.0 / 3.0) * (a3 - 2.0 * a2 + a1)
-    c1 = _commutator(alpha1, alpha2)
-    c2 = -(1.0 / 60.0) * _commutator(alpha1, 2.0 * alpha3 + c1)
-    omega = (alpha1 + alpha3 / 12.0 + (1.0 / 240.0) * _commutator(
-        -20.0 * alpha1 - alpha3 + c1, alpha2 + c2))
-    return _expm_taylor(omega)
+    f = -(g - sched.second(t)) / sched.value(t) - kappa
+    omega = _magnus_generator(h[:, None], f[..., 0], f[..., 1], f[..., 2],
+                              kappa, g / system.l_mu + kappa)
+    return _expm_hamiltonian(omega)
 
 
 def _magnus_run(system: PendulumSystem, times: np.ndarray,
@@ -246,24 +316,31 @@ def _magnus_run(system: PendulumSystem, times: np.ndarray,
     """States at the sample times, each sample interval cut into substeps
     equal Magnus steps.  Step exponentials are built _CHUNK at a time and
     folded per sample interval (a chunk holds whole intervals, or part of
-    one when substeps > _CHUNK); only the state update walks the
-    intervals in Python."""
+    one when substeps > _CHUNK).  The interval propagators are then
+    multiplied into prefix products, in log2(intervals) rounds of stacked
+    products, and the states are those applied to the initial state."""
     starts = times[:-1]
     h = np.diff(times) / substeps
     n = len(starts)
-    products = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
+    products = np.empty((n, 4, 4))
     per_chunk = max(1, _CHUNK // substeps)
     span = min(substeps, _CHUNK)
     for i in range(0, n, per_chunk):
         block = slice(i, i + per_chunk)
         for first in range(0, substeps, span):
-            steps = _magnus_steps(system, starts[block], h[block], first,
-                                  min(first + span, substeps))
-            products[block] = _fold(steps) @ products[block]
+            folded = _fold(_magnus_steps(system, starts[block], h[block],
+                                         first, min(first + span, substeps)))
+            products[block] = (folded if first == 0
+                               else folded @ products[block])
+    # after the round at stride d, products[i] runs over intervals
+    # max(0, i - 2d + 1)..i
+    stride = 1
+    while stride < n:
+        products[stride:] = products[stride:] @ products[:-stride]
+        stride *= 2
     ys = np.empty((n + 1, 4))
     ys[0] = system.state
-    for i in range(n):
-        ys[i + 1] = products[i] @ ys[i]
+    ys[1:] = products @ ys[0]
     return ys
 
 
@@ -310,7 +387,11 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
 
     The linear system y' = A(t) y is stepped with the sixth-order Magnus
     integrator (three Gauss-Legendre samples of A per step, exact when A is
-    constant).  Each of the samples - 1 intervals starts with
+    constant).  Only A[1, 0] changes in time, so each step's generator has
+    closed-form entries, and its exponential is a series in its square with
+    coefficients from two traces; the states at the samples are prefix
+    products of the interval propagators.  Each of the samples - 1
+    intervals starts with
     m = ceil(interval * omega_max / 0.5) steps, omega_max the fastest
     normal-mode frequency at the samples; the run is repeated with 2m, and
     the Richardson estimate max|y_2m - y_m| / 63 of the global error over
@@ -322,7 +403,7 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
     still not met after five doublings or a doubling cuts the estimate
     less than 8-fold (about 64-fold is due), or when a constant schedule
     shows relative energy drift above 1e-6 (the integrator, not the
-    physics, is then at fault).
+    physics, is then at fault), or when a step generator is not finite.
     """
     if duration < 0.0:
         raise ValueError("duration must be non-negative")

@@ -152,27 +152,31 @@ _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, columns) -> None:
-    """Header line, units line, then rows at 17 significant digits.
+def _write_csv(path: Path, columns) -> str:
+    """Header line, units line, then rows at 17 significant digits; returns
+    the sha256 hex digest of the bytes written.
 
     Each row is one %-template built from the column dtypes (floats at
     %.17g, integers at %d, anything else as str), formatted a block of
-    rows at a time."""
+    rows at a time, and each block is hashed as it is written."""
     arrays = [np.asarray(col[2]) for col in columns]
     length = len(arrays[0])
     if any(len(a) != length for a in arrays):
         raise PhaseLabError("csv columns of unequal length")
     row = ",".join(_CSV_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
-    with path.open("w", newline="\n") as out:
-        out.write(",".join(col[0] for col in columns) + "\n"
-                  + ",".join(col[1] for col in columns) + "\n")
+    digest = hashlib.sha256()
+    with path.open("wb") as out:
+        def write(text: str) -> None:
+            data = text.encode()
+            out.write(data)
+            digest.update(data)
+
+        write(",".join(col[0] for col in columns) + "\n"
+              + ",".join(col[1] for col in columns) + "\n")
         for start in range(0, length, _CSV_BLOCK_ROWS):
             block = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
-            out.write("".join(row % cells for cells in zip(*block)))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+            write("".join(row % cells for cells in zip(*block)))
+    return digest.hexdigest()
 
 
 def _jsonable(value):
@@ -191,9 +195,13 @@ def _jsonable(value):
     return value
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-                    + "\n", newline="\n")
+def _dump_json(path: Path, payload: dict) -> str:
+    """Write payload as sorted, indented JSON; returns the sha256 hex digest
+    of the bytes written."""
+    data = (json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+            + "\n").encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +215,7 @@ def _execute(name: str, inputs, seed: int, outdir: Path):
     def emit(filename: str, columns) -> None:
         if "/" in filename or "\\" in filename or filename.startswith("."):
             raise PhaseLabError(f"bad output filename {filename!r}")
-        target = outdir / filename
-        _write_csv(target, columns)
-        outputs[filename] = _sha256(target)
+        outputs[filename] = _write_csv(outdir / filename, columns)
 
     with _recording_warnings() as raised:
         results, checks = SCENARIOS[name].runner(inputs, seed, emit)
@@ -261,8 +267,8 @@ def _run_command(args) -> int:
                            for n, ok in checks],
                 "passed": all(ok for _, ok in checks),
             }
-            _dump_json(outdir / "summary.json", summary)
-            outputs["summary.json"] = _sha256(outdir / "summary.json")
+            outputs["summary.json"] = _dump_json(outdir / "summary.json",
+                                                 summary)
             if not summary["passed"]:
                 failing = [n for n, ok in checks if not ok]
                 error = _fail("assertion-failure",

@@ -53,8 +53,8 @@ MAX_CELL_UPDATES = 10_000_000_000
 MAX_RUN_BYTES = 1_000_000_000
 
 # Work cap on pendulum-msw: Magnus steps its sweeps take before any step
-# doubling (about 3.4 us each on a 2-vCPU machine at the default rtol, so
-# 1e7 is about 35 s).  The catalog starts at about 410,000, and rate_scale
+# doubling (about 1.5 us each on a 2-vCPU machine at the default rtol, so
+# 1e7 is about 15 s).  The catalog starts at about 410,000, and rate_scale
 # 10 at about 61,000.
 MAX_MAGNUS_STEPS = 10_000_000
 

@@ -17,6 +17,25 @@ from phaselab.analogs import (ArctanDetuningRamp, FrozenLength,
 from phaselab.errors import (GeometryError, IntegratorError, RegimeWarning,
                              ResolutionError)
 
+# the form for which pendulum Magnus generators are Hamiltonian: J W symmetric
+J4 = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def magnus_commutator_generator(a1, a2, a3):
+    """Sixth-order Magnus generator from h A at the three Gauss-Legendre
+    nodes, in the commutator form of Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009) 151: the reference definition of the closed form."""
+    def commutator(x, y):
+        return x @ y - y @ x
+
+    alpha1 = a2
+    alpha2 = (math.sqrt(15.0) / 3.0) * (a3 - a1)
+    alpha3 = (10.0 / 3.0) * (a3 - 2.0 * a2 + a1)
+    c1 = commutator(alpha1, alpha2)
+    c2 = -(1.0 / 60.0) * commutator(alpha1, 2.0 * alpha3 + c1)
+    return (alpha1 + alpha3 / 12.0 + (1.0 / 240.0) * commutator(
+        -20.0 * alpha1 - alpha3 + c1, alpha2 + c2))
+
 
 def central_second(fn, t, h=1e-4):
     return (fn(t + h) - 2.0 * fn(t) + fn(t - h)) / (h * h)
@@ -239,19 +258,97 @@ class TestMagnusPropagator:
         fraction = analogs.pendulum_sweep(system, duration).fraction
         assert fraction == pytest.approx(reference, rel=1e-10)
 
-    def test_taylor_exponential_matches_expm(self):
+    def test_hamiltonian_exponential_matches_expm(self):
+        # Omega = R^-1 K R, K = J S with S diagonal (mu real) or the block
+        # of eigenvalues +-a +-ib (mu complex), R symplectic, unconjugated
+        # for the first quarter; |mu| up to the end of the series range,
+        # which covers the steps the step rule takes (|mu| about 0.25)
         rng = np.random.default_rng(7)
-        w = rng.standard_normal((500, 4, 4))
-        norms = np.abs(w).sum(axis=1).max(axis=1)
-        w *= (analogs._EXP_THETA * rng.uniform(0.0, 1.0, 500)
-              / norms)[:, None, None]
-        assert np.max(np.abs(analogs._expm_taylor(w) - expm(w))) <= 1e-15
-        # above the threshold: scaled by 2^-s and squared back s times
-        big = 20.0 * w
-        ref = expm(big)
-        rel = (np.abs(analogs._expm_taylor(big) - ref).max(axis=(1, 2))
+        n = 400
+        top = analogs._EXP_RHO * rng.uniform(0.0, 1.0, n)
+        r1, r2 = np.sqrt(top), np.sqrt(rng.uniform(0.1, 1.0, n) * top)
+        diagonals = {"separated": (r1, r1, r2, r2),
+                     "equal": (r1, r1, r1, r1),
+                     "positive real": (-r1, r1, r2, r2)}
+        kernels = {name: J4 @ (np.stack(d, -1)[:, :, None] * np.eye(4))
+                   for name, d in diagonals.items()}
+        angle = rng.uniform(0.1, 1.4, n)
+        a, b = r1 * np.cos(angle), r1 * np.sin(angle)
+        block = np.zeros((n, 4, 4))
+        block[:, 0, 0] = block[:, 1, 1] = a
+        block[:, 0, 1] = block[:, 1, 0] = b
+        block[:, 1, 0] *= -1.0
+        block[:, 2:, 2:] = -np.swapaxes(block[:, :2, :2], 1, 2)
+        order = [0, 2, 1, 3]  # (q1, q2, p1, p2) to (q1, p1, q2, p2)
+        kernels["complex"] = block[:, order][:, :, order]
+        sym = rng.standard_normal((n, 4, 4))
+        conj = expm(J4 @ (0.1 * (sym + np.swapaxes(sym, 1, 2))))
+        conj[: n // 4] = np.eye(4)
+        for name, kernel in kernels.items():
+            omega = -J4 @ np.swapaxes(conj, 1, 2) @ J4 @ kernel @ conj
+            assert np.all(np.abs(J4 @ omega - np.swapaxes(J4 @ omega, 1, 2))
+                          < 1e-14)
+            mu = np.linalg.eigvals(kernel) ** 2
+            if name == "complex":
+                assert np.all(np.abs(mu.imag) > 0.0)
+            elif name == "positive real":
+                assert np.all(mu.real.max(axis=1) > 0.0)
+            ref = np.array([expm(x) for x in omega])
+            assert np.max(np.abs(analogs._expm_hamiltonian(omega) - ref)) \
+                <= 1e-15, name
+        zero = analogs._expm_hamiltonian(np.zeros((3, 4, 4)))
+        assert np.array_equal(zero, np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+    def test_exponential_scales_beyond_the_series_range(self):
+        rng = np.random.default_rng(7)
+        sym = rng.standard_normal((500, 4, 4))
+        w = J4 @ (sym + np.swapaxes(sym, 1, 2))
+        w *= (10.0 * rng.uniform(0.0, 1.0, 500)
+              / np.abs(w).sum(axis=1).max(axis=1))[:, None, None]
+        rho = np.abs(np.linalg.eigvals(w)).max(axis=1) ** 2
+        assert np.mean(rho > analogs._EXP_RHO) > 0.5
+        ref = expm(w)
+        rel = (np.abs(analogs._expm_hamiltonian(w) - ref).max(axis=(1, 2))
                / np.abs(ref).max(axis=(1, 2)))
         assert rel.max() < 1e-12
+        w[3, 1, 0] = math.inf
+        with np.errstate(invalid="ignore"), pytest.raises(IntegratorError):
+            analogs._expm_hamiltonian(w)
+
+    def test_closed_form_generator_matches_commutators(self):
+        rng = np.random.default_rng(7)
+        n = 1000
+        h = rng.uniform(0.0, 0.6, n)
+        f = rng.uniform(-3.0, 0.5, (3, n))
+        f[:, : n // 10] = f[0, : n // 10]  # a constant schedule
+        kappa = rng.uniform(0.0, 0.3, n)
+        k_mu = rng.uniform(0.5, 2.0, n)
+        a = np.zeros((3, n, 4, 4))
+        a[..., 0, 1] = a[..., 2, 3] = 1.0
+        a[..., 1, 0] = f
+        a[..., 1, 2] = a[..., 3, 0] = kappa
+        a[..., 3, 2] = -k_mu
+        ref = magnus_commutator_generator(*(h[:, None, None] * a))
+        omega = analogs._magnus_generator(h, *f, kappa, k_mu)
+        rel = (np.abs(omega - ref).max(axis=(1, 2))
+               / np.abs(ref).max(axis=(1, 2)))
+        assert rel.max() <= 1e-15
+        assert np.array_equal(omega[: n // 10], h[: n // 10, None, None]
+                              * a[0, : n // 10])
+
+    def test_prefix_states_match_sequential_products(self):
+        system = self.fast_system()
+        times = np.linspace(0.0, system.length_schedule.duration, 300)
+        substeps = 5
+        h = np.diff(times) / substeps
+        products = analogs._fold(analogs._magnus_steps(system, times[:-1], h,
+                                                       0, substeps))
+        ys = np.empty((len(times), 4))
+        ys[0] = system.state
+        for i, product in enumerate(products):
+            ys[i + 1] = product @ ys[i]
+        states = analogs._magnus_run(system, times, substeps)
+        assert np.max(np.abs(states - ys)) <= 1e-13
 
     def test_unreachable_rtol_raises(self):
         system = self.fast_system()

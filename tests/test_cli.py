@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -535,6 +536,31 @@ class TestCsvWriter:
             path = tmp_path / "table.csv"
             cli._write_csv(path, columns)
             assert path.read_bytes() == self.reference(columns)
+
+    def test_emit_memory_does_not_grow_with_rows(self, tmp_path,
+                                                 monkeypatch):
+        # each block is hashed as it is written, so no output is read back
+        peaks = {}
+
+        def runner(rows, seed, emit):
+            columns = [("t", "time", np.linspace(0.0, 1.0, rows))]
+            tracemalloc.start()
+            try:
+                emit(f"rows{rows}.csv", columns)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return {}, []
+
+        monkeypatch.setitem(SCENARIOS, "scatter-phase", dataclasses.replace(
+            SCENARIOS["scatter-phase"], runner=runner))
+        for rows in (10 ** 5, 10 ** 6):
+            _, _, outputs, _ = cli._execute("scatter-phase", rows, 0, tmp_path)
+            name = f"rows{rows}.csv"
+            data = (tmp_path / name).read_bytes()
+            assert len(data) > 20 * rows
+            assert outputs[name] == hashlib.sha256(data).hexdigest()
+        assert max(peaks.values()) < 2_000_000
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(cli.PhaseLabError, match="unequal length"):
