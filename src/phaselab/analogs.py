@@ -418,13 +418,10 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
     frozen = float(np.ptp(lengths)) <= 1e-12 * float(np.max(lengths))
     weak = kappa / min(wm2, g / float(np.max(lengths)))
 
-    # normal modes at every sample: stiffness [[we2 + k, -k], [-k, wm2 + k]]
+    # normal modes at the last sample: stiffness [[we2 + k, -k], [-k, wm2 + k]]
     we2 = g / lengths
-    stiffness = np.empty((len(times), 2, 2))
-    stiffness[:, 0, 0] = we2 + kappa
-    stiffness[:, 0, 1] = stiffness[:, 1, 0] = -kappa
-    stiffness[:, 1, 1] = wm2 + kappa
-    mode_k, mode_vecs = np.linalg.eigh(stiffness)
+    mode_k, mode_vecs = np.linalg.eigh(
+        [[we2[-1] + kappa, -kappa], [-kappa, wm2 + kappa]])
 
     if duration == 0.0:
         ys = np.asarray(system.state, dtype=float).reshape(1, 4)
@@ -453,9 +450,9 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
              + (0.5 * vm * vm + 0.5 * wm2 * xm * xm)
              + 0.5 * kappa * (xe - xm) ** 2)
     # energy per normal mode at the end
-    qx = np.einsum("ji,j->i", mode_vecs[-1], ys[-1, 0::2])
-    qv = np.einsum("ji,j->i", mode_vecs[-1], ys[-1, 1::2])
-    modes = 0.5 * qv ** 2 + 0.5 * mode_k[-1] * qx ** 2
+    qx = np.einsum("ji,j->i", mode_vecs, ys[-1, 0::2])
+    qv = np.einsum("ji,j->i", mode_vecs, ys[-1, 1::2])
+    modes = 0.5 * qv ** 2 + 0.5 * mode_k * qx ** 2
 
     drift = None
     if frozen:
@@ -464,7 +461,7 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
             raise IntegratorError(
                 f"energy drift {drift:.3e} with frozen lengths exceeds 1e-6")
 
-    mu_share = float(np.dot(modes, mode_vecs[-1, 1, :] ** 2))
+    mu_share = float(np.dot(modes, mode_vecs[1, :] ** 2))
     tot_end = float(total[-1])
     fraction = mu_share / tot_end if tot_end > 0.0 else 0.0
     return TransferReport(fraction=fraction, energy_drift=drift,

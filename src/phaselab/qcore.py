@@ -7,8 +7,9 @@ up to roundoff; the eigensystem and the propagators reject any other size
 with ValueError.  A time-dependent Hamiltonian is given by its Pauli
 coefficients H = c0 I + a . sigma as a vectorized function of time.  The
 one propagator kernel, _propagate, samples them over whole chunks of its
-midpoint grid and builds every step unitary as an array; only the
-two-component state update steps through time one by one.  The closed-form
+midpoint grid and builds every step unitary as an array; the states come
+from a blocked prefix product of those unitaries, in which only the starts
+of blocks of _BLOCK steps march one by one.  The closed-form
 eigenvectors likewise come for a whole stack of fields at once
 (field_eigenvectors), which the Wilson loop in berry uses.
 """
@@ -34,6 +35,14 @@ _DEGENERACY_GAP = 1e-12
 _CYCLIC_OVERLAP = 0.99
 # propagator steps built as arrays at once: bounds memory, not accuracy
 _CHUNK = 4096
+# steps per block of the state march, _march.  Per 4,096-step chunk on a
+# 2-vCPU machine the march takes 0.41 ms at 16 and at 32 and 0.52 ms at 8
+# and at 64, against 1.92 ms for a step-by-step loop.  At 16 its long-run
+# errors against a long-double march stay below the loop's on berry-equator
+# (tests/test_qcore.py::TestLongRunAccuracy)
+_BLOCK = 16
+# golden angle, pi (3 - sqrt 5): the per-block phase step of _march
+_GOLDEN = math.pi * (3.0 - math.sqrt(5.0))
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,15 +242,62 @@ def _step_count(duration: float, step: float) -> tuple[int, float]:
     return n, duration / n
 
 
+def _march(u: np.ndarray, p0: complex, p1: complex):
+    """Apply a (2, 2, n) stack of step unitaries in turn to (p0, p1).
+
+    Returns (b0, b1, p0, p1): each step's starting amplitudes as arrays, and
+    the amplitudes after the last step.  A blocked prefix product: the steps
+    are padded with identities to whole blocks of _BLOCK, the running
+    products inside every block are formed at once in _BLOCK rounds of 2x2
+    products over the blocks, and only the block starts march one by one,
+    with the block totals.
+
+    Block b's products start from the phase e^(i b _GOLDEN) I, and its start
+    is taken back by that phase.  On a schedule that varies slowly from
+    block to block, the rounding errors of the products would otherwise
+    repeat from one block to the next and build up in the norm.
+    """
+    n = u.shape[-1]
+    blocks = -(-n // _BLOCK)
+    eye = np.eye(2, dtype=complex)[:, :, None]
+    if blocks * _BLOCK > n:
+        u = np.concatenate(
+            (u, np.broadcast_to(eye, (2, 2, blocks * _BLOCK - n))), axis=2)
+    # steps[:, :, b, j] is step b * _BLOCK + j
+    steps = u.reshape(2, 2, blocks, _BLOCK)
+    phases = np.exp(1j * _GOLDEN * np.arange(blocks))
+    # prefix[j] is the product of the first j steps of each block, times
+    # its phase
+    prefix = np.empty((_BLOCK + 1, 2, 2, blocks), dtype=complex)
+    prefix[0] = eye * phases
+    for j in range(_BLOCK):
+        np.multiply(steps[:, 0:1, :, j], prefix[j, 0:1], out=prefix[j + 1])
+        prefix[j + 1] += steps[:, 1:2, :, j] * prefix[j, 1:2]
+    s0 = []
+    s1 = []
+    for t00, t01, t10, t11, back in zip(
+            *prefix[_BLOCK].reshape(4, blocks).tolist(),
+            phases.conj().tolist()):
+        p0 *= back
+        p1 *= back
+        s0.append(p0)
+        s1.append(p1)
+        p0, p1 = t00 * p0 + t01 * p1, t10 * p0 + t11 * p1
+    # b[j, :, k] is prefix[j, :, :, k] applied to the start of block k
+    b = prefix[:_BLOCK, :, 0] * np.array(s0) + prefix[:_BLOCK, :, 1] * np.array(s1)
+    b = b.transpose(1, 2, 0).reshape(2, -1)
+    return b[0, :n], b[1, :n], p0, p1
+
+
 def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float):
     """March psi0 through the schedule with the midpoint-exponential rule.
 
     Step k applies exp(-i H(t_k) dt) at the midpoint t_k = (k + 1/2) dt, in
     closed form.  The run is walked in chunks of _CHUNK steps: per chunk the
     schedule is sampled and checked at every midpoint at once, all step
-    unitaries and the energy samples are built as arrays, and only the
-    2-component state update is a Python loop.  Memory is bounded by the
-    chunk, not by the step count.
+    unitaries and the energy samples are built as arrays, and the states at
+    every step come from _march, whose only Python loop is over blocks of
+    _BLOCK steps.  Memory is bounded by the chunk, not by the step count.
 
     Returns (final, energy, sigma3): the integrals of <psi|H|psi> dt and of
     <psi|sigma3|psi> dt on the same midpoint grid.  H is frozen within a
@@ -261,20 +317,13 @@ def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float):
         c = np.cos(r * dt)
         s = np.divide(np.sin(r * dt), r, out=np.full_like(r, dt), where=r != 0.0)
         phase = np.exp(-1j * c0 * dt)
-        u00 = phase * (c - 1j * s * a3)
-        u01 = phase * (-1j * s) * (a1 - 1j * a2)
-        u10 = phase * (-1j * s) * (a1 + 1j * a2)
-        u11 = phase * (c + 1j * s * a3)
+        u = np.empty((2, 2, len(k)), dtype=complex)
+        u[0, 0] = phase * (c - 1j * s * a3)
+        u[0, 1] = phase * (-1j * s) * (a1 - 1j * a2)
+        u[1, 0] = phase * (-1j * s) * (a1 + 1j * a2)
+        u[1, 1] = phase * (c + 1j * s * a3)
         # each step's starting amplitudes
-        b0 = []
-        b1 = []
-        for v00, v01, v10, v11 in zip(u00.tolist(), u01.tolist(),
-                                      u10.tolist(), u11.tolist()):
-            b0.append(p0)
-            b1.append(p1)
-            p0, p1 = v00 * p0 + v01 * p1, v10 * p0 + v11 * p1
-        b0 = np.array(b0)
-        b1 = np.array(b1)
+        b0, b1, p0, p1 = _march(u, p0, p1)
         n0 = b0.real * b0.real + b0.imag * b0.imag
         n1 = b1.real * b1.real + b1.imag * b1.imag
         energy += dt * float(np.sum(

@@ -36,7 +36,7 @@ DUALITY_DRAWS = 1000        # random capacitor settings
 CONSERVATION_TIME = 200.0   # frozen-length pendulum control run
 
 # Work cap on the 2x2 propagator: a scenario whose runs would take more steps
-# in all (about 0.9 us each on a 2-vCPU machine, so 1e7 is about 9 s) is a
+# in all (about 0.4 us each on a 2-vCPU machine, so 1e7 is about 4 s) is a
 # config error.  The catalog takes 9,800 steps per two-level pair and about
 # 306,000 for the two rect-loop transports.
 MAX_PROPAGATOR_STEPS = 10_000_000

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab import qcore
+from phaselab import analogs, berry, qcore
 from phaselab.errors import CyclicityError, ScheduleError
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -204,8 +204,12 @@ def scalar_midpoint(coefficients, duration, steps, psi):
 
 class TestChunkedKernel:
     CHUNK = qcore._CHUNK
-    # one step, either side of a chunk boundary, and a ragged last chunk
-    STEPS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+    BLOCK = qcore._BLOCK
+    # one step, either side of a march block and of a chunk boundary, a
+    # ragged last block after a whole one in a ragged last chunk, and a
+    # ragged last chunk of one ragged block
+    STEPS = (1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+             CHUNK + BLOCK + 3, 3 * CHUNK + 7)
     DT = 2.0 ** -12  # exact, so duration / DT is exactly the step count
 
     @staticmethod
@@ -278,6 +282,96 @@ class TestChunkedKernel:
             sched = qcore.HamiltonianSchedule(coefficients, duration=1.0)
             with pytest.raises(ScheduleError):
                 qcore.evolve_with_energy(sched, psi0, 2.0 ** -14)
+
+
+def loop_march(u, p0, p1):
+    """The step-by-step state march that qcore._march replaces, kept as its
+    reference definition: same arguments and returns, in the precision of
+    u, p0 and p1."""
+    b0 = []
+    b1 = []
+    for v00, v01, v10, v11 in zip(u[0, 0], u[0, 1], u[1, 0], u[1, 1]):
+        b0.append(p0)
+        b1.append(p1)
+        p0, p1 = v00 * p0 + v01 * p1, v10 * p0 + v11 * p1
+    return np.array(b0), np.array(b1), p0, p1
+
+
+def long_double_run(schedule, psi, step):
+    """Starting amplitudes of every step, final amplitudes and energy
+    integral of the midpoint rule, with the step unitaries built and
+    marched in long double from the kernel's float64 coefficients.  The
+    field must not vanish on the grid."""
+    n, dt = qcore._step_count(schedule.duration, step)
+    c0, a1, a2, a3 = qcore._coefficients(
+        schedule, (np.arange(n) + 0.5) * dt).astype(np.longdouble)
+    dt = np.longdouble(dt)
+    r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    c = np.cos(r * dt)
+    s = np.sin(r * dt) / r
+    phase = (np.cos(c0 * dt) - 1j * np.sin(c0 * dt)).astype(np.clongdouble)
+    u = np.array([[phase * (c - 1j * s * a3), phase * (-1j * s) * (a1 - 1j * a2)],
+                  [phase * (-1j * s) * (a1 + 1j * a2), phase * (c + 1j * s * a3)]])
+    b0, b1, p0, p1 = loop_march(u, *np.asarray(psi, dtype=np.clongdouble))
+    energy = dt * np.sum((c0 + a3) * np.abs(b0) ** 2 + (c0 - a3) * np.abs(b1) ** 2
+                         + 2.0 * ((a1 - 1j * a2) * b1 * b0.conj()).real)
+    return np.concatenate((b0, [p0])), np.concatenate((b1, [p1])), energy
+
+
+class TestLongRunAccuracy:
+    """The kernel's march against the step-by-step loop over long runs, both
+    measured against long_double_run: each of the march's errors may be at
+    most twice the loop's, and at most one rounding per step."""
+
+    @staticmethod
+    def errors(march, schedule, psi, step, reference, monkeypatch):
+        """Largest amplitude error over all steps, and energy error."""
+        starts = []
+
+        def recorded(u, p0, p1):
+            b0, b1, p0, p1 = march(u, p0, p1)
+            starts.append((b0, b1))
+            return b0, b1, p0, p1
+
+        monkeypatch.setattr(qcore, "_march", recorded)
+        final, energy, _ = qcore._propagate(schedule, psi, step)
+        b0 = np.concatenate([b[0] for b in starts] + [final[:1]])
+        b1 = np.concatenate([b[1] for b in starts] + [final[1:]])
+        ref0, ref1, ref_energy = reference
+        state = max(np.abs(b0 - ref0).max(), np.abs(b1 - ref1).max())
+        return float(state), float(abs(energy - ref_energy))
+
+    @pytest.mark.parametrize("run", ["berry-equator", "berry-scaled",
+                                     "rect-loop"])
+    def test_blocked_march_against_loop(self, run, monkeypatch):
+        if run.startswith("berry"):
+            # berry-equator's defaults and berry-wilson-sweep's scaled run:
+            # 62,832 steps of 0.02 on a field of amplitude 1 or 5
+            amplitude = 1.0 if run == "berry-equator" else 5.0
+            schedule = berry.spin_rotation_schedule(
+                amplitude, 0.5 * math.pi, 2.0 * math.pi / 0.005)
+            step, scale = 0.02, amplitude
+        else:
+            # the first half-loop transport of the default rectangle at the
+            # benchmark's step: 38,084 steps through the resonance
+            times, dk, ek, _ = analogs.rectangle_transport(10.0, 0.5)
+            half = float(times[len(times) // 2])
+            schedule = qcore.HamiltonianSchedule(
+                lambda t: (0.0, np.interp(t, times, ek), 0.0,
+                           np.interp(t, times, dk)), half)
+            step, scale = 0.04, math.hypot(10.0, 0.5)
+        psi = qcore.ground_state(schedule.operator(0.0)).amplitudes
+        reference = long_double_run(schedule, psi, step)
+        march = self.errors(qcore._march, schedule, psi, step, reference,
+                            monkeypatch)
+        loop = self.errors(loop_march, schedule, psi, step, reference,
+                           monkeypatch)
+        steps = len(reference[0]) - 1
+        eps = np.finfo(float).eps
+        assert march[0] <= 2.0 * loop[0]
+        assert march[1] <= 2.0 * loop[1]
+        assert march[0] <= steps * eps
+        assert march[1] <= schedule.duration * scale * steps * eps
 
 
 class TestPhaseDecompose:
