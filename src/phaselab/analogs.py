@@ -36,8 +36,8 @@ import numpy as np
 from .errors import (DynamicsError, GeometryError, IntegratorError,
                      QuadratureError, RegimeWarning, ResolutionError)
 from . import berry
-from .qcore import (HamiltonianSchedule, StateVector, evolve_with_energy,
-                    instantaneous_eigensystem, wrap_angle)
+from .qcore import (HamiltonianSchedule, evolve_with_energy, ground_state,
+                    wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -194,8 +194,8 @@ def _expm_hamiltonian(w: np.ndarray) -> np.ndarray:
     M = W^2 has eigenvalues mu1, mu1, mu2, mu2 and obeys M^2 = s M - p,
     with s = mu1 + mu2 = tr(M) / 2 and p = mu1 mu2 = (tr(M)^2 - 2 tr(M^2))
     / 8.  So the even and odd series C(M) = sum M^k / (2k)! and
-    S(M) = sum M^k / (2k+1)! are each c0 I + c1 M, found by Horner on the
-    pair (c0, c1), and exp(W) = C(M) + W S(M) takes two matrix products:
+    S(M) = sum M^k / (2k+1)! are each h0 I + h1 M, found by Horner on the
+    pair (h0, h1), and exp(W) = C(M) + W S(M) takes two matrix products:
     no eigenvalues, and no case for equal, real or complex mu.  The degree
     follows from |mu| <= |s|/2 + sqrt(|s^2/4 - p|); a matrix with that
     bound above _EXP_RHO is scaled by 2^-j to below it, and its exponential
@@ -220,22 +220,22 @@ def _expm_hamiltonian(w: np.ndarray) -> np.ndarray:
         s, p = np.ldexp(s, -2 * j), np.ldexp(p, -4 * j)
         top = float(np.ldexp(rho, -2 * j).max())
     # Horner on C1(mu) = (C(mu) - 1) / mu = sum mu^k / (2k+2)! and S(mu),
-    # stacked on a first axis; (c0, c1) M = (-p c1, c0 + s c1)
+    # stacked on a first axis; (h0, h1) M = (-p h1, h0 + s h1)
     n = _series_degree(top)
     coef = np.reshape([[1.0 / math.factorial(2 * k + 2),
                         1.0 / math.factorial(2 * k + 1)] for k in range(n + 1)],
                       (n + 1, 2) + (1,) * s.ndim)
-    c0 = coef[n] + np.zeros_like(s)
-    c1 = np.zeros_like(c0)
+    h0 = coef[n] + np.zeros_like(s)
+    h1 = np.zeros_like(h0)
     for k in range(n - 1, -1, -1):
-        c0, c1 = coef[k] - p * c1, c0 + s * c1
+        h0, h1 = coef[k] - p * h1, h0 + s * h1
     # C(M) = I + M C1(M) and W S(M); the 1 goes on the diagonal last, so
     # that its rounding is not a scale error shared by the four entries
-    out = (c0[0] + s * c1[0])[..., None, None] * m
-    out += c0[1][..., None, None] * w
-    out += c1[1][..., None, None] * (w @ m)
+    out = (h0[0] + s * h1[0])[..., None, None] * m
+    out += h0[1][..., None, None] * w
+    out += h1[1][..., None, None] * (w @ m)
     diagonal = out.reshape(out.shape[:-2] + (16,))[..., ::5]
-    diagonal -= (p * c1[0])[..., None]
+    diagonal -= (p * h1[0])[..., None]
     diagonal += 1.0
     for i in range(int(np.max(j))):
         out = np.where((j > i)[..., None, None], out @ out, out)
@@ -577,14 +577,12 @@ def two_level_sweep(s: TwoLevelSweep, step_scale: float = 0.04) -> ConversionRep
     exp(-pi eps^2 / rate) gives lz_conversion = 1 - that.
     """
     eps = s.epsilon
-    sched = HamiltonianSchedule(lambda t: (0.0, eps, 0.0, s.detuning(t)),
+    sched = HamiltonianSchedule(lambda t: (eps, 0.0, s.detuning(t)),
                                 s.duration)
-    psi0 = StateVector(
-        instantaneous_eigensystem(sched.operator(0.0)).vectors[:, 0])
+    psi0 = ground_state(sched, 0.0)
     final, _ = evolve_with_energy(sched, psi0, two_level_step(s, step_scale))
-    ground_end = instantaneous_eigensystem(
-        sched.operator(s.duration)).vectors[:, 0]
-    conversion = float(abs(np.vdot(ground_end, final.amplitudes)) ** 2)
+    ground_end = ground_state(sched, s.duration)
+    conversion = abs(ground_end.overlap(final)) ** 2
     lz = None
     if s.sweep_rate is not None:
         lz = 1.0 - math.exp(-math.pi * eps * eps / s.sweep_rate)
@@ -758,13 +756,12 @@ def rectangular_loop_phase(epsilon0: float, delta0: float, transport,
     t_full = float(times[-1])
 
     def coefficients(t: np.ndarray):
-        return 0.0, np.interp(t, times, ek), 0.0, np.interp(t, times, dk)
+        return np.interp(t, times, ek), 0.0, np.interp(t, times, dk)
 
     sched_a = HamiltonianSchedule(coefficients, t_half)
     sched_b = HamiltonianSchedule(lambda t: coefficients(t + t_half),
                                   t_full - t_half)
-    psi0 = StateVector(
-        instantaneous_eigensystem(sched_a.operator(0.0)).vectors[:, 0])
+    psi0 = ground_state(sched_a, 0.0)
     mid, energy_a = evolve_with_energy(sched_a, psi0, transport_step)
     final, energy_b = evolve_with_energy(sched_b, mid, transport_step)
 

@@ -50,8 +50,8 @@ def wilson_loop_phase(directions, band: str = "ground") -> float:
 
     ``directions`` are field directions n_k; the band states are the
     eigenvectors of n_k . sigma, all built in one array call to
-    qcore.field_eigenvectors (the closed form and phase rule of
-    qcore.instantaneous_eigensystem).  The result is gauge independent
+    qcore.field_eigenvectors, the closed form and phase rule that also give
+    the propagator its start states.  The result is gauge independent
     because the chain closes on itself.  Overlap between neighbours falling
     below 0.5 means the loop is sampled too coarsely and raises
     ResolutionError.
@@ -118,8 +118,8 @@ def spin_rotation_schedule(amplitude: float, colatitude: float,
     """Field of fixed magnitude swept once around a cone about +z.
 
     H(t) = amplitude * n(t) . sigma with n at the given colatitude and
-    azimuth 2 pi t / period, given as the array Pauli coefficients
-    (0, A sin(theta) cos(phi), A sin(theta) sin(phi), A cos(theta)).
+    azimuth 2 pi t / period, given as the array field
+    (A sin(theta) cos(phi), A sin(theta) sin(phi), A cos(theta)).
     """
     if amplitude <= 0.0:
         raise ValueError("amplitude must be positive")
@@ -131,7 +131,7 @@ def spin_rotation_schedule(amplitude: float, colatitude: float,
 
     def coefficients(t: np.ndarray):
         phi = omega * t
-        return (0.0, amplitude * st * np.cos(phi), amplitude * st * np.sin(phi),
+        return (amplitude * st * np.cos(phi), amplitude * st * np.sin(phi),
                 amplitude * ct)
 
     return qcore.HamiltonianSchedule(coefficients, period)
@@ -142,7 +142,7 @@ def cyclic_phase_decomposition(amplitude: float, colatitude: float, period: floa
     """Evolve the instantaneous ground state once around the cone and split
     the acquired phase.  Needs amplitude * period >> 1 to stay cyclic."""
     schedule = spin_rotation_schedule(amplitude, colatitude, period)
-    psi0 = qcore.ground_state(schedule.operator(0.0))
+    psi0 = qcore.ground_state(schedule, 0.0)
     return qcore.phase_decompose(schedule, psi0, step)
 
 

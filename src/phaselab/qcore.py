@@ -1,17 +1,17 @@
-"""Two-level quantum kernel: states, Pauli algebra, propagation, phase bookkeeping.
+"""Two-level quantum kernel: states, propagation, phase bookkeeping.
 
 Conventions used throughout the package: hbar = 1, the propagator over a step
-is exp(-i H dt), and reported angles live in (-pi, pi].  Operators are 2x2
-and solved in closed form everywhere, so that evolution is exactly unitary
-up to roundoff; the eigensystem and the propagators reject any other size
-with ValueError.  A time-dependent Hamiltonian is given by its Pauli
-coefficients H = c0 I + a . sigma as a vectorized function of time.  The
-one propagator kernel, _propagate, samples them over whole chunks of its
+is exp(-i H dt), and reported angles live in (-pi, pi].  States hold two
+amplitudes, and a time-dependent Hamiltonian is its field, H = a . sigma,
+given as a vectorized function of time; everything is solved in closed
+form, so that evolution is exactly unitary up to roundoff.  The one
+propagator kernel, _propagate, samples the field over whole chunks of its
 midpoint grid and builds every step unitary as an array; the states come
 from a blocked prefix product of those unitaries, in which only the starts
-of blocks of _BLOCK steps march one by one.  The closed-form
-eigenvectors likewise come for a whole stack of fields at once
-(field_eigenvectors), which the Wilson loop in berry uses.
+of blocks of _BLOCK steps march one by one.  The one eigenbasis,
+field_eigenvectors, comes for a whole stack of fields at once: the Wilson
+loop in berry uses it, and so does ground_state, which gives the
+propagator its start and end states.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ import numpy as np
 
 from .errors import CyclicityError, ScheduleError
 
-SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
-_DEGENERACY_GAP = 1e-12
 _CYCLIC_OVERLAP = 0.99
 # propagator steps built as arrays at once: bounds memory, not accuracy
 _CHUNK = 4096
@@ -41,8 +36,6 @@ _CHUNK = 4096
 # errors against a long-double march stay below the loop's on berry-equator
 # (tests/test_qcore.py::TestLongRunAccuracy)
 _BLOCK = 16
-# golden angle, pi (3 - sqrt 5): the per-block phase step of _march
-_GOLDEN = math.pi * (3.0 - math.sqrt(5.0))
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,14 +55,14 @@ def circle_distance(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex state vector (norm 1 within 1e-12)."""
+    """Normalized two-level state: two amplitudes, norm 1 within 1e-12."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size < 2:
-            raise ValueError("state vector must be a 1-d array with at least 2 entries")
+        if amp.shape != (2,):
+            raise ValueError(f"state vector must hold 2 amplitudes, not {amp.shape}")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}")
@@ -82,29 +75,17 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def _coerce_hermitian(matrix, context: str) -> np.ndarray:
-    """Return the operator as a complex ndarray, checking hermiticity."""
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ScheduleError(f"{context}: operator is not a square matrix")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > _HERM_TOL * scale:
-        raise ScheduleError(f"{context}: operator deviates from Hermitian by {dev:.3e}")
-    return mat
-
-
 @dataclass(frozen=True)
 class HamiltonianSchedule:
-    """Time-dependent Hamiltonian H(t) = c0(t) I + a(t) . sigma on [0, duration].
+    """Time-dependent Hamiltonian H(t) = a(t) . sigma on [0, duration].
 
-    ``coefficients`` maps an array of times to the four Pauli coefficients
-    (c0, a1, a2, a3), each an array of the same shape or a scalar that
-    broadcasts to it.  A 2x2 H is Hermitian exactly when all four are real,
-    so that is what gets checked: on every operator(t) query, and by the
-    propagator once per chunk over all of its midpoints.  A non-finite
-    coefficient, or one whose imaginary part exceeds 1e-12 of the local
-    scale, raises ScheduleError.
+    ``coefficients`` maps an array of times to the field (a1, a2, a3), each
+    an array of the same shape or a scalar that broadcasts to it.  A global
+    energy shift only adds a phase, and nothing here uses one.  H is
+    Hermitian exactly when the field is real, so that is what gets checked:
+    on every ground_state query, and by the propagator once per chunk over
+    all of its midpoints.  A non-finite coefficient, or one whose imaginary
+    part exceeds 1e-12 of the local scale, raises ScheduleError.
     """
 
     coefficients: Callable[[np.ndarray], Sequence]
@@ -116,14 +97,9 @@ class HamiltonianSchedule:
         if not (self.duration >= 0.0) or not math.isfinite(self.duration):
             raise ValueError("duration must be finite and non-negative")
 
-    def operator(self, t: float) -> np.ndarray:
-        """H(t) as a 2x2 matrix, built from the checked coefficients."""
-        c0, a1, a2, a3 = _coefficients(self, np.array([float(t)]))[:, 0]
-        return np.array([[c0 + a3, a1 - 1j * a2], [a1 + 1j * a2, c0 - a3]])
-
 
 def _coefficients(schedule: HamiltonianSchedule, times: np.ndarray) -> np.ndarray:
-    """The schedule's (c0, a1, a2, a3) on a time grid, as a real (4, N) array.
+    """The schedule's field (a1, a2, a3) on a time grid, as a real (3, N) array.
 
     Raises ScheduleError unless every coefficient is finite and real (an
     imaginary part up to 1e-12 of max(1, |coefficients|) at that time is
@@ -142,27 +118,20 @@ def _coefficients(schedule: HamiltonianSchedule, times: np.ndarray) -> np.ndarra
             k = int(np.argmax(over))
             raise ScheduleError(
                 f"schedule at t={float(times[k])!r}: complex coefficient, "
-                f"operator deviates from Hermitian by {dev[k]:.3e}")
+                f"H deviates from Hermitian by {dev[k]:.3e}")
         values = values.real
     return values.astype(float, copy=False)
-
-
-@dataclass(frozen=True)
-class Eigensystem:
-    """Eigenvalues ascending; vectors[:, k] pairs with values[k]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def field_eigenvectors(fields) -> np.ndarray:
     """Closed-form eigenvectors of a . sigma for a stack of field vectors a.
 
     ``fields`` is an (N, 3) array; the result is (N, 2, 2) with [:, :, 0]
-    the ground state (spin against a) and [:, :, 1] the excited state,
-    spin-coherent states built from the polar angles of a.  The phase rule
-    makes the largest-modulus component of each column real and positive.
-    A zero field has no axis; it gets the basis of a field along +z.
+    the ground state (spin against a, eigenvalue -|a|) and [:, :, 1] the
+    excited state (+|a|), spin-coherent states built from the polar angles
+    of a.  The phase rule makes the largest-modulus component of each
+    column real and positive.  A zero field has no axis; it gets the basis
+    of a field along +z.
     """
     a = np.asarray(fields, dtype=float)
     theta = np.arctan2(np.hypot(a[:, 0], a[:, 1]), a[:, 2])
@@ -181,35 +150,10 @@ def field_eigenvectors(fields) -> np.ndarray:
     return vectors * (np.abs(pivots) / pivots)
 
 
-def instantaneous_eigensystem(operator) -> Eigensystem:
-    """Ordered eigen-decomposition of a Hermitian 2x2 operator.
-
-    H = c0*I + a.sigma has eigenvalues c0 -+ |a| and the eigenvectors of
-    field_eigenvectors.  A gap below 1e-12 has no field axis to follow and
-    takes the standard basis as eigenvectors.  Raises ValueError for any
-    other size.
-    """
-    mat = _coerce_hermitian(operator, "eigensystem input")
-    if mat.shape != (2, 2):
-        raise ValueError(f"eigensystem input must be 2x2, got {mat.shape}")
-    h00 = mat[0, 0].real
-    h11 = mat[1, 1].real
-    h01 = complex(mat[0, 1])
-    c0 = 0.5 * (h00 + h11)
-    a3 = 0.5 * (h00 - h11)
-    a1 = h01.real
-    a2 = -h01.imag
-    r = math.hypot(math.hypot(a1, a2), a3)
-    values = np.array([c0 - r, c0 + r])
-    if 2.0 * r <= _DEGENERACY_GAP:
-        return Eigensystem(values, np.eye(2, dtype=complex))
-    return Eigensystem(values, field_eigenvectors([[a1, a2, a3]])[0])
-
-
-def ground_state(operator) -> StateVector:
-    """Lowest-eigenvalue eigenvector as a StateVector."""
-    eig = instantaneous_eigensystem(operator)
-    return StateVector(eig.vectors[:, 0])
+def ground_state(schedule: HamiltonianSchedule, t: float) -> StateVector:
+    """The ground state of H(t), field_eigenvectors of the checked field."""
+    field = _coefficients(schedule, np.array([float(t)])).T
+    return StateVector(field_eigenvectors(field)[0, :, 0])
 
 
 @dataclass(frozen=True)
@@ -252,10 +196,10 @@ def _march(u: np.ndarray, p0: complex, p1: complex):
     products over the blocks, and only the block starts march one by one,
     with the block totals.
 
-    Block b's products start from the phase e^(i b _GOLDEN) I, and its start
-    is taken back by that phase.  On a schedule that varies slowly from
-    block to block, the rounding errors of the products would otherwise
-    repeat from one block to the next and build up in the norm.
+    Each block start is put back to norm 1.  A float64 step unitary scales
+    the norm by 1 + O(eps), and while the size of the field holds still that
+    factor hardly changes from step to step, so the norm error would
+    otherwise build up coherently over the run.
     """
     n = u.shape[-1]
     blocks = -(-n // _BLOCK)
@@ -265,21 +209,18 @@ def _march(u: np.ndarray, p0: complex, p1: complex):
             (u, np.broadcast_to(eye, (2, 2, blocks * _BLOCK - n))), axis=2)
     # steps[:, :, b, j] is step b * _BLOCK + j
     steps = u.reshape(2, 2, blocks, _BLOCK)
-    phases = np.exp(1j * _GOLDEN * np.arange(blocks))
-    # prefix[j] is the product of the first j steps of each block, times
-    # its phase
+    # prefix[j] is the product of the first j steps of each block
     prefix = np.empty((_BLOCK + 1, 2, 2, blocks), dtype=complex)
-    prefix[0] = eye * phases
+    prefix[0] = eye
     for j in range(_BLOCK):
         np.multiply(steps[:, 0:1, :, j], prefix[j, 0:1], out=prefix[j + 1])
         prefix[j + 1] += steps[:, 1:2, :, j] * prefix[j, 1:2]
     s0 = []
     s1 = []
-    for t00, t01, t10, t11, back in zip(
-            *prefix[_BLOCK].reshape(4, blocks).tolist(),
-            phases.conj().tolist()):
-        p0 *= back
-        p1 *= back
+    for t00, t01, t10, t11 in zip(*prefix[_BLOCK].reshape(4, blocks).tolist()):
+        norm = math.hypot(abs(p0), abs(p1))
+        p0 /= norm
+        p1 /= norm
         s0.append(p0)
         s1.append(p1)
         p0, p1 = t00 * p0 + t01 * p1, t10 * p0 + t11 * p1
@@ -304,30 +245,27 @@ def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float):
     step, so <psi|H|psi> taken with the step's starting state already is the
     midpoint-rule sample.
     """
-    if psi0.size != 2:
-        raise ValueError(f"propagation needs a 2-level state, got {psi0.size}")
     n, dt = _step_count(schedule.duration, step)
     energy = sigma3 = 0.0
     p0 = complex(psi0[0])
     p1 = complex(psi0[1])
     for first in range(0, n, _CHUNK):
         k = np.arange(first, min(first + _CHUNK, n))
-        c0, a1, a2, a3 = _coefficients(schedule, (k + 0.5) * dt)
+        a1, a2, a3 = _coefficients(schedule, (k + 0.5) * dt)
         r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
         c = np.cos(r * dt)
         s = np.divide(np.sin(r * dt), r, out=np.full_like(r, dt), where=r != 0.0)
-        phase = np.exp(-1j * c0 * dt)
         u = np.empty((2, 2, len(k)), dtype=complex)
-        u[0, 0] = phase * (c - 1j * s * a3)
-        u[0, 1] = phase * (-1j * s) * (a1 - 1j * a2)
-        u[1, 0] = phase * (-1j * s) * (a1 + 1j * a2)
-        u[1, 1] = phase * (c + 1j * s * a3)
+        u[0, 0] = c - 1j * s * a3
+        u[0, 1] = (-1j * s) * (a1 - 1j * a2)
+        u[1, 0] = (-1j * s) * (a1 + 1j * a2)
+        u[1, 1] = c + 1j * s * a3
         # each step's starting amplitudes
         b0, b1, p0, p1 = _march(u, p0, p1)
         n0 = b0.real * b0.real + b0.imag * b0.imag
         n1 = b1.real * b1.real + b1.imag * b1.imag
         energy += dt * float(np.sum(
-            (c0 + a3) * n0 + (c0 - a3) * n1
+            a3 * n0 - a3 * n1
             + 2.0 * ((a1 - 1j * a2) * b1 * b0.conj()).real))
         sigma3 += dt * float(np.sum(n0 - n1))
     return np.array([p0, p1]), energy, sigma3

@@ -199,7 +199,7 @@ def _run_berry_wilson_sweep(p, seed, emit):
     dirs = berry.latitude_directions(0.5 * math.pi, WILSON_SAMPLES)
     wil_base = berry.wilson_loop_phase(amp * dirs)
     wil_scaled = berry.wilson_loop_phase(factor * amp * dirs)
-    wil_diff = abs(wil_base - wil_scaled)
+    wil_diff = qcore.circle_distance(wil_base, wil_scaled)
 
     geo_base = berry.cyclic_phase_decomposition(amp, 0.5 * math.pi, period,
                                                 SPIN_STEP).geometric

@@ -407,6 +407,19 @@ class TestAssertionFailure:
             "monte carlo dwell matches (1-eps)/eps within 3 sigma": False}
 
 
+class TestChecksOnTheCircle:
+    def test_wilson_phases_either_side_of_the_cut(self, tmp_path, capsys):
+        # both loop phases are pi, rounded to opposite ends of (-pi, pi]:
+        # their difference is measured on the circle
+        code, out, _ = run_cli(tmp_path, capsys, "berry-wilson-sweep",
+                               parameters={"amplitude": 4.565, "factor": 27.4})
+        assert code == 0
+        results = json.loads(
+            (out / "berry-wilson-sweep" / "summary.json").read_text())["results"]
+        assert results["wilson_base"] > 0.0 > results["wilson_scaled"]
+        assert results["wilson_difference"] < 1e-12
+
+
 class TestSuccessArtifacts:
     @pytest.fixture()
     def success(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Core state/operator/propagation layer."""
+"""Core state/field/propagation layer."""
 
 import cmath
 import math
@@ -21,15 +21,19 @@ def state(values):
     return qcore.StateVector(vec / np.linalg.norm(vec))
 
 
-def pauli(coefficients):
-    """c1 sigma1 + c2 sigma2 + c3 sigma3."""
-    c1, c2, c3 = coefficients
-    return c1 * qcore.SIGMA_1 + c2 * qcore.SIGMA_2 + c3 * qcore.SIGMA_3
+SIGMA = np.array([[[0.0, 1.0], [1.0, 0.0]],
+                  [[0.0, -1.0j], [1.0j, 0.0]],
+                  [[1.0, 0.0], [0.0, -1.0]]])
+
+
+def pauli(fields):
+    """a . sigma for a field a, or a stack of them for an (N, 3) array."""
+    return np.tensordot(fields, SIGMA, axes=1)
 
 
 def turns_complex(t):
     """a1 picks up an imaginary part from t = 0.5 on: H stops being Hermitian."""
-    return 0.0, np.where(t < 0.5, 1.0, 1.0 + 1e-6j), 0.0, 0.5
+    return np.where(t < 0.5, 1.0, 1.0 + 1e-6j), 0.0, 0.5
 
 
 class TestAngles:
@@ -62,20 +66,6 @@ class TestAngles:
             pytest.approx(0.02, abs=1e-12)
 
 
-class TestPauli:
-    def test_operator_matches_pauli_sum(self):
-        # a schedule's operator is c0 I + a . sigma
-        c0, c = 0.4, (0.3, -1.2, 0.7)
-        sched = qcore.HamiltonianSchedule(lambda t: (c0, *c), duration=1.0)
-        assert np.allclose(sched.operator(0.5), c0 * np.eye(2) + pauli(c))
-
-    def test_pauli_algebra(self):
-        for s in (qcore.SIGMA_1, qcore.SIGMA_2, qcore.SIGMA_3):
-            assert np.allclose(s @ s, np.eye(2))
-        assert np.allclose(qcore.SIGMA_1 @ qcore.SIGMA_2,
-                           1j * qcore.SIGMA_3)
-
-
 class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -98,61 +88,78 @@ class TestStateVector:
 
 class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
-        mat = np.array([[0.0, 1.0], [2.0, 0.0]])
+        # an imaginary part of the field beyond 1e-12 of its scale is not
+        # roundoff; one below it is dropped
+        real = qcore.HamiltonianSchedule(lambda t: (2.0, 0.0, 0.5), 1.0)
+        roundoff = qcore.HamiltonianSchedule(
+            lambda t: (2.0 + 1e-13j, 0.0, 0.5), 1.0)
+        assert np.array_equal(qcore.ground_state(roundoff, 0.0).amplitudes,
+                              qcore.ground_state(real, 0.0).amplitudes)
+        complex_field = qcore.HamiltonianSchedule(
+            lambda t: (2.0 + 1e-6j, 0.0, 0.5), 1.0)
         with pytest.raises(ScheduleError):
-            qcore.instantaneous_eigensystem(mat)
+            qcore.ground_state(complex_field, 0.0)
 
     def test_schedule_checks_every_query(self):
         sched = qcore.HamiltonianSchedule(turns_complex, duration=1.0)
-        sched.operator(0.0)
+        qcore.ground_state(sched, 0.0)
         with pytest.raises(ScheduleError):
-            sched.operator(0.5)
+            qcore.ground_state(sched, 0.5)
+
+
+fields = st.tuples(finite, finite, finite).filter(
+    lambda c: math.hypot(math.hypot(c[0], c[1]), c[2]) > 1e-6)
 
 
 class TestEigensystem:
-    @given(st.tuples(finite, finite, finite).filter(
-        lambda c: math.hypot(math.hypot(c[0], c[1]), c[2]) > 1e-6))
+    @given(st.lists(fields, min_size=1, max_size=8))
     @settings(max_examples=60)
-    def test_closed_form_matches_numpy(self, coeffs):
-        mat = pauli(coeffs)
-        eig = qcore.instantaneous_eigensystem(mat)
-        ref_vals = np.linalg.eigvalsh(mat)
-        scale = max(1.0, float(np.max(np.abs(ref_vals))))
-        assert np.allclose(eig.values, ref_vals, atol=1e-9 * scale)
-        for k in range(2):
-            residual = mat @ eig.vectors[:, k] - eig.values[k] * eig.vectors[:, k]
-            assert np.linalg.norm(residual) < 1e-9 * scale
+    def test_closed_form_matches_numpy(self, stack):
+        a = np.array(stack)
+        vectors = qcore.field_eigenvectors(a)
+        mats = pauli(a)
+        ref_vals = np.linalg.eigh(mats)[0]
+        r = np.linalg.norm(a, axis=1)
+        for k in range(len(a)):
+            scale = max(1.0, r[k])
+            assert np.allclose(ref_vals[k], [-r[k], r[k]], atol=1e-9 * scale)
+            for j in range(2):
+                v = vectors[k, :, j]
+                residual = mats[k] @ v - ref_vals[k, j] * v
+                assert np.linalg.norm(residual) < 1e-9 * scale
+                # the phase rule: the largest-modulus component is real and
+                # positive (either one, where both moduli agree)
+                top = np.abs(v).max()
+                assert any(abs(c.imag) <= 1e-15 and c.real > 0.0
+                           for c in v[np.abs(v) >= top - 1e-15])
 
     def test_ground_state_aligns_against_field(self):
         # field along +z: ground state is spin-down
-        psi = qcore.ground_state(pauli((0.0, 0.0, 2.0)))
-        assert abs(psi.amplitudes[1]) == pytest.approx(1.0)
-        amp = psi.amplitudes
-        assert np.vdot(amp, qcore.SIGMA_3 @ amp).real == pytest.approx(-1.0)
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 2.0), 1.0)
+        amp = qcore.ground_state(sched, 0.0).amplitudes
+        assert abs(amp[1]) == pytest.approx(1.0)
+        assert np.vdot(amp, SIGMA[2] @ amp).real == pytest.approx(-1.0)
 
-    def test_closed_gap_takes_the_standard_basis(self):
-        eig = qcore.instantaneous_eigensystem(np.zeros((2, 2)))
-        assert np.array_equal(eig.values, [0.0, 0.0])
-        assert np.array_equal(eig.vectors, np.eye(2))
+    def test_zero_field_takes_the_plus_z_basis(self):
+        vectors = qcore.field_eigenvectors([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(vectors[0], [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(vectors[0], vectors[1])
+        dark = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0), 1.0)
+        assert np.array_equal(qcore.ground_state(dark, 0.5).amplitudes,
+                              [0.0, 1.0])
 
     def test_large_matrix_path(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        mat = a + a.conj().T
-        with pytest.raises(ValueError):
-            qcore.instantaneous_eigensystem(mat)
-        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 1.0),
-                                          duration=1.0)
-        psi0 = state(np.ones(5))
-        with pytest.raises(ValueError):
-            qcore.evolve_with_energy(sched, psi0, 0.1)
+        # qcore is two-level only: a state of any other size is rejected
+        for amplitudes in (np.ones(5), np.ones(1), np.ones((2, 1))):
+            with pytest.raises(ValueError):
+                state(amplitudes)
 
 
 class TestEvolution:
     def test_free_precession_closed_form(self):
         # H = A sigma3: amplitudes pick up exp(-+ i A t)
         amp = 0.8
-        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, amp),
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, amp),
                                           duration=3.0)
         psi0 = state([1.0, 1.0])
         final, _ = qcore.evolve_with_energy(sched, psi0, 0.001)
@@ -162,21 +169,21 @@ class TestEvolution:
 
     def test_norm_preserved_exactly(self):
         sched = qcore.HamiltonianSchedule(
-            lambda t: (0.0, np.cos(t), 0.0, np.sin(t)), duration=10.0)
+            lambda t: (np.cos(t), 0.0, np.sin(t)), duration=10.0)
         psi0 = state([1.0, 0.0])
         final, _ = qcore.evolve_with_energy(sched, psi0, 0.01)
         assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0,
                                                                  abs=1e-12)
 
     def test_energy_integral_for_constant_hamiltonian(self):
-        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 2.0),
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 2.0),
                                           duration=5.0)
         psi0 = qcore.StateVector([0.0 + 0j, 1.0 + 0j])
         _, energy = qcore.evolve_with_energy(sched, psi0, 0.001)
         assert energy == pytest.approx(-10.0, rel=1e-9)
 
     def test_step_validation(self):
-        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 1.0),
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 1.0),
                                           duration=1.0)
         psi0 = qcore.StateVector([1.0 + 0j, 0.0 + 0j])
         with pytest.raises(ValueError):
@@ -191,12 +198,11 @@ def scalar_midpoint(coefficients, duration, steps, psi):
     states = [np.asarray(psi, dtype=complex)]
     energy = sigma3 = 0.0
     for k in range(steps):
-        c0, a1, a2, a3 = (float(np.real(c))
-                          for c in coefficients(np.float64((k + 0.5) * dt)))
-        h = np.array([[c0 + a3, a1 - 1j * a2], [a1 + 1j * a2, c0 - a3]])
+        h = pauli([float(np.real(c))
+                   for c in coefficients(np.float64((k + 0.5) * dt))])
         psi = states[-1]
         energy += dt * float(np.vdot(psi, h @ psi).real)
-        sigma3 += dt * float(np.vdot(psi, qcore.SIGMA_3 @ psi).real)
+        sigma3 += dt * float(np.vdot(psi, SIGMA[2] @ psi).real)
         w, v = np.linalg.eigh(h)
         states.append(v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi)))
     return np.array(states), energy, sigma3
@@ -214,30 +220,38 @@ class TestChunkedKernel:
 
     @staticmethod
     def drive(t):
-        return 0.2, np.cos(3.0 * t), 0.5 * np.sin(2.0 * t), 1.0 - t
+        return np.cos(3.0 * t), 0.5 * np.sin(2.0 * t), 1.0 - t
 
     @staticmethod
     def dark_then_lit(t):
-        # no field before t = 0.5: only the c0 phase runs there
+        # no field before t = 0.5: the state stands still there
         lit = t >= 0.5
-        return 0.4, np.where(lit, 0.8, 0.0), 0.0, np.where(lit, -0.6, 0.0)
+        return np.where(lit, 0.8, 0.0), 0.0, np.where(lit, -0.6, 0.0)
 
     def test_constant_hamiltonian_closed_form(self):
-        c0, a = 0.3, np.array([0.4, -0.7, 1.1])
+        a = np.array([0.4, -0.7, 1.1])
         r = float(np.linalg.norm(a))
         psi0 = state([0.6, 0.8j])
-        h = c0 * np.eye(2) + pauli(a)
+        h = pauli(a)
         mean_energy = float(np.vdot(psi0.amplitudes, h @ psi0.amplitudes).real)
         for steps in self.STEPS:
             duration = steps * self.DT
-            sched = qcore.HamiltonianSchedule(lambda t: (c0, *a), duration)
+            sched = qcore.HamiltonianSchedule(lambda t: tuple(a), duration)
             final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
-            exact = cmath.exp(-1j * c0 * duration) * (
-                math.cos(r * duration) * np.eye(2)
-                - 1j * math.sin(r * duration) * pauli(a / r)
-            ) @ psi0.amplitudes
+            exact = (math.cos(r * duration) * np.eye(2)
+                     - 1j * math.sin(r * duration) * pauli(a / r)
+                     ) @ psi0.amplitudes
             assert np.abs(final.amplitudes - exact).max() < 1e-12, steps
             assert abs(energy - mean_energy * duration) < 1e-12, steps
+
+    def test_norm_does_not_drift(self):
+        # every step applies the same rounded unitary, whose norm error
+        # would add up over the run; the march keeps it to a few roundings
+        a = (0.4, -0.7, 1.1)
+        sched = qcore.HamiltonianSchedule(lambda t: a, 50_000 * self.DT)
+        final, _, _ = qcore._propagate(sched, state([0.6, 0.8j]).amplitudes,
+                                       self.DT)
+        assert abs(np.linalg.norm(final) - 1.0) < 1e-14
 
     def test_matches_scalar_reference(self):
         psi0 = state([0.6, 0.8j])
@@ -255,8 +269,7 @@ class TestChunkedKernel:
         psi0 = state([0.6, 0.8j])
         dark = qcore.HamiltonianSchedule(self.dark_then_lit, 0.5)
         final, _ = qcore.evolve_with_energy(dark, psi0, self.DT)
-        assert np.abs(final.amplitudes - cmath.exp(-0.2j) * psi0.amplitudes
-                      ).max() < 1e-12
+        assert np.abs(final.amplitudes - psi0.amplitudes).max() < 1e-12
         steps = self.CHUNK + 1
         sched = qcore.HamiltonianSchedule(self.dark_then_lit, steps * self.DT)
         final, energy = qcore.evolve_with_energy(sched, psi0, self.DT)
@@ -276,7 +289,7 @@ class TestChunkedKernel:
 
     def test_every_midpoint_is_checked(self):
         # the bad stretch starts in the third chunk of the run
-        not_finite = lambda t: (0.0, 1.0, 0.0, np.where(t < 0.5, 0.5, np.nan))
+        not_finite = lambda t: (1.0, 0.0, np.where(t < 0.5, 0.5, np.nan))
         psi0 = state([1.0, 0.0])
         for coefficients in (turns_complex, not_finite):
             sched = qcore.HamiltonianSchedule(coefficients, duration=1.0)
@@ -303,17 +316,17 @@ def long_double_run(schedule, psi, step):
     marched in long double from the kernel's float64 coefficients.  The
     field must not vanish on the grid."""
     n, dt = qcore._step_count(schedule.duration, step)
-    c0, a1, a2, a3 = qcore._coefficients(
+    a1, a2, a3 = qcore._coefficients(
         schedule, (np.arange(n) + 0.5) * dt).astype(np.longdouble)
     dt = np.longdouble(dt)
     r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     c = np.cos(r * dt)
     s = np.sin(r * dt) / r
-    phase = (np.cos(c0 * dt) - 1j * np.sin(c0 * dt)).astype(np.clongdouble)
-    u = np.array([[phase * (c - 1j * s * a3), phase * (-1j * s) * (a1 - 1j * a2)],
-                  [phase * (-1j * s) * (a1 + 1j * a2), phase * (c + 1j * s * a3)]])
+    u = np.array([[c - 1j * s * a3, (-1j * s) * (a1 - 1j * a2)],
+                  [(-1j * s) * (a1 + 1j * a2), c + 1j * s * a3]])
+    assert u.dtype == np.clongdouble
     b0, b1, p0, p1 = loop_march(u, *np.asarray(psi, dtype=np.clongdouble))
-    energy = dt * np.sum((c0 + a3) * np.abs(b0) ** 2 + (c0 - a3) * np.abs(b1) ** 2
+    energy = dt * np.sum(a3 * np.abs(b0) ** 2 - a3 * np.abs(b1) ** 2
                          + 2.0 * ((a1 - 1j * a2) * b1 * b0.conj()).real)
     return np.concatenate((b0, [p0])), np.concatenate((b1, [p1])), energy
 
@@ -357,10 +370,10 @@ class TestLongRunAccuracy:
             times, dk, ek, _ = analogs.rectangle_transport(10.0, 0.5)
             half = float(times[len(times) // 2])
             schedule = qcore.HamiltonianSchedule(
-                lambda t: (0.0, np.interp(t, times, ek), 0.0,
+                lambda t: (np.interp(t, times, ek), 0.0,
                            np.interp(t, times, dk)), half)
             step, scale = 0.04, math.hypot(10.0, 0.5)
-        psi = qcore.ground_state(schedule.operator(0.0)).amplitudes
+        psi = qcore.ground_state(schedule, 0.0).amplitudes
         reference = long_double_run(schedule, psi, step)
         march = self.errors(qcore._march, schedule, psi, step, reference,
                             monkeypatch)
@@ -377,7 +390,7 @@ class TestLongRunAccuracy:
 class TestPhaseDecompose:
     def test_identity_split_for_stationary_state(self):
         # eigenstate evolution: total phase is purely dynamical
-        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 0.3),
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.3),
                                           duration=4.0)
         psi0 = qcore.StateVector([0.0 + 0j, 1.0 + 0j])
         dec = qcore.phase_decompose(sched, psi0, 0.001)
@@ -388,7 +401,7 @@ class TestPhaseDecompose:
         assert dec.sigma3_mean == pytest.approx(-1.0, abs=1e-12)
 
     def test_geometric_is_wrapped_difference(self):
-        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.0, 0.3),
+        sched = qcore.HamiltonianSchedule(lambda t: (0.0, 0.0, 0.3),
                                           duration=4.0)
         psi0 = qcore.StateVector([0.0 + 0j, 1.0 + 0j])
         dec = qcore.phase_decompose(sched, psi0, 0.001)
@@ -398,10 +411,10 @@ class TestPhaseDecompose:
         # slow half-turn of the field: the state follows it to the opposite
         # pole and ends nearly orthogonal to where it started
         sched = qcore.HamiltonianSchedule(
-            lambda t: (0.0, np.sin(t * math.pi / 10.0), 0.0,
+            lambda t: (np.sin(t * math.pi / 10.0), 0.0,
                        np.cos(t * math.pi / 10.0)),
             duration=10.0)
-        psi0 = qcore.ground_state(sched.operator(0.0))
+        psi0 = qcore.ground_state(sched, 0.0)
         with pytest.raises(CyclicityError) as err:
             qcore.phase_decompose(sched, psi0, 0.005)
         assert err.value.overlap_modulus < 0.99
