@@ -12,16 +12,16 @@ is the adiabatic residual.
 
 Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13 by default.  The
 frozen-perturber periods are measured in lane stacks: every perturber angle
-(and mass) of a grid is one lane of a (4, N) state, integrated by one DOP853
-run forward and one backward in time with a numpy right-hand side, and the
-apsis refinement handles every crossing of every lane in one dense-output
-call per round.  The moving-perturber runs are single lanes with a scalar
-right-hand side, which is faster for one planet.  The pendulum equations
-are linear, y' = A(t) y, and are stepped with a sixth-order Magnus
-integrator whose step exponentials are built in batches, in closed form
-for the generator and from two traces for the exponential; its rtol (1e-10
-by default) bounds the Richardson estimate of the global error over the
-sampled states.  All units are G = hbar = 1.
+(and mass) of a grid is two lanes of a (4, N) state, one forward in time and
+one with the velocity reversed for the backward branch, integrated by one
+DOP853 run with a numpy right-hand side, and the apsis refinement reads the
+dense output in blocks of a few dozen time points.  The moving-perturber
+runs are single lanes with a scalar right-hand side, which is faster for
+one planet.  The pendulum equations are linear, y' = A(t) y, and are
+stepped with a sixth-order Magnus integrator whose step exponentials are
+built in batches, in closed form for the generator and from two traces for
+the exponential; its rtol (1e-10 by default) bounds the Richardson estimate
+of the global error over the sampled states.  All units are G = hbar = 1.
 """
 
 from __future__ import annotations
@@ -868,12 +868,16 @@ def solve_ivp(*args, **kwargs):
 
 
 def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,
-           rtol: float, atol: float, lane_name=lambda k: ""):
+           rtol: float, atol: float,
+           where=lambda t, k: f" at t = {t:.3f}"):
     """DOP853 from t = 0 to t_end with dense output, over a flat (4, N)
     lane state.  A lane closing on the sun (r < 0.01 r_earth) or escaping
     (r > 2.5 r_jupiter) ends the run: the terminal events watch the
-    closest and the farthest lane, and the DynamicsError names the lane
-    through lane_name(k)."""
+    closest and the farthest lane, and the DynamicsError says where
+    through where(t, k), with t the event time and k the lane.
+
+    The run is read only through its dense output, so t_eval=() keeps no
+    per-step states beside it."""
     r_min = 0.01 * cfg.r_earth
     r_max = 2.5 * cfg.r_jupiter
 
@@ -885,13 +889,14 @@ def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,
 
     collision.terminal = escape.terminal = True
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=True, events=(collision, escape))
+                    atol=atol, dense_output=True, events=(collision, escape),
+                    t_eval=())
     for k, pick, what in ((0, np.argmin, "collided with the sun"),
                           (1, np.argmax, "escaped past 2.5 r_jupiter")):
         if sol.t_events[k].size:
             lane = int(pick(_radii(sol.y_events[k][0])))
-            raise DynamicsError(f"planet {what} at t = "
-                                f"{sol.t_events[k][0]:.3f}{lane_name(lane)}")
+            raise DynamicsError(f"planet {what}"
+                                f"{where(sol.t_events[k][0], lane)}")
     if not sol.success:
         raise DynamicsError(f"orbit integration failed: {sol.message}")
     return sol
@@ -926,12 +931,14 @@ def _integrate(cfg: CelestialConfig, jupiter_angle, t_max: float,
     return _solve(cfg, rhs, cfg.initial_state(), t_max, rtol, atol)
 
 
-def _integrate_lanes(cfg: CelestialConfig, phis: np.ndarray,
-                     masses: np.ndarray, t_end: float, rtol: float,
-                     atol: float):
-    """One DOP853 run of N planets side by side, lane k in the static field
+def _integrate_lanes(cfg: CelestialConfig, starts: np.ndarray,
+                     phis: np.ndarray, masses: np.ndarray, t_end: float,
+                     rtol: float, atol: float, where):
+    """One DOP853 run from t = 0 to t_end of N planets side by side, lane k
+    starting from the state starts[k] = (x, z, vx, vz) in the static field
     of the sun and a perturber of mass masses[k] frozen at angle phis[k].
-    All lanes start from cfg.initial_state() and share one step sequence."""
+    All lanes share one step sequence; where(t, k) names a failing lane
+    (_solve)."""
     n = len(phis)
     mu = cfg.g_const * cfg.m_sun
     muj = cfg.g_const * masses
@@ -947,8 +954,7 @@ def _integrate_lanes(cfg: CelestialConfig, phis: np.ndarray,
         return np.concatenate((vx, vz, -mu * x / r3 - muj * dx / d3,
                                -mu * z / r3 - muj * dz / d3))
 
-    return _solve(cfg, rhs, np.repeat(cfg.initial_state(), n), t_end, rtol,
-                  atol, lambda k: " in " + _lane_name(phis, masses, k))
+    return _solve(cfg, rhs, starts.T.ravel(), t_end, rtol, atol, where)
 
 
 def _lane_name(phis: np.ndarray, masses: np.ndarray, k: int) -> str:
@@ -994,36 +1000,50 @@ def _radial_velocity(states: np.ndarray, lanes: int) -> np.ndarray:
     return x * vx + z * vz
 
 
+# time points per dense-output call of _perihelion_times (8 refinement
+# windows).  A call holds about three copies of every lane's state at each
+# of its points, so a fixed count keeps the memory beside the dense
+# solution linear in the lane count, and small
+_READ_POINTS = 56
+
+
 def _perihelion_times(sol, cfg: CelestialConfig, t_end: float,
-                      lanes: int = 1, mirror: bool = False) -> list:
+                      lanes: int = 1) -> list:
     """Perihelion times of each lane of a dense solution, one array per lane.
 
     Upward sign changes of r.v are found on a grid of step t_kep / 400
     from 0.3 t_kep to t_end.  Each is refined by _APSIS_ROUNDS quadratic
     fits on a window centred on the current estimate, shrinking tenfold
     per round; a crossing whose fit has no real root keeps its estimate
-    for that round.  The grid is read a Kepler period per dense-output call,
-    the crossings of all lanes in one call per round.  mirror reads the
-    time-reflected trajectory tau -> state(-tau), whose r.v flips sign.
+    for that round.  Each dense-output call reads _READ_POINTS grid points,
+    or the windows of _READ_POINTS / 7 crossings in a round.
     """
-    sign = -1.0 if mirror else 1.0
     t_kep = kepler_period(cfg)
     grid = np.arange(0.3 * t_kep, t_end, t_kep / 400.0)
-    g = np.concatenate([_radial_velocity(sol.sol(sign * grid[k:k + 400]), lanes)
-                        for k in range(0, len(grid), 400)], axis=1) * sign
-    lane, i = np.nonzero((g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0))
-    if not lane.size:
-        return [np.empty(0)] * lanes
+    rising = np.empty((lanes, max(len(grid) - 1, 0)), dtype=bool)
+    for k in range(0, len(grid) - 1, _READ_POINTS):
+        # one point of overlap, so a sign change on a block edge is seen
+        g = _radial_velocity(sol.sol(grid[k:k + _READ_POINTS + 1]), lanes)
+        rising[:, k:k + _READ_POINTS] = (g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0)
+    # in time order, so that the windows of a block share few steps
+    i, lane = np.nonzero(rising.T)
     root = 0.5 * (grid[i] + grid[i + 1])
     half = 0.5 * (grid[i + 1] - grid[i])
-    crossing = np.arange(len(root))
-    for _ in range(_APSIS_ROUNDS):
-        ts = root[:, None] + half[:, None] * _APSIS_U
-        states = sol.sol(sign * ts.ravel()).reshape(4 * lanes, *ts.shape)
-        g = sign * _radial_velocity(states, lanes)[lane, crossing]
-        root = root + half * np.nan_to_num(_quadratic_root(g))
-        half = half / 10.0
-    return np.split(root, np.cumsum(np.bincount(lane, minlength=lanes))[:-1])
+    per_call = _READ_POINTS // len(_APSIS_U)
+    for start in range(0, len(root), per_call):
+        block = slice(start, start + per_call)
+        r, h = root[block], half[block]
+        crossing = np.arange(len(r))
+        for _ in range(_APSIS_ROUNDS):
+            ts = r[:, None] + h[:, None] * _APSIS_U
+            states = sol.sol(ts.ravel()).reshape(4 * lanes, *ts.shape)
+            g = _radial_velocity(states, lanes)[lane[block], crossing]
+            r = r + h * np.nan_to_num(_quadratic_root(g))
+            h = h / 10.0
+        root[block] = r
+    by_lane = np.argsort(lane, kind="stable")
+    return np.split(root[by_lane],
+                    np.cumsum(np.bincount(lane, minlength=lanes))[:-1])
 
 
 def frozen_grid_angles(nodes: int) -> np.ndarray:
@@ -1043,26 +1063,28 @@ def celestial_frozen_period(cfg: CelestialConfig, phi, rtol: float = 1e-12,
     given, is the perturber mass of each lane (default cfg.m_jupiter for
     all).  Returns a float for a scalar phi, else an array of periods.
 
-    All lanes are integrated side by side as one stack: one DOP853 run
-    forward over half of `orbits` Kepler periods and one backward over the
-    other half, each with a single step sequence for the whole stack.
-    Each lane's period is the mean of its perihelion-to-perihelion gaps,
-    apsis times taken from sign changes of r.v refined by local quadratic
-    fits on the dense output (_perihelion_times).
+    All lanes are integrated side by side as one stack, in one DOP853 run
+    over half of `orbits` Kepler periods with a single step sequence.
+    Each lane is there twice: once from cfg.initial_state() forward in
+    time, and once from the same state with the velocity reversed, whose
+    orbit u(tau) = (x, z, -vx, -vz)(-tau) solves the same equations and
+    is the lane's backward branch over the other half.  Each lane's period
+    is the mean of its perihelion-to-perihelion gaps, apsis times taken
+    from sign changes of r.v refined by local quadratic fits on the dense
+    output (_perihelion_times).
 
     The window is short and centred on purpose.  Short: the frozen
     perturber slowly precesses the apsis line, so a long average would
     blur periods across orientations instead of measuring the
     instantaneous one.  Centred: the leading precession bias is odd in
     time and cancels between the two half-windows.  The measurement is
-    even in phi: the time-reversed run at angle phi is the mirror image
-    (z, vx -> -z, -vx) of the forward run at -phi, and the backward branch
-    is read through that mirror.  The backward stack is integrated, not
-    built from the forward one; for a grid that holds each angle's mirror
-    image it is the mirror of the forward stack with its lanes permuted,
-    so the two agree up to the roundoff of the order in which the step
-    control sums the lanes' errors, and a period profile that is not even
-    in phi points at the integration.
+    even in phi: the backward branch at angle phi is the mirror image
+    (z, vx -> -z, -vx) of the forward branch at -phi.  The backward branch
+    is integrated, not built from the forward one; for a grid that holds
+    each angle's mirror image it is the mirror of the forward half of the
+    stack with its lanes permuted, so the two agree up to the roundoff of
+    the order in which the step control sums the lanes' errors, and a
+    period profile that is not even in phi points at the integration.
     """
     phis = np.asarray(phi, dtype=float)
     angles = np.atleast_1d(phis)
@@ -1077,13 +1099,19 @@ def celestial_frozen_period(cfg: CelestialConfig, phi, rtol: float = 1e-12,
         raise ValueError("orbits must be positive")
     t_half = 0.5 * orbits * kepler_period(cfg)
     n = len(angles)
-    # one dense solution alive at a time
-    ahead = _perihelion_times(
-        _integrate_lanes(cfg, angles, masses, t_half, rtol, atol),
-        cfg, t_half, n)
-    behind = _perihelion_times(
-        _integrate_lanes(cfg, angles, masses, -t_half, rtol, atol),
-        cfg, t_half, n, mirror=True)
+    start = cfg.initial_state()
+    starts = np.repeat([start, start * (1.0, 1.0, -1.0, -1.0)], n, axis=0)
+
+    def where(t, k):
+        if k < n:
+            return f" at t = {t:.3f} in {_lane_name(angles, masses, k)}"
+        return (f" at t = {-t:.3f} in {_lane_name(angles, masses, k - n)}"
+                " on the backward branch")
+
+    times = _perihelion_times(
+        _integrate_lanes(cfg, starts, np.tile(angles, 2), np.tile(masses, 2),
+                         t_half, rtol, atol, where), cfg, t_half, 2 * n)
+    ahead, behind = times[:n], times[n:]
     periods = np.empty(n)
     for k in range(n):
         if len(ahead[k]) + len(behind[k]) < 4:

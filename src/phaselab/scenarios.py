@@ -703,6 +703,17 @@ def _run_rect_loop(p, seed, emit):
 
 
 def _prepare_celestial(p):
+    # the frozen-period stack holds two lanes per grid node, one per branch
+    # in time, and celestial-frozen adds two control nodes.  Its dense
+    # solution keeps 8 float64 per lane component and step: tracemalloc
+    # measures about 63 kB a lane at the catalog orbit (209 steps) and up
+    # to 0.98 MB for a heavy perturber close in (m_jupiter 0.05, r_jupiter
+    # 1.5), which takes several times the steps.  At 1 MB a lane the
+    # ceiling admits up to 498 nodes
+    held = 1_000_000 * 2 * (p["nodes"] + 2)
+    if not held <= MAX_RUN_BYTES:
+        raise ValueError(f"a grid of {p['nodes']} nodes can hold {held:.3g} "
+                         f"bytes, above the ceiling of {MAX_RUN_BYTES:.0e}")
     cfg = analogs.CelestialConfig(m_jupiter=p["m_jupiter"],
                                   r_jupiter=p["r_jupiter"],
                                   eccentricity=p["eccentricity"])

@@ -4,9 +4,11 @@ Runs at catalog defaults come from the session fixture ``scenario``.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from phaselab import analogs
 from phaselab.analogs import CelestialConfig
@@ -15,6 +17,36 @@ from phaselab.errors import DynamicsError
 TWO_PI = 2.0 * math.pi
 # the celestial scenarios' catalog configuration
 CONFIG = CelestialConfig(m_jupiter=1e-3, r_jupiter=5.2)
+
+
+def single_lane_period(cfg, phi, orbits=8.5):
+    """Reference definition of the frozen period at angle phi: one lane
+    solved on its own from t = 0, once forward to t_half and once backward
+    to -t_half, each branch's perihelia read through the time-reflected
+    state tau -> state(+-tau), whose r.v flips sign on the backward one."""
+    t_half = 0.5 * orbits * analogs.kepler_period(cfg)
+    mu = cfg.g_const * cfg.m_sun
+    muj = cfg.g_const * cfg.m_jupiter
+    px, pz = cfg.r_jupiter * math.cos(phi), cfg.r_jupiter * math.sin(phi)
+
+    def rhs(t, y):
+        x, z, vx, vz = y
+        r3 = (x * x + z * z) ** 1.5
+        dx, dz = x - px, z - pz
+        d3 = (dx * dx + dz * dz) ** 1.5
+        return (vx, vz, -mu * x / r3 - muj * dx / d3,
+                -mu * z / r3 - muj * dz / d3)
+
+    gaps = []
+    for sign in (-1.0, 1.0):
+        sol = solve_ivp(rhs, (0.0, sign * t_half), cfg.initial_state(),
+                        method="DOP853", rtol=1e-12, atol=1e-13,
+                        dense_output=True)
+        flip = np.array([[1.0], [1.0], [sign], [sign]])
+        reflected = SimpleNamespace(sol=lambda tau: sol.sol(sign * tau) * flip)
+        times = analogs._perihelion_times(reflected, cfg, t_half)[0]
+        gaps.append(np.diff(times))
+    return float(np.mean(np.concatenate(gaps)))
 
 
 @pytest.fixture
@@ -123,6 +155,30 @@ class TestLaneStacks:
             analogs.celestial_frozen_period(cfg, [0.0, 0.0],
                                             masses=[0.0, 0.05])
 
+    def test_reversed_lanes_are_the_backward_run(self, grid):
+        # the velocity-reversed half of the stack against a backward solve
+        phis, periods = grid
+        for k in (3, 10, 21):
+            reference = single_lane_period(CONFIG, phis[k])
+            assert abs(reference - periods[k]) < 1e-11
+
+    def test_one_run_per_measurement(self, monkeypatch):
+        calls = []
+        forward = analogs.solve_ivp
+        monkeypatch.setattr(analogs, "solve_ivp", lambda *args, **kwargs:
+                            calls.append(1) or forward(*args, **kwargs))
+        analogs.celestial_frozen_period(CONFIG, [0.0, 1.0, 2.0])
+        assert len(calls) == 1
+
+    def test_failing_reversed_lane_is_named(self):
+        # at angle -0.5 the backward branch falls into the sun first, at
+        # t = -15.851, before the forward one does at t = 20.197
+        cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.2)
+        with pytest.raises(DynamicsError, match=r"^planet collided with the "
+                           r"sun at t = -15\.851 in lane 0 \(perturber angle "
+                           r"-0\.5, mass 0\.05\) on the backward branch$"):
+            analogs.celestial_frozen_period(cfg, -0.5)
+
     def test_lane_validation(self):
         with pytest.raises(ValueError):
             analogs.celestial_frozen_period(CONFIG, [0.0, 1.0],
@@ -132,6 +188,9 @@ class TestLaneStacks:
                                             masses=[-1e-3])
         with pytest.raises(ValueError):
             analogs.celestial_frozen_period(CONFIG, 0.0, orbits=0.0)
+        # a window shorter than the grid's 0.3 t_kep start holds no grid
+        with pytest.raises(DynamicsError, match="fewer than four"):
+            analogs.celestial_frozen_period(CONFIG, 0.0, orbits=0.5)
 
 
 def _reference_root(g):

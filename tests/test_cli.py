@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselab import cli
+from phaselab import analogs, cli
 from phaselab.cli import main, render_listing
 from phaselab.scenarios import SCENARIOS
 
@@ -284,6 +284,29 @@ class TestConfigRejection:
                                      ("celestial-residual", {"nodes": 6})):
             cli._validate({"scenario": scenario, "parameters": parameters},
                           None)
+
+    def test_celestial_grid_memory_ceiling(self, tmp_path, capsys,
+                                           monkeypatch):
+        # two stack lanes per node at up to 1 MB each: 10,000,000 nodes
+        # would hold 2e13 bytes, and no orbit integration may start
+        monkeypatch.setattr(analogs, "solve_ivp", lambda *args, **kwargs:
+                            pytest.fail("integration started"))
+        for scenario in ("celestial-frozen", "celestial-residual"):
+            code, out, cap = run_cli(tmp_path, capsys, scenario,
+                                     parameters={"nodes": 10_000_000})
+            assert code == 2
+            assert cap.err.startswith("phaselab: config-error:")
+            assert "above the ceiling of 1e+09" in cap.err
+            manifest = json.loads(
+                (out / scenario / "manifest.json").read_text())
+            assert manifest["error"]["kind"] == "config-error"
+            assert manifest["outputs"] == {}
+        cli._validate({"scenario": "celestial-frozen",
+                       "parameters": {"nodes": 498}}, None)
+        with pytest.raises(cli._CliFailure) as failure:
+            cli._validate({"scenario": "celestial-frozen",
+                           "parameters": {"nodes": 500}}, None)
+        assert failure.value.kind == "config-error"
 
     def test_removed_method_settings_rejected(self, tmp_path, capsys,
                                               monkeypatch):
