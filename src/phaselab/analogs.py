@@ -10,7 +10,7 @@ orbiting a fixed sun while a slow outer perturber circles: the frozen-probe
 period prediction versus the fully integrated orbital phase, whose mismatch
 is the adiabatic residual.
 
-Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13 by default.  The
+Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13.  The
 frozen-perturber periods are measured in lane stacks: every perturber angle
 (and mass) of a grid is two lanes of a (4, N) state, one forward in time and
 one with the velocity reversed for the backward branch, integrated by one
@@ -20,8 +20,10 @@ runs are single lanes with a scalar right-hand side, which is faster for
 one planet.  The pendulum equations are linear, y' = A(t) y, and are
 stepped with a sixth-order Magnus integrator whose step exponentials are
 built in batches, in closed form for the generator and from two traces for
-the exponential; its rtol (1e-10 by default) bounds the Richardson estimate
-of the global error over the sampled states.  All units are G = hbar = 1.
+the exponential; an rtol of 1e-10 bounds the Richardson estimate of the
+global error over the sampled states.  Method settings such as these are
+module constants beside the code that reads them; a convergence study
+patches them.  All units are G = hbar = 1.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -154,13 +155,18 @@ class TransferReport:
     weak_coupling_ratio: float
 
 
+# pendulum_sweep samples the state at _SWEEP_SAMPLES times, and the
+# Richardson estimate of its global error there must not exceed
+# _SWEEP_RTOL times the largest state entry
+_SWEEP_SAMPLES = 1200
+_SWEEP_RTOL = 1e-10
 # Magnus steps built as arrays at once: a (512, 4, 4) float stack is 64 kB,
 # and the temporaries of one chunk stay near 1 MB
 _CHUNK = 512
 # 3-point Gauss-Legendre nodes on [0, 1]
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 # start at h = _STEP_PHASE / omega_max, then halve h until the Richardson
-# estimate meets rtol, at most _MAX_DOUBLINGS times, and give up as soon
+# estimate meets _SWEEP_RTOL, at most _MAX_DOUBLINGS times, and give up as soon
 # as one halving cuts the estimate by less than _MIN_CUT
 _STEP_PHASE = 0.5
 _MAX_DOUBLINGS = 5
@@ -344,14 +350,15 @@ def _magnus_run(system: PendulumSystem, times: np.ndarray,
     return ys
 
 
-def _sweep_samples(system: PendulumSystem, duration: float, samples: int):
+def _sweep_samples(system: PendulumSystem, duration: float):
     """(times, lengths, m) of a sweep: the sample times (one at t = 0 for
     duration 0), the lengths there, and the Magnus steps per sample
     interval it starts with, m = ceil(interval * omega_max / 0.5), 0 for
     duration 0.  omega_max^2 is the largest normal-mode stiffness at the
     samples, the larger root of [[g/l + k, -k], [-k, g/l_mu + k]] in closed
     form."""
-    times = np.linspace(0.0, duration, samples) if duration > 0.0 else np.zeros(1)
+    times = (np.linspace(0.0, duration, _SWEEP_SAMPLES) if duration > 0.0
+             else np.zeros(1))
     lengths = system.length_schedule.value(times)
     if np.any(lengths <= 0.0):
         raise ValueError("length schedule must stay positive")
@@ -367,17 +374,15 @@ def _sweep_samples(system: PendulumSystem, duration: float, samples: int):
     return times, lengths, m
 
 
-def magnus_start_steps(system: PendulumSystem, duration: float,
-                       samples: int = 1200) -> int:
+def magnus_start_steps(system: PendulumSystem, duration: float) -> int:
     """Magnus steps pendulum_sweep takes before any doubling: m per sample
-    interval in the first run and 2m in the second, (samples - 1) * 3m.
-    Raises what pendulum_sweep raises for the schedule's lengths."""
-    times, _, m = _sweep_samples(system, duration, samples)
+    interval in the first run and 2m in the second, (_SWEEP_SAMPLES - 1) *
+    3m.  Raises what pendulum_sweep raises for the schedule's lengths."""
+    times, _, m = _sweep_samples(system, duration)
     return (len(times) - 1) * 3 * m
 
 
-def pendulum_sweep(system: PendulumSystem, duration: float,
-                   rtol: float = 1e-10, samples: int = 1200) -> TransferReport:
+def pendulum_sweep(system: PendulumSystem, duration: float) -> TransferReport:
     """Integrate the coupled small-angle equations through a length sweep.
 
     Displacement coordinates x = l * angle obey
@@ -390,31 +395,26 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
     constant).  Only A[1, 0] changes in time, so each step's generator has
     closed-form entries, and its exponential is a series in its square with
     coefficients from two traces; the states at the samples are prefix
-    products of the interval propagators.  Each of the samples - 1
-    intervals starts with
-    m = ceil(interval * omega_max / 0.5) steps, omega_max the fastest
-    normal-mode frequency at the samples; the run is repeated with 2m, and
-    the Richardson estimate max|y_2m - y_m| / 63 of the global error over
-    all samples must not exceed rtol * max|y|, else m doubles.  The 2m run
-    is reported.
+    products of the interval propagators.  Each of the _SWEEP_SAMPLES - 1
+    intervals starts with m = ceil(interval * omega_max / 0.5) steps,
+    omega_max the fastest normal-mode frequency at the samples; the run is
+    repeated with 2m, and the Richardson estimate max|y_2m - y_m| / 63 of
+    the global error over all samples must not exceed _SWEEP_RTOL * max|y|,
+    else m doubles.  The 2m run is reported.
 
-    Raises ValueError for a non-positive length, fewer than 2 samples or
-    an rtol that is not finite and positive; IntegratorError when rtol is
-    still not met after five doublings or a doubling cuts the estimate
-    less than 8-fold (about 64-fold is due), or when a constant schedule
-    shows relative energy drift above 1e-6 (the integrator, not the
-    physics, is then at fault), or when a step generator is not finite.
+    Raises ValueError for a negative duration or a non-positive length;
+    IntegratorError when _SWEEP_RTOL is still not met after five doublings
+    or a doubling cuts the estimate less than 8-fold (about 64-fold is
+    due), or when a constant schedule shows relative energy drift above
+    1e-6 (the integrator, not the physics, is then at fault), or when a
+    step generator is not finite.
     """
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
-    if not 0.0 < rtol < math.inf:
-        raise ValueError("rtol must be finite and positive")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     g = system.g
     kappa = system.kappa
     wm2 = g / system.l_mu
-    times, lengths, m = _sweep_samples(system, duration, samples)
+    times, lengths, m = _sweep_samples(system, duration)
     frozen = float(np.ptp(lengths)) <= 1e-12 * float(np.max(lengths))
     weak = kappa / min(wm2, g / float(np.max(lengths)))
 
@@ -431,7 +431,7 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
         for doubling in range(_MAX_DOUBLINGS):
             ys = _magnus_run(system, times, 2 * m)
             estimate = float(np.max(np.abs(ys - coarse))) / 63.0
-            if estimate <= rtol * float(np.max(np.abs(ys))):
+            if estimate <= _SWEEP_RTOL * float(np.max(np.abs(ys))):
                 break
             # a sixth-order step cuts the estimate about 64-fold per
             # doubling; less than _MIN_CUT-fold means roundoff or a fault,
@@ -440,7 +440,7 @@ def pendulum_sweep(system: PendulumSystem, duration: float,
                     or doubling == _MAX_DOUBLINGS - 1):
                 raise IntegratorError(
                     f"Richardson error estimate {estimate:.3e} still above "
-                    f"rtol {rtol:.3e} times the state scale at {2 * m} "
+                    f"rtol {_SWEEP_RTOL:.3e} times the state scale at {2 * m} "
                     f"steps per sample interval")
             coarse, m, previous = ys, 2 * m, estimate
 
@@ -501,71 +501,59 @@ def msw_benchmark_system(kappa: float = 0.025, delta_max: float = 0.34,
 # ---------------------------------------------------------------------------
 # quantum two-level sweep
 
+# the sweep window is _SPAN_FACTOR times the larger of the gap and the
+# Landau-Zener time on either side of the crossing, which keeps the
+# finite-window ripple comfortably inside the 2% oracle tolerance
+_SPAN_FACTOR = 14.0
+# the propagator step is _STEP_SCALE over the largest coefficient of H
+_STEP_SCALE = 0.04
+
+
 @dataclass(frozen=True)
 class TwoLevelSweep:
-    """H(t) = epsilon sigma1 + delta(t) sigma3 over [0, duration].
-
-    The detuning must be vectorized: it maps an array of times to a finite
-    real array of the same shape (checked on [0, duration] at construction).
-    sweep_rate is metadata set by linear_two_level_sweep; when present the
-    outcome carries the Landau-Zener comparison.  epsilon = 0 is allowed
-    (levels cross freely, nothing converts).
-    """
+    """H(t) = epsilon sigma1 + delta(t) sigma3 over [0, duration], with the
+    linear detuning delta = -span + sweep_rate t and span = _SPAN_FACTOR *
+    max(epsilon, sqrt(sweep_rate)).  epsilon = 0 is allowed (levels cross
+    freely, nothing converts)."""
 
     epsilon: float
-    detuning: Callable[[np.ndarray], np.ndarray]
-    duration: float
-    sweep_rate: float | None = None
+    sweep_rate: float
 
     def __post_init__(self):
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be non-negative")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
-        if not callable(self.detuning):
-            raise ValueError("detuning must be callable")
-        try:
-            probe = np.asarray(self.detuning(np.array([0.0, self.duration])))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"detuning must accept an array of times: {exc}") from exc
-        if (probe.shape != (2,) or probe.dtype.kind not in "fiu"
-                or not np.isfinite(probe).all()):
-            raise ValueError("detuning must map an array of times to a finite "
-                             "real array of the same shape")
+        if self.sweep_rate <= 0.0:
+            raise ValueError("rate must be positive")
+        if not self.duration < math.inf:
+            raise ValueError("the sweep window overflows")
 
+    @property
+    def span(self) -> float:
+        return _SPAN_FACTOR * max(self.epsilon, math.sqrt(self.sweep_rate))
 
-def linear_two_level_sweep(epsilon: float, rate: float,
-                           span_factor: float = 14.0) -> TwoLevelSweep:
-    """Linear detuning delta = -D + rate*t with D = span_factor * max(eps, sqrt(rate)).
+    @property
+    def duration(self) -> float:
+        return 2.0 * self.span / self.sweep_rate
 
-    The window must dwarf both the gap (epsilon) and the Landau-Zener time
-    sqrt(rate); span_factor 14 keeps the finite-window ripple comfortably
-    inside the 2% oracle tolerance.
-    """
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
-    span = span_factor * max(epsilon, math.sqrt(rate))
-    duration = 2.0 * span / rate
-    return TwoLevelSweep(epsilon=epsilon,
-                         detuning=lambda t: -span + rate * t,
-                         duration=duration, sweep_rate=rate)
+    def detuning(self, t):
+        return -self.span + self.sweep_rate * t
 
 
 @dataclass(frozen=True)
 class ConversionReport:
     conversion: float
-    lz_conversion: float | None
+    lz_conversion: float
 
 
-def two_level_step(s: TwoLevelSweep, step_scale: float = 0.04) -> float:
-    """Propagator step of two_level_sweep: step_scale over the largest
+def two_level_step(s: TwoLevelSweep) -> float:
+    """Propagator step of two_level_sweep: _STEP_SCALE over the largest
     coefficient of H at the ends of the sweep."""
     h_scale = max(abs(s.detuning(0.0)), abs(s.detuning(s.duration)),
                   s.epsilon, 1e-12)
-    return step_scale / h_scale
+    return _STEP_SCALE / h_scale
 
 
-def two_level_sweep(s: TwoLevelSweep, step_scale: float = 0.04) -> ConversionReport:
+def two_level_sweep(s: TwoLevelSweep) -> ConversionReport:
     """Evolve the ground-flavor state through the sweep; report conversion.
 
     Starts in the instantaneous ground state at t = 0 (the 'e' flavor up to
@@ -573,24 +561,26 @@ def two_level_sweep(s: TwoLevelSweep, step_scale: float = 0.04) -> ConversionRep
     final weight on the instantaneous ground state at t = duration (the
     'mu' flavor up to the same tilt).  Reading out in the eigenbasis keeps
     the finite sweep window from polluting the comparison with mixing-angle
-    interference; for a linear sweep the Landau-Zener diabatic probability
-    exp(-pi eps^2 / rate) gives lz_conversion = 1 - that.
+    interference; the Landau-Zener diabatic probability exp(-pi eps^2 /
+    rate) gives lz_conversion = 1 - that.
     """
     eps = s.epsilon
     sched = HamiltonianSchedule(lambda t: (eps, 0.0, s.detuning(t)),
                                 s.duration)
     psi0 = ground_state(sched, 0.0)
-    final, _ = evolve_with_energy(sched, psi0, two_level_step(s, step_scale))
+    final, _ = evolve_with_energy(sched, psi0, two_level_step(s))
     ground_end = ground_state(sched, s.duration)
     conversion = abs(ground_end.overlap(final)) ** 2
-    lz = None
-    if s.sweep_rate is not None:
-        lz = 1.0 - math.exp(-math.pi * eps * eps / s.sweep_rate)
+    lz = 1.0 - math.exp(-math.pi * eps * eps / s.sweep_rate)
     return ConversionReport(conversion=conversion, lz_conversion=lz)
 
 
 # ---------------------------------------------------------------------------
 # rectangular loop around the degeneracy
+
+# samples of the rectangle's Wilson loop
+_LOOP_SAMPLES = 2000
+
 
 def rectangle_corners(delta0: float, epsilon0: float,
                       center: tuple = (0.0, 0.0)) -> np.ndarray:
@@ -632,8 +622,8 @@ def _segment_origin_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def rectangle_transport(delta0: float, epsilon0: float,
-                        center: tuple = (0.0, 0.0), samples: int = 2000,
-                        adiabaticity: float = 1e-3, transport_step: float = 0.01):
+                        center: tuple = (0.0, 0.0), adiabaticity: float = 1e-3,
+                        transport_step: float = 0.01):
     """Time table for traversing the rectangle at speed mu * gap^2, with mu
     the adiabaticity, and the propagator steps the transport takes on it.
 
@@ -647,9 +637,9 @@ def rectangle_transport(delta0: float, epsilon0: float,
     Raises ValueError unless adiabaticity and transport_step are positive
     (and for the corners, rectangle_corners) or when gap^2 overflows at a
     corner, GeometryError when the boundary passes through the degeneracy,
-    and ResolutionError when the loop's samples lie further apart than
-    sqrt(3) times its distance from the degeneracy: only then can
-    neighbouring band states of the Wilson loop turn by more than 120
+    and ResolutionError when the loop's _LOOP_SAMPLES samples lie further
+    apart than sqrt(3) times its distance from the degeneracy: only then
+    can neighbouring band states of the Wilson loop turn by more than 120
     degrees (overlap below 0.5).
     """
     if not adiabaticity > 0.0:
@@ -667,7 +657,7 @@ def rectangle_transport(delta0: float, epsilon0: float,
                     for k in range(4))
     if clearance < 1e-9:
         raise GeometryError("loop boundary passes through the degeneracy")
-    if 4.0 * (delta0 + epsilon0) / samples > math.sqrt(3.0) * clearance:
+    if 4.0 * (delta0 + epsilon0) / _LOOP_SAMPLES > math.sqrt(3.0) * clearance:
         raise ResolutionError("loop samples lie further apart than sqrt(3) "
                               "times the loop's distance from the degeneracy")
 
@@ -706,7 +696,8 @@ def rectangle_transport(delta0: float, epsilon0: float,
 def _winding(path: np.ndarray) -> int:
     ang = np.arctan2(path[:, 1], path[:, 0])
     closed = np.append(ang, ang[0])
-    return int(round(np.sum(np.vectorize(wrap_angle)(np.diff(closed))) / TWO_PI))
+    turns = np.remainder(np.diff(closed) + math.pi, TWO_PI) - math.pi
+    return int(round(np.sum(turns) / TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -728,16 +719,17 @@ class RectangleLoop:
 
 
 def rectangular_loop_phase(epsilon0: float, delta0: float, transport,
-                           samples: int = 2000, center: tuple = (0.0, 0.0),
+                           center: tuple = (0.0, 0.0),
                            transport_step: float = 0.01) -> RectangleLoop:
     """Wilson phase and adiabatic transport around the (delta, epsilon) rectangle.
 
     For H = epsilon sigma1 + delta sigma3 the degeneracy sits at the origin;
     a rectangle enclosing it carries Wilson phase pi, one that misses it
-    carries 0.  ``transport`` is the rectangle_transport table of the same
-    rectangle, center and samples: the loop is traversed at parameter speed
-    adiabaticity * gap^2, which keeps the residual cone correction to the
-    geometric phase at O(adiabaticity) uniformly along the path.  Warns
+    carries 0.  The Wilson loop takes _LOOP_SAMPLES samples.  ``transport``
+    is the rectangle_transport table of the same rectangle and center: the
+    loop is traversed at parameter speed adiabaticity * gap^2, which keeps
+    the residual cone correction to the geometric phase at O(adiabaticity)
+    uniformly along the path.  Warns
     (RegimeWarning) when delta0 < 10 epsilon0: the corners then sit too
     close to resonance for the 'nothing further happens there' reading of
     the coupling-sign flip.
@@ -745,7 +737,7 @@ def rectangular_loop_phase(epsilon0: float, delta0: float, transport,
     if delta0 < 10.0 * epsilon0:
         warnings.warn("corners at delta0 < 10*epsilon0 sit close to resonance",
                       RegimeWarning, stacklevel=2)
-    path = rectangle_path(delta0, epsilon0, samples, center)
+    path = rectangle_path(delta0, epsilon0, _LOOP_SAMPLES, center)
     directions = np.column_stack(
         (path[:, 1], np.zeros(len(path)), path[:, 0]))
     wilson = berry.wilson_loop_phase(directions)
@@ -779,14 +771,24 @@ def rectangular_loop_phase(epsilon0: float, delta0: float, transport,
 # ---------------------------------------------------------------------------
 # celestial adiabatic period shift
 
+# Kepler period of the planet's unperturbed orbit, semi-major axis 1
+KEPLER_PERIOD = TWO_PI
+# DOP853 tolerances of every orbit run; the convergence check of
+# celestial_adiabatic_residual reruns at a thousandfold looser
+_ORBIT_RTOL = 1e-12
+_ORBIT_ATOL = 1e-13
+# the frozen-period window spans _ORBITS Kepler periods centred on the start
+_ORBITS = 8.5
+
+
 @dataclass(frozen=True)
 class CelestialConfig:
     """Planet around a fixed sun, outer perturber on a prescribed circle.
 
-    Units G = m_sun = r_earth = 1.  t_jupiter defaults to the Kepler period
-    for r_jupiter about the sun.  The planet starts at perihelion on the +x
-    axis of a near-circular orbit with the given eccentricity (semi-major
-    axis r_earth, so the unperturbed period is the Kepler one exactly).
+    Units G = m_sun = r_earth = 1.  The perturber circles at r_jupiter with
+    its Kepler period about the sun.  The planet starts at perihelion on
+    the +x axis of a near-circular orbit with the given eccentricity
+    (semi-major axis 1, so the unperturbed period is KEPLER_PERIOD exactly).
 
     The default eccentricity keeps the apsis line stiff: the free radial
     oscillation must dominate the perturber-forced wiggles or perihelion
@@ -796,52 +798,35 @@ class CelestialConfig:
 
     m_jupiter: float
     r_jupiter: float
-    m_sun: float = 1.0
-    g_const: float = 1.0
-    r_earth: float = 1.0
     eccentricity: float = 0.05
-    t_jupiter: float | None = None
 
     def __post_init__(self):
-        if self.m_sun <= 0.0 or self.g_const <= 0.0 or self.r_earth <= 0.0:
-            raise ValueError("m_sun, g_const, r_earth must be positive")
         if self.m_jupiter < 0.0:
             raise ValueError("m_jupiter must be non-negative")
-        if self.m_jupiter > 0.05 * self.m_sun:
+        if self.m_jupiter > 0.05:
             raise ValueError("perturber mass must stay small, m_j <= 0.05 m_sun")
-        if self.r_jupiter <= self.r_earth:
+        if self.r_jupiter <= 1.0:
             raise ValueError("perturber must orbit outside the planet")
         if not 0.0 <= self.eccentricity <= 0.1:
             raise ValueError("eccentricity limited to [0, 0.1]")
-        if self.t_jupiter is not None and self.t_jupiter <= 0.0:
-            raise ValueError("t_jupiter must be positive")
 
     @property
     def jupiter_period(self) -> float:
-        if self.t_jupiter is not None:
-            return self.t_jupiter
-        return TWO_PI * math.sqrt(self.r_jupiter ** 3 /
-                                  (self.g_const * self.m_sun))
+        return TWO_PI * math.sqrt(self.r_jupiter ** 3)
 
     def initial_state(self) -> np.ndarray:
-        mu = self.g_const * self.m_sun
-        a = self.r_earth
         e = self.eccentricity
-        rp = a * (1.0 - e)
-        vp = math.sqrt(mu * (1.0 + e) / rp)
+        rp = 1.0 - e
+        vp = math.sqrt((1.0 + e) / rp)
         return np.array([rp, 0.0, 0.0, vp])
-
-
-def kepler_period(cfg: CelestialConfig) -> float:
-    return TWO_PI * math.sqrt(cfg.r_earth ** 3 / (cfg.g_const * cfg.m_sun))
 
 
 def adiabatic_periods(cfg: CelestialConfig) -> tuple[float, float]:
     """(t_jupiter, t_earth), once the perturber is checked slow enough for
-    the adiabatic reading: t_jupiter >= 5 t_earth, which the default
-    Kepler period meets for r_jupiter above 5^(2/3) r_earth, about 2.92.
-    Raises ValueError otherwise."""
-    t_j, t_e = cfg.jupiter_period, kepler_period(cfg)
+    the adiabatic reading: t_jupiter >= 5 t_earth, which the Kepler period
+    of r_jupiter meets above 5^(2/3) r_earth, about 2.92.  Raises
+    ValueError otherwise."""
+    t_j, t_e = cfg.jupiter_period, KEPLER_PERIOD
     if t_j < 5.0 * t_e:
         raise ValueError("adiabatic regime requires t_jupiter >= 5 t_earth")
     return t_j, t_e
@@ -849,8 +834,7 @@ def adiabatic_periods(cfg: CelestialConfig) -> tuple[float, float]:
 
 def force_ratio(cfg: CelestialConfig) -> float:
     """Perturber-to-sun force ratio at closest approach geometry."""
-    return (cfg.m_jupiter / cfg.m_sun) * cfg.r_earth ** 2 / \
-        (cfg.r_jupiter - cfg.r_earth) ** 2
+    return cfg.m_jupiter / (cfg.r_jupiter - 1.0) ** 2
 
 
 def _radii(y: np.ndarray) -> np.ndarray:
@@ -871,14 +855,14 @@ def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,
            rtol: float, atol: float,
            where=lambda t, k: f" at t = {t:.3f}"):
     """DOP853 from t = 0 to t_end with dense output, over a flat (4, N)
-    lane state.  A lane closing on the sun (r < 0.01 r_earth) or escaping
+    lane state.  A lane closing on the sun (r < 0.01) or escaping
     (r > 2.5 r_jupiter) ends the run: the terminal events watch the
     closest and the farthest lane, and the DynamicsError says where
     through where(t, k), with t the event time and k the lane.
 
     The run is read only through its dense output, so t_eval=() keeps no
     per-step states beside it."""
-    r_min = 0.01 * cfg.r_earth
+    r_min = 0.01
     r_max = 2.5 * cfg.r_jupiter
 
     def collision(t, y):
@@ -905,23 +889,22 @@ def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,
 def _integrate(cfg: CelestialConfig, jupiter_angle, t_max: float,
                rtol: float, atol: float):
     """Integrate one planet; jupiter_angle is a callable t -> angle of the
-    moving perturber, or None for no perturber.  Raises DynamicsError on
-    collision or escape."""
-    mu = cfg.g_const * cfg.m_sun
-    muj = cfg.g_const * cfg.m_jupiter
+    moving perturber, which a massless perturber leaves out.  Raises
+    DynamicsError on collision or escape."""
+    muj = cfg.m_jupiter
     rj = cfg.r_jupiter
 
-    if jupiter_angle is None or muj == 0.0:
+    if muj == 0.0:
         def rhs(t, y):
             x, z, vx, vz = y
             r3 = (x * x + z * z) ** 1.5
-            return (vx, vz, -mu * x / r3, -mu * z / r3)
+            return (vx, vz, -x / r3, -z / r3)
     else:
         def rhs(t, y):
             x, z, vx, vz = y
             r3 = (x * x + z * z) ** 1.5
-            ax = -mu * x / r3
-            az = -mu * z / r3
+            ax = -x / r3
+            az = -z / r3
             ang = jupiter_angle(t)
             dx = x - rj * math.cos(ang)
             dz = z - rj * math.sin(ang)
@@ -933,15 +916,13 @@ def _integrate(cfg: CelestialConfig, jupiter_angle, t_max: float,
 
 def _integrate_lanes(cfg: CelestialConfig, starts: np.ndarray,
                      phis: np.ndarray, masses: np.ndarray, t_end: float,
-                     rtol: float, atol: float, where):
+                     where):
     """One DOP853 run from t = 0 to t_end of N planets side by side, lane k
     starting from the state starts[k] = (x, z, vx, vz) in the static field
     of the sun and a perturber of mass masses[k] frozen at angle phis[k].
     All lanes share one step sequence; where(t, k) names a failing lane
     (_solve)."""
     n = len(phis)
-    mu = cfg.g_const * cfg.m_sun
-    muj = cfg.g_const * masses
     px = cfg.r_jupiter * np.cos(phis)
     pz = cfg.r_jupiter * np.sin(phis)
 
@@ -951,10 +932,11 @@ def _integrate_lanes(cfg: CelestialConfig, starts: np.ndarray,
         dx = x - px
         dz = z - pz
         d3 = (dx * dx + dz * dz) ** 1.5
-        return np.concatenate((vx, vz, -mu * x / r3 - muj * dx / d3,
-                               -mu * z / r3 - muj * dz / d3))
+        return np.concatenate((vx, vz, -x / r3 - masses * dx / d3,
+                               -z / r3 - masses * dz / d3))
 
-    return _solve(cfg, rhs, starts.T.ravel(), t_end, rtol, atol, where)
+    return _solve(cfg, rhs, starts.T.ravel(), t_end, _ORBIT_RTOL, _ORBIT_ATOL,
+                  where)
 
 
 def _lane_name(phis: np.ndarray, masses: np.ndarray, k: int) -> str:
@@ -1007,19 +989,17 @@ def _radial_velocity(states: np.ndarray, lanes: int) -> np.ndarray:
 _READ_POINTS = 56
 
 
-def _perihelion_times(sol, cfg: CelestialConfig, t_end: float,
-                      lanes: int = 1) -> list:
+def _perihelion_times(sol, t_end: float, lanes: int = 1) -> list:
     """Perihelion times of each lane of a dense solution, one array per lane.
 
-    Upward sign changes of r.v are found on a grid of step t_kep / 400
-    from 0.3 t_kep to t_end.  Each is refined by _APSIS_ROUNDS quadratic
-    fits on a window centred on the current estimate, shrinking tenfold
-    per round; a crossing whose fit has no real root keeps its estimate
-    for that round.  Each dense-output call reads _READ_POINTS grid points,
-    or the windows of _READ_POINTS / 7 crossings in a round.
+    Upward sign changes of r.v are found on a grid of step KEPLER_PERIOD /
+    400 from 0.3 KEPLER_PERIOD to t_end.  Each is refined by _APSIS_ROUNDS
+    quadratic fits on a window centred on the current estimate, shrinking
+    tenfold per round; a crossing whose fit has no real root keeps its
+    estimate for that round.  Each dense-output call reads _READ_POINTS
+    grid points, or the windows of _READ_POINTS / 7 crossings in a round.
     """
-    t_kep = kepler_period(cfg)
-    grid = np.arange(0.3 * t_kep, t_end, t_kep / 400.0)
+    grid = np.arange(0.3 * KEPLER_PERIOD, t_end, KEPLER_PERIOD / 400.0)
     rising = np.empty((lanes, max(len(grid) - 1, 0)), dtype=bool)
     for k in range(0, len(grid) - 1, _READ_POINTS):
         # one point of overlap, so a sign change on a block edge is seen
@@ -1054,17 +1034,15 @@ def frozen_grid_angles(nodes: int) -> np.ndarray:
     return TWO_PI * np.arange(nodes) / nodes
 
 
-def celestial_frozen_period(cfg: CelestialConfig, phi, rtol: float = 1e-12,
-                            atol: float = 1e-13, orbits: float = 8.5,
-                            masses=None):
-    """Radial period with the perturber frozen at angle phi.
+def celestial_frozen_period(cfg: CelestialConfig, phis, masses=None):
+    """Radial periods with the perturber frozen at the angles phis.
 
-    phi is an angle or an array of angles, one lane each; masses, when
-    given, is the perturber mass of each lane (default cfg.m_jupiter for
-    all).  Returns a float for a scalar phi, else an array of periods.
+    phis is an array of angles, one lane each; masses, when given, is the
+    perturber mass of each lane (default cfg.m_jupiter for all).  Returns
+    the array of periods.
 
     All lanes are integrated side by side as one stack, in one DOP853 run
-    over half of `orbits` Kepler periods with a single step sequence.
+    over half of _ORBITS Kepler periods with a single step sequence.
     Each lane is there twice: once from cfg.initial_state() forward in
     time, and once from the same state with the velocity reversed, whose
     orbit u(tau) = (x, z, -vx, -vz)(-tau) solves the same equations and
@@ -1086,18 +1064,15 @@ def celestial_frozen_period(cfg: CelestialConfig, phi, rtol: float = 1e-12,
     the order in which the step control sums the lanes' errors, and a
     period profile that is not even in phi points at the integration.
     """
-    phis = np.asarray(phi, dtype=float)
-    angles = np.atleast_1d(phis)
+    angles = np.asarray(phis, dtype=float)
     if masses is None:
         masses = np.full(angles.shape, cfg.m_jupiter)
     masses = np.asarray(masses, dtype=float)
     if angles.ndim != 1 or masses.shape != angles.shape:
-        raise ValueError("phi and masses must be one angle and mass per lane")
+        raise ValueError("phis and masses must be one angle and mass per lane")
     if not np.all(masses >= 0.0):
         raise ValueError("perturber masses must be non-negative")
-    if not orbits > 0.0:
-        raise ValueError("orbits must be positive")
-    t_half = 0.5 * orbits * kepler_period(cfg)
+    t_half = 0.5 * _ORBITS * KEPLER_PERIOD
     n = len(angles)
     start = cfg.initial_state()
     starts = np.repeat([start, start * (1.0, 1.0, -1.0, -1.0)], n, axis=0)
@@ -1110,7 +1085,7 @@ def celestial_frozen_period(cfg: CelestialConfig, phi, rtol: float = 1e-12,
 
     times = _perihelion_times(
         _integrate_lanes(cfg, starts, np.tile(angles, 2), np.tile(masses, 2),
-                         t_half, rtol, atol, where), cfg, t_half, 2 * n)
+                         t_half, where), t_half, 2 * n)
     ahead, behind = times[:n], times[n:]
     periods = np.empty(n)
     for k in range(n):
@@ -1122,19 +1097,7 @@ def celestial_frozen_period(cfg: CelestialConfig, phi, rtol: float = 1e-12,
         # periods; four passages leave at least one gap on one side
         periods[k] = np.mean(np.concatenate((np.diff(behind[k]),
                                              np.diff(ahead[k]))))
-    return float(periods[0]) if phis.ndim == 0 else periods
-
-
-def frozen_period_grid(cfg: CelestialConfig, nodes: int = 32,
-                       rtol: float = 1e-12, atol: float = 1e-13,
-                       orbits: float = 8.5):
-    """Frozen-probe period on a uniform perturber-angle grid, all nodes in
-    one lane stack.
-
-    Returns (angles, periods).
-    """
-    phis = frozen_grid_angles(nodes)
-    return phis, celestial_frozen_period(cfg, phis, rtol, atol, orbits)
+    return periods
 
 
 def _trig_series_integral(values: np.ndarray, phi0: float, omega: float,
@@ -1179,38 +1142,36 @@ class CelestialResidual:
     convergence_gap: float | None
 
 
-def celestial_adiabatic_residual(cfg: CelestialConfig, n_periods: float = 1.0,
-                                 phi0: float = 0.0, nodes: int = 32,
-                                 rtol: float = 1e-12, atol: float = 1e-13,
+def celestial_adiabatic_residual(cfg: CelestialConfig, phis: np.ndarray,
+                                 phi0: float = 0.0,
                                  check_convergence: bool = True) -> CelestialResidual:
-    """Adiabatic residual of the orbital phase over n perturber cycles.
+    """Adiabatic residual of the orbital phase over one perturber cycle.
 
     The full run integrates the planet with the perturber moving on its
-    circle.  The orbital phase between the first and last perihelion is
-    2 pi (count - 1); the adiabatic prediction integrates 2 pi / T'(phi_rel)
-    with T' the frozen-probe period interpolated trigonometrically from the
-    node grid.  Two slow osculating elements of the run itself enter the
-    prediction: the apsis angle (the frozen problem is parametrized by the
-    perturber angle measured from the apsis line, which precesses) and the
-    semi-major axis (the moving perturber exchanges energy with the planet,
-    and T' must be rescaled by a^(3/2) to the orbit the planet is actually
-    on).  Skipping either correction misattributes ordinary first-order
-    element drift to the residual and inflates it by orders of magnitude.
-    The residual is the leftover after the frozen-field prediction is
-    accounted for.
+    circle, starting at angle phi0.  The orbital phase between the first
+    and last perihelion is 2 pi (count - 1); the adiabatic prediction
+    integrates 2 pi / T'(phi_rel) with T' the frozen-probe period
+    interpolated trigonometrically from the grid phis of
+    frozen_grid_angles.  Two slow osculating elements of the run itself
+    enter the prediction: the apsis angle (the frozen problem is
+    parametrized by the perturber angle measured from the apsis line,
+    which precesses) and the semi-major axis (the moving perturber
+    exchanges energy with the planet, and T' must be rescaled by a^(3/2) to
+    the orbit the planet is actually on).  Skipping either correction
+    misattributes ordinary first-order element drift to the residual and
+    inflates it by orders of magnitude.  The residual is the leftover after
+    the frozen-field prediction is accounted for.
 
     Raises QuadratureError when the residual fails to stabilize under
     tolerance refinement.
     """
     t_j, t_e = adiabatic_periods(cfg)
     omega_j = TWO_PI / t_j
-    t_max = n_periods * t_j + 1.5 * t_e
-
-    mu = cfg.g_const * cfg.m_sun
+    t_max = t_j + 1.5 * t_e
 
     def run(rt, at):
         sol = _integrate(cfg, lambda t: phi0 + omega_j * t, t_max, rt, at)
-        times = _perihelion_times(sol, cfg, t_max)[0]
+        times = _perihelion_times(sol, t_max)[0]
         if len(times) < 3:
             raise DynamicsError("fewer than three perihelion passages detected")
         x, z, vx, vz = sol.sol(times)
@@ -1218,7 +1179,7 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, n_periods: float = 1.0,
         # osculating semi-major axis at each passage: the moving perturber
         # exchanges energy with the planet, and the frozen comparison must
         # target the orbit the planet is currently on, not the initial one
-        axis = 1.0 / (2.0 / np.hypot(x, z) - (vx * vx + vz * vz) / mu)
+        axis = 1.0 / (2.0 / np.hypot(x, z) - (vx * vx + vz * vz))
         return times, varpi, axis
 
     def adiabatic_phase(rates, times, varpi, axis):
@@ -1238,27 +1199,27 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, n_periods: float = 1.0,
             else:
                 off = phi0 - varpi[k] + slope * ta
                 seg = _trig_series_integral(rates, off, w, ta, tb)
-            a_mid = 0.5 * (axis[k] + axis[k + 1]) / cfg.r_earth
+            a_mid = 0.5 * (axis[k] + axis[k + 1])
             total += seg * a_mid ** -1.5
         return total
 
-    times, varpi, axis = run(rtol, atol)
+    times, varpi, axis = run(_ORBIT_RTOL, _ORBIT_ATOL)
     t1, t2 = float(times[0]), float(times[-1])
     count = len(times)
     full_phase = TWO_PI * (count - 1)
 
     if cfg.m_jupiter > 0.0:
-        phis, periods = frozen_period_grid(cfg, nodes, rtol, atol)
-        rates = TWO_PI / periods
+        rates = TWO_PI / celestial_frozen_period(cfg, phis)
     else:
-        rates = np.full(nodes, TWO_PI / t_e)
+        rates = np.full(len(phis), TWO_PI / t_e)
     adiabatic = adiabatic_phase(rates, times, varpi, axis)
     residual = full_phase - adiabatic
     dynamical = adiabatic - TWO_PI * (t2 - t1) / t_e
 
     gap = None
     if check_convergence:
-        times_loose, varpi_loose, axis_loose = run(rtol * 1e3, atol * 1e3)
+        times_loose, varpi_loose, axis_loose = run(_ORBIT_RTOL * 1e3,
+                                                   _ORBIT_ATOL * 1e3)
         if len(times_loose) != count:
             raise QuadratureError("perihelion count changed under tolerance refinement")
         adiab_loose = adiabatic_phase(rates, times_loose, varpi_loose,

@@ -45,28 +45,26 @@ def _unit_rows(directions) -> np.ndarray:
     return d / norms[:, None]
 
 
-def wilson_loop_phase(directions, band: str = "ground") -> float:
-    """Discrete loop phase -arg prod <u_k|u_{k+1}> for one band, in (-pi, pi].
+def wilson_loop_phase(directions) -> float:
+    """Discrete loop phase -arg prod <u_k|u_{k+1}> of the ground band, in
+    (-pi, pi].
 
     ``directions`` are field directions n_k; the band states are the
-    eigenvectors of n_k . sigma, all built in one array call to
+    ground eigenvectors of n_k . sigma, all built in one array call to
     qcore.field_eigenvectors, the closed form and phase rule that also give
     the propagator its start states.  The result is gauge independent
     because the chain closes on itself.  Overlap between neighbours falling
     below 0.5 means the loop is sampled too coarsely and raises
     ResolutionError.
     """
-    if band not in ("ground", "excited"):
-        raise ValueError("band must be 'ground' or 'excited'")
-    col = 0 if band == "ground" else 1
-    states = qcore.field_eigenvectors(_unit_rows(directions))[:, :, col]
+    states = qcore.field_eigenvectors(_unit_rows(directions))[:, :, 0]
     overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
     moduli = np.abs(overlaps)
     worst = float(moduli.min())
     if worst < 0.5:
         raise ResolutionError(
             f"adjacent band states nearly orthogonal (|overlap| = {worst:.3f}); "
-            "refine the loop sampling", residual=1.0 - worst)
+            "refine the loop sampling")
     return qcore.wrap_angle(-cmath.phase(complex(np.prod(overlaps / moduli))))
 
 
@@ -180,8 +178,14 @@ def _rho_integral(z: float, separation: float, excision: float) -> float:
                                             + 2.0 * a * b))
 
 
-def _angular_momentum_integral(separation: float, excision: float,
-                               epsrel: float = 1e-10) -> float:
+# disks of radius _EXCISION times the separation are cut out about both
+# points, then halved for the Richardson step; each quad piece of the axial
+# integral runs to relative tolerance _QUAD_EPSREL
+_EXCISION = 0.01
+_QUAD_EPSREL = 1e-10
+
+
+def _angular_momentum_integral(separation: float, excision: float) -> float:
     """(R/2) * II rho^3 / (|s|^3 |r|^3) drho dz over the excised half-plane.
 
     The rho integral is exact (_rho_integral); the z integral is numerical,
@@ -194,13 +198,13 @@ def _angular_momentum_integral(separation: float, excision: float,
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         piece, _ = quad(_rho_integral, a, b, args=(separation, excision),
-                        epsabs=1e-13, epsrel=epsrel, limit=200)
+                        epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=200)
         total += piece
     return 0.5 * separation * total
 
 
-def field_angular_momentum(charge: float, pole_strength: float, separation: float,
-                           excision_scale: float = 0.01) -> FieldAngularMomentum:
+def field_angular_momentum(charge: float, pole_strength: float,
+                           separation: float) -> FieldAngularMomentum:
     """Integrate the field momentum circulation of a charge-pole pair.
 
     The E x B / 4 pi momentum density is reduced to a half-plane integral by
@@ -208,21 +212,20 @@ def field_angular_momentum(charge: float, pole_strength: float, separation: floa
     separation-independent answer is a genuine check rather than built in:
     the radial integral has a closed form, the axial one is done by
     adaptive quadrature.  Small disks around both singular points are
-    excised; the integrand is bounded there, so the excision removes
-    O(delta^2) which Richardson extrapolation over a halved radius takes
-    back out.  A shift between the
-    two runs outside the delta^2 budget raises QuadratureError.
+    excised, of radius delta = _EXCISION times the separation; the
+    integrand is bounded there, so the excision removes O(delta^2) which
+    Richardson extrapolation over a halved radius takes back out.  A shift
+    between the two runs outside the delta^2 budget raises
+    QuadratureError.
     """
     if separation <= 0.0:
         raise ValueError("separation must be positive")
-    if not (0.0 < excision_scale < 0.2):
-        raise ValueError("excision_scale must lie in (0, 0.2)")
-    delta = excision_scale * separation
+    delta = _EXCISION * separation
     coarse = _angular_momentum_integral(separation, delta)
     fine = _angular_momentum_integral(separation, 0.5 * delta)
     diff = fine - coarse
     # positive integrand: shrinking the excision can only grow the integral
-    if diff < -1e-9 or diff > 10.0 * excision_scale ** 2 * max(abs(fine), 1e-30):
+    if diff < -1e-9 or diff > 10.0 * _EXCISION ** 2 * max(abs(fine), 1e-30):
         raise QuadratureError(
             f"angular momentum integral unstable under excision refinement "
             f"({coarse!r} vs {fine!r})")

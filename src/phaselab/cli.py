@@ -47,12 +47,14 @@ def _fail(kind: str, message: str) -> _CliFailure:
 
 def _read_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _fail("config-error", f"cannot read config {path}: {exc}")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and an integer literal past
+    # Python's digit limit; RecursionError, nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise _fail("config-error", f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise _fail("config-error", "config document must be a JSON object")
@@ -73,7 +75,7 @@ def _coerce(name: str, scenario: str, schema_entry, value):
             if schema_entry.kind is float and not math.isfinite(coerced):
                 raise ValueError("must be finite")
         return coerced
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise _fail("config-error",
                     f"parameter '{name}' of scenario '{scenario}' "
                     f"rejects {value!r}: {exc}")

@@ -12,17 +12,9 @@ class ScheduleError(PhaseLabError):
 class CyclicityError(PhaseLabError):
     """An evolution expected to be cyclic did not return to the initial ray."""
 
-    def __init__(self, message, overlap_modulus=None):
-        super().__init__(message)
-        self.overlap_modulus = overlap_modulus
-
 
 class DegeneracyError(PhaseLabError):
     """A band gap closed at a sampled parameter point."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class RegimeWarning(UserWarning):
@@ -39,10 +31,6 @@ class GeometryError(PhaseLabError):
 
 class ResolutionError(PhaseLabError):
     """Sampling is too coarse for a reliable answer."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class StabilityError(PhaseLabError):

@@ -286,16 +286,15 @@ def phase_decompose(schedule: HamiltonianSchedule, psi0: StateVector,
                     step: float) -> PhaseDecomposition:
     """Split a cyclic evolution into total, dynamical and geometric phases.
 
-    Raises CyclicityError (carrying the overlap modulus) when the final state
-    has wandered off the initial ray, |<psi0|psi(T)>| < 0.99.
+    Raises CyclicityError (its message gives the overlap modulus) when the
+    final state has wandered off the initial ray, |<psi0|psi(T)>| < 0.99.
     """
     final, energy, sigma3 = _propagate(schedule, psi0.amplitudes, step)
     ov = complex(np.vdot(psi0.amplitudes, final))
     modulus = abs(ov)
     if modulus < _CYCLIC_OVERLAP:
         raise CyclicityError(
-            f"evolution is not cyclic: |overlap| = {modulus:.6f} < {_CYCLIC_OVERLAP}",
-            overlap_modulus=modulus)
+            f"evolution is not cyclic: |overlap| = {modulus:.6f} < {_CYCLIC_OVERLAP}")
     total = cmath.phase(ov)
     dynamical = -energy
     return PhaseDecomposition(total=total, dynamical=dynamical,

@@ -21,9 +21,10 @@ from . import abduality, analogs, berry, qcore, scattering, topology
 
 TWO_PI = qcore.TWO_PI
 
-# Method settings, fixed so the catalog exposes physical inputs only.  The
-# library functions take them as arguments, so convergence studies go
-# through the Python API.
+# Method settings the catalog passes to the library, fixed so the catalog
+# exposes physical inputs only.  The library's own method settings, such as
+# integrator tolerances and sample counts, are module constants beside the
+# code that reads them.  A convergence study patches either.
 SPIN_STEP = 0.02            # time step of the dynamical spin sweeps
 WILSON_SAMPLES = 800        # directions per Wilson loop
 CURVE_SAMPLES = 200         # vertices per closed probe or partner curve
@@ -615,8 +616,8 @@ def _prepare_two_level_sweep(p):
     """One linear sweep per (eps, rate) pair and the closed-gap sweep at the
     first rate, once their propagator steps fit the cap."""
     pairs = _pair_list(p["pairs"])
-    sweeps = [analogs.linear_two_level_sweep(eps, rate) for eps, rate in pairs]
-    crossing = analogs.linear_two_level_sweep(0.0, pairs[0][1])
+    sweeps = [analogs.TwoLevelSweep(eps, rate) for eps, rate in pairs]
+    crossing = analogs.TwoLevelSweep(0.0, pairs[0][1])
     _check_step_cap(sum(s.duration / analogs.two_level_step(s)
                         for s in sweeps + [crossing]))
     return sweeps, crossing
@@ -728,7 +729,7 @@ def _prepare_celestial_residual(p):
 
 def _run_celestial_frozen(inputs, seed, emit):
     cfg, phis = inputs
-    kep = analogs.kepler_period(cfg)
+    kep = analogs.KEPLER_PERIOD
     nodes = len(phis)
     # the free Kepler lane and the half-mass lane ride in the grid's stacks
     lanes = analogs.celestial_frozen_period(
@@ -767,11 +768,9 @@ def _run_celestial_frozen(inputs, seed, emit):
 
 def _run_celestial_residual(inputs, seed, emit):
     cfg, phis, phi0 = inputs
-    res = analogs.celestial_adiabatic_residual(cfg, phi0=phi0,
-                                               nodes=len(phis))
+    res = analogs.celestial_adiabatic_residual(cfg, phis, phi0=phi0)
     control = analogs.celestial_adiabatic_residual(
-        replace(cfg, m_jupiter=0.0), nodes=len(phis),
-        check_convergence=False)
+        replace(cfg, m_jupiter=0.0), phis, check_convergence=False)
     ratio = abs(res.residual) / abs(res.dynamical_correction)
     results = {
         "residual": res.residual,

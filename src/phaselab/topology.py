@@ -240,7 +240,7 @@ def integer_linking(raw: float) -> int:
     if residual > 0.05:
         raise ResolutionError(
             f"linking sum {raw:.4f} is not close to an integer; "
-            "refine the curve sampling", residual=residual)
+            "refine the curve sampling")
     return int(nearest)
 
 

@@ -153,11 +153,6 @@ class TestPendulumTransfer:
                               kappa=0.1)
         with pytest.raises(ValueError):
             analogs.pendulum_sweep(good, -1.0)
-        for bad in (0.0, -1e-10, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                analogs.pendulum_sweep(good, 10.0, rtol=bad)
-        with pytest.raises(ValueError):
-            analogs.pendulum_sweep(good, 10.0, samples=1)
 
         class Sinking:
             def value(self, t):
@@ -194,9 +189,10 @@ class TestMagnusPropagator:
             return run(system, times, steps)
 
         monkeypatch.setattr(analogs, "_magnus_run", record)
-        analogs.pendulum_sweep(system, duration, samples=200)
+        monkeypatch.setattr(analogs, "_SWEEP_SAMPLES", 200)
+        analogs.pendulum_sweep(system, duration)
         assert substeps[1] == 2 * substeps[0]
-        assert analogs.magnus_start_steps(system, duration, samples=200) \
+        assert analogs.magnus_start_steps(system, duration) \
             == 199 * (substeps[0] + substeps[1])
         # m from the closed-form stiffest mode equals m from eigh
         times = np.linspace(0.0, duration, 200)
@@ -350,11 +346,12 @@ class TestMagnusPropagator:
         states = analogs._magnus_run(system, times, substeps)
         assert np.max(np.abs(states - ys)) <= 1e-13
 
-    def test_unreachable_rtol_raises(self):
+    def test_unreachable_rtol_raises(self, monkeypatch):
         system = self.fast_system()
+        monkeypatch.setattr(analogs, "_SWEEP_RTOL", 1e-20)
+        monkeypatch.setattr(analogs, "_SWEEP_SAMPLES", 40)
         with pytest.raises(IntegratorError):
-            analogs.pendulum_sweep(system, system.length_schedule.duration,
-                                   rtol=1e-20, samples=40)
+            analogs.pendulum_sweep(system, system.length_schedule.duration)
 
     def test_unreachable_rtol_fails_fast(self, monkeypatch):
         # a constant schedule steps exactly, so the first estimate is
@@ -369,8 +366,10 @@ class TestMagnusPropagator:
             return magnus_run(*args)
 
         monkeypatch.setattr(analogs, "_magnus_run", counted)
+        monkeypatch.setattr(analogs, "_SWEEP_RTOL", 1e-20)
+        monkeypatch.setattr(analogs, "_SWEEP_SAMPLES", 40)
         with pytest.raises(IntegratorError):
-            analogs.pendulum_sweep(system, 50.0, rtol=1e-20, samples=40)
+            analogs.pendulum_sweep(system, 50.0)
         assert len(runs) <= 3
 
     def test_chunk_boundaries(self, monkeypatch):
@@ -406,35 +405,29 @@ class TestTwoLevelSweep:
         assert worst <= 0.02
 
     def test_uncoupled_levels_cross_freely(self):
-        rep = analogs.two_level_sweep(analogs.linear_two_level_sweep(0.0, 0.5))
+        rep = analogs.two_level_sweep(TwoLevelSweep(0.0, 0.5))
         assert rep.conversion <= 1e-12
 
-    def test_deep_adiabatic_limit(self):
-        sweep = analogs.linear_two_level_sweep(0.5, 0.01 * 0.25,
-                                               span_factor=6.0)
-        rep = analogs.two_level_sweep(sweep)
+    def test_deep_adiabatic_limit(self, monkeypatch):
+        monkeypatch.setattr(analogs, "_SPAN_FACTOR", 6.0)
+        rep = analogs.two_level_sweep(TwoLevelSweep(0.5, 0.01 * 0.25))
         assert rep.conversion == pytest.approx(0.9999999999928921, rel=1e-9)
 
-    def test_custom_sweep_has_no_crossing_reference(self):
-        sweep = TwoLevelSweep(epsilon=0.5,
-                              detuning=lambda t: np.sin(t) - 2.0 + t,
-                              duration=4.0)
-        rep = analogs.two_level_sweep(sweep)
-        assert rep.lz_conversion is None
-        assert 0.0 <= rep.conversion <= 1.0
+    def test_window(self):
+        # span 14 max(eps, sqrt(rate)) on either side of the crossing
+        sweep = TwoLevelSweep(0.5, 1.0)
+        assert sweep.duration == 28.0
+        assert sweep.detuning(np.array([0.0, 14.0, 28.0])).tolist() == [
+            -14.0, 0.0, 14.0]
+        assert TwoLevelSweep(2.0, 1.0).span == 28.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TwoLevelSweep(epsilon=-0.1, detuning=lambda t: t, duration=1.0)
+            TwoLevelSweep(-0.1, 1.0)
         with pytest.raises(ValueError):
-            TwoLevelSweep(epsilon=0.1, detuning=lambda t: t, duration=0.0)
-        with pytest.raises(ValueError):
-            TwoLevelSweep(epsilon=0.1, detuning=3.0, duration=1.0)
-        with pytest.raises(ValueError):
-            # scalar-only detuning: the kernel samples it on arrays of times
-            TwoLevelSweep(epsilon=0.1, detuning=math.sin, duration=1.0)
-        with pytest.raises(ValueError):
-            analogs.linear_two_level_sweep(0.5, 0.0)
+            TwoLevelSweep(0.5, 0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            TwoLevelSweep(1e308, 1.0)
 
 
 class TestRectanglePath:
@@ -501,12 +494,12 @@ class TestRectangleLoop:
             analogs.rectangular_loop_phase(0.5, 10.0, table,
                                            transport_step=0.0)
 
-    def test_resonant_corners_warn(self):
-        table = analogs.rectangle_transport(5.0, 1.0, samples=400,
-                                            adiabaticity=0.5,
+    def test_resonant_corners_warn(self, monkeypatch):
+        monkeypatch.setattr(analogs, "_LOOP_SAMPLES", 400)
+        table = analogs.rectangle_transport(5.0, 1.0, adiabaticity=0.5,
                                             transport_step=0.05)
         with pytest.warns(RegimeWarning):
-            analogs.rectangular_loop_phase(1.0, 5.0, table, samples=400,
+            analogs.rectangular_loop_phase(1.0, 5.0, table,
                                            transport_step=0.05)
 
     def test_edge_through_degeneracy(self):

@@ -40,12 +40,6 @@ class TestWilsonLoop:
         assert qcore.circle_distance(berry.wilson_loop_phase(loop),
                                      math.pi) < 1e-3
 
-    def test_excited_band_opposite_sign(self):
-        loop = berry.latitude_directions(math.pi / 3.0, 400)
-        g = berry.wilson_loop_phase(loop, band="ground")
-        e = berry.wilson_loop_phase(loop, band="excited")
-        assert qcore.circle_distance(g, -e) < 1e-10
-
     def test_scale_blind(self):
         loop = berry.latitude_directions(math.pi / 3.0, 400)
         assert abs(berry.wilson_loop_phase(loop)
@@ -72,11 +66,6 @@ class TestWilsonLoop:
                            [0.05, 0.0, 1.0]])
         with pytest.raises(ResolutionError):
             berry.wilson_loop_phase(coarse)
-
-    def test_band_name_validated(self):
-        loop = berry.latitude_directions(math.pi / 3.0, 64)
-        with pytest.raises(ValueError):
-            berry.wilson_loop_phase(loop, band="middle")
 
 
 class TestSolidAngle:
@@ -195,5 +184,3 @@ class TestFieldAngularMomentum:
     def test_validation(self):
         with pytest.raises(ValueError):
             berry.field_angular_momentum(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            berry.field_angular_momentum(1.0, 1.0, 1.0, excision_scale=0.5)

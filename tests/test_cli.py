@@ -337,10 +337,21 @@ class TestConfigRejection:
             assert code == 2, f"seed {seed!r} accepted"
 
     def test_malformed_json(self, tmp_path, capsys):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert "config-error" in capsys.readouterr().err
+        # bad syntax, bytes that are not UTF-8, nesting too deep for the
+        # parser, and an integer past Python's 4,300-digit conversion limit
+        documents = [b"{not json", b'\xff\xfe{"scenario": "linking"}',
+                     b"[" * 100_000,
+                     b'{"scenario": "linking", "seed": 1' + b"0" * 5000 + b"}"]
+        for k, document in enumerate(documents):
+            cfg = tmp_path / "broken.json"
+            cfg.write_bytes(document)
+            out = tmp_path / f"out{k}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "phaselab: config-error:")
+            manifest = json.loads(
+                (out / "unresolved" / "manifest.json").read_text())
+            assert manifest["error"]["kind"] == "config-error"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
@@ -730,7 +741,10 @@ class TestStartup:
 
 # bounded floats and short list texts: no draw starts a large allocation
 _FUZZ_VALUES = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
-                         st.text(alphabet="0123456789.,:-e ", max_size=12))
+                         st.text(alphabet="0123456789.,:-e ", max_size=12),
+                         # JSON integers that overflow a float
+                         st.integers(2 ** 1024, 10 ** 400),
+                         st.integers(-10 ** 400, -2 ** 1024))
 
 
 def _fuzz_parameters(scenario):

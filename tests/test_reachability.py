@@ -1,6 +1,7 @@
 """Guards: every function, class and method in src/phaselab is reached from
-the program, and every dataclass field there is read by it, so no library
-code or result field lives on for the unit tests alone.
+the program, every dataclass field there is read by it, and every default
+there is overridden by some call of it, so no library code, result field or
+one-value knob lives on for the unit tests alone.
 
 The scans are static (ast) and generous.  A name or ``module.name``
 reference in a reachable body reaches that definition, and ``x.attr``
@@ -20,6 +21,12 @@ ALLOWED = set()
 
 # fields only tests read, each with its reason
 ALLOWED_FIELDS = set()
+
+# defaults no call in src/phaselab overrides, each with its reason
+ALLOWED_KNOBS = {
+    # the console script and bench/worker.py pass it from outside the package
+    "cli.main.argv",
+}
 
 
 def _trees():
@@ -108,3 +115,112 @@ def test_every_dataclass_field_is_read():
     unread = {key for key, attr in fields.items() if attr not in read}
     assert sorted(unread - ALLOWED_FIELDS) == []
     assert ALLOWED_FIELDS <= unread, "allowlisted field now read"
+
+
+def _parameters(fn, bound):
+    """(names a call fills by position, names with a default) of a def;
+    bound drops the self or cls a method call supplies."""
+    args = fn.args.posonlyargs + fn.args.args
+    knobs = {a.arg for a in args[len(args) - len(fn.args.defaults):]}
+    knobs |= {a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+              if d is not None}
+    return [a.arg for a in args[1 if bound else 0:]], knobs
+
+
+def _knob_scan():
+    """(knobs, passed): every "owner.name" default of a function, method or
+    dataclass field in src/phaselab, and those that some call there passes.
+
+    A call passes a default by keyword, by position past the required
+    arguments, or as a ``dataclasses.replace`` keyword (which reaches the
+    field of that name in every dataclass).  Calls resolve as generously as
+    _scan: a name through the module's imports and simple aliases
+    (``circ = topology.Curve3D.circle``), ``x.attr`` to every function,
+    method or class called ``attr``, and a class to its dataclass fields or
+    its ``__init__``.  ``f(*pair)`` fills no named position: what the tuple
+    holds is not in the source."""
+    trees = _trees()
+    signatures, knobs, fields, imports = {}, {}, {}, {}
+    for mod, tree in trees.items():
+        imports[mod] = {alias.asname or alias.name:
+                        (alias.name if node.module is None
+                         else f"{node.module}.{alias.name}")
+                        for node in tree.body
+                        if isinstance(node, ast.ImportFrom) and node.level == 1
+                        for alias in node.names}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                key = f"{mod}.{node.name}"
+                signatures[key], knobs[key] = _parameters(node, bound=False)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            key = f"{mod}.{node.name}"
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    static = "staticmethod" in map(ast.unparse,
+                                                   sub.decorator_list)
+                    method = f"{key}.{sub.name}"
+                    signatures[method], knobs[method] = _parameters(
+                        sub, bound=not static)
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                declared = [sub for sub in node.body
+                            if isinstance(sub, ast.AnnAssign)]
+                fields[key] = {sub.target.id for sub in declared}
+                signatures[key] = [sub.target.id for sub in declared]
+                knobs[key] = {sub.target.id for sub in declared
+                              if sub.value is not None}
+            elif f"{key}.__init__" in signatures:
+                signatures[key] = signatures[f"{key}.__init__"]
+    by_name = {}
+    for key in signatures:
+        by_name.setdefault(key.rsplit(".", 1)[1], []).append(key)
+
+    def owner(key):
+        # a class call sets the knobs of its __init__
+        return key if key in knobs else f"{key}.__init__"
+
+    passed = set()
+    for mod, tree in trees.items():
+        aliases = {}
+
+        def resolve(expr):
+            if isinstance(expr, ast.Attribute):
+                return set(by_name.get(expr.attr, []))
+            if isinstance(expr, ast.Name):
+                if expr.id in aliases:
+                    return aliases[expr.id]
+                return {imports[mod].get(expr.id, f"{mod}.{expr.id}")}
+            return set()
+
+        nodes = list(ast.walk(tree))
+        for node in nodes:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, (ast.Name, ast.Attribute))):
+                aliases[node.targets[0].id] = resolve(node.value)
+        for node in nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = {kw.arg for kw in node.keywords if kw.arg}
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "replace":
+                passed |= {(key, kw) for key, names in fields.items()
+                           for kw in keywords & names}
+            filled = next((k for k, arg in enumerate(node.args)
+                           if isinstance(arg, ast.Starred)), len(node.args))
+            for key in resolve(node.func) & set(signatures):
+                names = signatures[key]
+                passed |= {(owner(key), kw)
+                           for kw in keywords | set(names[:filled])}
+    return ({f"{key}.{name}" for key, names in knobs.items()
+             for name in names},
+            {f"{key}.{name}" for key, name in passed})
+
+
+def test_every_default_is_overridden_by_the_program():
+    knobs, passed = _knob_scan()
+    # through the alias circ = topology.Curve3D.circle
+    assert "topology.Curve3D.circle.turns" in passed
+    fixed = knobs - passed
+    assert sorted(fixed - ALLOWED_KNOBS) == []
+    assert ALLOWED_KNOBS <= fixed, "allowlisted default now passed"
