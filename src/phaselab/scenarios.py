@@ -36,28 +36,16 @@ WAVEPACKET_DT = 0.01        # Crank-Nicolson time step
 DUALITY_DRAWS = 1000        # random capacitor settings
 CONSERVATION_TIME = 200.0   # frozen-length pendulum control run
 
-# Work cap on the 2x2 propagator: a scenario whose runs would take more steps
-# in all (about 0.4 us each on a 2-vCPU machine, so 1e7 is about 4 s) is a
-# config error.  The catalog takes 9,800 steps per two-level pair and about
-# 306,000 for the two rect-loop transports.
-MAX_PROPAGATOR_STEPS = 10_000_000
-
-# Work cap on scatter-wavepacket: grid points times Crank-Nicolson steps
-# (about 32 ns per cell update on a 2-vCPU machine, so 1e10 is about 5
-# minutes).  The catalog takes 8,192 x 44,334, about 3.6e8.
-MAX_CELL_UPDATES = 10_000_000_000
-
-# Memory ceiling on scatter-wavepacket: the bytes its arrays hold, 200 per
-# grid point (the Crank-Nicolson factors, the state and their temporaries;
-# tracemalloc measures a peak of 196) and 48 per step (six float64 series).
-# The catalog holds about 3.8 MB.
-MAX_RUN_BYTES = 1_000_000_000
-
-# Work cap on pendulum-msw: Magnus steps its sweeps take before any step
-# doubling (about 1.5 us each on a 2-vCPU machine at the default rtol, so
-# 1e7 is about 15 s).  The catalog starts at about 410,000, and rate_scale
-# 10 at about 61,000.
-MAX_MAGNUS_STEPS = 10_000_000
+# Work caps: a prepare that predicts more of a unit than its cap is given
+# rejects the config.  Costs per unit measured on a 2-vCPU machine.
+WORK_CAPS = {
+    "propagator steps": 1e7,            # 0.22-0.26 us each, about 2.5 s
+    "Magnus steps": 1e7,                # before any doubling; 1.1-1.9 us, 15 s
+    "cell updates": 1e10,               # Crank-Nicolson; 26 ns, 4 minutes
+    "Wilson samples": 1e7,              # 0.56 us each, about 6 s
+    "angular-momentum integrals": 2e4,  # two a separation; 0.09-0.32 ms, 4 s
+    "bytes": 1e9,                       # a memory ceiling, not a time
+}
 
 
 @dataclass(frozen=True)
@@ -100,12 +88,19 @@ def _positive_list(text: str) -> list[float]:
     return values
 
 
-def _check_step_cap(steps: float) -> None:
-    """Raise ValueError when a run needs more than MAX_PROPAGATOR_STEPS
-    propagator steps (an overflowing or undefined count included)."""
-    if not steps <= MAX_PROPAGATOR_STEPS:
-        raise ValueError(f"the run needs {steps:.3g} propagator steps, above "
-                         f"the cap of {MAX_PROPAGATOR_STEPS:.0e}")
+def _check_work(unit: str, amount) -> None:
+    """Raise ValueError when a run needs more of unit than WORK_CAPS allows
+    (an infinite or undefined amount included)."""
+    if not amount <= WORK_CAPS[unit]:
+        bound = "ceiling" if unit == "bytes" else "cap"
+        raise ValueError(f"the run needs {amount:.3g} {unit}, above the "
+                         f"{bound} of {WORK_CAPS[unit]:.0e}")
+
+
+def _steps(duration: float, step: float):
+    """qcore's step count over duration, inf where it overflows."""
+    return (qcore._step_count(duration, step)[0]
+            if duration / step < math.inf else math.inf)
 
 
 def _pair_list(text: str) -> list[tuple[float, float]]:
@@ -136,7 +131,16 @@ def _prepare_berry_sweep(p):
     for name in ("amplitude", "wobble", "factor"):
         if name in p and not p[name] > 0.0:
             raise ValueError(f"{name} must be positive, got {p[name]!r}")
-    return dict(p, period=TWO_PI / p["wobble"])
+    period = TWO_PI / p["wobble"]
+    runs = 2 if "factor" in p else 1  # berry-wilson-sweep sweeps twice
+    _check_work("propagator steps", runs * _steps(period, SPIN_STEP))
+    return dict(p, period=period)
+
+
+def _prepare_berry_latitude(p):
+    angles = _float_list(p["colatitudes_deg"])
+    _check_work("Wilson samples", len(angles) * WILSON_SAMPLES)
+    return angles
 
 
 def _run_berry_equator(p, seed, emit):
@@ -445,14 +449,9 @@ def _prepare_scatter_wavepacket(p):
                                    round_trips=p["round_trips"])
     scattering.wavepacket_barrier_cell(run, cfg)  # the grid holds the run
     steps = scattering.wavepacket_schedule(run, cfg)[2]
-    updates = run.grid_points * steps
-    if not updates <= MAX_CELL_UPDATES:
-        raise ValueError(f"the run needs {updates:.3g} cell updates, above "
-                         f"the cap of {MAX_CELL_UPDATES:.0e}")
-    held = 200 * run.grid_points + 48 * (steps + 1)
-    if not held <= MAX_RUN_BYTES:
-        raise ValueError(f"the run's arrays need {held:.3g} bytes, above "
-                         f"the ceiling of {MAX_RUN_BYTES:.0e}")
+    _check_work("cell updates", run.grid_points * steps)
+    # 200 bytes a grid point (tracemalloc peaks at 196), 48 a step (6 series)
+    _check_work("bytes", 200 * run.grid_points + 48 * (steps + 1))
     return cfg, run
 
 
@@ -569,11 +568,8 @@ def _prepare_pendulum_msw(p):
     frozen = (replace(slow[0], length_schedule=start_length),
               CONSERVATION_TIME)
     ladder = [sweep(mult * base_rate) for mult in multipliers]
-    steps = sum(analogs.magnus_start_steps(*s)
-                for s in [slow, sudden, frozen] + ladder)
-    if not steps <= MAX_MAGNUS_STEPS:
-        raise ValueError(f"the sweeps start at {steps:.3g} Magnus steps, "
-                         f"above the cap of {MAX_MAGNUS_STEPS:.0e}")
+    _check_work("Magnus steps", sum(analogs.magnus_start_steps(*s)
+                                    for s in [slow, sudden, frozen] + ladder))
     return dict(adiabaticity=eps, base_rate=base_rate, multipliers=multipliers,
                 slow=slow, sudden=sudden, frozen=frozen, ladder=ladder)
 
@@ -618,8 +614,9 @@ def _prepare_two_level_sweep(p):
     pairs = _pair_list(p["pairs"])
     sweeps = [analogs.TwoLevelSweep(eps, rate) for eps, rate in pairs]
     crossing = analogs.TwoLevelSweep(0.0, pairs[0][1])
-    _check_step_cap(sum(s.duration / analogs.two_level_step(s)
-                        for s in sweeps + [crossing]))
+    _check_work("propagator steps", sum(
+        _steps(s.duration, analogs.two_level_step(s))
+        for s in sweeps + [crossing]))
     return sweeps, crossing
 
 
@@ -664,7 +661,11 @@ def _prepare_rect_loop(p):
     tables = [analogs.rectangle_transport(
         p["delta0"], p["epsilon0"], center, adiabaticity=p["adiabaticity"],
         transport_step=p["transport_step"]) for center in centers]
-    _check_step_cap(tables[0][3] + tables[1][3])
+    # rectangular_loop_phase marches each loop in two halves
+    ends = [(float(t[len(t) // 2]), float(t[-1])) for t, *_ in tables]
+    step = p["transport_step"]
+    _check_work("propagator steps", sum(
+        _steps(half, step) + _steps(full - half, step) for half, full in ends))
     return dict(p, centers=centers, tables=tables)
 
 
@@ -704,17 +705,10 @@ def _run_rect_loop(p, seed, emit):
 
 
 def _prepare_celestial(p):
-    # the frozen-period stack holds two lanes per grid node, one per branch
-    # in time, and celestial-frozen adds two control nodes.  Its dense
-    # solution keeps 8 float64 per lane component and step: tracemalloc
-    # measures about 63 kB a lane at the catalog orbit (209 steps) and up
-    # to 0.98 MB for a heavy perturber close in (m_jupiter 0.05, r_jupiter
-    # 1.5), which takes several times the steps.  At 1 MB a lane the
-    # ceiling admits up to 498 nodes
-    held = 1_000_000 * 2 * (p["nodes"] + 2)
-    if not held <= MAX_RUN_BYTES:
-        raise ValueError(f"a grid of {p['nodes']} nodes can hold {held:.3g} "
-                         f"bytes, above the ceiling of {MAX_RUN_BYTES:.0e}")
+    # two stack lanes a grid node (celestial-frozen adds two control nodes)
+    # at 1 MB a lane: tracemalloc measures 63 kB at the catalog orbit and up
+    # to 0.98 MB for a heavy perturber close in (m_jupiter 0.05, r_jupiter 1.5)
+    _check_work("bytes", 1_000_000 * 2 * (p["nodes"] + 2))
     cfg = analogs.CelestialConfig(m_jupiter=p["m_jupiter"],
                                   r_jupiter=p["r_jupiter"],
                                   eccentricity=p["eccentricity"])
@@ -792,6 +786,12 @@ def _run_celestial_residual(inputs, seed, emit):
     return results, checks
 
 
+def _prepare_monopole_angmom(p):
+    separations = _positive_list(p["separations"])
+    _check_work("angular-momentum integrals", 2 * len(separations))
+    return dict(p, separations=separations)
+
+
 def _run_monopole_angmom(p, seed, emit):
     seps = p["separations"]
     rows = []
@@ -841,8 +841,7 @@ def _scenario_table() -> dict:
             "Wilson-loop phases on latitude circles against half the solid "
             "angle of the cap, pi(1 - cos theta), and of the sampled polygon.",
             {"colatitudes_deg": Parameter("30,60,90,120", "degrees", s)},
-            _run_berry_latitude,
-            lambda p: _float_list(p["colatitudes_deg"])),
+            _run_berry_latitude, _prepare_berry_latitude),
         Scenario(
             "berry-wilson-sweep",
             "Scale the field strength and confirm the loop phase does not "
@@ -955,8 +954,7 @@ def _scenario_table() -> dict:
             {"charge": Parameter(1.0, "charge", f),
              "pole_strength": Parameter(1.0, "pole", f),
              "separations": Parameter("0.7,1.0,2.5", "length", s)},
-            _run_monopole_angmom,
-            lambda p: dict(p, separations=_positive_list(p["separations"]))),
+            _run_monopole_angmom, _prepare_monopole_angmom),
     ]
     return {sc.name: sc for sc in table}
 

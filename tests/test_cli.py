@@ -236,6 +236,17 @@ class TestConfigRejection:
         # 7 steps, but 2.8e11 bytes of arrays
         ("scatter-wavepacket", {"p": 1e4, "grid_points": 1400000000},
          "above the ceiling of 1e+09"),
+        # 3.1e11 and 6.3e11 propagator steps
+        ("berry-equator", {"wobble": 1e-9}, "above the cap of 1e+07"),
+        ("berry-wilson-sweep", {"wobble": 1e-9}, "above the cap of 1e+07"),
+        # the period 2 pi / wobble overflows; this used to exit 3
+        ("berry-equator", {"wobble": 1e-320}, "above the cap of 1e+07"),
+        ("berry-wilson-sweep", {"wobble": 1e-320}, "above the cap of 1e+07"),
+        # 8e7 Wilson samples and 2e5 integrals, about 45 s and 27 s
+        ("berry-latitude", {"colatitudes_deg": ",".join(["45"] * 100_000)},
+         "above the cap of 1e+07"),
+        ("monopole-angmom", {"separations": ",".join(["1.5"] * 100_000)},
+         "above the cap of 2e+04"),
     ])
     def test_work_and_overflow_domains_exit_before_computing(
             self, tmp_path, scenario, parameters, reason):

@@ -1,7 +1,9 @@
 """Guards: every function, class and method in src/phaselab is reached from
 the program, every dataclass field there is read by it, and every default
 there is overridden by some call of it, so no library code, result field or
-one-value knob lives on for the unit tests alone.
+one-value knob lives on for the unit tests alone.  And every scenario whose
+run reaches a marching kernel predicts that work in its prepare, so no
+scenario runs uncapped.
 
 The scans are static (ast) and generous.  A name or ``module.name``
 reference in a reachable body reaches that definition, and ``x.attr``
@@ -12,9 +14,11 @@ reached class brings its dunder methods.  A field counts as read when any
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import phaselab
+from phaselab import analogs, berry, cli, qcore, scattering, scenarios
 
 # names kept although the program does not reach them, each with its reason
 ALLOWED = set()
@@ -224,3 +228,71 @@ def test_every_default_is_overridden_by_the_program():
     fixed = knobs - passed
     assert sorted(fixed - ALLOWED_KNOBS) == []
     assert ALLOWED_KNOBS <= fixed, "allowlisted default now passed"
+
+
+# the scenarios that are slow at their defaults run at the benchmark's sizes
+FAST = {"rect-loop": {"transport_step": 0.04},
+        "pendulum-msw": {"rate_scale": 10.0},
+        "celestial-frozen": {"nodes": 16},
+        "celestial-residual": {"nodes": 16}}
+
+# unit: (module, kernel, the unit's amount in one call).  A run that calls
+# one of the first four kernels must have predicted its unit; bytes bound
+# the solve_ivp lanes' memory, so that kernel's calls count none.
+KERNELS = {
+    "propagator steps": (qcore, "_march", lambda u, *args: u.shape[-1]),
+    "Magnus steps": (analogs, "_magnus_run",
+                     lambda system, times, substeps:
+                     (len(times) - 1) * substeps),
+    "cell updates": (scattering, "wavepacket_run", lambda *args: 0),
+    "bytes": (analogs, "solve_ivp", lambda *args: 0),
+    "Wilson samples": (berry, "wilson_loop_phase", len),
+    "angular-momentum integrals": (berry, "_angular_momentum_integral",
+                                   lambda *args: 1),
+}
+MARCHING = ("propagator steps", "Magnus steps", "cell updates", "bytes")
+
+
+def test_every_scenario_predicts_its_work(monkeypatch, scenario):
+    # the catalog run the scenario fixture caches, not a second 10 s one
+    wavepacket_rows = len(scenario("scatter-wavepacket")[2]["timeseries.csv"]
+                          ["time"])
+    check_work = scenarios._check_work
+
+    def recording(unit, amount):
+        predicted[unit] += amount
+        check_work(unit, amount)
+
+    def counting(unit, kernel, work):
+        def wrapper(*args, **kwargs):
+            reached.add(unit)
+            counted[unit] += work(*args)
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenarios, "_check_work", recording)
+    for unit, (module, name, work) in KERNELS.items():
+        monkeypatch.setattr(module, name,
+                            counting(unit, getattr(module, name), work))
+    wrong = []
+    for name, sc in scenarios.SCENARIOS.items():
+        predicted, counted, reached = Counter(), Counter(), set()
+        _, _, inputs, seed, _ = cli._validate(
+            {"scenario": name, "parameters": FAST.get(name, {})}, None)
+        if name == "scatter-wavepacket":
+            counted["cell updates"] = (inputs[1].grid_points
+                                       * (wavepacket_rows - 1))
+            reached.add("cell updates")
+        else:
+            sc.runner(inputs, seed, lambda *args: None)
+        wrong += [(name, unit, "not predicted") for unit in MARCHING
+                  if unit in reached and unit not in predicted]
+        for unit, amount in predicted.items():
+            if unit == "Magnus steps":
+                # doublings add steps to those the sweeps start with
+                ok = amount <= counted[unit]
+            else:
+                ok = unit == "bytes" or amount == counted[unit]
+            if not ok:
+                wrong.append((name, unit, amount, counted[unit]))
+    assert wrong == []
