@@ -622,21 +622,21 @@ def _segment_origin_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def rectangle_transport(delta0: float, epsilon0: float,
-                        center: tuple = (0.0, 0.0), adiabaticity: float = 1e-3,
-                        transport_step: float = 0.01):
+                        center: tuple = (0.0, 0.0),
+                        adiabaticity: float = 1e-3):
     """Time table for traversing the rectangle at speed mu * gap^2, with mu
-    the adiabaticity, and the propagator steps the transport takes on it.
+    the adiabaticity.
 
     gap^2 means 4 (delta^2 + epsilon^2), the squared level splitting, so the
     local adiabaticity parameter speed/gap^2 is held constant at mu: slow
     through the resonance crossings, fast in the far wings.  Per-edge times
     come from the exact arctan antiderivative of 1/(x^2 + c^2).  Returns
-    (times, deltas, epsilons, steps): knot arrays, 2,000 knots per edge
-    after the start, and duration / transport_step.
+    (times, deltas, epsilons): knot arrays, 2,000 knots per edge after the
+    start.
 
-    Raises ValueError unless adiabaticity and transport_step are positive
-    (and for the corners, rectangle_corners) or when gap^2 overflows at a
-    corner, GeometryError when the boundary passes through the degeneracy,
+    Raises ValueError unless adiabaticity is positive (and for the corners,
+    rectangle_corners) or when gap^2 overflows at a corner, GeometryError
+    when the boundary passes through the degeneracy,
     and ResolutionError when the loop's _LOOP_SAMPLES samples lie further
     apart than sqrt(3) times its distance from the degeneracy: only then
     can neighbouring band states of the Wilson loop turn by more than 120
@@ -644,9 +644,6 @@ def rectangle_transport(delta0: float, epsilon0: float,
     """
     if not adiabaticity > 0.0:
         raise ValueError(f"adiabaticity must be positive, got {adiabaticity!r}")
-    if not transport_step > 0.0:
-        raise ValueError(
-            f"transport_step must be positive, got {transport_step!r}")
     corners = rectangle_corners(delta0, epsilon0, center)
     # gap^2 at the farthest corner bounds every square formed below, the
     # squared edge lengths included
@@ -689,8 +686,7 @@ def rectangle_transport(delta0: float, epsilon0: float,
             es.append(xs)
         ts.append(tk)
         t0 = float(tk[-1])
-    return (np.concatenate(ts), np.concatenate(ds), np.concatenate(es),
-            t0 / transport_step)
+    return np.concatenate(ts), np.concatenate(ds), np.concatenate(es)
 
 
 def _winding(path: np.ndarray) -> int:
@@ -743,7 +739,7 @@ def rectangular_loop_phase(epsilon0: float, delta0: float, transport,
     wilson = berry.wilson_loop_phase(directions)
     winding = _winding(path)
 
-    times, dk, ek, _ = transport
+    times, dk, ek = transport
     t_half = float(times[len(times) // 2])  # the corner opposite the start
     t_full = float(times[-1])
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -246,9 +247,12 @@ def _run_command(args) -> int:
     root = _resolve_root(args.out, raw)
     outdir = root / (name if name else "unresolved")
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        # a failed rerun must not leave an earlier run's verdict behind
-        (outdir / "summary.json").unlink(missing_ok=True)
+        root.mkdir(parents=True, exist_ok=True)
+        if outdir.exists() and not outdir.is_dir():
+            raise NotADirectoryError(f"{outdir} is not a directory")
+        # the run writes into a fresh directory that replaces outdir when it
+        # ends, so a rerun leaves no file of the earlier run behind
+        staging = Path(tempfile.mkdtemp(dir=root, prefix=f".{outdir.name}-"))
     except OSError as exc:
         error = error or _fail("config-error",
                                f"output directory not writable: {exc}")
@@ -256,53 +260,59 @@ def _run_command(args) -> int:
         _report(error)
         return status
 
-    if error is None:
-        try:
-            results, checks, outputs, run_warnings = _execute(
-                name, inputs, seed, outdir)
-            raised = list(dict.fromkeys(raised + run_warnings))
-            summary = {
-                "scenario": name,
-                "seed": seed,
-                "results": results,
-                "checks": [{"name": n, "passed": bool(ok)}
-                           for n, ok in checks],
-                "passed": all(ok for _, ok in checks),
-            }
-            outputs["summary.json"] = _dump_json(outdir / "summary.json",
-                                                 summary)
-            if not summary["passed"]:
-                failing = [n for n, ok in checks if not ok]
-                error = _fail("assertion-failure",
-                              f"{len(failing)} of {len(checks)} built-in "
-                              f"checks failed: {failing[0]}")
-                status = _EXIT_CODES["assertion-failure"]
-        except Exception as exc:
-            error = _fail("computation-error",
-                          f"{type(exc).__name__}: {exc}")
-            status = _EXIT_CODES["computation-error"]
-
-    manifest = {
-        "artifact_version": __version__,
-        "config": {
-            "scenario": name,
-            "parameters": params,
-            "seed": seed,
-            "out_dir": str(root),
-        },
-        "duration_seconds": time.perf_counter() - started,
-        "checks": [{"name": n, "passed": bool(ok)} for n, ok in checks],
-        "error": None if error is None else
-        {"kind": error.kind, "message": str(error)},
-        "outputs": outputs,
-        "warnings": raised,
-    }
     try:
-        _dump_json(outdir / "manifest.json", manifest)
-    except OSError as exc:
-        error = error or _fail("computation-error",
-                               f"cannot write manifest: {exc}")
-        status = status or _EXIT_CODES[error.kind]
+        if error is None:
+            try:
+                results, checks, outputs, run_warnings = _execute(
+                    name, inputs, seed, staging)
+                raised = list(dict.fromkeys(raised + run_warnings))
+                summary = {
+                    "scenario": name,
+                    "seed": seed,
+                    "results": results,
+                    "checks": [{"name": n, "passed": bool(ok)}
+                               for n, ok in checks],
+                    "passed": all(ok for _, ok in checks),
+                }
+                outputs["summary.json"] = _dump_json(
+                    staging / "summary.json", summary)
+                if not summary["passed"]:
+                    failing = [n for n, ok in checks if not ok]
+                    error = _fail("assertion-failure",
+                                  f"{len(failing)} of {len(checks)} built-in "
+                                  f"checks failed: {failing[0]}")
+                    status = _EXIT_CODES["assertion-failure"]
+            except Exception as exc:
+                error = _fail("computation-error",
+                              f"{type(exc).__name__}: {exc}")
+                status = _EXIT_CODES["computation-error"]
+
+        manifest = {
+            "artifact_version": __version__,
+            "config": {
+                "scenario": name,
+                "parameters": params,
+                "seed": seed,
+                "out_dir": str(root),
+            },
+            "duration_seconds": time.perf_counter() - started,
+            "checks": [{"name": n, "passed": bool(ok)} for n, ok in checks],
+            "error": None if error is None else
+            {"kind": error.kind, "message": str(error)},
+            "outputs": outputs,
+            "warnings": raised,
+        }
+        try:
+            _dump_json(staging / "manifest.json", manifest)
+            if outdir.is_dir():
+                shutil.rmtree(outdir)
+            os.replace(staging, outdir)
+        except OSError as exc:
+            error = error or _fail("computation-error",
+                                   f"cannot write outputs: {exc}")
+            status = status or _EXIT_CODES[error.kind]
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     if error is not None:
         _report(error)

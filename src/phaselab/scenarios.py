@@ -43,7 +43,8 @@ WORK_CAPS = {
     "Magnus steps": 1e7,                # before any doubling; 1.1-1.9 us, 15 s
     "cell updates": 1e10,               # Crank-Nicolson; 26 ns, 4 minutes
     "Wilson samples": 1e7,              # 0.56 us each, about 6 s
-    "angular-momentum integrals": 2e4,  # two a separation; 0.09-0.32 ms, 4 s
+    "angular-momentum integrals": 2e4,  # two a separation; 0.024 ms, 0.5 s
+    "orbit periods": 1e3,               # moving perturber; 12-13 ms, 13 s
     "bytes": 1e9,                       # a memory ceiling, not a time
 }
 
@@ -657,13 +658,15 @@ def _run_two_level_sweep(inputs, seed, emit):
 def _prepare_rect_loop(p):
     """The params, the centers of the enclosing loop and of the one shifted
     to 3 delta0, and their transport tables, once both fit the step cap."""
+    step = p["transport_step"]
+    if not step > 0.0:
+        raise ValueError(f"transport_step must be positive, got {step!r}")
     centers = ((0.0, 0.0), (3.0 * p["delta0"], 0.0))
     tables = [analogs.rectangle_transport(
-        p["delta0"], p["epsilon0"], center, adiabaticity=p["adiabaticity"],
-        transport_step=p["transport_step"]) for center in centers]
+        p["delta0"], p["epsilon0"], center, adiabaticity=p["adiabaticity"])
+        for center in centers]
     # rectangular_loop_phase marches each loop in two halves
     ends = [(float(t[len(t) // 2]), float(t[-1])) for t, *_ in tables]
-    step = p["transport_step"]
     _check_work("propagator steps", sum(
         _steps(half, step) + _steps(full - half, step) for half, full in ends))
     return dict(p, centers=centers, tables=tables)
@@ -675,7 +678,7 @@ def _run_rect_loop(p, seed, emit):
         transport_step=p["transport_step"])
         for table, center in zip(p["tables"], p["centers"])]
 
-    times, deltas, epsilons, _ = p["tables"][0]
+    times, deltas, epsilons = p["tables"][0]
     stride = max(1, len(times) // 2000)
     emit("transport_path.csv",
          [("time", "1/energy", times[::stride]),
@@ -717,7 +720,11 @@ def _prepare_celestial(p):
 
 def _prepare_celestial_residual(p):
     cfg, phis = _prepare_celestial(p)
-    analogs.adiabatic_periods(cfg)
+    t_j, t_e = analogs.adiabatic_periods(cfg)
+    # celestial_adiabatic_residual integrates to t_j + 1.5 t_e, here three
+    # times: the run, its looser-tolerance rerun and the massless control
+    _check_work("orbit periods",
+                3 * ((t_j + 1.5 * t_e) / analogs.KEPLER_PERIOD))
     return cfg, phis, p["phi0"]
 
 

@@ -181,6 +181,26 @@ class TestFieldAngularMomentum:
         exact = berry._rho_integral(z, separation, excision)
         assert abs(exact - numeric) <= 1e-14 * numeric
 
+    @pytest.mark.parametrize("separation", np.geomspace(0.01, 1e4, 13))
+    @pytest.mark.parametrize("fraction", [0.01, 0.005])
+    def test_axial_integral_matches_closed_form_and_quadrature(
+            self, separation, fraction):
+        # the excised integral is 1 - (2/3) (delta/s)^2 exactly; the
+        # reference is the adaptive quadrature over the five pieces cut at
+        # the disk edges that the closed forms and disk rule replaced
+        from scipy.integrate import quad
+
+        excision = fraction * separation
+        value = berry._angular_momentum_integral(separation, excision)
+        assert abs(value - (1.0 - 2.0 / 3.0 * fraction ** 2)) <= 2e-15
+        cuts = [-np.inf, -excision, excision, separation - excision,
+                separation + excision, np.inf]
+        reference = 0.5 * separation * sum(
+            quad(berry._rho_integral, a, b, args=(separation, excision),
+                 epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+            for a, b in zip(cuts[:-1], cuts[1:]))
+        assert abs(value - reference) <= 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             berry.field_angular_momentum(1.0, 1.0, 0.0)

@@ -247,6 +247,13 @@ class TestConfigRejection:
          "above the cap of 1e+07"),
         ("monopole-angmom", {"separations": ",".join(["1.5"] * 100_000)},
          "above the cap of 2e+04"),
+        # 9.5e4 orbit periods, about 20 minutes
+        ("celestial-residual", {"r_jupiter": 1000}, "above the cap of 1e+03"),
+        # checked before the step count divides by it
+        ("rect-loop", {"transport_step": 0},
+         "transport_step must be positive"),
+        ("rect-loop", {"transport_step": -0.001},
+         "transport_step must be positive"),
     ])
     def test_work_and_overflow_domains_exit_before_computing(
             self, tmp_path, scenario, parameters, reason):
@@ -404,6 +411,27 @@ class TestComputationFailure:
             (out / "ab-electric" / "manifest.json").read_text())
         assert manifest["error"]["kind"] == "computation-error"
         assert manifest["outputs"] == {}
+        assert sorted(p.name for p in out.iterdir()) == ["ab-electric"]
+
+    def test_output_path_taken_by_a_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "scatter-phase").write_text("")
+        code, out, cap = run_cli(tmp_path, capsys, "scatter-phase")
+        assert code == 2
+        assert cap.err.startswith(
+            "phaselab: config-error: output directory not writable")
+        assert sorted(p.name for p in out.iterdir()) == ["scatter-phase"]
+
+    def test_interrupted_run_leaves_no_staging_directory(
+            self, tmp_path, capsys, monkeypatch):
+        def interrupt(inputs, seed, emit):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(SCENARIOS, "ab-electric", dataclasses.replace(
+            SCENARIOS["ab-electric"], runner=interrupt))
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(tmp_path, capsys, "ab-electric")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_failed_rerun_drops_stale_summary(self, tmp_path, capsys):
         code, out, _ = run_cli(tmp_path, capsys, "scatter-phase")
@@ -415,6 +443,9 @@ class TestComputationFailure:
         assert not (outdir / "summary.json").exists()
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["error"]["kind"] == "config-error"
+        # nor its tables, nor the staging directory the rerun wrote into
+        assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["scatter-phase"]
 
 
 class TestAssertionFailure:
@@ -721,9 +752,9 @@ _STARTUP_PROBE = """
 import contextlib, io, json, sys
 import phaselab.cli, phaselab.scenarios
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [phaselab.cli.main(["list"]), phaselab.cli.main(["check"]),
-             phaselab.cli.main(["run", "--config", sys.argv[1],
-                                "--out", sys.argv[2]])]
+    codes = [phaselab.cli.main(["list"]), phaselab.cli.main(["check"])] + [
+        phaselab.cli.main(["run", "--config", cfg, "--out", sys.argv[1]])
+        for cfg in sys.argv[2:]]
 print(json.dumps({"codes": codes, "scipy": sorted(
     m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
 """
@@ -732,22 +763,25 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 class TestStartup:
     def test_scipy_loads_only_where_a_kernel_calls_it(self, tmp_path):
         # scipy takes longer to import than most scenarios take to run;
-        # only monopole-angmom, scatter-wavepacket and the celestial
-        # scenarios call it, so nothing else may import it
+        # only scatter-wavepacket and the celestial scenarios call it, so
+        # nothing else may import it
         src = Path(cli.__file__).resolve().parents[1]
-        cfg = write_config(tmp_path, scenario="scatter-phase")
+        names = ("scatter-phase", "monopole-angmom")
+        cfgs = [write_config(tmp_path, f"{name}.json", scenario=name)
+                for name in names]
         out = tmp_path / "out"
         # TMPDIR holds the scratch dirs of `check`
         env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp_path))
         proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_PROBE, cfg, str(out)],
+            [sys.executable, "-c", _STARTUP_PROBE, str(out), *cfgs],
             cwd=tmp_path, env=env, capture_output=True, text=True,
             timeout=300)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["codes"] == [0, 0, 0]
+        assert report["codes"] == [0, 0, 0, 0]
         assert report["scipy"] == []
-        assert (out / "scatter-phase" / "summary.json").is_file()
+        for name in names:
+            assert (out / name / "summary.json").is_file()
 
 
 # bounded floats and short list texts: no draw starts a large allocation

@@ -367,7 +367,7 @@ class TestLongRunAccuracy:
         else:
             # the first half-loop transport of the default rectangle at the
             # benchmark's step: 38,084 steps through the resonance
-            times, dk, ek, _ = analogs.rectangle_transport(10.0, 0.5)
+            times, dk, ek = analogs.rectangle_transport(10.0, 0.5)
             half = float(times[len(times) // 2])
             schedule = qcore.HamiltonianSchedule(
                 lambda t: (np.interp(t, times, ek), 0.0,

@@ -237,7 +237,7 @@ FAST = {"rect-loop": {"transport_step": 0.04},
         "celestial-residual": {"nodes": 16}}
 
 # unit: (module, kernel, the unit's amount in one call).  A run that calls
-# one of the first four kernels must have predicted its unit; bytes bound
+# one of the first five kernels must have predicted its unit; bytes bound
 # the solve_ivp lanes' memory, so that kernel's calls count none.
 KERNELS = {
     "propagator steps": (qcore, "_march", lambda u, *args: u.shape[-1]),
@@ -245,12 +245,16 @@ KERNELS = {
                      lambda system, times, substeps:
                      (len(times) - 1) * substeps),
     "cell updates": (scattering, "wavepacket_run", lambda *args: 0),
+    "orbit periods": (analogs, "_integrate",
+                      lambda cfg, angle, t_max, *args:
+                      t_max / analogs.KEPLER_PERIOD),
     "bytes": (analogs, "solve_ivp", lambda *args: 0),
     "Wilson samples": (berry, "wilson_loop_phase", len),
     "angular-momentum integrals": (berry, "_angular_momentum_integral",
                                    lambda *args: 1),
 }
-MARCHING = ("propagator steps", "Magnus steps", "cell updates", "bytes")
+MARCHING = ("propagator steps", "Magnus steps", "cell updates",
+            "orbit periods", "bytes")
 
 
 def test_every_scenario_predicts_its_work(monkeypatch, scenario):
