@@ -10,20 +10,22 @@ orbiting a fixed sun while a slow outer perturber circles: the frozen-probe
 period prediction versus the fully integrated orbital phase, whose mismatch
 is the adiabatic residual.
 
-Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13.  The
-frozen-perturber periods are measured in lane stacks: every perturber angle
-(and mass) of a grid is two lanes of a (4, N) state, one forward in time and
-one with the velocity reversed for the backward branch, integrated by one
-DOP853 run with a numpy right-hand side, and the apsis refinement reads the
-dense output in blocks of a few dozen time points.  The moving-perturber
-runs are single lanes with a scalar right-hand side, which is faster for
-one planet.  The pendulum equations are linear, y' = A(t) y, and are
-stepped with a sixth-order Magnus integrator whose step exponentials are
-built in batches, in closed form for the generator and from two traces for
-the exponential; an rtol of 1e-10 bounds the Richardson estimate of the
-global error over the sampled states.  Method settings such as these are
-module constants beside the code that reads them; a convergence study
-patches them.  All units are G = hbar = 1.
+Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13, stepped by a
+loop of this module over scipy's DOP853 stepper that stops at the step
+where a lane leaves its band.  The frozen-perturber periods are measured in
+lane stacks: every perturber angle (and mass) of a grid is two lanes of a
+(4, N) state, one forward in time and one with the velocity reversed for
+the backward branch, integrated by one DOP853 run with a numpy right-hand
+side, and the apsis refinement reads the dense output in blocks of about a
+hundred time points, each in one pass.  The moving-perturber runs are
+single lanes with a scalar right-hand side on Python floats, which is
+faster for one planet.  The pendulum equations are linear, y' = A(t) y,
+and are stepped with a sixth-order Magnus integrator whose step
+exponentials are built in batches, in closed form for the generator and
+from two traces for the exponential; an rtol of 1e-10 bounds the
+Richardson estimate of the global error over the sampled states.  Method
+settings such as these are module constants beside the code that reads
+them; a convergence study patches them.  All units are G = hbar = 1.
 """
 
 from __future__ import annotations
@@ -839,47 +841,109 @@ def _radii(y: np.ndarray) -> np.ndarray:
     return np.hypot(lanes[0], lanes[1])
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy's solve_ivp, imported when an orbit run calls it rather than
-    with phaselab: scipy.integrate takes longer to import than most
-    scenarios take to run, and only the celestial scenarios call it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+@dataclass(frozen=True)
+class _DenseRun:
+    """A finished DOP853 run: its step ends ts, each step's scipy
+    Dop853DenseOutput, its RHS call count nfev, and stop, which is None
+    or (event, t, state) for a run that a lane ended early: event 0 for
+    the collision, 1 for the escape, at time t in that state."""
+
+    ts: np.ndarray
+    steps: list
+    nfev: int
+    stop: tuple | None
+
+    def sol(self, t: np.ndarray) -> np.ndarray:
+        """States at the 1-D times t, shape (n, len(t)), bit for bit as
+        scipy's OdeSolution and Dop853DenseOutput give them: each time
+        reads the step whose (t_old, t] holds it, clipped to the first and
+        last step, and the interpolant is summed in the same Horner steps
+        in the same order.  All points are read in one pass, over the
+        coefficients of only the steps they fall in."""
+        used, seg = np.unique(np.clip(np.searchsorted(self.ts, t, "left") - 1,
+                                      0, len(self.steps) - 1),
+                              return_inverse=True)
+        steps = [self.steps[k] for k in used]
+        x = ((t - np.array([s.t_old for s in steps])[seg])
+             / np.array([s.h for s in steps])[seg])[:, None]
+        # (power, step, state): a power's rows gather contiguously
+        coefficients = np.stack([s.F for s in steps], axis=1)
+        y = np.zeros((len(t), coefficients.shape[2]))
+        rows = np.empty_like(y)
+        for i, f in enumerate(coefficients[::-1]):
+            y += f.take(seg, axis=0, out=rows, mode="clip")
+            y *= x if i % 2 == 0 else 1 - x
+        y_old = np.array([s.y_old for s in steps])
+        y += y_old.take(seg, axis=0, out=rows, mode="clip")
+        return y.T
+
+
+def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
+              r_min: float, r_max: float) -> _DenseRun:
+    """One DOP853 run from t = 0 to t_end over a flat (4, N) lane state.
+
+    The loop steps scipy's DOP853 stepper itself, so the step sequence,
+    the RHS calls and the dense output are those of scipy's solve_ivp bit
+    for bit, without its per-step bookkeeping.  The run stops at the end
+    of the first step where the closest lane is inside r_min or the
+    farthest outside r_max, and finds the crossing on that step's dense
+    output as solve_ivp's terminal events do (brentq, xtol = rtol =
+    4 eps); when both cross in one step the earlier crossing counts.
+    Raises DynamicsError when a step fails.
+
+    scipy is imported here rather than with phaselab: scipy.integrate
+    takes longer to import than most scenarios take to run, and only the
+    celestial scenarios call it.  The name solve_ivp is kept for the
+    benchmark's ``ode`` hook until the program reports its own counts
+    (ROADMAP item 1)."""
+    from scipy.integrate import DOP853
+    from scipy.optimize import brentq
+
+    def collision(y):
+        return _radii(y).min() - r_min
+
+    def escape(y):
+        return _radii(y).max() - r_max
+
+    tol = 4 * np.finfo(float).eps
+    solver = DOP853(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    ts, steps, stops = [0.0], [], []
+    while solver.status == "running" and not stops:
+        message = solver.step()
+        if solver.status == "failed":
+            raise DynamicsError(f"orbit integration failed: {message}")
+        step = solver.dense_output()
+        ts.append(solver.t)
+        steps.append(step)
+        crossed = (collision(solver.y) <= 0.0, escape(solver.y) >= 0.0)
+        for k, event in enumerate((collision, escape)):
+            if crossed[k]:
+                root = brentq(lambda t: event(step(t)), solver.t_old,
+                              solver.t, xtol=tol, rtol=tol)
+                stops.append((root, k))
+    stop = None
+    if stops:
+        t, k = min(stops)
+        stop = (k, t, step(t))
+    return _DenseRun(np.array(ts), steps, solver.nfev, stop)
 
 
 def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,
            rtol: float, atol: float,
            where=lambda t, k: f" at t = {t:.3f}"):
     """DOP853 from t = 0 to t_end with dense output, over a flat (4, N)
-    lane state.  A lane closing on the sun (r < 0.01) or escaping
-    (r > 2.5 r_jupiter) ends the run: the terminal events watch the
-    closest and the farthest lane, and the DynamicsError says where
-    through where(t, k), with t the event time and k the lane.
-
-    The run is read only through its dense output, so t_eval=() keeps no
-    per-step states beside it."""
-    r_min = 0.01
-    r_max = 2.5 * cfg.r_jupiter
-
-    def collision(t, y):
-        return _radii(y).min() - r_min
-
-    def escape(t, y):
-        return _radii(y).max() - r_max
-
-    collision.terminal = escape.terminal = True
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=True, events=(collision, escape),
-                    t_eval=())
-    for k, pick, what in ((0, np.argmin, "collided with the sun"),
-                          (1, np.argmax, "escaped past 2.5 r_jupiter")):
-        if sol.t_events[k].size:
-            lane = int(pick(_radii(sol.y_events[k][0])))
-            raise DynamicsError(f"planet {what}"
-                                f"{where(sol.t_events[k][0], lane)}")
-    if not sol.success:
-        raise DynamicsError(f"orbit integration failed: {sol.message}")
-    return sol
+    lane state (solve_ivp).  A lane closing on the sun (r < 0.01) or
+    escaping (r > 2.5 r_jupiter) ends the run at the step where it leaves
+    that band, and the DynamicsError says where through where(t, k), with
+    t the crossing time and k the closest or the farthest lane there."""
+    run = solve_ivp(rhs, y0, t_end, rtol, atol, 0.01, 2.5 * cfg.r_jupiter)
+    if run.stop is not None:
+        k, t, state = run.stop
+        pick, what = ((np.argmin, "collided with the sun"),
+                      (np.argmax, "escaped past 2.5 r_jupiter"))[k]
+        raise DynamicsError(f"planet {what}"
+                            f"{where(t, int(pick(_radii(state))))}")
+    return run
 
 
 def _integrate(cfg: CelestialConfig, jupiter_angle, t_max: float,
@@ -892,12 +956,12 @@ def _integrate(cfg: CelestialConfig, jupiter_angle, t_max: float,
 
     if muj == 0.0:
         def rhs(t, y):
-            x, z, vx, vz = y
+            x, z, vx, vz = y.tolist()
             r3 = (x * x + z * z) ** 1.5
             return (vx, vz, -x / r3, -z / r3)
     else:
         def rhs(t, y):
-            x, z, vx, vz = y
+            x, z, vx, vz = y.tolist()
             r3 = (x * x + z * z) ** 1.5
             ax = -x / r3
             az = -z / r3
@@ -978,11 +1042,14 @@ def _radial_velocity(states: np.ndarray, lanes: int) -> np.ndarray:
     return x * vx + z * vz
 
 
-# time points per dense-output call of _perihelion_times (8 refinement
-# windows).  A call holds about three copies of every lane's state at each
-# of its points, so a fixed count keeps the memory beside the dense
-# solution linear in the lane count, and small
-_READ_POINTS = 56
+# time points per dense-output call of _perihelion_times (16 refinement
+# windows).  A call holds the interpolant coefficients of the steps its
+# points fall in and a few copies of every lane's state at each point, so a
+# fixed count keeps the memory beside the dense solution linear in the lane
+# count, and small.  More points spread the fixed cost of a call: 112 read
+# in 0.6-0.85 of the time 56 took; 224 gained little more on a 36-lane
+# stack and raised a catalog lane's peak memory by a quarter, 112 by 8%
+_READ_POINTS = 112
 
 
 def _perihelion_times(sol, t_end: float, lanes: int = 1) -> list:
@@ -993,7 +1060,8 @@ def _perihelion_times(sol, t_end: float, lanes: int = 1) -> list:
     quadratic fits on a window centred on the current estimate, shrinking
     tenfold per round; a crossing whose fit has no real root keeps its
     estimate for that round.  Each dense-output call reads _READ_POINTS
-    grid points, or the windows of _READ_POINTS / 7 crossings in a round.
+    grid points, or the windows of _READ_POINTS / 7 crossings in a round,
+    all in one pass (_DenseRun.sol).
     """
     grid = np.arange(0.3 * KEPLER_PERIOD, t_end, KEPLER_PERIOD / 400.0)
     rising = np.empty((lanes, max(len(grid) - 1, 0)), dtype=bool)

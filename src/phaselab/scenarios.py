@@ -44,7 +44,7 @@ WORK_CAPS = {
     "cell updates": 1e10,               # Crank-Nicolson; 26 ns, 4 minutes
     "Wilson samples": 1e7,              # 0.56 us each, about 6 s
     "angular-momentum integrals": 2e4,  # two a separation; 0.024 ms, 0.5 s
-    "orbit periods": 1e3,               # moving perturber; 12-13 ms, 13 s
+    "orbit periods": 1e3,               # moving perturber; 5-8 ms, 8 s
     "bytes": 1e9,                       # a memory ceiling, not a time
 }
 
@@ -709,7 +709,7 @@ def _run_rect_loop(p, seed, emit):
 
 def _prepare_celestial(p):
     # two stack lanes a grid node (celestial-frozen adds two control nodes)
-    # at 1 MB a lane: tracemalloc measures 63 kB at the catalog orbit and up
+    # at 1 MB a lane: tracemalloc measures 68 kB at the catalog orbit and up
     # to 0.98 MB for a heavy perturber close in (m_jupiter 0.05, r_jupiter 1.5)
     _check_work("bytes", 1_000_000 * 2 * (p["nodes"] + 2))
     cfg = analogs.CelestialConfig(m_jupiter=p["m_jupiter"],

@@ -4,6 +4,7 @@ Runs at catalog defaults come from the session fixture ``scenario``.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -185,6 +186,131 @@ class TestLaneStacks:
         monkeypatch.setattr(analogs, "_ORBITS", 0.5)
         with pytest.raises(DynamicsError, match="fewer than four"):
             analogs.celestial_frozen_period(CONFIG, [0.0])
+
+
+def _moving(cfg):
+    """The moving perturber's angle t -> 2 pi t / t_jupiter."""
+    return lambda t: TWO_PI / cfg.jupiter_period * t
+
+
+def _coasting(t, y):
+    """Straight-line motion of every lane of a flat (4, N) state."""
+    return np.concatenate((y[len(y) // 2:], np.zeros(len(y) // 2)))
+
+
+class TestRunStops:
+    """How an orbit run ends early: the stop events and a failed step."""
+
+    def test_moving_perturber_collision(self):
+        # a heavy perturber close in and turning slowly drags the planet
+        # into the sun
+        cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.2)
+        with pytest.raises(DynamicsError, match=r"^planet collided with the "
+                           r"sun at t = 11\.693$"):
+            analogs._integrate(cfg, lambda t: 0.01 * t, 40.0, 1e-12, 1e-13)
+
+    def test_moving_perturber_escape(self):
+        cfg = CelestialConfig(m_jupiter=0.03, r_jupiter=1.3)
+        with pytest.raises(DynamicsError, match=r"^planet escaped past 2\.5 "
+                           r"r_jupiter at t = 19\.203$"):
+            analogs._integrate(cfg, _moving(cfg), 60.0, 1e-12, 1e-13)
+
+    def test_failed_step(self):
+        # the perturber's circle at 1.1 runs through the planet's orbit
+        cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.1)
+        with pytest.raises(DynamicsError, match=r"^orbit integration failed: "
+                           r"Required step size is less than spacing between "
+                           r"numbers\.$"):
+            analogs._integrate(cfg, _moving(cfg), 60.0, 1e-12, 1e-13)
+
+    def test_escape_through_solve(self):
+        # (1 + t, t / 2) leaves r = 2.5 r_jupiter = 5 at
+        # t = (sqrt(124) - 2) / 2.5 = 3.6542
+        cfg = CelestialConfig(m_jupiter=0.0, r_jupiter=2.0)
+        with pytest.raises(DynamicsError, match=r"^planet escaped past 2\.5 "
+                           r"r_jupiter at t = 3\.654$"):
+            analogs._solve(cfg, _coasting, np.array([1.0, 0.0, 1.0, 0.5]),
+                           20.0, 1e-12, 1e-13)
+
+    @pytest.mark.parametrize("speed, message", [
+        (1.25, "escaped past 2.5 r_jupiter at t = 1.600 in lane 1"),
+        (2.0 / 2.001, "collided with the sun at t = 1.990 in lane 0")])
+    def test_both_stops_in_one_step(self, speed, message):
+        # lane 0 coasts into the sun, crossing r = 0.01 at t = 1.99; lane 1
+        # coasts out past r = 3 at 2 / speed.  Both cross inside the same
+        # step, and the earlier crossing ends the run
+        from scipy.integrate import DOP853
+        cfg = CelestialConfig(m_jupiter=0.0, r_jupiter=1.2)
+        y0 = np.array([2.0, 1.0, 0.0, 0.0, -1.0, speed, 0.0, 0.0])
+        stepper = DOP853(_coasting, 0.0, y0, 10.0, rtol=1e-12, atol=1e-13)
+        while stepper.status == "running":
+            stepper.step()
+            r = np.abs(stepper.y[:2])
+            if r[0] <= 0.01 or r[1] >= 3.0:
+                break
+        assert r[0] <= 0.01 and r[1] >= 3.0
+        with pytest.raises(DynamicsError,
+                           match=f"^planet {re.escape(message)}$"):
+            analogs._solve(cfg, _coasting, y0, 10.0, 1e-12, 1e-13,
+                           lambda t, k: f" at t = {t:.3f} in lane {k}")
+
+
+@pytest.fixture
+def dop853_runs(monkeypatch):
+    """(arguments, result) of each analogs.solve_ivp call a test makes."""
+    runs = []
+    forward = analogs.solve_ivp
+
+    def recording(*args):
+        runs.append((args, forward(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(analogs, "solve_ivp", recording)
+    return runs
+
+
+class TestDenseRun:
+    """analogs.solve_ivp against scipy's solve_ivp on the same RHS: the
+    same step ends, RHS calls and dense output, bit for bit.  A scipy whose
+    Dop853DenseOutput changes F, h or y_old fails here."""
+
+    @pytest.mark.parametrize("measure", [
+        lambda: analogs._integrate(CONFIG, _moving(CONFIG),
+                                   CONFIG.jupiter_period + 1.5 * TWO_PI,
+                                   1e-12, 1e-13),
+        lambda: analogs._integrate(
+            CelestialConfig(m_jupiter=0.0, r_jupiter=5.2), _moving(CONFIG),
+            20.0, 1e-9, 1e-10),
+        lambda: analogs.celestial_frozen_period(CONFIG, [0.0, 1.0, 2.5])],
+        ids=["moving", "massless", "frozen-stack"])
+    def test_matches_scipy(self, dop853_runs, measure):
+        measure()
+        (args, run), = dop853_runs
+        rhs, y0, t_end, rtol, atol = args[:5]
+        reference = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
+                              rtol=rtol, atol=atol, dense_output=True)
+        assert run.nfev == reference.nfev
+        assert np.array_equal(run.ts, reference.t)
+        grid = np.arange(0.3 * TWO_PI, t_end, TWO_PI / 400.0)
+        steps = reference.t
+        outside = np.array([-1e-3, -1.0, t_end + 1e-3, t_end + 1.0])
+        mixed = np.random.default_rng(5).permutation(
+            np.concatenate((grid, steps, 0.5 * (steps[1:] + steps[:-1]))))
+        for t in (grid, steps, outside, mixed):
+            assert np.array_equal(run.sol(t), reference.sol(t))
+
+    @pytest.mark.parametrize("cfg", [CONFIG,
+                                     CelestialConfig(m_jupiter=0.0,
+                                                     r_jupiter=5.2)])
+    def test_scalar_rhs_floats_match_numpy_scalars(self, dop853_runs, cfg):
+        # the single-lane RHS unpacks y.tolist(); handing it numpy scalars
+        # instead runs the same arithmetic on np.float64
+        analogs._integrate(cfg, _moving(cfg), 20.0, 1e-9, 1e-10)
+        (args, run), = dop853_runs
+        rhs = args[0]
+        for t, y in zip(run.ts, run.sol(run.ts).T):
+            scalars = SimpleNamespace(tolist=lambda: list(y))
+            assert rhs(t, y) == rhs(t, scalars)
 
 
 def _reference_root(g):
