@@ -853,13 +853,17 @@ class _DenseRun:
     nfev: int
     stop: tuple | None
 
-    def sol(self, t: np.ndarray) -> np.ndarray:
+    def sol(self, t: np.ndarray, lane: np.ndarray | None = None) -> np.ndarray:
         """States at the 1-D times t, shape (n, len(t)), bit for bit as
         scipy's OdeSolution and Dop853DenseOutput give them: each time
         reads the step whose (t_old, t] holds it, clipped to the first and
         last step, and the interpolant is summed in the same Horner steps
         in the same order.  All points are read in one pass, over the
-        coefficients of only the steps they fall in."""
+        coefficients of only the steps they fall in.
+
+        With lane, an integer array beside t, time t[i] reads only the
+        rows (x, z, vx, vz) of lane lane[i] of the flat (4, N) lane state,
+        and the result has shape (4, len(t))."""
         used, seg = np.unique(np.clip(np.searchsorted(self.ts, t, "left") - 1,
                                       0, len(self.steps) - 1),
                               return_inverse=True)
@@ -868,13 +872,18 @@ class _DenseRun:
              / np.array([s.h for s in steps])[seg])[:, None]
         # (power, step, state): a power's rows gather contiguously
         coefficients = np.stack([s.F for s in steps], axis=1)
-        y = np.zeros((len(t), coefficients.shape[2]))
+        y_old = np.array([s.y_old for s in steps])
+        width = y_old.shape[1]
+        columns = (np.arange(width) if lane is None
+                   else lane[:, None] + width // 4 * np.arange(4))
+        # flat positions in a (step, state) array of each point's values
+        index = seg[:, None] * width + columns
+        y = np.zeros(index.shape)
         rows = np.empty_like(y)
         for i, f in enumerate(coefficients[::-1]):
-            y += f.take(seg, axis=0, out=rows, mode="clip")
+            y += f.take(index, out=rows, mode="clip")
             y *= x if i % 2 == 0 else 1 - x
-        y_old = np.array([s.y_old for s in steps])
-        y += y_old.take(seg, axis=0, out=rows, mode="clip")
+        y += y_old.take(index, out=rows, mode="clip")
         return y.T
 
 
@@ -915,7 +924,8 @@ def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
         step = solver.dense_output()
         ts.append(solver.t)
         steps.append(step)
-        crossed = (collision(solver.y) <= 0.0, escape(solver.y) >= 0.0)
+        radii = _radii(solver.y)
+        crossed = (radii.min() <= r_min, radii.max() >= r_max)
         for k, event in enumerate((collision, escape)):
             if crossed[k]:
                 root = brentq(lambda t: event(step(t)), solver.t_old,
@@ -983,17 +993,17 @@ def _integrate_lanes(cfg: CelestialConfig, starts: np.ndarray,
     All lanes share one step sequence; where(t, k) names a failing lane
     (_solve)."""
     n = len(phis)
-    px = cfg.r_jupiter * np.cos(phis)
-    pz = cfg.r_jupiter * np.sin(phis)
+    perturber = cfg.r_jupiter * np.array([np.cos(phis), np.sin(phis)])
 
     def rhs(t, y):
-        x, z, vx, vz = y.reshape(4, n)
+        pos = y[:2 * n].reshape(2, n)
+        x, z = pos
         r3 = (x * x + z * z) ** 1.5
-        dx = x - px
-        dz = z - pz
+        d = pos - perturber
+        dx, dz = d
         d3 = (dx * dx + dz * dz) ** 1.5
-        return np.concatenate((vx, vz, -x / r3 - masses * dx / d3,
-                               -z / r3 - masses * dz / d3))
+        return np.concatenate((y[2 * n:],
+                               (-pos / r3 - masses * d / d3).ravel()))
 
     return _solve(cfg, rhs, starts.T.ravel(), t_end, _ORBIT_RTOL, _ORBIT_ATOL,
                   where)
@@ -1061,7 +1071,8 @@ def _perihelion_times(sol, t_end: float, lanes: int = 1) -> list:
     tenfold per round; a crossing whose fit has no real root keeps its
     estimate for that round.  Each dense-output call reads _READ_POINTS
     grid points, or the windows of _READ_POINTS / 7 crossings in a round,
-    all in one pass (_DenseRun.sol).
+    all in one pass (_DenseRun.sol); a window reads only the rows of the
+    lane it refines.
     """
     grid = np.arange(0.3 * KEPLER_PERIOD, t_end, KEPLER_PERIOD / 400.0)
     rising = np.empty((lanes, max(len(grid) - 1, 0)), dtype=bool)
@@ -1077,11 +1088,10 @@ def _perihelion_times(sol, t_end: float, lanes: int = 1) -> list:
     for start in range(0, len(root), per_call):
         block = slice(start, start + per_call)
         r, h = root[block], half[block]
-        crossing = np.arange(len(r))
         for _ in range(_APSIS_ROUNDS):
             ts = r[:, None] + h[:, None] * _APSIS_U
-            states = sol.sol(ts.ravel()).reshape(4 * lanes, *ts.shape)
-            g = _radial_velocity(states, lanes)[lane[block], crossing]
+            states = sol.sol(ts.ravel(), np.repeat(lane[block], ts.shape[1]))
+            g = _radial_velocity(states, 1)[0].reshape(ts.shape)
             r = r + h * np.nan_to_num(_quadratic_root(g))
             h = h / 10.0
         root[block] = r

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -370,7 +371,10 @@ def _check_command() -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than parsing (gettext lookups for every help string)."""
     parser = argparse.ArgumentParser(
         prog="phaselab",
         description="Adiabatic-phase numerical laboratory scenario runner.")

@@ -6,9 +6,10 @@ amplitudes, and a time-dependent Hamiltonian is its field, H = a . sigma,
 given as a vectorized function of time; everything is solved in closed
 form, so that evolution is exactly unitary up to roundoff.  The one
 propagator kernel, _propagate, samples the field over whole chunks of its
-midpoint grid and builds every step unitary as an array; the states come
-from a blocked prefix product of those unitaries, in which only the starts
-of blocks of _BLOCK steps march one by one.  The one eigenbasis,
+midpoint grid and builds every step, an SU(2) matrix, as an array of its
+Cayley-Klein pair (its first column); the states come from a blocked prefix
+product of those steps, recursive over the block starts, so that at most
+_BLOCK of them per chunk march one by one.  The one eigenbasis,
 field_eigenvectors, comes for a whole stack of fields at once: the Wilson
 loop in berry uses it, and so does ground_state, which gives the
 propagator its start and end states.
@@ -30,10 +31,11 @@ _HERM_TOL = 1e-12
 _CYCLIC_OVERLAP = 0.99
 # propagator steps built as arrays at once: bounds memory, not accuracy
 _CHUNK = 4096
-# steps per block of the state march, _march.  Per 4,096-step chunk on a
-# 2-vCPU machine the march takes 0.41 ms at 16 and at 32 and 0.52 ms at 8
-# and at 64, against 1.92 ms for a step-by-step loop.  At 16 its long-run
-# errors against a long-double march stay below the loop's on berry-equator
+# steps per block on each level of the state march, _march.  Per 4,096-step
+# chunk on a shared 2-vCPU machine (medians of seven) the march takes
+# 0.48 ms at 16, 0.47-0.61 ms at 8, 0.60 ms at 32 and 0.62-0.95 ms at 64,
+# against 2.6-3.7 ms for a step-by-step loop.  At 16 its long-run errors
+# against a long-double march stay below the loop's on berry-equator
 # (tests/test_qcore.py::TestLongRunAccuracy)
 _BLOCK = 16
 
@@ -186,64 +188,95 @@ def _step_count(duration: float, step: float) -> tuple[int, float]:
     return n, duration / n
 
 
-def _march(u: np.ndarray, p0: complex, p1: complex):
-    """Apply a (2, 2, n) stack of step unitaries in turn to (p0, p1).
+def _march(alpha: np.ndarray, beta: np.ndarray, p0: complex, p1: complex):
+    """Apply a stack of n SU(2) steps in turn to (p0, p1).
 
-    Returns (b0, b1, p0, p1): each step's starting amplitudes as arrays, and
-    the amplitudes after the last step.  A blocked prefix product: the steps
-    are padded with identities to whole blocks of _BLOCK, the running
-    products inside every block are formed at once in _BLOCK rounds of 2x2
-    products over the blocks, and only the block starts march one by one,
-    with the block totals.
+    Step k is [[alpha[k], -conj(beta[k])], [beta[k], conj(alpha[k])]], given
+    by its Cayley-Klein pair.  Returns (b0, b1, p0, p1): each step's starting
+    amplitudes as arrays, and the amplitudes after the last step.
 
-    Each block start is put back to norm 1.  A float64 step unitary scales
-    the norm by 1 + O(eps), and while the size of the field holds still that
-    factor hardly changes from step to step, so the norm error would
-    otherwise build up coherently over the run.
+    A blocked prefix product: the steps are padded with identities to whole
+    blocks of _BLOCK, and the running products inside every block are formed
+    at once in _BLOCK rounds of products over the blocks.  A product of SU(2)
+    matrices is in SU(2), so a running product is kept as its first column
+    alone.  The block totals are again a stack of SU(2) steps, whose starting
+    amplitudes, the block starts, are marched the same way one level up;
+    only a stack of at most _BLOCK steps marches one by one.
+
+    Every block start, and every start of the one-by-one march, is put back
+    to norm 1.  A float64 step unitary scales the norm by 1 + O(eps), and
+    while the size of the field holds still that factor hardly changes from
+    step to step, so the norm error would otherwise build up coherently over
+    the run.
     """
-    n = u.shape[-1]
+    return _march_blocks(alpha, beta, p0, p1)
+
+
+def _march_blocks(alpha, beta, p0, p1):
+    """_march's body.  It recurses through this name, so that a test that
+    wraps _march sees each call from _propagate once."""
+    n = len(alpha)
+    if n <= _BLOCK:
+        b0 = []
+        b1 = []
+        for a, b in zip(alpha.tolist(), beta.tolist()):
+            norm = math.hypot(abs(p0), abs(p1))
+            p0 /= norm
+            p1 /= norm
+            b0.append(p0)
+            b1.append(p1)
+            p0, p1 = a * p0 - b.conjugate() * p1, b * p0 + a.conjugate() * p1
+        return np.array(b0), np.array(b1), p0, p1
     blocks = -(-n // _BLOCK)
-    eye = np.eye(2, dtype=complex)[:, :, None]
     if blocks * _BLOCK > n:
-        u = np.concatenate(
-            (u, np.broadcast_to(eye, (2, 2, blocks * _BLOCK - n))), axis=2)
-    # steps[:, :, b, j] is step b * _BLOCK + j
-    steps = u.reshape(2, 2, blocks, _BLOCK)
-    # prefix[j] is the product of the first j steps of each block
-    prefix = np.empty((_BLOCK + 1, 2, 2, blocks), dtype=complex)
-    prefix[0] = eye
+        alpha = np.concatenate((alpha, np.ones(blocks * _BLOCK - n)))
+        beta = np.concatenate((beta, np.zeros(blocks * _BLOCK - n)))
+    # alpha[j, k] is step k * _BLOCK + j
+    alpha = alpha.reshape(blocks, _BLOCK).T
+    beta = beta.reshape(blocks, _BLOCK).T
+    alpha_c = alpha.conj()
+    beta_c = beta.conj()
+    # (a[j], b[j]) is the first column of the product of the first j steps
+    # of each block
+    a = np.empty((_BLOCK + 1, blocks), dtype=complex)
+    b = np.empty((_BLOCK + 1, blocks), dtype=complex)
+    a[0] = 1.0
+    b[0] = 0.0
     for j in range(_BLOCK):
-        np.multiply(steps[:, 0:1, :, j], prefix[j, 0:1], out=prefix[j + 1])
-        prefix[j + 1] += steps[:, 1:2, :, j] * prefix[j, 1:2]
-    s0 = []
-    s1 = []
-    for t00, t01, t10, t11 in zip(*prefix[_BLOCK].reshape(4, blocks).tolist()):
-        norm = math.hypot(abs(p0), abs(p1))
-        p0 /= norm
-        p1 /= norm
-        s0.append(p0)
-        s1.append(p1)
-        p0, p1 = t00 * p0 + t01 * p1, t10 * p0 + t11 * p1
-    # b[j, :, k] is prefix[j, :, :, k] applied to the start of block k
-    b = prefix[:_BLOCK, :, 0] * np.array(s0) + prefix[:_BLOCK, :, 1] * np.array(s1)
-    b = b.transpose(1, 2, 0).reshape(2, -1)
-    return b[0, :n], b[1, :n], p0, p1
+        np.multiply(alpha[j], a[j], out=a[j + 1])
+        a[j + 1] -= beta_c[j] * b[j]
+        np.multiply(beta[j], a[j], out=b[j + 1])
+        b[j + 1] += alpha_c[j] * b[j]
+    s0, s1, p0, p1 = _march_blocks(a[_BLOCK], b[_BLOCK], p0, p1)
+    norm = np.hypot(np.abs(s0), np.abs(s1))
+    s0 /= norm
+    s1 /= norm
+    # b0[j, k], b1[j, k]: prefix j of block k applied to the start of block k
+    a = a[:_BLOCK]
+    b = b[:_BLOCK]
+    b0 = a * s0 - b.conj() * s1
+    b1 = b * s0 + a.conj() * s1
+    return b0.T.ravel()[:n], b1.T.ravel()[:n], p0, p1
 
 
 def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float):
     """March psi0 through the schedule with the midpoint-exponential rule.
 
     Step k applies exp(-i H(t_k) dt) at the midpoint t_k = (k + 1/2) dt, in
-    closed form.  The run is walked in chunks of _CHUNK steps: per chunk the
-    schedule is sampled and checked at every midpoint at once, all step
-    unitaries and the energy samples are built as arrays, and the states at
-    every step come from _march, whose only Python loop is over blocks of
-    _BLOCK steps.  Memory is bounded by the chunk, not by the step count.
+    closed form: with r = |a| and s = sin(r dt) / r (dt where r = 0) it is
+    the SU(2) matrix of Cayley-Klein pair alpha = cos(r dt) - i a3 s,
+    beta = s (a2 - i a1).  The run is walked in chunks of _CHUNK steps: per
+    chunk the schedule is sampled and checked at every midpoint at once,
+    the pairs are built as arrays, and the states at every step come from
+    _march, whose Python loops are the _BLOCK rounds of each of its levels
+    and a one-by-one march of at most _BLOCK block starts at the top one.
+    Memory is bounded by the chunk, not by the step count.
 
     Returns (final, energy, sigma3): the integrals of <psi|H|psi> dt and of
     <psi|sigma3|psi> dt on the same midpoint grid.  H is frozen within a
     step, so <psi|H|psi> taken with the step's starting state already is the
-    midpoint-rule sample.
+    midpoint-rule sample: with d = |b0|^2 - |b1|^2 and z = b1 conj(b0) it is
+    a3 d + 2 (a1 Re z + a2 Im z), and <psi|sigma3|psi> is d.
     """
     n, dt = _step_count(schedule.duration, step)
     energy = sigma3 = 0.0
@@ -253,21 +286,22 @@ def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float):
         k = np.arange(first, min(first + _CHUNK, n))
         a1, a2, a3 = _coefficients(schedule, (k + 0.5) * dt)
         r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-        c = np.cos(r * dt)
-        s = np.divide(np.sin(r * dt), r, out=np.full_like(r, dt), where=r != 0.0)
-        u = np.empty((2, 2, len(k)), dtype=complex)
-        u[0, 0] = c - 1j * s * a3
-        u[0, 1] = (-1j * s) * (a1 - 1j * a2)
-        u[1, 0] = (-1j * s) * (a1 + 1j * a2)
-        u[1, 1] = c + 1j * s * a3
+        angle = r * dt
+        s = np.divide(np.sin(angle), r, out=np.full_like(r, dt), where=r != 0.0)
+        alpha = np.empty(len(k), dtype=complex)
+        beta = np.empty(len(k), dtype=complex)
+        np.cos(angle, out=alpha.real)
+        np.multiply(s, -a3, out=alpha.imag)
+        np.multiply(s, a2, out=beta.real)
+        np.multiply(s, -a1, out=beta.imag)
         # each step's starting amplitudes
-        b0, b1, p0, p1 = _march(u, p0, p1)
-        n0 = b0.real * b0.real + b0.imag * b0.imag
-        n1 = b1.real * b1.real + b1.imag * b1.imag
+        b0, b1, p0, p1 = _march(alpha, beta, p0, p1)
+        d = (b0.real * b0.real + b0.imag * b0.imag
+             - (b1.real * b1.real + b1.imag * b1.imag))
+        z = b1 * b0.conj()
         energy += dt * float(np.sum(
-            a3 * n0 - a3 * n1
-            + 2.0 * ((a1 - 1j * a2) * b1 * b0.conj()).real))
-        sigma3 += dt * float(np.sum(n0 - n1))
+            a3 * d + 2.0 * (a1 * z.real + a2 * z.imag)))
+        sigma3 += dt * float(np.sum(d))
     return np.array([p0, p1]), energy, sigma3
 
 

@@ -39,7 +39,7 @@ CONSERVATION_TIME = 200.0   # frozen-length pendulum control run
 # Work caps: a prepare that predicts more of a unit than its cap is given
 # rejects the config.  Costs per unit measured on a 2-vCPU machine.
 WORK_CAPS = {
-    "propagator steps": 1e7,            # 0.22-0.26 us each, about 2.5 s
+    "propagator steps": 1e7,            # 0.14-0.18 us each, about 1.6 s
     "Magnus steps": 1e7,                # before any doubling; 1.1-1.9 us, 15 s
     "cell updates": 1e10,               # Crank-Nicolson; 26 ns, 4 minutes
     "Wilson samples": 1e7,              # 0.56 us each, about 6 s

@@ -208,14 +208,31 @@ def scalar_midpoint(coefficients, duration, steps, psi):
     return np.array(states), energy, sigma3
 
 
+@pytest.fixture
+def marches(monkeypatch):
+    """(alpha, beta, b0, b1) of each qcore._march call a test makes."""
+    calls = []
+    march = qcore._march
+
+    def recorded(alpha, beta, p0, p1):
+        b0, b1, p0, p1 = march(alpha, beta, p0, p1)
+        calls.append((alpha, beta, b0, b1))
+        return b0, b1, p0, p1
+
+    monkeypatch.setattr(qcore, "_march", recorded)
+    return calls
+
+
 class TestChunkedKernel:
     CHUNK = qcore._CHUNK
     BLOCK = qcore._BLOCK
-    # one step, either side of a march block and of a chunk boundary, a
-    # ragged last block after a whole one in a ragged last chunk, and a
-    # ragged last chunk of one ragged block
-    STEPS = (1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1,
-             CHUNK + BLOCK + 3, 3 * CHUNK + 7)
+    # one step, either side of a march block, of a block of blocks (the
+    # march's second level) and of a chunk boundary, a ragged last block
+    # after a whole one in a ragged last chunk, and a ragged last chunk of
+    # one ragged block
+    STEPS = (1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK ** 2 - 1, BLOCK ** 2,
+             BLOCK ** 2 + 1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + BLOCK + 3,
+             3 * CHUNK + 7)
     DT = 2.0 ** -12  # exact, so duration / DT is exactly the step count
 
     @staticmethod
@@ -244,14 +261,19 @@ class TestChunkedKernel:
             assert np.abs(final.amplitudes - exact).max() < 1e-12, steps
             assert abs(energy - mean_energy * duration) < 1e-12, steps
 
-    def test_norm_does_not_drift(self):
+    def test_norm_does_not_drift(self, marches):
         # every step applies the same rounded unitary, whose norm error
-        # would add up over the run; the march keeps it to a few roundings
+        # would add up over the run; the march keeps it to a few roundings,
+        # at the end and at every step's start
         a = (0.4, -0.7, 1.1)
         sched = qcore.HamiltonianSchedule(lambda t: a, 50_000 * self.DT)
         final, _, _ = qcore._propagate(sched, state([0.6, 0.8j]).amplitudes,
                                        self.DT)
         assert abs(np.linalg.norm(final) - 1.0) < 1e-14
+        b0 = np.concatenate([m[2] for m in marches])
+        b1 = np.concatenate([m[3] for m in marches])
+        norms = np.hypot(np.abs(b0), np.abs(b1))
+        assert np.abs(norms - 1.0).max() < 16 * np.finfo(float).eps
 
     def test_matches_scalar_reference(self):
         psi0 = state([0.6, 0.8j])
@@ -264,6 +286,32 @@ class TestChunkedKernel:
             assert np.abs(final - ref[-1]).max() < 1e-12, steps
             assert abs(energy - ref_energy) < 1e-12, steps
             assert abs(sigma3 - ref_sigma3) < 1e-12, steps
+
+    def test_cayley_klein_pairs_are_the_unitary_columns(self, marches):
+        # the pairs the kernel marches are the first column of the step
+        # unitary written out as four entries, bit for bit, and the second
+        # column is (-conj(beta), conj(alpha)) exactly; dark steps included
+        steps = self.CHUNK + 1
+        for coefficients in (self.drive, self.dark_then_lit):
+            marches.clear()
+            sched = qcore.HamiltonianSchedule(coefficients, steps * self.DT)
+            qcore._propagate(sched, state([0.6, 0.8j]).amplitudes, self.DT)
+            a1, a2, a3 = qcore._coefficients(
+                sched, (np.arange(steps) + 0.5) * self.DT)
+            r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+            c = np.cos(r * self.DT)
+            s = np.divide(np.sin(r * self.DT), r,
+                          out=np.full_like(r, self.DT), where=r != 0.0)
+            u00 = c - 1j * s * a3
+            u01 = (-1j * s) * (a1 - 1j * a2)
+            u10 = (-1j * s) * (a1 + 1j * a2)
+            u11 = c + 1j * s * a3
+            alpha = np.concatenate([m[0] for m in marches])
+            beta = np.concatenate([m[1] for m in marches])
+            assert np.array_equal(alpha, u00)
+            assert np.array_equal(beta, u10)
+            assert np.array_equal(u01, -beta.conj())
+            assert np.array_equal(u11, alpha.conj())
 
     def test_zero_field_stretch(self):
         psi0 = state([0.6, 0.8j])
@@ -310,6 +358,13 @@ def loop_march(u, p0, p1):
     return np.array(b0), np.array(b1), p0, p1
 
 
+def pair_loop_march(alpha, beta, p0, p1):
+    """loop_march of the Cayley-Klein pairs qcore._march takes, each pair
+    wrapped into its SU(2) matrix."""
+    u = np.array([[alpha, -beta.conj()], [beta, alpha.conj()]])
+    return loop_march(u, p0, p1)
+
+
 def long_double_run(schedule, psi, step):
     """Starting amplitudes of every step, final amplitudes and energy
     integral of the midpoint rule, with the step unitaries built and
@@ -341,8 +396,8 @@ class TestLongRunAccuracy:
         """Largest amplitude error over all steps, and energy error."""
         starts = []
 
-        def recorded(u, p0, p1):
-            b0, b1, p0, p1 = march(u, p0, p1)
+        def recorded(alpha, beta, p0, p1):
+            b0, b1, p0, p1 = march(alpha, beta, p0, p1)
             starts.append((b0, b1))
             return b0, b1, p0, p1
 
@@ -377,7 +432,7 @@ class TestLongRunAccuracy:
         reference = long_double_run(schedule, psi, step)
         march = self.errors(qcore._march, schedule, psi, step, reference,
                             monkeypatch)
-        loop = self.errors(loop_march, schedule, psi, step, reference,
+        loop = self.errors(pair_loop_march, schedule, psi, step, reference,
                            monkeypatch)
         steps = len(reference[0]) - 1
         eps = np.finfo(float).eps
