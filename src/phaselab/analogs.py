@@ -11,15 +11,15 @@ period prediction versus the fully integrated orbital phase, whose mismatch
 is the adiabatic residual.
 
 Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13, stepped by a
-loop of this module over scipy's DOP853 stepper that stops at the step
-where a lane leaves its band.  The frozen-perturber periods are measured in
-lane stacks: every perturber angle (and mass) of a grid is two lanes of a
-(4, N) state, one forward in time and one with the velocity reversed for
-the backward branch, integrated by one DOP853 run with a numpy right-hand
-side, and the apsis refinement reads the dense output in blocks of about a
-hundred time points, each in one pass.  The moving-perturber runs are
-single lanes with a scalar right-hand side on Python floats, which is
-faster for one planet.  The pendulum equations are linear, y' = A(t) y,
+loop of this module on scipy's DOP853 tables and initial step, which stops
+at the step where a lane leaves its band.  The frozen-perturber periods are
+measured in lane stacks: every perturber angle (and mass) of a grid is two
+lanes of a (4, N) state, one forward in time and one with the velocity
+reversed for the backward branch, integrated by one DOP853 run with a numpy
+right-hand side, and the apsis refinement reads the dense output in blocks
+of about a hundred time points, each in one pass.  The moving-perturber
+runs are single lanes with a scalar right-hand side on Python floats, which
+is faster for one planet.  The pendulum equations are linear, y' = A(t) y,
 and are stepped with a sixth-order Magnus integrator whose step
 exponentials are built in batches, in closed form for the generator and
 from two traces for the exponential; an rtol of 1e-10 bounds the
@@ -843,10 +843,11 @@ def _radii(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _DenseRun:
-    """A finished DOP853 run: its step ends ts, each step's scipy
-    Dop853DenseOutput, its RHS call count nfev, and stop, which is None
-    or (event, t, state) for a run that a lane ended early: event 0 for
-    the collision, 1 for the escape, at time t in that state."""
+    """A finished DOP853 run: its step ends ts, each step's interpolant
+    (F, y_old) as scipy's Dop853DenseOutput holds it (its t_old and h are
+    ts[k] and ts[k + 1] - ts[k]), its RHS call count nfev, and stop, which
+    is None or (event, t, state) for a run that a lane ended early: event
+    0 for the collision, 1 for the escape, at time t in that state."""
 
     ts: np.ndarray
     steps: list
@@ -859,20 +860,22 @@ class _DenseRun:
         reads the step whose (t_old, t] holds it, clipped to the first and
         last step, and the interpolant is summed in the same Horner steps
         in the same order.  All points are read in one pass, over the
-        coefficients of only the steps they fall in.
+        coefficients of the contiguous steps from the first to the last
+        step they fall in; reads are local in time, so that is few more.
 
         With lane, an integer array beside t, time t[i] reads only the
         rows (x, z, vx, vz) of lane lane[i] of the flat (4, N) lane state,
         and the result has shape (4, len(t))."""
-        used, seg = np.unique(np.clip(np.searchsorted(self.ts, t, "left") - 1,
-                                      0, len(self.steps) - 1),
-                              return_inverse=True)
-        steps = [self.steps[k] for k in used]
-        x = ((t - np.array([s.t_old for s in steps])[seg])
-             / np.array([s.h for s in steps])[seg])[:, None]
+        seg = np.clip(np.searchsorted(self.ts, t, "left") - 1,
+                      0, len(self.steps) - 1)
+        lo, hi = seg.min(), seg.max() + 1
+        seg -= lo
+        steps = self.steps[lo:hi]
+        x = ((t - self.ts[lo:hi][seg])
+             / np.diff(self.ts[lo:hi + 1])[seg])[:, None]
         # (power, step, state): a power's rows gather contiguously
-        coefficients = np.stack([s.F for s in steps], axis=1)
-        y_old = np.array([s.y_old for s in steps])
+        coefficients = np.stack([F for F, _ in steps], axis=1)
+        y_old = np.array([y for _, y in steps])
         width = y_old.shape[1]
         columns = (np.arange(width) if lane is None
                    else lane[:, None] + width // 4 * np.arange(4))
@@ -891,13 +894,17 @@ def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
               r_min: float, r_max: float) -> _DenseRun:
     """One DOP853 run from t = 0 to t_end over a flat (4, N) lane state.
 
-    The loop steps scipy's DOP853 stepper itself, so the step sequence,
-    the RHS calls and the dense output are those of scipy's solve_ivp bit
-    for bit, without its per-step bookkeeping.  The run stops at the end
-    of the first step where the closest lane is inside r_min or the
-    farthest outside r_max, and finds the crossing on that step's dense
-    output as solve_ivp's terminal events do (brentq, xtol = rtol =
-    4 eps); when both cross in one step the earlier crossing counts.
+    scipy's DOP853 gives the first derivative, the initial step and the
+    method's tables (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and
+    II.10); this loop takes the steps.  It makes the numpy calls of scipy's
+    rk_step, error norm, step-size control and dense output, in scipy's
+    order, into one stage buffer per run, so the step sequence, the RHS
+    calls and the dense output are those of scipy's solve_ivp bit for bit
+    (TestDenseRun), without its per-step objects and wrappers.  The run
+    stops at the end of the first step where the closest lane is inside
+    r_min or the farthest outside r_max, and finds the crossing on that
+    step's dense output as solve_ivp's terminal events do (brentq, xtol =
+    rtol = 4 eps); when both cross in one step the earlier crossing counts.
     Raises DynamicsError when a step fails.
 
     scipy is imported here rather than with phaselab: scipy.integrate
@@ -915,27 +922,90 @@ def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
         return _radii(y).max() - r_max
 
     tol = 4 * np.finfo(float).eps
-    solver = DOP853(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    start = DOP853(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    rtol, atol, nfev = start.rtol, start.atol, start.nfev
+    t, y, f, h_abs = 0.0, start.y, start.f, float(start.h_abs)
+    # the 16 stages of a step and its dense output; K[new] is f at the
+    # step's end
+    K = np.empty((DOP853.D.shape[1], len(y)))
+    new = DOP853.n_stages
+
+    # (s, K[:s].T, a[:s], c) of each stage s from first on: it evaluates
+    # the RHS at t + c h, y + (K[:s].T @ a[:s]) h
+    def stages(A, C, first):
+        return [(s, K[:s].T, a[:s], float(c))
+                for s, (a, c) in enumerate(zip(A, C), start=first)]
+
+    step_stages = stages(DOP853.A[1:], DOP853.C[1:], 1)
+    dense_stages = stages(DOP853.A_EXTRA, DOP853.C_EXTRA, new + 1)
+    weights, errors = K[:new].T, K[:new + 1].T
     ts, steps, stops = [0.0], [], []
-    while solver.status == "running" and not stops:
-        message = solver.step()
-        if solver.status == "failed":
-            raise DynamicsError(f"orbit integration failed: {message}")
-        step = solver.dense_output()
-        ts.append(solver.t)
-        steps.append(step)
-        radii = _radii(solver.y)
+    while t < t_end and not stops:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise DynamicsError("orbit integration failed: Required "
+                                    "step size is less than spacing "
+                                    "between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s, stage, a, c in step_stages:
+                K[s] = rhs(t + c * h, y + np.dot(stage, a) * h)
+            y_new = y + h * np.dot(weights, DOP853.B)
+            K[new] = rhs(t + h, y_new)
+            nfev += new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(errors, DOP853.E5) / scale
+            err3 = np.dot(errors, DOP853.E3) / scale
+            # squared norms as np.linalg.norm(x)**2 takes them
+            e5 = math.sqrt(err5.dot(err5)) ** 2
+            e3 = math.sqrt(err3.dot(err3)) ** 2
+            error_norm = (h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+                          if e5 != 0 or e3 != 0 else 0.0)
+            # scipy's step control: safety 0.9, the step changed by a
+            # factor in [0.2, 10], error exponent -1/8
+            if error_norm < 1:
+                factor = (10 if error_norm == 0
+                          else min(10, 0.9 * error_norm ** -0.125))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+            rejected = True
+        f = K[new].copy()
+        for s, stage, a, c in dense_stages:
+            K[s] = rhs(t + c * h, y + np.dot(stage, a) * h)
+        nfev += len(dense_stages)
+        F = np.empty((DOP853.D.shape[0] + 3, len(y)))
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (f + K[0])
+        F[3:] = h * np.dot(DOP853.D, K)
+        ts.append(t_new)
+        steps.append((F, y))
+        radii = _radii(y_new)
         crossed = (radii.min() <= r_min, radii.max() >= r_max)
-        for k, event in enumerate((collision, escape)):
-            if crossed[k]:
-                root = brentq(lambda t: event(step(t)), solver.t_old,
-                              solver.t, xtol=tol, rtol=tol)
-                stops.append((root, k))
+        if any(crossed):
+            # each crossing on this step's own interpolant, as solve_ivp's
+            # events find it
+            last = _DenseRun(np.array([t, t_new]), steps[-1:], nfev, None)
+
+            def state(s):
+                return last.sol(np.array([s]))[:, 0]
+
+            stops = [(brentq(lambda s: event(state(s)), t, t_new, xtol=tol,
+                             rtol=tol), k)
+                     for k, event in enumerate((collision, escape))
+                     if crossed[k]]
+        t, y = t_new, y_new
     stop = None
     if stops:
         t, k = min(stops)
-        stop = (k, t, step(t))
-    return _DenseRun(np.array(ts), steps, solver.nfev, stop)
+        stop = (k, t, state(t))
+    return _DenseRun(np.array(ts), steps, nfev, stop)
 
 
 def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,

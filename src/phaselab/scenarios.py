@@ -44,7 +44,7 @@ WORK_CAPS = {
     "cell updates": 1e10,               # Crank-Nicolson; 26 ns, 4 minutes
     "Wilson samples": 1e7,              # 0.56 us each, about 6 s
     "angular-momentum integrals": 2e4,  # two a separation; 0.024 ms, 0.5 s
-    "orbit periods": 1e3,               # moving perturber; 5-8 ms, 8 s
+    "orbit periods": 1e3,               # moving perturber; 3-6 ms, 6 s
     "bytes": 1e9,                       # a memory ceiling, not a time
 }
 
@@ -725,7 +725,13 @@ def _prepare_celestial_residual(p):
     # times: the run, its looser-tolerance rerun and the massless control
     _check_work("orbit periods",
                 3 * ((t_j + 1.5 * t_e) / analogs.KEPLER_PERIOD))
-    return cfg, phis, p["phi0"]
+    # the same angle in (-pi, pi]: beside a huge start angle, phi0 +
+    # omega_j t would lose t to rounding and the perturber would stand
+    # still.  libm reduces the angle exactly; one inside keeps its bytes
+    phi0 = p["phi0"]
+    if abs(phi0) > math.pi:
+        phi0 = math.atan2(math.sin(phi0), math.cos(phi0))
+    return cfg, phis, phi0
 
 
 def _run_celestial_frozen(inputs, seed, emit):

@@ -217,6 +217,35 @@ class TestRunStops:
                            r"r_jupiter at t = 19\.203$"):
             analogs._integrate(cfg, _moving(cfg), 60.0, 1e-12, 1e-13)
 
+    @pytest.mark.parametrize("cfg, angle, t_max, event", [
+        (CelestialConfig(m_jupiter=0.05, r_jupiter=1.2), lambda t: 0.01 * t,
+         40.0, 0),
+        (CelestialConfig(m_jupiter=0.03, r_jupiter=1.3),
+         _moving(CelestialConfig(m_jupiter=0.03, r_jupiter=1.3)), 60.0, 1)],
+        ids=["collision", "escape"])
+    def test_stops_are_scipys_terminal_events(self, dop853_runs, cfg, angle,
+                                              t_max, event):
+        # the two runs above, against solve_ivp's terminal events on the
+        # same radius bounds
+        with pytest.raises(DynamicsError):
+            analogs._integrate(cfg, angle, t_max, 1e-12, 1e-13)
+        (args, run), = dop853_runs
+        rhs, y0, t_end, rtol, atol, r_min, r_max = args
+
+        def collision(t, y):
+            return analogs._radii(y).min() - r_min
+
+        def escape(t, y):
+            return analogs._radii(y).max() - r_max
+
+        collision.terminal = escape.terminal = True
+        reference = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
+                              rtol=rtol, atol=atol, events=(collision, escape))
+        k, t, state = run.stop
+        assert k == event
+        assert t == reference.t_events[event][0]
+        assert np.array_equal(state, reference.y_events[event][0])
+
     def test_failed_step(self):
         # the perturber's circle at 1.1 runs through the planet's orbit
         cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.1)
@@ -274,23 +303,39 @@ def dop853_runs(monkeypatch):
 class TestDenseRun:
     """analogs.solve_ivp against scipy's solve_ivp on the same RHS: the
     same step ends, RHS calls and dense output, bit for bit.  A scipy whose
-    Dop853DenseOutput changes F, h or y_old fails here."""
+    DOP853 step, error norm, step control or dense output changes fails
+    here."""
 
-    @pytest.mark.parametrize("measure", [
-        lambda: analogs._integrate(CONFIG, _moving(CONFIG),
-                                   CONFIG.jupiter_period + 1.5 * TWO_PI,
-                                   1e-12, 1e-13),
-        lambda: analogs._integrate(
+    @pytest.mark.parametrize("measure, rejects", [
+        (lambda: analogs._integrate(CONFIG, _moving(CONFIG),
+                                    CONFIG.jupiter_period + 1.5 * TWO_PI,
+                                    1e-12, 1e-13), False),
+        (lambda: analogs._integrate(
             CelestialConfig(m_jupiter=0.0, r_jupiter=5.2), _moving(CONFIG),
-            20.0, 1e-9, 1e-10),
-        lambda: analogs.celestial_frozen_period(CONFIG, [0.0, 1.0, 2.5])],
-        ids=["moving", "massless", "frozen-stack"])
-    def test_matches_scipy(self, dop853_runs, measure):
+            20.0, 1e-9, 1e-10), False),
+        (lambda: analogs.celestial_frozen_period(CONFIG, [0.0, 1.0, 2.5]),
+         False),
+        # a heavy perturber close in: steps fail the error test and are
+        # retried shorter
+        (lambda: analogs.celestial_frozen_period(
+            CelestialConfig(m_jupiter=0.05, r_jupiter=1.5), [0.0, 1.0, 2.5]),
+         True),
+        (lambda: analogs._integrate(
+            CelestialConfig(m_jupiter=0.05, r_jupiter=2.0),
+            _moving(CelestialConfig(m_jupiter=0.05, r_jupiter=2.0)),
+            40.0, 1e-12, 1e-13), True)],
+        ids=["moving", "massless", "frozen-stack", "frozen-rejecting",
+             "moving-rejecting"])
+    def test_matches_scipy(self, dop853_runs, measure, rejects):
         measure()
         (args, run), = dop853_runs
         rhs, y0, t_end, rtol, atol = args[:5]
         reference = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
                               rtol=rtol, atol=atol, dense_output=True)
+        # 2 RHS calls to start, 12 a tried step and 3 more for an accepted
+        # step's dense output
+        rejected = reference.nfev - 2 - 15 * (len(reference.t) - 1)
+        assert (rejected > 0) == rejects
         assert run.nfev == reference.nfev
         assert np.array_equal(run.ts, reference.t)
         grid = np.arange(0.3 * TWO_PI, t_end, TWO_PI / 400.0)

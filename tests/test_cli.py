@@ -495,6 +495,22 @@ class TestChecksOnTheCircle:
         assert results["wilson_base"] > 0.0 > results["wilson_scaled"]
         assert results["wilson_difference"] < 1e-12
 
+    def test_large_start_angle_is_its_reduced_angle(self, tmp_path, capsys):
+        # phi0 + omega_j t beside phi0 = 1e15 would lose t to rounding and
+        # stop the perturber (ratio 0.26 against its 0.15 bound); the run
+        # reads phi0 as the same angle in (-pi, pi]
+        summaries = []
+        for k, phi0 in enumerate((1e15, math.atan2(math.sin(1e15),
+                                                    math.cos(1e15)))):
+            (tmp_path / str(k)).mkdir()
+            code, out, _ = run_cli(tmp_path / str(k), capsys,
+                                   "celestial-residual",
+                                   parameters={"phi0": phi0})
+            assert code == 0
+            summaries.append(
+                (out / "celestial-residual" / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+
 
 class TestSuccessArtifacts:
     @pytest.fixture()
