@@ -12,7 +12,12 @@ is the adiabatic residual.
 
 Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13, stepped by a
 loop of this module on scipy's DOP853 tables and initial step, which stops
-at the step where a lane leaves its band.  The frozen-perturber periods are
+at the step where a lane leaves its band.  The loop writes its stage
+states, error vectors and dense-output rows into arrays made once per run
+(numpy's out=).  That keeps scipy's bits: each is the same ufunc or dot
+call on the same operands in the same order, at most with the two
+operands of one + or * swapped, which is exact in IEEE 754; nothing is
+reassociated.  The frozen-perturber periods are
 measured in lane stacks: every perturber angle (and mass) of a grid is two
 lanes of a (4, N) state, one forward in time and one with the velocity
 reversed for the backward branch, integrated by one DOP853 run with a numpy
@@ -900,7 +905,13 @@ def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
     rk_step, error norm, step-size control and dense output, in scipy's
     order, into one stage buffer per run, so the step sequence, the RHS
     calls and the dense output are those of scipy's solve_ivp bit for bit
-    (TestDenseRun), without its per-step objects and wrappers.  The run
+    (TestDenseRun), without its per-step objects and wrappers.  Stage
+    states, the error scale and vectors and the dense-output rows are
+    written in place through out= into arrays of the run: the same calls
+    on the same operands in the same order, with at most the operands of
+    one + or * swapped, which IEEE 754 makes exact.  y_new and each step's
+    F are fresh arrays, as the steps keep them; the RHS must return a
+    fresh array and keep no reference to the state it is handed.  The run
     stops at the end of the first step where the closest lane is inside
     r_min or the farthest outside r_max, and finds the crossing on that
     step's dense output as solve_ivp's terminal events do (brentq, xtol =
@@ -939,6 +950,10 @@ def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
     step_stages = stages(DOP853.A[1:], DOP853.C[1:], 1)
     dense_stages = stages(DOP853.A_EXTRA, DOP853.C_EXTRA, new + 1)
     weights, errors = K[:new].T, K[:new + 1].T
+    # a stage's state (and h (f + K[0]) of the dense output), the error
+    # scale and the two error vectors, rewritten at every stage or step;
+    # y_new and F are made fresh, as steps keeps them
+    stage_y, scale, err5, err3 = np.empty((4, len(y)))
     ts, steps, stops = [0.0], [], []
     while t < t_end and not stops:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -953,13 +968,25 @@ def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
             h = h_abs = t_new - t
             K[0] = f
             for s, stage, a, c in step_stages:
-                K[s] = rhs(t + c * h, y + np.dot(stage, a) * h)
-            y_new = y + h * np.dot(weights, DOP853.B)
+                np.dot(stage, a, out=stage_y)
+                stage_y *= h
+                stage_y += y
+                K[s] = rhs(t + c * h, stage_y)
+            # y + h * np.dot(weights, B)
+            y_new = np.dot(weights, DOP853.B)
+            y_new *= h
+            y_new += y
             K[new] = rhs(t + h, y_new)
             nfev += new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(errors, DOP853.E5) / scale
-            err3 = np.dot(errors, DOP853.E3) / scale
+            # atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=err5),
+                       out=scale)
+            scale *= rtol
+            scale += atol
+            np.dot(errors, DOP853.E5, out=err5)
+            err5 /= scale
+            np.dot(errors, DOP853.E3, out=err3)
+            err3 /= scale
             # squared norms as np.linalg.norm(x)**2 takes them
             e5 = math.sqrt(err5.dot(err5)) ** 2
             e3 = math.sqrt(err3.dot(err3)) ** 2
@@ -976,14 +1003,24 @@ def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
             rejected = True
         f = K[new].copy()
         for s, stage, a, c in dense_stages:
-            K[s] = rhs(t + c * h, y + np.dot(stage, a) * h)
+            np.dot(stage, a, out=stage_y)
+            stage_y *= h
+            stage_y += y
+            K[s] = rhs(t + c * h, stage_y)
         nfev += len(dense_stages)
         F = np.empty((DOP853.D.shape[0] + 3, len(y)))
-        delta_y = y_new - y
-        F[0] = delta_y
-        F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (f + K[0])
-        F[3:] = h * np.dot(DOP853.D, K)
+        # delta_y = y_new - y, F[1] = h * K[0] - delta_y,
+        # F[2] = 2 * delta_y - h * (f + K[0]), F[3:] = h * np.dot(D, K)
+        delta_y, F1, F2, F3 = F[0], F[1], F[2], F[3:]
+        np.subtract(y_new, y, out=delta_y)
+        np.multiply(h, K[0], out=F1)
+        F1 -= delta_y
+        np.add(f, K[0], out=stage_y)
+        stage_y *= h
+        np.multiply(2, delta_y, out=F2)
+        F2 -= stage_y
+        np.dot(DOP853.D, K, out=F3)
+        F3 *= h
         ts.append(t_new)
         steps.append((F, y))
         radii = _radii(y_new)
@@ -1064,14 +1101,24 @@ def _integrate_lanes(cfg: CelestialConfig, starts: np.ndarray,
     (_solve)."""
     n = len(phis)
     perturber = cfg.r_jupiter * np.array([np.cos(phis), np.sin(phis)])
+    # the (x, z) rows squared of the sun offsets and of the perturber
+    # offsets, and the two squared distances of each lane, which one power
+    # call raises to 1.5; views made once, as making one costs about as
+    # much as the arithmetic on it
+    squares = np.empty((2, 2, n))
+    sun_squares, perturber_squares = squares
+    x_squares, z_squares = squares[:, 0], squares[:, 1]
+    cubes = np.empty((2, n))
+    r3, d3 = cubes
 
     def rhs(t, y):
         pos = y[:2 * n].reshape(2, n)
-        x, z = pos
-        r3 = (x * x + z * z) ** 1.5
         d = pos - perturber
-        dx, dz = d
-        d3 = (dx * dx + dz * dz) ** 1.5
+        np.multiply(pos, pos, out=sun_squares)
+        np.multiply(d, d, out=perturber_squares)
+        # x * x + z * z and dx * dx + dz * dz
+        np.add(x_squares, z_squares, out=cubes)
+        np.power(cubes, 1.5, out=cubes)
         return np.concatenate((y[2 * n:],
                                (-pos / r3 - masses * d / d3).ravel()))
 

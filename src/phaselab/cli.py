@@ -110,6 +110,9 @@ def _validate(raw: dict, seed_override):
         raise _fail("config-error", "config must name a scenario")
     if name not in SCENARIOS:
         raise _fail("config-error", f"unknown scenario '{name}'")
+    if "out_dir" in raw and not _valid_out_dir(raw):
+        raise _fail("config-error", "out_dir must be a non-empty string "
+                    f"without NUL bytes, got {raw['out_dir']!r}")
     schema = SCENARIOS[name].parameters
 
     supplied = raw.get("parameters", {})
@@ -124,9 +127,15 @@ def _validate(raw: dict, seed_override):
         value = supplied.get(key, entry.default)
         params[key] = _coerce(key, name, entry, value)
 
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise _fail("config-error", f"seed must be an unsigned integer, got {seed!r}")
+    # the config's seed must be valid even when --seed overrides it; the
+    # last one checked is the seed of the run
+    seeds = [raw.get("seed", 0)]
+    if seed_override is not None:
+        seeds.append(seed_override)
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise _fail("config-error",
+                        f"seed must be an unsigned integer, got {seed!r}")
     try:
         with _recording_warnings() as raised:
             inputs = SCENARIOS[name].prepare(params)
@@ -138,10 +147,19 @@ def _validate(raw: dict, seed_override):
     return name, params, inputs, seed, raised
 
 
+def _valid_out_dir(raw: dict) -> bool:
+    # no path holds a NUL byte, and the OS calls raise ValueError on one
+    out_dir = raw.get("out_dir")
+    return isinstance(out_dir, str) and out_dir != "" and "\0" not in out_dir
+
+
 def _resolve_root(cli_out, raw) -> Path:
+    """--out, else a valid config out_dir, else $PHASELAB_OUT, else
+    ./phaselab-out: a rejected out_dir counts as absent, so its manifest
+    lands in the fallback root."""
     if cli_out:
         return Path(cli_out)
-    if isinstance(raw, dict) and isinstance(raw.get("out_dir"), str):
+    if isinstance(raw, dict) and _valid_out_dir(raw):
         return Path(raw["out_dir"])
     env = os.environ.get("PHASELAB_OUT")
     if env:

@@ -44,7 +44,7 @@ WORK_CAPS = {
     "cell updates": 1e10,               # Crank-Nicolson; 26 ns, 4 minutes
     "Wilson samples": 1e7,              # 0.56 us each, about 6 s
     "angular-momentum integrals": 2e4,  # two a separation; 0.024 ms, 0.5 s
-    "orbit periods": 1e3,               # moving perturber; 3-6 ms, 6 s
+    "orbit periods": 1e3,               # moving perturber; 3-5 ms, 5 s
     "bytes": 1e9,                       # a memory ceiling, not a time
 }
 

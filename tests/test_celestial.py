@@ -3,6 +3,7 @@
 Runs at catalog defaults come from the session fixture ``scenario``.
 """
 
+import itertools
 import math
 import re
 from types import SimpleNamespace
@@ -381,6 +382,23 @@ class TestDenseRun:
             reference = np.concatenate((vx, vz, -x / r3 - masses * dx / d3,
                                         -z / r3 - masses * dz / d3))
             assert np.array_equal(rhs(0.0, y), reference)
+
+    def test_steps_own_their_arrays(self, dop853_runs):
+        # the loop writes into arrays of the run; what a step keeps must not
+        # be one of them, nor shared with another run
+        analogs.celestial_frozen_period(CONFIG, [0.0, 1.0, 2.5])
+        (_, first), = dop853_runs
+        grid = np.arange(0.3 * TWO_PI, first.ts[-1], TWO_PI / 400.0)
+        reads = [first.sol(first.ts), first.sol(grid)]
+        analogs._integrate(CONFIG, _moving(CONFIG), 20.0, 1e-9, 1e-10)
+        analogs.celestial_frozen_period(CONFIG, [0.5, 2.0, 3.0])
+        assert len(dop853_runs) == 3
+        for t, before in zip((first.ts, grid), reads):
+            assert np.array_equal(first.sol(t), before)
+        for _, run in dop853_runs:
+            kept = [array for step in run.steps for array in step]
+            assert not any(np.shares_memory(a, b)
+                           for a, b in itertools.combinations(kept, 2))
 
 
 def _reference_root(g):

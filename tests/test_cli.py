@@ -354,6 +354,37 @@ class TestConfigRejection:
                                    seed=seed)
             assert code == 2, f"seed {seed!r} accepted"
 
+    @pytest.mark.parametrize("body, extra_args", [
+        ({"out_dir": 5}, ()),
+        ({"out_dir": None}, ()),
+        ({"out_dir": ["results"]}, ()),
+        ({"out_dir": ""}, ()),
+        ({"out_dir": "results\0"}, ()),
+        ({"seed": "abc"}, ("--seed", "3")),
+        ({"seed": -1}, ("--seed", "3")),
+    ], ids=["out-dir-number", "out-dir-null", "out-dir-list", "out-dir-empty",
+            "out-dir-nul-byte", "seed-text-overridden",
+            "seed-negative-overridden"])
+    def test_ignored_or_overridden_value_rejected(self, tmp_path, capsys,
+                                                  monkeypatch, body,
+                                                  extra_args):
+        # a bad out_dir or config seed fails even where the output root or
+        # --seed would have stood in for it; the manifest goes to the root
+        # the config would have had without out_dir
+        monkeypatch.setenv("PHASELAB_OUT", str(tmp_path / "env-root"))
+        cfg = write_config(tmp_path, scenario="ab-electric", **body)
+        assert main(["run", "--config", cfg, *extra_args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("phaselab: config-error:")
+        assert err.count("\n") == 1
+        outdir = tmp_path / "env-root" / "ab-electric"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["error"]["kind"] == "config-error"
+        assert manifest["outputs"] == {}
+        assert not (outdir / "summary.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                              "env-root"]
+
     def test_malformed_json(self, tmp_path, capsys):
         # bad syntax, bytes that are not UTF-8, nesting too deep for the
         # parser, and an integer past Python's 4,300-digit conversion limit
