@@ -3,8 +3,14 @@
 Exit codes: 0 all built-in checks passed, 1 a check failed, 2 the config
 was rejected before any computation, 3 the computation itself raised.
 Every run leaves a manifest.json (resolved config, checks, output digests,
-warnings, error record) in the output directory, even when it fails; only
-the one-line reason goes to stderr, as ``phaselab: <kind>: <message>``.
+warnings, error record) in the output directory, even when it fails, and
+in the next output root when its own cannot be created; only the one-line
+reason goes to stderr, as ``phaselab: <kind>: <message>``.
+
+A runner writes its tables through ``emit``, which takes a file's rows in
+blocks (one call with whole arrays is the one-block case), formats and
+hashes each block as it arrives, and publishes no table of a runner that
+raises.
 """
 
 from __future__ import annotations
@@ -153,52 +159,86 @@ def _valid_out_dir(raw: dict) -> bool:
     return isinstance(out_dir, str) and out_dir != "" and "\0" not in out_dir
 
 
-def _resolve_root(cli_out, raw) -> Path:
-    """--out, else a valid config out_dir, else $PHASELAB_OUT, else
-    ./phaselab-out: a rejected out_dir counts as absent, so its manifest
-    lands in the fallback root."""
+def _output_roots(cli_out, raw) -> list[Path]:
+    """The output roots in precedence order: --out, a valid config
+    out_dir, $PHASELAB_OUT, ./phaselab-out.  A run writes into the first;
+    a rejected out_dir counts as absent, and a root that cannot be created
+    hands the run's manifest on to the next."""
+    roots = []
     if cli_out:
-        return Path(cli_out)
+        roots.append(Path(cli_out))
     if isinstance(raw, dict) and _valid_out_dir(raw):
-        return Path(raw["out_dir"])
+        roots.append(Path(raw["out_dir"]))
     env = os.environ.get("PHASELAB_OUT")
     if env:
-        return Path(env)
-    return Path("phaselab-out")
+        roots.append(Path(env))
+    return roots + [Path("phaselab-out")]
 
 
 # ---------------------------------------------------------------------------
 # output files
 
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 1024
 
 
-def _write_csv(path: Path, columns) -> str:
-    """Header line, units line, then rows at 17 significant digits; returns
-    the sha256 hex digest of the bytes written.
+class _CsvWriter:
+    """The ``emit`` of one run: ``emit(filename, columns)`` writes the rows
+    of columns, a list of (name, units, values), to the CSV file filename
+    in outdir.
 
-    Each row is one %-template built from the column dtypes (floats at
-    %.17g, integers at %d, anything else as str), formatted a block of
-    rows at a time, and each block is hashed as it is written."""
-    arrays = [np.asarray(col[2]) for col in columns]
-    length = len(arrays[0])
-    if any(len(a) != length for a in arrays):
-        raise PhaseLabError("csv columns of unequal length")
-    row = ",".join(_CSV_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
-    digest = hashlib.sha256()
-    with path.open("wb") as out:
-        def write(text: str) -> None:
-            data = text.encode()
-            out.write(data)
-            digest.update(data)
+    The first call for a file writes its header and units lines and fixes
+    its %-template from the column dtypes: floats at %.17g, integers at %d,
+    anything else as str.  Each later call for the file, with the same
+    names, units and template, appends its rows, so a runner may hand a
+    long table over in row blocks; one call with whole arrays is the
+    one-block case.  Rows are formatted _CSV_BLOCK_ROWS at a time and each
+    piece is hashed as it is written.  ``close`` returns {filename: sha256
+    hex digest}; ``discard`` deletes every file written, so that a failed
+    run publishes no table."""
 
-        write(",".join(col[0] for col in columns) + "\n"
-              + ",".join(col[1] for col in columns) + "\n")
+    def __init__(self, outdir: Path):
+        self.outdir = outdir
+        self.files = {}  # filename -> (file, sha256, header, template)
+
+    def __call__(self, filename: str, columns) -> None:
+        if "/" in filename or "\\" in filename or filename.startswith("."):
+            raise PhaseLabError(f"bad output filename {filename!r}")
+        arrays = [np.asarray(col[2]) for col in columns]
+        length = len(arrays[0])
+        if any(len(a) != length for a in arrays):
+            raise PhaseLabError("csv columns of unequal length")
+        header = (",".join(col[0] for col in columns) + "\n"
+                  + ",".join(col[1] for col in columns) + "\n")
+        row = ",".join(_CSV_FORMATS.get(a.dtype.kind, "%s")
+                       for a in arrays) + "\n"
+        if filename not in self.files:
+            out = (self.outdir / filename).open("wb")
+            self.files[filename] = out, hashlib.sha256(), header, row
+            self._write(filename, header)
+        elif self.files[filename][2:] != (header, row):
+            raise PhaseLabError(f"rows for {filename} do not match its "
+                                "columns")
         for start in range(0, length, _CSV_BLOCK_ROWS):
             block = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
-            write("".join(row % cells for cells in zip(*block)))
-    return digest.hexdigest()
+            self._write(filename, "".join(row % cells for cells in zip(*block)))
+
+    def _write(self, filename: str, text: str) -> None:
+        out, digest = self.files[filename][:2]
+        data = text.encode()
+        out.write(data)
+        digest.update(data)
+
+    def close(self) -> dict:
+        for out, *_ in self.files.values():
+            out.close()
+        return {name: entry[1].hexdigest()
+                for name, entry in self.files.items()}
+
+    def discard(self) -> None:
+        self.close()
+        for name in self.files:
+            (self.outdir / name).unlink(missing_ok=True)
 
 
 def _jsonable(value):
@@ -231,17 +271,27 @@ def _dump_json(path: Path, payload: dict) -> str:
 
 def _execute(name: str, inputs, seed: int, outdir: Path):
     """Run one scenario into outdir; returns (results, checks, inventory,
-    warnings), each warning the runner raised once, as "Category: message"."""
-    outputs = {}
+    warnings), each warning the runner raised once, as "Category: message".
+    A runner that raises leaves no table in outdir."""
+    emit = _CsvWriter(outdir)
+    try:
+        with _recording_warnings() as raised:
+            results, checks = SCENARIOS[name].runner(inputs, seed, emit)
+    except BaseException:
+        emit.discard()
+        raise
+    return results, checks, emit.close(), raised
 
-    def emit(filename: str, columns) -> None:
-        if "/" in filename or "\\" in filename or filename.startswith("."):
-            raise PhaseLabError(f"bad output filename {filename!r}")
-        outputs[filename] = _write_csv(outdir / filename, columns)
 
-    with _recording_warnings() as raised:
-        results, checks = SCENARIOS[name].runner(inputs, seed, emit)
-    return results, checks, outputs, raised
+def _summary(name: str, seed: int, results: dict, checks) -> dict:
+    """The contents of a run's summary.json."""
+    return {
+        "scenario": name,
+        "seed": seed,
+        "results": results,
+        "checks": [{"name": n, "passed": bool(ok)} for n, ok in checks],
+        "passed": all(ok for _, ok in checks),
+    }
 
 
 def _run_command(args) -> int:
@@ -263,10 +313,16 @@ def _run_command(args) -> int:
         if isinstance(raw, dict) and raw.get("scenario") in SCENARIOS:
             name = raw["scenario"]  # park the failure record with its scenario
 
-    root = _resolve_root(args.out, raw)
+    for root in _output_roots(args.out, raw):
+        try:
+            root.mkdir(parents=True, exist_ok=True)
+            break
+        except OSError as exc:
+            error = error or _fail("config-error",
+                                   f"output directory not writable: {exc}")
+            status = status or _EXIT_CODES[error.kind]
     outdir = root / (name if name else "unresolved")
     try:
-        root.mkdir(parents=True, exist_ok=True)
         if outdir.exists() and not outdir.is_dir():
             raise NotADirectoryError(f"{outdir} is not a directory")
         # the run writes into a fresh directory that replaces outdir when it
@@ -285,14 +341,7 @@ def _run_command(args) -> int:
                 results, checks, outputs, run_warnings = _execute(
                     name, inputs, seed, staging)
                 raised = list(dict.fromkeys(raised + run_warnings))
-                summary = {
-                    "scenario": name,
-                    "seed": seed,
-                    "results": results,
-                    "checks": [{"name": n, "passed": bool(ok)}
-                               for n, ok in checks],
-                    "passed": all(ok for _, ok in checks),
-                }
+                summary = _summary(name, seed, results, checks)
                 outputs["summary.json"] = _dump_json(
                     staging / "summary.json", summary)
                 if not summary["passed"]:

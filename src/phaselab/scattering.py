@@ -6,7 +6,9 @@ give the reflection phase of the closed channel; the bounce-chain algebra
 shows the expected momentum handed to the barrier is exactly zero; the
 wavepacket simulation shows the same thing in real time with an exact
 discrete momentum ledger (the commutator identity of the Crank-Nicolson
-step closes the books to roundoff, not to a tolerance).
+step closes the books to roundoff, not to a tolerance).  The simulation
+keeps its ledger online and hands its time series to the caller in blocks
+of ROW_BLOCK steps, so its memory does not grow with the series.
 
 Units: hbar = 1; velocities are p/m.
 """
@@ -23,6 +25,7 @@ from . import qcore
 from .errors import GeometryError, StabilityError
 
 _UNIT_R_TOL = 1e-10
+ROW_BLOCK = 1024  # steps of a wavepacket run's time series per block
 
 
 @dataclass(frozen=True)
@@ -225,21 +228,18 @@ class WavepacketRun:
 
 @dataclass(frozen=True)
 class WavepacketResult:
-    """Time series and momentum ledger of one wavepacket run.
+    """Summary and momentum ledger of one wavepacket run; the time series
+    itself went to the run's ``rows`` as it was stepped.
 
     Momenta handed to barrier and mirror are counted along the incident
     direction of travel (toward the mirror); then the first-encounter
     barrier kick is positive, about 2p(1 - eps).  ledger_residual is the
     worst violation of (packet momentum change) + (barrier) + (walls) = 0,
-    which the discrete stepper satisfies to roundoff.
+    which the discrete stepper satisfies to roundoff.  times holds the
+    steps + 1 sample times of the series.
     """
 
     times: np.ndarray
-    survival: np.ndarray
-    barrier_momentum: np.ndarray
-    wall_momentum: np.ndarray
-    packet_momentum: np.ndarray
-    norm: np.ndarray
     epsilon_plane: float
     epsilon_packet: float
     first_kick: float
@@ -344,7 +344,8 @@ def wavepacket_schedule(run: WavepacketRun,
     return t_first, round_trip, int(math.ceil(t_end / run.dt))
 
 
-def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketResult:
+def wavepacket_run(run: WavepacketRun, config: ScatteringConfig,
+                   rows) -> WavepacketResult:
     """Crank-Nicolson evolution of a packet thrown at the mirror+barrier.
 
     The barrier is the grid cell j = round(X / dx) - 1, V = gamma / dx.
@@ -358,10 +359,18 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
     state.  Survival in [0, X] is fit stroboscopically, one sample per
     round trip, to extract the trapping decay.
 
+    The time series is not kept.  Each block of up to ROW_BLOCK steps, from
+    t = 0 on, goes to ``rows`` as six float64 arrays: time, survival, the
+    barrier and wall momenta (running sums of the per-step kicks, in
+    order), packet momentum and norm.  The ledger residual, the norm drift,
+    the first-encounter values and the strobe samples are taken block by
+    block, so a run holds its grid state, ``times`` and one block.
+
     Raises ValueError if the packet or the barrier cell does not fit the
     grid (wavepacket_barrier_cell), StabilityError on norm drift > 1e-6,
     and GeometryError if more than 1e-3 of probability reaches the far 5%
-    of the box at any step.
+    of the box at any step; a run that raises may have handed blocks to
+    ``rows`` already.
     """
     j = wavepacket_barrier_cell(run, config)
     n, dx = run.grid_points, run.dx
@@ -384,62 +393,75 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig) -> WavepacketRe
     def prob(segment):
         return float(np.vdot(segment, segment).real) * dx
 
+    # the first-encounter step, and the stroboscopic samples, skipping the
+    # first post-encounter round trip
+    idx_first = min(int(round(t_first / run.dt)), steps)
+    ks = np.arange(2, run.round_trips)
+    idx_strobe = [min(int(round((t_first + kk * round_trip) / run.dt)), steps)
+                  for kk in ks]
+    picked = {}  # step -> (survival, barrier momentum) there
+
     times = run.dt * np.arange(steps + 1)
-    survival, barrier_kick, wall_kick, packet_mom, norms = np.zeros((5, steps + 1))
-    survival[0] = prob(psi[:channel_end])
-    packet_mom[0] = _packet_momentum(psi)
-    norms[0] = prob(psi)
+    norm0 = prob(psi)
+    momentum = _packet_momentum(psi)
+    barrier_mom = wall_mom = 0.0
+    ledger_residual = norm_drift = 0.0
+    for start in range(0, steps + 1, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, steps + 1)
+        # a push dp along +x on the particle is a kick dp along the
+        # incident direction -x handed to the barrier or the walls; step
+        # 0 has no kick and no ledger term
+        block = np.zeros((6, stop - start))
+        survival, barrier, wall, packet, norms, ledger = block
+        if start == 0:
+            survival[0], packet[0], norms[0] = (prob(psi[:channel_end]),
+                                                momentum, norm0)
+        for k in range(max(start, 1), stop):
+            mid = solve(psi)
+            kick, left, right = _ledger_kicks(mid, j, pot[j], kin, run.dt)
+            wall_kick = left + right
+            # psi_new = 2 m - psi, built in the solve's output array
+            mid *= 2.0
+            mid -= psi
+            psi = mid
+            previous, momentum = momentum, _packet_momentum(psi)
+            barrier_mom += kick
+            wall_mom += wall_kick
+            i = k - start
+            ledger[i] = (momentum - previous) - (kick + wall_kick)
+            barrier[i], wall[i], packet[i] = barrier_mom, wall_mom, momentum
+            survival[i] = prob(psi[:channel_end])
+            norms[i] = prob(psi)
+            if prob(psi[far_start:]) > 1e-3:
+                raise GeometryError("packet reached the far wall inside the "
+                                    "measurement window; enlarge the box")
+        # np.maximum keeps a NaN
+        ledger_residual = np.maximum(ledger_residual, np.max(np.abs(ledger)))
+        norm_drift = np.maximum(norm_drift, np.max(np.abs(norms - norm0)))
+        picked.update((k, (survival[k - start], barrier[k - start]))
+                      for k in [idx_first, *idx_strobe] if start <= k < stop)
+        rows((times[start:stop], survival, barrier, wall, packet, norms))
 
-    for k in range(1, steps + 1):
-        mid = solve(psi)
-        barrier_kick[k], left, right = _ledger_kicks(mid, j, pot[j], kin, run.dt)
-        wall_kick[k] = left + right
-        # psi_new = 2 m - psi, built in the solve's output array
-        mid *= 2.0
-        mid -= psi
-        psi = mid
-        packet_mom[k] = _packet_momentum(psi)
-        survival[k] = prob(psi[:channel_end])
-        norms[k] = prob(psi)
-        if prob(psi[far_start:]) > 1e-3:
-            raise GeometryError("packet reached the far wall inside the "
-                                "measurement window; enlarge the box")
-
-    ledger_residual = float(np.max(np.abs(
-        np.diff(packet_mom) - (barrier_kick + wall_kick)[1:])))
-    # a push dp along +x on the particle is a kick dp along the incident
-    # direction -x handed to the barrier or the walls
-    barrier_mom = np.cumsum(barrier_kick, out=barrier_kick)
-    wall_mom = np.cumsum(wall_kick, out=wall_kick)
-
-    norm_drift = float(np.max(np.abs(norms - norms[0])))
+    norm_drift = float(norm_drift)
     if not norm_drift <= 1e-6:  # NaN included
         raise StabilityError(f"norm drift {norm_drift:.3e} exceeds 1e-6")
 
     eps_plane = transmission_probability(config)
-    idx_first = min(int(round(t_first / run.dt)), steps)
-    eps_packet = survival[idx_first]
-    first_kick = barrier_mom[idx_first]
-    long_kick = barrier_mom[steps]
+    eps_packet, first_kick = picked[idx_first]
 
-    # stroboscopic decay fit, skipping the first post-encounter round trip
-    ks = np.arange(2, run.round_trips)
-    strobe = np.array([survival[min(int(round((t_first + kk * round_trip) / run.dt)),
-                                    steps)] for kk in ks])
+    # stroboscopic decay fit
+    strobe = np.array([picked[k][0] for k in idx_strobe])
     good = strobe > 1e-12
     if good.sum() >= 3:
         slope = np.polyfit(ks[good], np.log(strobe[good]), 1)[0]
         efold = -1.0 / slope if slope < 0 else math.inf
     else:
         efold = math.nan
-    return WavepacketResult(times=times, survival=survival,
-                            barrier_momentum=barrier_mom,
-                            wall_momentum=wall_mom,
-                            packet_momentum=packet_mom, norm=norms,
+    return WavepacketResult(times=times,
                             epsilon_plane=eps_plane,
                             epsilon_packet=float(eps_packet),
                             first_kick=float(first_kick),
-                            long_kick=float(long_kick),
+                            long_kick=float(barrier_mom),
                             efold_roundtrips=float(efold),
-                            ledger_residual=ledger_residual,
+                            ledger_residual=float(ledger_residual),
                             norm_drift=norm_drift)

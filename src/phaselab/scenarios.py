@@ -451,21 +451,27 @@ def _prepare_scatter_wavepacket(p):
     scattering.wavepacket_barrier_cell(run, cfg)  # the grid holds the run
     steps = scattering.wavepacket_schedule(run, cfg)[2]
     _check_work("cell updates", run.grid_points * steps)
-    # 200 bytes a grid point (tracemalloc peaks at 196), 48 a step (6 series)
-    _check_work("bytes", 200 * run.grid_points + 48 * (steps + 1))
+    # 200 bytes a grid point (tracemalloc peaks at 196), 8 a step (the
+    # times); the series streams out in blocks of a fixed size
+    _check_work("bytes", 200 * run.grid_points + 8 * (steps + 1))
     return cfg, run
+
+
+_TIMESERIES_COLUMNS = (("time", "1/energy"), ("survival", "probability"),
+                       ("barrier_momentum", "momentum"),
+                       ("wall_momentum", "momentum"),
+                       ("packet_momentum", "momentum"),
+                       ("norm", "probability"))
 
 
 def _run_scatter_wavepacket(inputs, seed, emit):
     cfg, run = inputs
-    res = scattering.wavepacket_run(run, cfg)
-    emit("timeseries.csv",
-         [("time", "1/energy", res.times),
-          ("survival", "probability", res.survival),
-          ("barrier_momentum", "momentum", res.barrier_momentum),
-          ("wall_momentum", "momentum", res.wall_momentum),
-          ("packet_momentum", "momentum", res.packet_momentum),
-          ("norm", "probability", res.norm)])
+
+    def rows(block):
+        emit("timeseries.csv", [(name, units, values) for (name, units), values
+                                in zip(_TIMESERIES_COLUMNS, block)])
+
+    res = scattering.wavepacket_run(run, cfg, rows)
     two_p = 2.0 * cfg.p
     first_target = two_p * (1.0 - res.epsilon_packet)
     results = {

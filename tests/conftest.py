@@ -3,16 +3,21 @@ its storage in a temporary directory, and each scenario runs at most once
 per session.
 
 ``scenario(name)`` runs the named scenario at its catalog defaults the way
-``phaselab run`` does (``cli._validate``, then the runner with seed 0), the
-first time a test asks for it, and hands that test and every later one the
-same ``(results, checks, tables)``: the summary scalars, the check verdicts
-by name, and each emitted CSV as {column: array}.  The acceptance gate and
-the module tests assert on these instead of re-deriving a claim beside the
-scenario that computes it; the 10 s wavepacket run is the largest of them.
+``phaselab run`` does (``cli._validate``, then the runner with seed 0, its
+tables written by ``cli``'s CSV writer and its summary.json by ``cli``'s
+summary, into a session tmp dir), the first time a test asks for it, and
+hands that test and every later one the same ``(results, checks,
+tables)``: the summary scalars, the check verdicts by name, and each
+emitted CSV as {column: array}, its row blocks joined.
+``scenario.digests(name)`` gives the sha256 of each file the run wrote.
+The acceptance gate and the module tests assert on these instead of
+re-deriving a claim beside the scenario that computes it; the 8 s
+wavepacket run is the largest of them.
 """
 
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -43,20 +48,45 @@ def _isolated_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
-@pytest.fixture(scope="session")
-def scenario():
-    runs = {}
+class _Catalog:
+    """The catalog runs of one session, each made on first use."""
 
-    def run(name):
-        if name not in runs:
-            tables = {}
+    def __init__(self, root):
+        self.root = root
+        self.runs = {}
+
+    def _run(self, name):
+        if name not in self.runs:
+            outdir = self.root / name
+            outdir.mkdir()
+            write = cli._CsvWriter(outdir)
+            blocks = {}
 
             def emit(filename, columns):
-                tables[filename] = {column: values
-                                    for column, _, values in columns}
+                write(filename, columns)
+                table = blocks.setdefault(filename, {})
+                for column, _, values in columns:
+                    table.setdefault(column, []).append(np.asarray(values))
 
             _, _, inputs, seed, _ = cli._validate({"scenario": name}, None)
             results, checks = SCENARIOS[name].runner(inputs, seed, emit)
-            runs[name] = results, dict(checks), tables
-        return runs[name]
-    return run
+            digests = write.close()
+            digests["summary.json"] = cli._dump_json(
+                outdir / "summary.json",
+                cli._summary(name, seed, results, checks))
+            tables = {filename: {column: np.concatenate(parts)
+                                 for column, parts in table.items()}
+                      for filename, table in blocks.items()}
+            self.runs[name] = (results, dict(checks), tables), digests
+        return self.runs[name]
+
+    def __call__(self, name):
+        return self._run(name)[0]
+
+    def digests(self, name):
+        return self._run(name)[1]
+
+
+@pytest.fixture(scope="session")
+def scenario(tmp_path_factory):
+    return _Catalog(tmp_path_factory.mktemp("catalog"))

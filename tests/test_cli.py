@@ -453,6 +453,22 @@ class TestComputationFailure:
             "phaselab: config-error: output directory not writable")
         assert sorted(p.name for p in out.iterdir()) == ["scatter-phase"]
 
+    def test_far_wall_run_publishes_no_table(self, tmp_path, capsys):
+        # the packet reaches the far wall in its third block of steps,
+        # after 2,048 rows of its time series went to timeseries.csv
+        code, out, cap = run_cli(tmp_path, capsys, "scatter-wavepacket",
+                                 parameters={"length": 60.0,
+                                             "grid_points": 256})
+        assert code == 3
+        assert cap.err.startswith(
+            "phaselab: computation-error: GeometryError: packet reached "
+            "the far wall")
+        outdir = out / "scatter-wavepacket"
+        assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["error"]["kind"] == "computation-error"
+        assert manifest["outputs"] == {}
+
     def test_interrupted_run_leaves_no_staging_directory(
             self, tmp_path, capsys, monkeypatch):
         def interrupt(inputs, seed, emit):
@@ -477,6 +493,34 @@ class TestComputationFailure:
         # nor its tables, nor the staging directory the rerun wrote into
         assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json"]
         assert sorted(p.name for p in out.iterdir()) == ["scatter-phase"]
+
+
+    @pytest.mark.parametrize("env_root", ["env-root", None])
+    def test_uncreatable_root_hands_its_manifest_on(self, tmp_path, capsys,
+                                                    monkeypatch, env_root):
+        # a 300-character name is past the file system's name limit, so
+        # the config's root cannot be created; the manifest goes to the
+        # next root, $PHASELAB_OUT or else ./phaselab-out
+        if env_root:
+            monkeypatch.setenv("PHASELAB_OUT", str(tmp_path / env_root))
+        else:
+            monkeypatch.delenv("PHASELAB_OUT", raising=False)
+        fallback = env_root or "phaselab-out"
+        cfg = write_config(tmp_path, scenario="scatter-phase",
+                           out_dir="x" * 300)
+        assert main(["run", "--config", cfg]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(
+            "phaselab: config-error: output directory not writable")
+        assert cap.err.count("\n") == 1
+        manifest = json.loads((tmp_path / fallback / "scatter-phase" /
+                               "manifest.json").read_text())
+        assert manifest["error"]["kind"] == "config-error"
+        assert manifest["outputs"] == {}
+        assert sorted(str(p.relative_to(tmp_path))
+                      for p in tmp_path.rglob("*") if p.is_file()) == [
+            "config.json", f"{fallback}/scatter-phase/manifest.json"]
 
 
 class TestAssertionFailure:
@@ -654,6 +698,14 @@ class TestCsvWriter:
                   for i in range(len(arrays[0]))]
         return ("\n".join(lines) + "\n").encode()
 
+    @staticmethod
+    def write(path, *blocks):
+        """Emit each block of columns to path; returns its sha256."""
+        emit = cli._CsvWriter(path.parent)
+        for columns in blocks:
+            emit(path.name, columns)
+        return emit.close()[path.name]
+
     def test_cells_match_the_per_cell_format(self, tmp_path):
         floats = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.1,
                   1.0 / 3.0, 2.0 ** 60]
@@ -670,8 +722,34 @@ class TestCsvWriter:
                 [("t", "time", np.linspace(0.0, 1.0, 2 * 4096 + 3)),
                  ("step", "count", np.arange(2 * 4096 + 3))]):
             path = tmp_path / "table.csv"
-            cli._write_csv(path, columns)
+            digest = self.write(path, columns)
             assert path.read_bytes() == self.reference(columns)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_row_blocks_write_the_one_block_bytes(self, tmp_path):
+        n = 3 * 1024 + 5
+        columns = [("t", "time", np.linspace(0.0, 1.0, n)),
+                   ("step", "count", np.arange(n))]
+        whole = self.write(tmp_path / "whole.csv", columns)
+        cuts = [0, 1, 700, 700, 2048, 3000, n]
+        blocks = [[(name, units, values[a:b]) for name, units, values in columns]
+                  for a, b in zip(cuts, cuts[1:])]
+        assert self.write(tmp_path / "blocks.csv", *blocks) == whole
+        assert (tmp_path / "blocks.csv").read_bytes() == \
+            (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("block", [
+        [("t", "time", [0.5]), ("step", "index", [1])],
+        [("t", "time", [0.5]), ("k", "count", [1])],
+        [("t", "time", [0.5]), ("step", "count", [1.5])],
+        [("t", "time", [0.5])]])
+    def test_block_that_changes_the_columns_rejected(self, tmp_path, block):
+        emit = cli._CsvWriter(tmp_path)
+        emit("table.csv", [("t", "time", [0.0]), ("step", "count", [0])])
+        with pytest.raises(cli.PhaseLabError, match="do not match"):
+            emit("table.csv", block)
+        emit.discard()
+        assert list(tmp_path.iterdir()) == []
 
     def test_emit_memory_does_not_grow_with_rows(self, tmp_path,
                                                  monkeypatch):
@@ -700,8 +778,8 @@ class TestCsvWriter:
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(cli.PhaseLabError, match="unequal length"):
-            cli._write_csv(tmp_path / "table.csv",
-                           [("a", "1", [1.0, 2.0]), ("b", "1", [1.0])])
+            cli._CsvWriter(tmp_path)("table.csv",
+                                     [("a", "1", [1.0, 2.0]), ("b", "1", [1.0])])
 
 
 class TestDeterminism:

@@ -6,14 +6,17 @@ is the one expensive run; every number frozen here comes from its summary
 and time series and is deterministic.  The Crank-Nicolson
 step and the closed-form ledger terms are checked on their own against
 the dense operators they replace (the central-difference momentum P and
-the kinetic stencil T written out in full), and short boxes drive the run
-into its far-wall and norm-drift errors.
+the kinetic stencil T written out in full), short boxes drive the run
+into its far-wall and norm-drift errors, and a small grid shows that a
+run and its CSV hold 8 bytes a step.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from phaselab import scattering
+from phaselab import cli, scattering
 from phaselab.errors import GeometryError, StabilityError
 from phaselab.scattering import DeltaBarrier, ScatteringConfig, WavepacketRun
 from phaselab.scenarios import SCENARIOS
@@ -27,6 +30,10 @@ SHORT_CONFIG = ScatteringConfig(p=1.5, m=1.0, X=10.0, barrier=DeltaBarrier(2.0))
 def short_run(length=200.0, center=25.0, round_trips=3):
     return WavepacketRun(grid_points=1024, dt=0.02, length=length,
                          center=center, width=2.0, round_trips=round_trips)
+
+
+def drop(block):
+    """A run's row sink that keeps nothing."""
 
 
 def dense_p(psi, dx):
@@ -74,7 +81,7 @@ class TestRunValidation:
         for X in (0.05, 0.2):
             cfg = ScatteringConfig(p=1.5, m=1.0, X=X, barrier=DeltaBarrier(2.0))
             with pytest.raises(ValueError, match="barrier cell"):
-                scattering.wavepacket_run(short_run(), cfg)
+                scattering.wavepacket_run(short_run(), cfg, drop)
 
 
 @pytest.fixture
@@ -231,7 +238,7 @@ class TestRunErrors:
         # well inside the 62-unit measurement window
         with pytest.raises(GeometryError):
             scattering.wavepacket_run(short_run(length=60.0, center=35.0),
-                                      SHORT_CONFIG)
+                                      SHORT_CONFIG, drop)
 
     def test_norm_drift(self, monkeypatch):
         # a solve that loses 1e-7 of the midpoint per step leaks norm
@@ -242,7 +249,8 @@ class TestRunErrors:
             return lambda psi: solve(psi) * (1.0 - 1e-7)
         monkeypatch.setattr(scattering, "_cn_midpoint_solver", leaky)
         with pytest.raises(StabilityError, match="norm drift"):
-            scattering.wavepacket_run(short_run(round_trips=1), SHORT_CONFIG)
+            scattering.wavepacket_run(short_run(round_trips=1), SHORT_CONFIG,
+                                      drop)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_state(self):
@@ -251,14 +259,63 @@ class TestRunErrors:
         cfg = ScatteringConfig(p=1.5, m=1.0, X=10.0,
                                barrier=DeltaBarrier(float("inf")))
         with pytest.raises(StabilityError, match="norm drift"):
-            scattering.wavepacket_run(short_run(round_trips=1), cfg)
+            scattering.wavepacket_run(short_run(round_trips=1), cfg, drop)
 
 
 class TestSmallRun:
     def test_coarse_run_still_balances(self):
         # cheap configuration exercising the stepper end to end
-        res = scattering.wavepacket_run(short_run(), SHORT_CONFIG)
+        res = scattering.wavepacket_run(short_run(), SHORT_CONFIG, drop)
         assert res.ledger_residual < 1e-10
         assert res.norm_drift < 1e-6
         assert 0.0 < res.epsilon_packet < 1.0
         assert res.first_kick > 0.0
+
+    def test_blocks_carry_the_series_the_summary_reads(self):
+        blocks = []
+        run = short_run()
+        res = scattering.wavepacket_run(run, SHORT_CONFIG, blocks.append)
+        sizes = [len(block[0]) for block in blocks]
+        assert len(sizes) > 2
+        assert set(sizes[:-1]) == {scattering.ROW_BLOCK}
+        time, survival, barrier, wall, packet, norm = (
+            np.concatenate(column) for column in zip(*blocks))
+        assert np.array_equal(time, res.times)
+        t_first, _, steps = scattering.wavepacket_schedule(run, SHORT_CONFIG)
+        assert len(time) == steps + 1
+        first = round(t_first / run.dt)
+        assert (survival[first], barrier[first]) == (res.epsilon_packet,
+                                                     res.first_kick)
+        assert barrier[-1] == res.long_kick
+        assert barrier[0] == wall[0] == 0.0
+        assert np.max(np.abs(norm - norm[0])) == res.norm_drift
+
+
+class TestMemory:
+    def test_run_and_its_csv_hold_eight_bytes_a_step(self, tmp_path):
+        # the series streams to the CSV a block at a time, so only times
+        # (8 bytes a step) grows with the run; holding the six series
+        # until the end took 48 bytes a step, and formatting them all
+        # 1 MB more at 3,900 steps than at 1,900
+        cfg = ScatteringConfig(p=1.5, m=1.0, X=5.0, barrier=DeltaBarrier(2.0))
+
+        def run(round_trips):
+            return WavepacketRun(grid_points=512, dt=0.02, length=150.0,
+                                 center=26.0, width=4.0,
+                                 round_trips=round_trips)
+
+        # imports and first-call caches, outside the traced runs
+        cli._execute("scatter-wavepacket", (cfg, run(1)), 0, tmp_path)
+        peaks, steps = {}, {}
+        for round_trips in (2, 8):
+            tracemalloc.start()
+            try:
+                cli._execute("scatter-wavepacket", (cfg, run(round_trips)), 0,
+                             tmp_path)
+                peaks[round_trips] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            steps[round_trips] = scattering.wavepacket_schedule(
+                run(round_trips), cfg)[2]
+        assert peaks[8] - peaks[2] <= 8 * (steps[8] - steps[2]) + 32_000
+        assert steps[2] > scattering.ROW_BLOCK  # a full block in both runs

@@ -3,19 +3,25 @@
     python3 tests/write_digests.py SRC
 
 SRC is the ``src`` directory of the phaselab tree whose outputs the entry
-records.  Each config of CONFIGS runs through ``phaselab.cli.main`` into a
-temporary directory, and the sha256 of every CSV and ``summary.json`` it
-writes goes into the entry of environment_key(), which replaces any entry
-already there; the other environments' entries stay.  A change that moves
-output bytes on purpose runs this once on its own tree.
+records.  Each config of CONFIGS, and each scenario of CATALOG at its
+catalog defaults, runs through ``phaselab.cli.main`` into a temporary
+directory, and the sha256 of every CSV and ``summary.json`` it writes goes
+into the entry of environment_key(), which replaces any entry already
+there; the other environments' entries stay.  Before it replaces the
+entry, the script prints each file whose digest differs from the committed
+one, with the old and new sha256 prefixes.  A change that moves output
+bytes on purpose runs this once on its own tree.
 
 pytest does not collect this file; test_output_digests.py imports
-CONFIGS, TABLE, environment_key and run_digests from it.
+CONFIGS, CATALOG, TABLE, changed_digests, environment_key and run_digests
+from it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
 import sys
@@ -37,6 +43,14 @@ CONFIGS = {
     "celestial-residual nodes=16": {"scenario": "celestial-residual",
                                     "parameters": {"nodes": 16}},
 }
+
+# the other twelve scenarios, labelled by name, at catalog defaults, seed 0;
+# test_output_digests.py takes their digests from the session fixture's
+# runs, so the 8 s scatter-wavepacket run is not made twice
+CATALOG = ("berry-equator", "berry-latitude", "berry-wilson-sweep", "linking",
+           "topo-phase", "scatter-phase", "scatter-bounce",
+           "scatter-wavepacket", "ab-electric", "two-level-sweep",
+           "rect-loop", "monopole-angmom")
 
 
 def environment_key() -> str:
@@ -70,6 +84,21 @@ def run_digests(cli, config: dict, root: Path) -> tuple[int, dict]:
                   if p.suffix == ".csv" or p.name == "summary.json"}
 
 
+def changed_digests(old: dict, new: dict) -> list[str]:
+    """One line "label file: old -> new" per file whose digest differs
+    between two entries, with 12-character sha256 prefixes ("absent" for a
+    file that one side lacks)."""
+    lines = []
+    for label in sorted(old.keys() | new.keys()):
+        before, after = old.get(label, {}), new.get(label, {})
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) != after.get(name):
+                lines.append(f"{label} {name}: "
+                             f"{before.get(name, 'absent')[:12]} -> "
+                             f"{after.get(name, 'absent')[:12]}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -82,8 +111,11 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     entry = {}
-    for label, config in CONFIGS.items():
-        with tempfile.TemporaryDirectory() as tmp:
+    catalog = {name: {"scenario": name} for name in CATALOG}
+    for label, config in {**CONFIGS, **catalog}.items():
+        # the runs' one-line reports would bury the list of moved files
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()):
             code, digests = run_digests(cli, config, Path(tmp))
         if code != 0:
             print(f"{label} exited {code}; no entry written", file=sys.stderr)
@@ -91,6 +123,8 @@ def main(argv: list[str]) -> int:
         entry[label] = digests
     table = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     key = environment_key()
+    for line in changed_digests(table.get(key, {}), entry):
+        print(line)
     table[key] = entry
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(entry)} configs under {key!r} to {TABLE}")
