@@ -44,10 +44,8 @@ import numpy as np
 from .errors import (DynamicsError, GeometryError, IntegratorError,
                      QuadratureError, RegimeWarning, ResolutionError)
 from . import berry
-from .qcore import (HamiltonianSchedule, evolve_with_energy, ground_state,
-                    wrap_angle)
-
-TWO_PI = 2.0 * math.pi
+from .qcore import (TWO_PI, HamiltonianSchedule, evolve_with_energy,
+                    ground_state, wrap_angle)
 
 
 # ---------------------------------------------------------------------------

@@ -241,27 +241,12 @@ class _CsvWriter:
             (self.outdir / name).unlink(missing_ok=True)
 
 
-def _jsonable(value):
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _dump_json(path: Path, payload: dict) -> str:
     """Write payload as sorted, indented JSON; returns the sha256 hex digest
-    of the bytes written."""
-    data = (json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-            + "\n").encode()
+    of the bytes written.  numpy scalars and arrays go through ``tolist``
+    (np.float64 is a float and needs none)."""
+    data = (json.dumps(payload, sort_keys=True, indent=2,
+                       default=lambda value: value.tolist()) + "\n").encode()
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
 
@@ -283,17 +268,6 @@ def _execute(name: str, inputs, seed: int, outdir: Path):
     return results, checks, emit.close(), raised
 
 
-def _summary(name: str, seed: int, results: dict, checks) -> dict:
-    """The contents of a run's summary.json."""
-    return {
-        "scenario": name,
-        "seed": seed,
-        "results": results,
-        "checks": [{"name": n, "passed": bool(ok)} for n, ok in checks],
-        "passed": all(ok for _, ok in checks),
-    }
-
-
 def _run_command(args) -> int:
     started = time.perf_counter()
     raw = None
@@ -301,7 +275,7 @@ def _run_command(args) -> int:
     params = {}
     seed = 0
     error = None
-    checks = []
+    verdicts = []
     outputs = {}
     raised = []
     status = 0
@@ -341,13 +315,18 @@ def _run_command(args) -> int:
                 results, checks, outputs, run_warnings = _execute(
                     name, inputs, seed, staging)
                 raised = list(dict.fromkeys(raised + run_warnings))
-                summary = _summary(name, seed, results, checks)
-                outputs["summary.json"] = _dump_json(
-                    staging / "summary.json", summary)
-                if not summary["passed"]:
-                    failing = [n for n, ok in checks if not ok]
+                verdicts = [{"name": n, "passed": bool(ok)} for n, ok in checks]
+                failing = [v["name"] for v in verdicts if not v["passed"]]
+                outputs["summary.json"] = _dump_json(staging / "summary.json", {
+                    "scenario": name,
+                    "seed": seed,
+                    "results": results,
+                    "checks": verdicts,
+                    "passed": not failing,
+                })
+                if failing:
                     error = _fail("assertion-failure",
-                                  f"{len(failing)} of {len(checks)} built-in "
+                                  f"{len(failing)} of {len(verdicts)} built-in "
                                   f"checks failed: {failing[0]}")
                     status = _EXIT_CODES["assertion-failure"]
             except Exception as exc:
@@ -364,7 +343,7 @@ def _run_command(args) -> int:
                 "out_dir": str(root),
             },
             "duration_seconds": time.perf_counter() - started,
-            "checks": [{"name": n, "passed": bool(ok)} for n, ok in checks],
+            "checks": verdicts,
             "error": None if error is None else
             {"kind": error.kind, "message": str(error)},
             "outputs": outputs,
@@ -385,8 +364,7 @@ def _run_command(args) -> int:
     if error is not None:
         _report(error)
         return status
-    passed = sum(1 for _, ok in checks if ok)
-    print(f"{name}: {passed}/{len(checks)} checks passed "
+    print(f"{name}: {len(verdicts)}/{len(verdicts)} checks passed "
           f"({manifest['duration_seconds']:.1f}s, outputs in {outdir})")
     return 0
 

@@ -160,23 +160,18 @@ def ground_state(schedule: HamiltonianSchedule, t: float) -> StateVector:
 
 @dataclass(frozen=True)
 class PhaseDecomposition:
-    """Total/dynamical/geometric phase split of a cyclic evolution.
+    """Dynamical/geometric phase split of a cyclic evolution.
 
-    geometric is (total - dynamical) reduced to (-pi, pi]; total is the
-    argument of the final overlap, dynamical is -integral of <psi|H|psi> dt.
-    sigma3_mean is the time average of <psi|sigma3|psi> on the same midpoint
-    grid (nan for a run of zero length).
+    geometric is (total - dynamical) reduced to (-pi, pi], where total is
+    the argument of the final overlap and dynamical is -integral of
+    <psi|H|psi> dt.  sigma3_mean is the time average of <psi|sigma3|psi> on
+    the same midpoint grid (nan for a run of zero length).
     """
 
-    total: float
     dynamical: float
     geometric: float
     overlap_modulus: float
     sigma3_mean: float
-
-    def __post_init__(self):
-        if circle_distance(self.geometric, self.total - self.dynamical) > 1e-9:
-            raise ValueError("geometric phase is not (total - dynamical) mod 2 pi")
 
 
 def _step_count(duration: float, step: float) -> tuple[int, float]:
@@ -318,7 +313,7 @@ def evolve_with_energy(schedule: HamiltonianSchedule, psi0: StateVector,
 
 def phase_decompose(schedule: HamiltonianSchedule, psi0: StateVector,
                     step: float) -> PhaseDecomposition:
-    """Split a cyclic evolution into total, dynamical and geometric phases.
+    """Split a cyclic evolution into its dynamical and geometric phases.
 
     Raises CyclicityError (its message gives the overlap modulus) when the
     final state has wandered off the initial ray, |<psi0|psi(T)>| < 0.99.
@@ -331,7 +326,7 @@ def phase_decompose(schedule: HamiltonianSchedule, psi0: StateVector,
             f"evolution is not cyclic: |overlap| = {modulus:.6f} < {_CYCLIC_OVERLAP}")
     total = cmath.phase(ov)
     dynamical = -energy
-    return PhaseDecomposition(total=total, dynamical=dynamical,
+    return PhaseDecomposition(dynamical=dynamical,
                               geometric=wrap_angle(total - dynamical),
                               overlap_modulus=modulus,
                               sigma3_mean=(sigma3 / schedule.duration

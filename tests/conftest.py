@@ -2,19 +2,19 @@
 its storage in a temporary directory, and each scenario runs at most once
 per session.
 
-``scenario(name)`` runs the named scenario at its catalog defaults the way
-``phaselab run`` does (``cli._validate``, then the runner with seed 0, its
-tables written by ``cli``'s CSV writer and its summary.json by ``cli``'s
-summary, into a session tmp dir), the first time a test asks for it, and
-hands that test and every later one the same ``(results, checks,
-tables)``: the summary scalars, the check verdicts by name, and each
-emitted CSV as {column: array}, its row blocks joined.
-``scenario.digests(name)`` gives the sha256 of each file the run wrote.
-The acceptance gate and the module tests assert on these instead of
-re-deriving a claim beside the scenario that computes it; the 8 s
+``scenario(name)`` runs the named scenario at its catalog defaults, seed 0,
+through ``phaselab run`` (``cli.main``) into a session tmp dir, the first
+time a test asks for it, and hands that test and every later one the same
+``(results, checks, tables)``, read back from what the run wrote: the
+summary.json results, the check verdicts by name, and each CSV as
+{column: array}.  ``scenario.digests(name)`` gives the run's manifest
+inventory, the sha256 of each CSV and summary.json.  A run that leaves no
+summary.json raises with its manifest's error message.  The acceptance
+gate, the digest gate and the module tests assert on these runs; the 8 s
 wavepacket run is the largest of them.
 """
 
+import json
 import tempfile
 
 import numpy as np
@@ -22,7 +22,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from phaselab import cli
-from phaselab.scenarios import SCENARIOS
+from write_digests import run_digests
 
 _HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
 
@@ -48,6 +48,22 @@ def _isolated_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
+def _read_table(path):
+    """{column: array} of a CSV that ``phaselab run`` wrote: the first line
+    names the columns, the second gives their units, and a column reads
+    back as float64 when every cell parses as a float (``%.17g`` round
+    trips exactly), else as str."""
+    names, _, *rows = path.read_text().splitlines()
+    table = {}
+    for name, cells in zip(names.split(","),
+                           zip(*(row.split(",") for row in rows))):
+        try:
+            table[name] = np.array(cells, dtype=float)
+        except ValueError:
+            table[name] = np.array(cells)
+    return table
+
+
 class _Catalog:
     """The catalog runs of one session, each made on first use."""
 
@@ -57,27 +73,18 @@ class _Catalog:
 
     def _run(self, name):
         if name not in self.runs:
+            code, digests = run_digests(cli, {"scenario": name}, self.root)
             outdir = self.root / name
-            outdir.mkdir()
-            write = cli._CsvWriter(outdir)
-            blocks = {}
-
-            def emit(filename, columns):
-                write(filename, columns)
-                table = blocks.setdefault(filename, {})
-                for column, _, values in columns:
-                    table.setdefault(column, []).append(np.asarray(values))
-
-            _, _, inputs, seed, _ = cli._validate({"scenario": name}, None)
-            results, checks = SCENARIOS[name].runner(inputs, seed, emit)
-            digests = write.close()
-            digests["summary.json"] = cli._dump_json(
-                outdir / "summary.json",
-                cli._summary(name, seed, results, checks))
-            tables = {filename: {column: np.concatenate(parts)
-                                 for column, parts in table.items()}
-                      for filename, table in blocks.items()}
-            self.runs[name] = (results, dict(checks), tables), digests
+            if "summary.json" not in digests:
+                error = json.loads(
+                    (outdir / "manifest.json").read_text())["error"]
+                raise RuntimeError(f"catalog run of {name} exited {code}: "
+                                   f"{error['message']}")
+            summary = json.loads((outdir / "summary.json").read_text())
+            checks = {c["name"]: c["passed"] for c in summary["checks"]}
+            tables = {filename: _read_table(outdir / filename)
+                      for filename in digests if filename.endswith(".csv")}
+            self.runs[name] = (summary["results"], checks, tables), digests
         return self.runs[name]
 
     def __call__(self, name):

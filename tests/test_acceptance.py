@@ -8,17 +8,15 @@ itself, and prints a single ``PASS criterion N`` line (visible under
 regressed.
 """
 
-import hashlib
-import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from phaselab import qcore
-from phaselab.cli import main
+from phaselab import cli, qcore
 from phaselab.scenarios import SCENARIOS
+from write_digests import run_digests
 
 
 def default(name, parameter):
@@ -173,22 +171,16 @@ def test_criterion_11_celestial_shift(scenario):
 
 
 def test_criterion_12_reproducibility(tmp_path, capsys, scenario):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"scenario": "scatter-phase"}))
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
-    assert main(["run", "--config", str(cfg), "--out", str(out_b)]) == 0
-    for fname in ("phase_sweep.csv", "summary.json"):
-        pa = (out_a / "scatter-phase" / fname).read_bytes()
-        pb = (out_b / "scatter-phase" / fname).read_bytes()
-        assert hashlib.sha256(pa).hexdigest() == hashlib.sha256(pb).hexdigest()
+    code, digests = run_digests(cli, {"scenario": "scatter-phase"}, tmp_path)
+    assert code == 0
+    assert digests == scenario.digests("scatter-phase")
 
     assert abs(scenario("celestial-residual")[0]["control_residual"]) < 1e-8
     assert scenario("pendulum-msw")[0]["frozen_energy_drift"] < 1e-6
     assert scenario("scatter-wavepacket")[0]["norm_drift"] < 1e-8
 
     started = time.perf_counter()
-    assert main(["check"]) == 0
+    assert cli.main(["check"]) == 0
     elapsed = time.perf_counter() - started
     capsys.readouterr()
     assert elapsed < 60.0

@@ -3,24 +3,23 @@
     python3 tests/write_digests.py SRC
 
 SRC is the ``src`` directory of the phaselab tree whose outputs the entry
-records.  Each config of CONFIGS, and each scenario of CATALOG at its
-catalog defaults, runs through ``phaselab.cli.main`` into a temporary
-directory, and the sha256 of every CSV and ``summary.json`` it writes goes
-into the entry of environment_key(), which replaces any entry already
-there; the other environments' entries stay.  Before it replaces the
-entry, the script prints each file whose digest differs from the committed
-one, with the old and new sha256 prefixes.  A change that moves output
-bytes on purpose runs this once on its own tree.
+records.  Each scenario at its catalog defaults, labelled by its name, and
+each config of CONFIGS runs through ``phaselab.cli.main`` into a temporary
+directory, and the sha256 inventory of its manifest (every CSV and
+``summary.json`` it wrote) goes into the entry of environment_key(), which
+replaces any entry already there; the other environments' entries stay.
+Before it replaces the entry, the script prints each file whose digest
+differs from the committed one, with the old and new sha256 prefixes.  A
+change that moves output bytes on purpose runs this once on its own tree.
 
-pytest does not collect this file; test_output_digests.py imports
-CONFIGS, CATALOG, TABLE, changed_digests, environment_key and run_digests
-from it.
+pytest does not collect this file; conftest.py imports run_digests, and
+test_output_digests.py imports CONFIGS, TABLE, changed_digests and
+environment_key from it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import platform
@@ -30,12 +29,9 @@ from pathlib import Path
 
 TABLE = Path(__file__).with_name("output_digests.json")
 
-# seed 0: the orbit scenarios at catalog defaults, and at the overrides of
-# bench/spec.json's orbit-ode workload
+# seed 0: the orbit scenarios at the overrides of bench/spec.json's orbit-ode
+# workload; their catalog-default runs are labelled by scenario name
 CONFIGS = {
-    "pendulum-msw": {"scenario": "pendulum-msw"},
-    "celestial-frozen": {"scenario": "celestial-frozen"},
-    "celestial-residual": {"scenario": "celestial-residual"},
     "pendulum-msw rate_scale=10": {"scenario": "pendulum-msw",
                                    "parameters": {"rate_scale": 10.0}},
     "celestial-frozen nodes=16": {"scenario": "celestial-frozen",
@@ -43,14 +39,6 @@ CONFIGS = {
     "celestial-residual nodes=16": {"scenario": "celestial-residual",
                                     "parameters": {"nodes": 16}},
 }
-
-# the other twelve scenarios, labelled by name, at catalog defaults, seed 0;
-# test_output_digests.py takes their digests from the session fixture's
-# runs, so the 8 s scatter-wavepacket run is not made twice
-CATALOG = ("berry-equator", "berry-latitude", "berry-wilson-sweep", "linking",
-           "topo-phase", "scatter-phase", "scatter-bounce",
-           "scatter-wavepacket", "ab-electric", "two-level-sweep",
-           "rect-loop", "monopole-angmom")
 
 
 def environment_key() -> str:
@@ -74,14 +62,15 @@ def environment_key() -> str:
 
 def run_digests(cli, config: dict, root: Path) -> tuple[int, dict]:
     """(exit code, {file name: sha256}) of one config run through cli.main
-    into root, over every CSV and summary.json the run leaves."""
+    into root: the ``outputs`` inventory of the manifest it leaves, every
+    CSV and summary.json it wrote.  The run's one-line report is swallowed,
+    so that it buries neither the list of moved files nor a test's output."""
     path = root / "config.json"
     path.write_text(json.dumps(config))
-    code = cli.main(["run", "--config", str(path), "--out", str(root)])
-    outdir = root / config["scenario"]
-    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                  for p in sorted(outdir.iterdir())
-                  if p.suffix == ".csv" or p.name == "summary.json"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", "--config", str(path), "--out", str(root)])
+    manifest = root / config["scenario"] / "manifest.json"
+    return code, json.loads(manifest.read_text())["outputs"]
 
 
 def changed_digests(old: dict, new: dict) -> list[str]:
@@ -106,16 +95,15 @@ def main(argv: list[str]) -> int:
     src = Path(argv[1]).resolve()
     sys.path.insert(0, str(src))
     from phaselab import cli
+    from phaselab.scenarios import SCENARIOS
     if Path(cli.__file__).resolve().parents[1] != src:
         print(f"phaselab imported from {cli.__file__}, not {src}",
               file=sys.stderr)
         return 2
     entry = {}
-    catalog = {name: {"scenario": name} for name in CATALOG}
-    for label, config in {**CONFIGS, **catalog}.items():
-        # the runs' one-line reports would bury the list of moved files
-        with tempfile.TemporaryDirectory() as tmp, \
-                contextlib.redirect_stdout(io.StringIO()):
+    catalog = {name: {"scenario": name} for name in SCENARIOS}
+    for label, config in {**catalog, **CONFIGS}.items():
+        with tempfile.TemporaryDirectory() as tmp:
             code, digests = run_digests(cli, config, Path(tmp))
         if code != 0:
             print(f"{label} exited {code}; no entry written", file=sys.stderr)
