@@ -26,6 +26,7 @@ from .errors import GeometryError, StabilityError
 
 _UNIT_R_TOL = 1e-10
 ROW_BLOCK = 1024  # steps of a wavepacket run's time series per block
+_STRATA_BLOCK = 4096  # trapped strata of a bounce sample evaluated at once
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,7 @@ class BounceExpectation:
     first_kick: float
     trapped_contribution: float
     trapped_dwell: float
+    trapped_dwell_square: float
 
 
 def bounce_chain_expectation(chain: BounceChain) -> BounceExpectation:
@@ -133,60 +135,131 @@ def bounce_chain_expectation(chain: BounceChain) -> BounceExpectation:
     branch therefore contributes eps * [(1-eps)/eps] * (-2p) = -2p(1-eps),
     cancelling the first kick identically: the net is written as the same
     float expression negated, so the zero is exact, not a rounding accident.
+    The dwell D, the inner reflections of a trapped chain, has
+    P(D = k) = (1-eps)^k eps, mean (1-eps)/eps and second moment
+    E[D^2] = (1-eps)(2-eps)/eps^2.
     """
     eps, p = chain.epsilon, chain.p
     first = 2.0 * p * (1.0 - eps)
     trapped = -(2.0 * p * (1.0 - eps))
+    dwell = (1.0 - eps) / eps
     return BounceExpectation(net_momentum=first + trapped,
                              first_kick=first,
                              trapped_contribution=trapped,
-                             trapped_dwell=(1.0 - eps) / eps)
+                             trapped_dwell=dwell,
+                             trapped_dwell_square=dwell * (2.0 - eps) / eps)
 
 
 @dataclass(frozen=True)
 class BounceSample:
-    """Monte Carlo summary of the bounce chain."""
+    """Stratified sample of the bounce chain: each measured deviation from
+    bounce_chain_expectation beside the bound the sampling guarantees for
+    it (see bounce_chain_sample).  With no trapped stratum the dwell
+    deviations are nan and their bounds inf."""
 
     trials: int
-    mean_net_momentum: float
-    net_standard_error: float
-    mean_trapped_dwell: float
-    dwell_standard_error: float
+    trapped: int
+    shift: float
+    net_deviation: float
+    net_bound: float
+    dwell_deviation: float
+    dwell_bound: float
+    dwell_square_deviation: float
+    dwell_square_bound: float
 
 
 def bounce_chain_sample(chain: BounceChain, trials: int, seed: int) -> BounceSample:
-    """Sample full bounce histories; deterministic for a given seed.
+    """Sample n = trials bounce histories by stratified inverse-CDF draws;
+    deterministic for a given seed.
 
-    Per trial the net momentum is +2p (immediate reflection) or -2p times
-    the count of inner reflections before escape (geometric with success
-    probability eps).  The sample mean must agree with the exact zero of
-    bounce_chain_expectation within a few standard errors.
+    One seeded shift s in [0, 1) places chain i at u_i = (i + s)/n.  Chain
+    i is trapped when u_i < eps, so the trapped count is, in closed form,
+    n_t = #{i < n : i < n eps - s} = ceil(n eps - s), and
+    |n_t - n eps| < 1.  Trapped stratum j < n_t gets the dwell
+    D_j = F^-1(v_j) at v_j = (j + s)/n_t, where F(k) = 1 - (1-eps)^(k+1)
+    is the CDF of the geometric dwell law, so
+    F^-1(v) = max(0, ceil(L(v)) - 1) with L(v) = log(1-v)/log(1-eps).
+    The dwells are evaluated _STRATA_BLOCK strata at a time, from
+    1 - v_j = (n_t - j - s)/n_t, which stays positive for the last
+    stratum.  Strata with v_j <= F(0) = eps dwell 0, so only those after
+    the first floor(n_t eps - s) + 1 are evaluated.  The sums of D and D^2
+    are exact Python integers, so no dwell overflows as eps nears 0, and
+    nothing is sized by n or n_t.
+
+    The dwell.  f = F^-1 is nondecreasing with f(0) = 0, and its mean over
+    [0, 1) is mu = (1-eps)/eps.  Let I_j be the mean of f over stratum j,
+    [j/n_t, (j+1)/n_t).  For j < n_t - 1,
+    f(j/n_t) - f((j+1)/n_t) <= f(v_j) - I_j <= f((j+1)/n_t) - f(j/n_t),
+    and these telescope; the last stratum, where f is unbounded, gives
+    f(1 - 1/n_t) - I_last <= f(v_last) - I_last <= f(v_last) - f(1 - 1/n_t).
+    Summed, mean(D) - mu lies in [-I_last, f(v_last)]/n_t.  With
+    lam = -log(1-eps) >= eps, f < L = -log(1-v)/lam, so
+    f(v_last) < b/lam with b = log(n_t) - log(1-s), and
+    I_last <= n_t * integral of L over the last stratum = (a + 1)/lam with
+    a = log(n_t).  So
+        |mean(D) - mu| <= max(a + 1, b) / (n_t lam) = dwell_bound,
+    about log(n_t)/(n_t eps), plus -log(1-s) when the shift lands near 1.
+    The same argument for the nondecreasing f^2, with the integral of L^2
+    over the last stratum ((a + 1)^2 + 1)/(n_t lam^2), gives
+        |mean(D^2) - E[D^2]| <= max((a + 1)^2 + 1, b^2) / (n_t lam^2).
+
+    The net momentum.  A chain nets +2p untrapped and -2p D trapped, so the
+    mean net is 2p [(n - n_t) - sum D]/n.  With 1 + mu = 1/eps it is
+    2p [(n eps - n_t)/(n eps) - (n_t/n)(mean(D) - mu)], and from the two
+    bounds above
+        |mean net| <= 2p [1/(n eps) + max(a + 1, b)/(n lam)] = net_bound,
+    the second term absent when n_t = 0.
+
+    The bounds hold for the exact quantile f; in floating point a dwell
+    can come out one off only where L(v) is within rounding of an integer,
+    a set of strata whose width is at the level of the rounding itself.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     eps, p = chain.epsilon, chain.p
-    rng = np.random.default_rng(seed)
-    trapped = rng.random(trials) < eps
-    n_trapped = int(trapped.sum())
-    nets = np.full(trials, 2.0 * p)
-    dwells = np.zeros(n_trapped)
-    if n_trapped:
-        # geometric draw = encounters until escape; reflections are one fewer
-        dwells = rng.geometric(eps, size=n_trapped) - 1.0
-        nets[trapped] = -2.0 * p * dwells
-    mean_net = float(nets.mean())
-    se_net = float(nets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    if n_trapped > 1:
-        mean_dwell = float(dwells.mean())
-        se_dwell = float(dwells.std(ddof=1) / math.sqrt(n_trapped))
-    elif n_trapped == 1:
-        mean_dwell, se_dwell = float(dwells[0]), math.inf
+    exact = bounce_chain_expectation(chain)
+    shift = float(np.random.default_rng(seed).random())
+    trapped = min(trials, max(0, math.ceil(trials * eps - shift)))
+    log_keep = math.log1p(-eps)
+    dwell_sum = square_sum = 0
+    zeros = min(trapped, max(0, math.floor(trapped * eps - shift) + 1))
+    for start in range(zeros, trapped, _STRATA_BLOCK):
+        tail = np.arange(trapped - start,
+                         trapped - min(start + _STRATA_BLOCK, trapped), -1,
+                         dtype=float)
+        tail -= shift
+        tail /= trapped
+        ceiling = np.ceil(np.log(tail) / log_keep)
+        # the dwells rise with j, so equal ones form runs: sum run by run
+        first = np.flatnonzero(np.diff(ceiling, prepend=-1.0))
+        counts = np.diff(first, append=ceiling.size)
+        for value, count in zip(ceiling[first].tolist(), counts.tolist()):
+            dwell = max(int(value) - 1, 0)
+            dwell_sum += count * dwell
+            square_sum += count * dwell * dwell
+    net = 2.0 * p * ((trials - trapped - dwell_sum) / trials)
+    count_term = 1.0 / (trials * eps)
+    if trapped:
+        rate = -log_keep
+        a = math.log(trapped)
+        b = a - math.log1p(-shift)
+        spread = max(a + 1.0, b) / rate
+        dwell_deviation = dwell_sum / trapped - exact.trapped_dwell
+        dwell_bound = spread / trapped
+        square_deviation = square_sum / trapped - exact.trapped_dwell_square
+        square_bound = max((a + 1.0) ** 2 + 1.0, b * b) / trapped / rate / rate
+        net_bound = 2.0 * p * (count_term + spread / trials)
     else:
-        mean_dwell, se_dwell = math.nan, math.inf
-    return BounceSample(trials=trials, mean_net_momentum=mean_net,
-                        net_standard_error=se_net,
-                        mean_trapped_dwell=mean_dwell,
-                        dwell_standard_error=se_dwell)
+        dwell_deviation = square_deviation = math.nan
+        dwell_bound = square_bound = math.inf
+        net_bound = 2.0 * p * count_term
+    return BounceSample(trials=trials, trapped=trapped, shift=shift,
+                        net_deviation=net - exact.net_momentum,
+                        net_bound=net_bound,
+                        dwell_deviation=dwell_deviation,
+                        dwell_bound=dwell_bound,
+                        dwell_square_deviation=square_deviation,
+                        dwell_square_bound=square_bound)
 
 
 # ---------------------------------------------------------------------------

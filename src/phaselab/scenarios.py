@@ -404,6 +404,25 @@ def _z_score(offset: float, spread: float) -> float:
     return abs(offset) / spread
 
 
+def _bounce_sample_checks(chain, mc):
+    """scatter-bounce's Monte Carlo checks: each deviation of the stratified
+    sample within the bound bounce_chain_sample derives for it, which holds
+    for every seed.  The net check also needs n eps >= 1, the condition
+    under which every shift traps a chain: below it the count bound
+    2p/(n eps) exceeds a chain's kick, the dwell checks pass or fail with
+    the seed, and the net check fails for every seed."""
+    return [
+        ("monte carlo net momentum within its bound of zero, n eps >= 1",
+         abs(mc.net_deviation) <= mc.net_bound
+         and mc.trials * chain.epsilon >= 1.0),
+        ("monte carlo dwell within its bound of (1-eps)/eps",
+         abs(mc.dwell_deviation) <= mc.dwell_bound),
+        ("monte carlo dwell second moment within its bound of "
+         "(1-eps)(2-eps)/eps^2",
+         abs(mc.dwell_square_deviation) <= mc.dwell_square_bound),
+    ]
+
+
 def _run_scatter_bounce(chain, seed, emit):
     exact = scattering.bounce_chain_expectation(chain)
     mc = scattering.bounce_chain_sample(chain, BOUNCE_TRIALS, seed)
@@ -419,24 +438,23 @@ def _run_scatter_bounce(chain, seed, emit):
            np.array([r.net_momentum for r in rows])),
           ("trapped_dwell", "round_trips",
            np.array([r.trapped_dwell for r in rows]))])
-    z_net = _z_score(mc.mean_net_momentum, mc.net_standard_error)
-    z_dwell = _z_score(mc.mean_trapped_dwell - exact.trapped_dwell,
-                       mc.dwell_standard_error)
     results = {
         "net_momentum": exact.net_momentum,
         "first_kick": exact.first_kick,
         "trapped_dwell": exact.trapped_dwell,
-        "mc_net_momentum": mc.mean_net_momentum,
-        "mc_net_z": z_net,
-        "mc_dwell": mc.mean_trapped_dwell,
-        "mc_dwell_z": z_dwell,
+        "trapped_dwell_square": exact.trapped_dwell_square,
         "trials": mc.trials,
+        "mc_trapped": mc.trapped,
+        "mc_shift": mc.shift,
+        "mc_net_momentum": mc.net_deviation,
+        "mc_net_bound": mc.net_bound,
+        "mc_dwell_deviation": mc.dwell_deviation,
+        "mc_dwell_bound": mc.dwell_bound,
+        "mc_dwell_square_deviation": mc.dwell_square_deviation,
+        "mc_dwell_square_bound": mc.dwell_square_bound,
     }
-    checks = [
-        ("expected net momentum cancels exactly", exact.net_momentum == 0.0),
-        ("monte carlo net momentum within 3 sigma of zero", z_net <= 3.0),
-        ("monte carlo dwell matches (1-eps)/eps within 3 sigma", z_dwell <= 3.0),
-    ]
+    checks = [("expected net momentum cancels exactly",
+               exact.net_momentum == 0.0)] + _bounce_sample_checks(chain, mc)
     return results, checks
 
 
@@ -531,14 +549,15 @@ def _run_ab_electric(p, seed, emit):
           ("pulse_time", "time", t),
           ("probe_phase", "radians", rep.probe_phase),
           ("which_path_ratio", "dimensionless", ratio)])
-    vis_dev = abs(abduality.fringe_visibility(2.0, 0.5) -
-                  math.exp(-0.5 * (2.0 * 0.5) ** 2))
+    overlap, vis_bound = abduality.sampled_visibility(2.0, 0.5)
+    vis_dev = abs(abduality.fringe_visibility(2.0, 0.5) - overlap)
     results = {
         "count": DUALITY_DRAWS,
         "exact_matches": matches,
         "min_which_path_ratio": min_ratio,
         "max_probe_phase": max_phase,
         "visibility_closed_form_deviation": vis_dev,
+        "visibility_bound": vis_bound,
     }
     checks = [
         ("probe and system phases identical on every draw",
@@ -546,6 +565,8 @@ def _run_ab_electric(p, seed, emit):
         ("momentum bookkeeping beats localization whenever fringes survive",
          min_ratio > 1.0),
         ("all draws honored the phase bound", max_phase <= math.pi + 1e-12),
+        ("fringe visibility matches the sampled overlap within its bound",
+         vis_dev <= vis_bound),
     ]
     return results, checks
 
@@ -893,7 +914,8 @@ def _scenario_table() -> dict:
         Scenario(
             "scatter-bounce",
             "Reflect/tunnel bounce chain: the trapped branch exactly "
-            "cancels the first kick; Monte Carlo agrees with closed form.",
+            "cancels the first kick; a stratified sample agrees with the "
+            "closed form within derived bounds.",
             {"epsilon": Parameter(0.1, "probability", f),
              "p": Parameter(1.0, "momentum", f)},
             _run_scatter_bounce,

@@ -107,3 +107,20 @@ class TestFringeVisibility:
     def test_width_validated(self):
         with pytest.raises(ValueError):
             abduality.fringe_visibility(1.0, 0.0)
+        with pytest.raises(ValueError):
+            abduality.sampled_visibility(1.0, 0.0)
+
+    def test_sampled_overlap_within_its_bound(self):
+        for kick, width in ((2.0, 0.5), (0.5, 1.0), (2.0, 0.3), (0.0, 1.0),
+                            (3.0, 1.0)):
+            overlap, bound = abduality.sampled_visibility(kick, width)
+            assert bound < 1e-12
+            assert abs(overlap - abduality.fringe_visibility(kick, width)) <= bound
+        # a closed form off by a factor in the exponent is caught
+        overlap, bound = abduality.sampled_visibility(2.0, 0.5)
+        assert abs(overlap - math.exp(-(2.0 * 0.5) ** 2)) > 1e6 * bound
+
+    def test_unresolved_kick_rejected(self):
+        # 4,096 points over 24 widths resolve kicks below about 1,070/width
+        with pytest.raises(ValueError, match="does not resolve"):
+            abduality.sampled_visibility(2000.0, 1.0)
