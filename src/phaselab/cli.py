@@ -2,10 +2,13 @@
 
 Exit codes: 0 all built-in checks passed, 1 a check failed, 2 the config
 was rejected before any computation, 3 the computation itself raised.
-Every run leaves a manifest.json (resolved config, checks, output digests,
-warnings, error record) in the output directory, even when it fails, and
-in the next output root when its own cannot be created; only the one-line
-reason goes to stderr, as ``phaselab: <kind>: <message>``.
+A run's seed is its config's ``seed``, and its output root is ``--out``,
+else ./phaselab-out.  Every run leaves a manifest.json (resolved config,
+checks, output digests, warnings, error record) in its output directory,
+even when it fails, and in ./phaselab-out when its ``--out`` cannot take
+the run; only the one-line reason goes to stderr, as
+``phaselab: <kind>: <message>``.  ``check`` is one ``run`` per check
+scenario, into a scratch root.
 
 A runner writes its tables through ``emit``, which takes a file's rows in
 blocks (one call with whole arrays is the one-block case), formats and
@@ -103,22 +106,18 @@ def _recording_warnings():
                                         for w in caught))
 
 
-def _validate(raw: dict, seed_override):
+def _validate(raw: dict):
     """Resolve (scenario, parameters, inputs, seed, warnings) or raise
     before any computation; any exception out of ``prepare`` is a config
     error, and the warnings ``prepare`` raised are recorded, not printed."""
-    known_top = {"scenario", "parameters", "seed", "out_dir"}
     for key in raw:
-        if key not in known_top:
+        if key not in ("scenario", "parameters", "seed"):
             raise _fail("config-error", f"unknown config key '{key}'")
     name = raw.get("scenario")
     if not isinstance(name, str) or not name:
         raise _fail("config-error", "config must name a scenario")
     if name not in SCENARIOS:
         raise _fail("config-error", f"unknown scenario '{name}'")
-    if "out_dir" in raw and not _valid_out_dir(raw):
-        raise _fail("config-error", "out_dir must be a non-empty string "
-                    f"without NUL bytes, got {raw['out_dir']!r}")
     schema = SCENARIOS[name].parameters
 
     supplied = raw.get("parameters", {})
@@ -133,15 +132,10 @@ def _validate(raw: dict, seed_override):
         value = supplied.get(key, entry.default)
         params[key] = _coerce(key, name, entry, value)
 
-    # the config's seed must be valid even when --seed overrides it; the
-    # last one checked is the seed of the run
-    seeds = [raw.get("seed", 0)]
-    if seed_override is not None:
-        seeds.append(seed_override)
-    for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise _fail("config-error",
-                        f"seed must be an unsigned integer, got {seed!r}")
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise _fail("config-error",
+                    f"seed must be an unsigned integer, got {seed!r}")
     try:
         with _recording_warnings() as raised:
             inputs = SCENARIOS[name].prepare(params)
@@ -151,28 +145,6 @@ def _validate(raw: dict, seed_override):
         failure.warnings = raised
         raise failure
     return name, params, inputs, seed, raised
-
-
-def _valid_out_dir(raw: dict) -> bool:
-    # no path holds a NUL byte, and the OS calls raise ValueError on one
-    out_dir = raw.get("out_dir")
-    return isinstance(out_dir, str) and out_dir != "" and "\0" not in out_dir
-
-
-def _output_roots(cli_out, raw) -> list[Path]:
-    """The output roots in precedence order: --out, a valid config
-    out_dir, $PHASELAB_OUT, ./phaselab-out.  A run writes into the first;
-    a rejected out_dir counts as absent, and a root that cannot be created
-    hands the run's manifest on to the next."""
-    roots = []
-    if cli_out:
-        roots.append(Path(cli_out))
-    if isinstance(raw, dict) and _valid_out_dir(raw):
-        roots.append(Path(raw["out_dir"]))
-    env = os.environ.get("PHASELAB_OUT")
-    if env:
-        roots.append(Path(env))
-    return roots + [Path("phaselab-out")]
 
 
 # ---------------------------------------------------------------------------
@@ -278,36 +250,33 @@ def _run_command(args) -> int:
     verdicts = []
     outputs = {}
     raised = []
-    status = 0
     try:
         raw = _read_config(args.config)
-        name, params, inputs, seed, raised = _validate(raw, args.seed)
+        name, params, inputs, seed, raised = _validate(raw)
     except _CliFailure as exc:
-        error, status, raised = exc, _EXIT_CODES[exc.kind], exc.warnings
+        error, raised = exc, exc.warnings
         if isinstance(raw, dict) and raw.get("scenario") in SCENARIOS:
             name = raw["scenario"]  # park the failure record with its scenario
 
-    for root in _output_roots(args.out, raw):
+    # the first root that can take the run gets it, and a root that cannot
+    # hands the run's manifest on to the next
+    leaf = name or "unresolved"
+    for root in [Path(p) for p in (args.out, "phaselab-out") if p]:
+        outdir = root / leaf
         try:
             root.mkdir(parents=True, exist_ok=True)
+            if outdir.exists() and not outdir.is_dir():
+                raise NotADirectoryError(f"{outdir} is not a directory")
+            # the run writes into a fresh directory that replaces outdir
+            # when it ends, so a rerun leaves no file of the earlier run
+            staging = Path(tempfile.mkdtemp(dir=root, prefix=f".{leaf}-"))
             break
         except OSError as exc:
             error = error or _fail("config-error",
                                    f"output directory not writable: {exc}")
-            status = status or _EXIT_CODES[error.kind]
-    outdir = root / (name if name else "unresolved")
-    try:
-        if outdir.exists() and not outdir.is_dir():
-            raise NotADirectoryError(f"{outdir} is not a directory")
-        # the run writes into a fresh directory that replaces outdir when it
-        # ends, so a rerun leaves no file of the earlier run behind
-        staging = Path(tempfile.mkdtemp(dir=root, prefix=f".{outdir.name}-"))
-    except OSError as exc:
-        error = error or _fail("config-error",
-                               f"output directory not writable: {exc}")
-        status = status or _EXIT_CODES[error.kind]
+    else:
         _report(error)
-        return status
+        return _EXIT_CODES[error.kind]
 
     try:
         if error is None:
@@ -328,11 +297,9 @@ def _run_command(args) -> int:
                     error = _fail("assertion-failure",
                                   f"{len(failing)} of {len(verdicts)} built-in "
                                   f"checks failed: {failing[0]}")
-                    status = _EXIT_CODES["assertion-failure"]
             except Exception as exc:
                 error = _fail("computation-error",
                               f"{type(exc).__name__}: {exc}")
-                status = _EXIT_CODES["computation-error"]
 
         manifest = {
             "artifact_version": __version__,
@@ -357,13 +324,12 @@ def _run_command(args) -> int:
         except OSError as exc:
             error = error or _fail("computation-error",
                                    f"cannot write outputs: {exc}")
-            status = status or _EXIT_CODES[error.kind]
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
     if error is not None:
         _report(error)
-        return status
+        return _EXIT_CODES[error.kind]
     print(f"{name}: {len(verdicts)}/{len(verdicts)} checks passed "
           f"({manifest['duration_seconds']:.1f}s, outputs in {outdir})")
     return 0
@@ -390,26 +356,19 @@ def render_listing() -> str:
 
 
 def _check_command() -> int:
-    failures = 0
-    for name in CHECK_SCENARIOS:
-        t0 = time.perf_counter()
-        with tempfile.TemporaryDirectory() as tmp:
-            try:
-                _, _, inputs, seed, _ = _validate({"scenario": name}, None)
-                _, checks, _, _ = _execute(name, inputs, seed, Path(tmp))
-            except Exception as exc:
-                print(f"{name}: ERROR {type(exc).__name__}: {exc}")
-                failures += 1
-                continue
-        passed = sum(1 for _, ok in checks if ok)
-        verdict = "pass" if passed == len(checks) else "FAIL"
-        print(f"{name}: {verdict} ({passed}/{len(checks)} checks, "
-              f"{time.perf_counter() - t0:.1f}s)")
-        if passed != len(checks):
-            failures += 1
-    if failures:
-        print(f"phaselab: assertion-failure: {failures} check scenario(s) "
-              "failed", file=sys.stderr)
+    """``phaselab run`` of each check scenario at its catalog defaults, seed
+    0, into a scratch root that is removed afterwards."""
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CHECK_SCENARIOS:
+            config = Path(tmp) / f"{name}.json"
+            config.write_text(json.dumps({"scenario": name}))
+            if main(["run", "--config", str(config), "--out", tmp]) != 0:
+                failed.append(name)
+    if failed:
+        print(f"phaselab: assertion-failure: {len(failed)} of "
+              f"{len(CHECK_SCENARIOS)} check scenarios failed: "
+              f"{', '.join(failed)}", file=sys.stderr)
         return _EXIT_CODES["assertion-failure"]
     return 0
 
@@ -428,11 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario from a JSON config")
     run.add_argument("--config", required=True,
                      help="path to the JSON scenario config")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
     run.add_argument("--out", default=None,
-                     help="output root (default: config out_dir, then "
-                          "$PHASELAB_OUT, then ./phaselab-out)")
+                     help="output root (default: ./phaselab-out, which also "
+                          "takes the manifest of a run --out cannot take)")
 
     sub.add_parser("list", help="list scenarios, parameters, defaults, units")
     sub.add_parser("check", help="run the fast acceptance subset")

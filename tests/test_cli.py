@@ -282,7 +282,7 @@ class TestConfigRejection:
                                       {"m_jupiter": "nan"})):
             with pytest.raises(cli._CliFailure) as failure:
                 cli._validate({"scenario": scenario,
-                               "parameters": parameters}, None)
+                               "parameters": parameters})
             assert failure.value.kind == "config-error"
 
     def test_celestial_grid_domains(self):
@@ -296,12 +296,11 @@ class TestConfigRejection:
                 ("celestial-residual", {"nodes": 3})):
             with pytest.raises(cli._CliFailure) as failure:
                 cli._validate({"scenario": scenario,
-                               "parameters": parameters}, None)
+                               "parameters": parameters})
             assert failure.value.kind == "config-error", parameters
         for scenario, parameters in (("celestial-frozen", {"nodes": 4}),
                                      ("celestial-residual", {"nodes": 6})):
-            cli._validate({"scenario": scenario, "parameters": parameters},
-                          None)
+            cli._validate({"scenario": scenario, "parameters": parameters})
 
     def test_celestial_grid_memory_ceiling(self, tmp_path, capsys,
                                            monkeypatch):
@@ -320,10 +319,10 @@ class TestConfigRejection:
             assert manifest["error"]["kind"] == "config-error"
             assert manifest["outputs"] == {}
         cli._validate({"scenario": "celestial-frozen",
-                       "parameters": {"nodes": 498}}, None)
+                       "parameters": {"nodes": 498}})
         with pytest.raises(cli._CliFailure) as failure:
             cli._validate({"scenario": "celestial-frozen",
-                           "parameters": {"nodes": 500}}, None)
+                           "parameters": {"nodes": 500}})
         assert failure.value.kind == "config-error"
 
     def test_removed_method_settings_rejected(self, tmp_path, capsys,
@@ -336,7 +335,7 @@ class TestConfigRejection:
         for scenario, key, value in REMOVED_PARAMETERS:
             with pytest.raises(cli._CliFailure) as failure:
                 cli._validate({"scenario": scenario,
-                               "parameters": {key: value}}, None)
+                               "parameters": {key: value}})
             assert failure.value.kind == "config-error"
             assert f"unknown parameter '{key}'" in str(failure.value)
             code, out, cap = run_cli(tmp_path, capsys, scenario,
@@ -349,41 +348,40 @@ class TestConfigRejection:
             assert manifest["outputs"] == {}
 
     def test_bad_seed(self, tmp_path, capsys):
-        for seed in (-1, True, 1.5):
+        for seed in (-1, True, 1.5, "abc"):
             code, _, cap = run_cli(tmp_path, capsys, "scatter-phase",
                                    seed=seed)
             assert code == 2, f"seed {seed!r} accepted"
 
-    @pytest.mark.parametrize("body, extra_args", [
-        ({"out_dir": 5}, ()),
-        ({"out_dir": None}, ()),
-        ({"out_dir": ["results"]}, ()),
-        ({"out_dir": ""}, ()),
-        ({"out_dir": "results\0"}, ()),
-        ({"seed": "abc"}, ("--seed", "3")),
-        ({"seed": -1}, ("--seed", "3")),
-    ], ids=["out-dir-number", "out-dir-null", "out-dir-list", "out-dir-empty",
-            "out-dir-nul-byte", "seed-text-overridden",
-            "seed-negative-overridden"])
-    def test_ignored_or_overridden_value_rejected(self, tmp_path, capsys,
-                                                  monkeypatch, body,
-                                                  extra_args):
-        # a bad out_dir or config seed fails even where the output root or
-        # --seed would have stood in for it; the manifest goes to the root
-        # the config would have had without out_dir
-        monkeypatch.setenv("PHASELAB_OUT", str(tmp_path / "env-root"))
-        cfg = write_config(tmp_path, scenario="ab-electric", **body)
-        assert main(["run", "--config", cfg, *extra_args]) == 2
+    @pytest.mark.parametrize("out_dir", [
+        "results", 5, None, ["results"], "", "results\0",
+    ], ids=["out-dir-path", "out-dir-number", "out-dir-null", "out-dir-list",
+            "out-dir-empty", "out-dir-nul-byte"])
+    def test_out_dir_is_an_unknown_key(self, tmp_path, capsys, out_dir):
+        # the output root is --out's alone; a config out_dir is rejected
+        # like any unknown key, whatever its value, and its manifest goes
+        # to ./phaselab-out
+        cfg = write_config(tmp_path, scenario="ab-electric", out_dir=out_dir)
+        assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("phaselab: config-error:")
-        assert err.count("\n") == 1
-        outdir = tmp_path / "env-root" / "ab-electric"
+        assert err == ("phaselab: config-error: unknown config key "
+                       "'out_dir'\n")
+        outdir = tmp_path / "phaselab-out" / "ab-electric"
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["error"]["kind"] == "config-error"
         assert manifest["outputs"] == {}
         assert not (outdir / "summary.json").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
-                                                              "env-root"]
+                                                              "phaselab-out"]
+
+    def test_seed_flag_is_no_option(self, tmp_path, capsys):
+        # the seed is the config's alone
+        cfg = write_config(tmp_path, scenario="ab-electric")
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--config", cfg, "--seed", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_malformed_json(self, tmp_path, capsys):
         # bad syntax, bytes that are not UTF-8, nesting too deep for the
@@ -451,7 +449,13 @@ class TestComputationFailure:
         assert code == 2
         assert cap.err.startswith(
             "phaselab: config-error: output directory not writable")
+        assert cap.err.count("\n") == 1
         assert sorted(p.name for p in out.iterdir()) == ["scatter-phase"]
+        # the blocked root hands the run's manifest on to ./phaselab-out
+        manifest = json.loads((tmp_path / "phaselab-out" / "scatter-phase" /
+                               "manifest.json").read_text())
+        assert manifest["error"]["message"] == cap.err.split(": ", 2)[2][:-1]
+        assert manifest["outputs"] == {}
 
     def test_far_wall_run_publishes_no_table(self, tmp_path, capsys):
         # the packet reaches the far wall in its third block of steps,
@@ -495,32 +499,49 @@ class TestComputationFailure:
         assert sorted(p.name for p in out.iterdir()) == ["scatter-phase"]
 
 
-    @pytest.mark.parametrize("env_root", ["env-root", None])
+    @pytest.mark.parametrize("root", ["long-name", "file"])
     def test_uncreatable_root_hands_its_manifest_on(self, tmp_path, capsys,
-                                                    monkeypatch, env_root):
-        # a 300-character name is past the file system's name limit, so
-        # the config's root cannot be created; the manifest goes to the
-        # next root, $PHASELAB_OUT or else ./phaselab-out
-        if env_root:
-            monkeypatch.setenv("PHASELAB_OUT", str(tmp_path / env_root))
-        else:
-            monkeypatch.delenv("PHASELAB_OUT", raising=False)
-        fallback = env_root or "phaselab-out"
-        cfg = write_config(tmp_path, scenario="scatter-phase",
-                           out_dir="x" * 300)
-        assert main(["run", "--config", cfg]) == 2
+                                                    root):
+        # a 300-character name is past the file system's name limit, and a
+        # file stands where the root would be, so the --out root cannot be
+        # created; the manifest goes to ./phaselab-out
+        cfg = write_config(tmp_path, scenario="scatter-phase")
+        if root == "file":
+            (tmp_path / "blocker").write_text("")
+        out = {"long-name": "x" * 300, "file": "blocker"}[root]
+        assert main(["run", "--config", cfg, "--out", out]) == 2
         cap = capsys.readouterr()
         assert cap.out == ""
         assert cap.err.startswith(
             "phaselab: config-error: output directory not writable")
         assert cap.err.count("\n") == 1
-        manifest = json.loads((tmp_path / fallback / "scatter-phase" /
+        manifest = json.loads((tmp_path / "phaselab-out" / "scatter-phase" /
                                "manifest.json").read_text())
         assert manifest["error"]["kind"] == "config-error"
         assert manifest["outputs"] == {}
         assert sorted(str(p.relative_to(tmp_path))
-                      for p in tmp_path.rglob("*") if p.is_file()) == [
-            "config.json", f"{fallback}/scatter-phase/manifest.json"]
+                      for p in tmp_path.rglob("*") if p.is_file()) == sorted(
+            ["config.json", "phaselab-out/scatter-phase/manifest.json"]
+            + (["blocker"] if root == "file" else []))
+        if root == "file":
+            assert (tmp_path / "blocker").read_text() == ""
+
+    def test_no_root_can_take_the_run(self, tmp_path, capsys):
+        # with --out blocked and ./phaselab-out/<scenario> a file too, the
+        # run has nowhere to go: it exits 2 with one stderr line and
+        # writes nothing
+        (tmp_path / "phaselab-out").mkdir()
+        (tmp_path / "phaselab-out" / "scatter-phase").write_text("")
+        cfg = write_config(tmp_path, scenario="scatter-phase")
+        assert main(["run", "--config", cfg, "--out", "x" * 300]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith(
+            "phaselab: config-error: output directory not writable")
+        assert cap.err.count("\n") == 1
+        assert sorted(str(p.relative_to(tmp_path))
+                      for p in tmp_path.rglob("*")) == [
+            "config.json", "phaselab-out", "phaselab-out/scatter-phase"]
 
 
 class TestAssertionFailure:
@@ -563,6 +584,38 @@ class TestAssertionFailure:
             "monte carlo dwell within its bound of (1-eps)/eps": False,
             "monte carlo dwell second moment within its bound of "
             "(1-eps)(2-eps)/eps^2": False}
+
+
+class TestCheckCommand:
+    @pytest.mark.parametrize("failure", ["check", "raise"])
+    def test_failed_check_scenario_exits_one(self, tmp_path, capsys,
+                                             monkeypatch, failure):
+        # check runs each check scenario into a scratch root; a failed
+        # check or a runner that raises fails it, and nothing outlives it
+        def runner(inputs, seed, emit):
+            if failure == "raise":
+                raise RuntimeError("runner broke")
+            return {}, [("forced", False)]
+
+        monkeypatch.setitem(SCENARIOS, "scatter-phase", dataclasses.replace(
+            SCENARIOS["scatter-phase"], runner=runner))
+        scratch, cwd = tmp_path / "tmp", tmp_path / "cwd"
+        scratch.mkdir()
+        cwd.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.chdir(cwd)
+        assert main(["check"]) == 1
+        cap = capsys.readouterr()
+        assert cap.out.count("checks passed") == 5
+        reason = {"check": "assertion-failure: 1 of 1 built-in checks "
+                           "failed: forced",
+                  "raise": "computation-error: RuntimeError: runner broke"}
+        assert cap.err.splitlines() == [
+            f"phaselab: {reason[failure]}",
+            "phaselab: assertion-failure: 1 of 6 check scenarios failed: "
+            "scatter-phase"]
+        assert list(scratch.iterdir()) == []
+        assert list(cwd.iterdir()) == []
 
 
 class TestChecksOnTheCircle:
@@ -808,11 +861,13 @@ class TestDeterminism:
         assert ma == mb
 
     def test_seed_changes_sampled_results(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, scenario="ab-electric", seed=7)
+        cfg_a = write_config(tmp_path, "a.json", scenario="ab-electric",
+                             seed=7)
+        cfg_b = write_config(tmp_path, "b.json", scenario="ab-electric",
+                             seed=8)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg, "--out", str(out_a)]) == 0
-        assert main(["run", "--config", cfg, "--out", str(out_b),
-                     "--seed", "8"]) == 0
+        assert main(["run", "--config", cfg_a, "--out", str(out_a)]) == 0
+        assert main(["run", "--config", cfg_b, "--out", str(out_b)]) == 0
         capsys.readouterr()
         sa = json.loads(
             (out_a / "ab-electric" / "summary.json").read_text())
@@ -828,7 +883,7 @@ class TestDeterminism:
          "f13c5c8dc6bb640669213fe98b40f46a5e0793e0983dcf1680ce612e228e554a"),
         (7, "421df2a05ca88efe308b8e03b022d2413cdb6a3f163ec24bd0500528df0aedc0",
          "95ee5a7098b1bcdb3f0c0366a8437067968e677e0d42cfcef364f5198402d0c4"),
-    ])
+    ], ids=["seed0", "seed1", "seed7"])
     def test_capacitor_draws_frozen(self, tmp_path, capsys, seed, csv_digest,
                                     summary_digest):
         # the CSV digests are those of the one-draw-per-setting loop the
@@ -843,34 +898,17 @@ class TestDeterminism:
 
 
 class TestOutputRootPrecedence:
-    def test_env_root_used_when_nothing_else_given(self, tmp_path, capsys,
-                                                   monkeypatch):
+    def test_out_else_phaselab_out(self, tmp_path, capsys, monkeypatch):
+        # --out is the one way to choose the root; $PHASELAB_OUT is
+        # nothing to phaselab
         monkeypatch.setenv("PHASELAB_OUT", str(tmp_path / "env-root"))
-        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, scenario="scatter-phase")
         assert main(["run", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg, "--out", "flag-root"]) == 0
         capsys.readouterr()
-        assert (tmp_path / "env-root" / "scatter-phase" /
-                "summary.json").exists()
-
-    def test_config_out_dir_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PHASELAB_OUT", str(tmp_path / "env-root"))
-        cfg = write_config(tmp_path, scenario="scatter-phase",
-                           out_dir=str(tmp_path / "cfg-root"))
-        assert main(["run", "--config", cfg]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "cfg-root" / "scatter-phase" /
-                "summary.json").exists()
+        for root in ("phaselab-out", "flag-root"):
+            assert (tmp_path / root / "scatter-phase" / "summary.json").exists()
         assert not (tmp_path / "env-root").exists()
-
-    def test_flag_beats_config(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, scenario="scatter-phase",
-                           out_dir=str(tmp_path / "cfg-root"))
-        flag_root = tmp_path / "flag-root"
-        assert main(["run", "--config", cfg, "--out", str(flag_root)]) == 0
-        capsys.readouterr()
-        assert (flag_root / "scatter-phase" / "summary.json").exists()
-        assert not (tmp_path / "cfg-root").exists()
 
     def test_parameter_override_in_config(self, tmp_path, capsys):
         code, out, cap = run_cli(tmp_path, capsys, "scatter-phase",

@@ -31,10 +31,7 @@ ALLOWED_FIELDS = {
 }
 
 # defaults no call in src/phaselab overrides, each with its reason
-ALLOWED_KNOBS = {
-    # the console script and bench/worker.py pass it from outside the package
-    "cli.main.argv",
-}
+ALLOWED_KNOBS = set()
 
 
 def _trees():
@@ -286,7 +283,7 @@ def test_every_scenario_predicts_its_work(monkeypatch, scenario):
     for name, sc in scenarios.SCENARIOS.items():
         predicted, counted, reached = Counter(), Counter(), set()
         _, _, inputs, seed, _ = cli._validate(
-            {"scenario": name, "parameters": FAST.get(name, {})}, None)
+            {"scenario": name, "parameters": FAST.get(name, {})})
         if name == "scatter-wavepacket":
             counted["cell updates"] = (inputs[1].grid_points
                                        * (wavepacket_rows - 1))
