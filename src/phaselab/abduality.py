@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,7 @@ class CapacitorScenario:
             raise ValueError("t must be non-negative")
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """The probe-side phase, and whether the system side gives the same."""
 
     probe_phase: float

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +146,7 @@ class PendulumSystem:
             raise ValueError("state is (x_e, v_e, x_mu, v_mu)")
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     """Energy bookkeeping of a length sweep.
 
     fraction is the share of the final energy attributed to the mu pendulum
@@ -544,8 +544,7 @@ class TwoLevelSweep:
         return -self.span + self.sweep_rate * t
 
 
-@dataclass(frozen=True)
-class ConversionReport:
+class ConversionReport(NamedTuple):
     conversion: float
     lz_conversion: float
 
@@ -701,8 +700,7 @@ def _winding(path: np.ndarray) -> int:
     return int(round(np.sum(turns) / TWO_PI))
 
 
-@dataclass(frozen=True)
-class RectangleLoop:
+class RectangleLoop(NamedTuple):
     """wilson_phase from the discrete loop; the rest from real-time transport.
 
     The transport runs the full rectangle as two composed half-circuits
@@ -844,8 +842,7 @@ def _radii(y: np.ndarray) -> np.ndarray:
     return np.hypot(lanes[0], lanes[1])
 
 
-@dataclass(frozen=True)
-class _DenseRun:
+class _DenseRun(NamedTuple):
     """A finished DOP853 run: its step ends ts, each step's interpolant
     (F, y_old) as scipy's Dop853DenseOutput holds it (its t_old and h are
     ts[k] and ts[k + 1] - ts[k]), its RHS call count nfev, and stop, which
@@ -1313,8 +1310,7 @@ def _trig_series_integral(values: np.ndarray, phi0: float, omega: float,
     return total
 
 
-@dataclass(frozen=True)
-class CelestialResidual:
+class CelestialResidual(NamedTuple):
     """Full orbital phase minus the frozen-probe adiabatic prediction.
 
     dynamical_correction is the adiabatic prediction minus the unperturbed

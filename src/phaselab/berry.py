@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +145,7 @@ def cyclic_phase_decomposition(amplitude: float, colatitude: float, period: floa
     return qcore.phase_decompose(schedule, psi0, step)
 
 
-@dataclass(frozen=True)
-class FieldAngularMomentum:
+class FieldAngularMomentum(NamedTuple):
     """Electromagnetic field angular momentum of a charge-pole pair.
 
     component is L_z with the charge at the origin and the pole on +z;

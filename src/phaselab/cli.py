@@ -255,8 +255,9 @@ def _run_command(args) -> int:
         name, params, inputs, seed, raised = _validate(raw)
     except _CliFailure as exc:
         error, raised = exc, exc.warnings
-        if isinstance(raw, dict) and raw.get("scenario") in SCENARIOS:
-            name = raw["scenario"]  # park the failure record with its scenario
+        scenario = raw.get("scenario") if isinstance(raw, dict) else None
+        if isinstance(scenario, str) and scenario in SCENARIOS:
+            name = scenario  # park the failure record with its scenario
 
     # the first root that can take the run gets it, and a root that cannot
     # hands the run's manifest on to the next

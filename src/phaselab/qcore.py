@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,8 +158,7 @@ def ground_state(schedule: HamiltonianSchedule, t: float) -> StateVector:
     return StateVector(field_eigenvectors(field)[0, :, 0])
 
 
-@dataclass(frozen=True)
-class PhaseDecomposition:
+class PhaseDecomposition(NamedTuple):
     """Dynamical/geometric phase split of a cyclic evolution.
 
     geometric is (total - dynamical) reduced to (-pi, pi], where total is

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,30 +31,20 @@ _STRATA_BLOCK = 4096  # trapped strata of a bounce sample evaluated at once
 
 
 @dataclass(frozen=True)
-class DeltaBarrier:
-    """Zero-width barrier of integrated strength gamma (energy * length)."""
-
-    strength: float
-
-    def __post_init__(self):
-        if self.strength < 0.0:
-            raise ValueError("strength must be non-negative")
-
-
-@dataclass(frozen=True)
 class ScatteringConfig:
-    """Channel geometry: mirror at x = 0, barrier at x = X, momentum p."""
+    """Channel geometry: mirror at x = 0, a zero-width barrier of integrated
+    strength gamma (energy * length) at x = X, momentum p."""
 
     p: float
     m: float
     X: float
-    barrier: DeltaBarrier
+    strength: float
 
     def __post_init__(self):
         if self.p <= 0.0 or self.m <= 0.0 or self.X <= 0.0:
             raise ValueError("p, m, X must all be positive")
-        if not isinstance(self.barrier, DeltaBarrier):
-            raise ValueError("barrier must be a DeltaBarrier")
+        if self.strength < 0.0:
+            raise ValueError("strength must be non-negative")
 
     @property
     def velocity(self) -> float:
@@ -67,7 +58,7 @@ def barrier_matrix(config: ScatteringConfig) -> np.ndarray:
     Closed form with u = m gamma / p; it satisfies |r|^2 + |t|^2 = 1.
     """
     p, m, X = config.p, config.m, config.X
-    u = m * config.barrier.strength / p
+    u = m * config.strength / p
     ph = cmath.exp(2j * p * X)
     return np.array([[1 + 1j * u, 1j * u / ph],
                      [-1j * u * ph, 1 - 1j * u]], dtype=complex)
@@ -115,8 +106,7 @@ class BounceChain:
             raise ValueError("p must be positive")
 
 
-@dataclass(frozen=True)
-class BounceExpectation:
+class BounceExpectation(NamedTuple):
     """Closed-form expectations; momenta counted along the incident direction."""
 
     net_momentum: float
@@ -150,8 +140,7 @@ def bounce_chain_expectation(chain: BounceChain) -> BounceExpectation:
                              trapped_dwell_square=dwell * (2.0 - eps) / eps)
 
 
-@dataclass(frozen=True)
-class BounceSample:
+class BounceSample(NamedTuple):
     """Stratified sample of the bounce chain: each measured deviation from
     bounce_chain_expectation beside the bound the sampling guarantees for
     it (see bounce_chain_sample).  With no trapped stratum the dwell
@@ -299,8 +288,7 @@ class WavepacketRun:
         return self.length / (self.grid_points + 1)
 
 
-@dataclass(frozen=True)
-class WavepacketResult:
+class WavepacketResult(NamedTuple):
     """Summary and momentum ledger of one wavepacket run; the time series
     itself went to the run's ``rows`` as it was stepped.
 
@@ -451,7 +439,7 @@ def wavepacket_run(run: WavepacketRun, config: ScatteringConfig,
     p, m, X = config.p, config.m, config.X
 
     pot = np.zeros(n)
-    pot[j] = config.barrier.strength / dx
+    pot[j] = config.strength / dx
     kin = 1.0 / (2.0 * m * dx * dx)
     solve = _cn_midpoint_solver(pot, kin, run.dt)
 

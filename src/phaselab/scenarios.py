@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ WORK_CAPS = {
 }
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(NamedTuple):
     """One scenario knob: default value, unit label, coercion."""
 
     default: object
@@ -363,8 +362,7 @@ def _run_topo_phase(p, seed, emit):
 
 def _prepare_scatter_phase(p):
     cfg = scattering.ScatteringConfig(
-        p=p["p"], m=p["m"], X=p["X"],
-        barrier=scattering.DeltaBarrier(p["gamma_max"]))
+        p=p["p"], m=p["m"], X=p["X"], strength=p["gamma_max"])
     gammas = np.concatenate([[0.0], np.geomspace(1e-3, p["gamma_max"],
                                                  PHASE_SWEEP_POINTS - 1)])
     return cfg, gammas
@@ -373,7 +371,7 @@ def _prepare_scatter_phase(p):
 def _run_scatter_phase(inputs, seed, emit):
     cfg, gammas = inputs
     phases = np.array([scattering.reflection_phase(replace(
-        cfg, barrier=scattering.DeltaBarrier(g))) for g in gammas])
+        cfg, strength=g)) for g in gammas])
     # the sweep runs from the bare mirror to the barrier at gamma_max
     mirror_phase, strong_phase = float(phases[0]), float(phases[-1])
     target = qcore.wrap_angle(math.pi - 2.0 * cfg.p * cfg.X)
@@ -453,8 +451,7 @@ def _run_scatter_bounce(chain, seed, emit):
 
 def _prepare_scatter_wavepacket(p):
     cfg = scattering.ScatteringConfig(
-        p=p["p"], m=p["m"], X=p["X"],
-        barrier=scattering.DeltaBarrier(p["strength"]))
+        p=p["p"], m=p["m"], X=p["X"], strength=p["strength"])
     run = scattering.WavepacketRun(grid_points=p["grid_points"],
                                    dt=WAVEPACKET_DT, length=p["length"],
                                    center=p["center"], width=p["width"],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ class Curve3D:
         return Curve3D(pts + np.asarray(translation, dtype=float))
 
 
-@dataclass(frozen=True)
-class RealFieldHamiltonian:
+class RealFieldHamiltonian(NamedTuple):
     """Coefficient fields of H(R) = a1(R) sigma1 + a3(R) sigma3 over 3-space.
 
     Each field takes the components R = (x, y, z) as three arrays and

@@ -114,12 +114,18 @@ class TestListing:
 
 class TestConfigRejection:
     def test_unknown_scenario(self, tmp_path, capsys):
-        code, out, cap = run_cli(tmp_path, capsys, "no-such-scenario")
-        assert code == 2
-        assert cap.err.startswith("phaselab: config-error:")
-        manifest = json.loads((out / "unresolved" / "manifest.json").read_text())
-        assert manifest["error"]["kind"] == "config-error"
-        assert manifest["checks"] == []
+        for scenario, message in (
+                ("no-such-scenario", "unknown scenario 'no-such-scenario'"),
+                # neither is a string, so neither can name a scenario
+                (["x"], "config must name a scenario"),
+                ({"a": 1}, "config must name a scenario")):
+            code, out, cap = run_cli(tmp_path, capsys, scenario)
+            assert code == 2
+            assert cap.err == f"phaselab: config-error: {message}\n"
+            manifest = json.loads(
+                (out / "unresolved" / "manifest.json").read_text())
+            assert manifest["error"]["kind"] == "config-error"
+            assert manifest["checks"] == []
 
     def test_unknown_parameter(self, tmp_path, capsys):
         code, out, cap = run_cli(tmp_path, capsys, "scatter-phase",

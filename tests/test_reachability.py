@@ -1,7 +1,9 @@
 """Guards: every function, class and method in src/phaselab is reached from
-the program, every dataclass field there is read by it, and every default
-there is overridden by some call of it, so no library code, result field or
-one-value knob lives on for the unit tests alone.  And every scenario whose
+the program, every record field (dataclass or NamedTuple) there is read by
+it, and every default there is overridden by some call of it, so no library
+code, result field or one-value knob lives on for the unit tests alone.  A
+dataclass there validates in ``__post_init__``; a record that checks
+nothing is a NamedTuple.  And every scenario whose
 run reaches a marching kernel predicts that work in its prepare, so no
 scenario runs uncapped.
 
@@ -37,6 +39,16 @@ ALLOWED_KNOBS = set()
 def _trees():
     return {path.stem: ast.parse(path.read_text())
             for path in Path(phaselab.__file__).parent.glob("*.py")}
+
+
+def _is_dataclass(node):
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _is_record(node):
+    """A dataclass or a NamedTuple class: its annotated names are fields."""
+    return _is_dataclass(node) or any("NamedTuple" in ast.unparse(b)
+                                      for b in node.bases)
 
 
 def _scan():
@@ -110,8 +122,7 @@ def test_every_dataclass_field_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
                 read.add(node.attr)
-            elif isinstance(node, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
                 for sub in node.body:
                     if isinstance(sub, ast.AnnAssign):
                         fields[f"{mod}.{node.name}.{sub.target.id}"] = \
@@ -120,6 +131,18 @@ def test_every_dataclass_field_is_read():
     unread = {key for key, attr in fields.items() if attr not in read}
     assert sorted(unread - ALLOWED_FIELDS) == []
     assert ALLOWED_FIELDS <= unread, "allowlisted field now read"
+
+
+def test_only_validating_classes_are_dataclasses():
+    # a NamedTuple builds faster, and its _replace would skip a check, so
+    # a dataclass is kept for the classes that check their fields, and for
+    # Scenario, which bench/tracing.py rebuilds with dataclasses.replace
+    plain = [f"{mod}.{node.name}" for mod, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+             and "__post_init__" not in {sub.name for sub in node.body
+                                         if isinstance(sub, ast.FunctionDef)}]
+    assert plain == ["scenarios.Scenario"]
 
 
 def _parameters(fn, bound):
@@ -134,14 +157,14 @@ def _parameters(fn, bound):
 
 def _knob_scan():
     """(knobs, passed): every "owner.name" default of a function, method or
-    dataclass field in src/phaselab, and those that some call there passes.
+    record field in src/phaselab, and those that some call there passes.
 
     A call passes a default by keyword, by position past the required
     arguments, or as a ``dataclasses.replace`` keyword (which reaches the
-    field of that name in every dataclass).  Calls resolve as generously as
+    field of that name in every record).  Calls resolve as generously as
     _scan: a name through the module's imports and simple aliases
     (``circ = topology.Curve3D.circle``), ``x.attr`` to every function,
-    method or class called ``attr``, and a class to its dataclass fields or
+    method or class called ``attr``, and a class to its record fields or
     its ``__init__``.  ``f(*pair)`` fills no named position: what the tuple
     holds is not in the source."""
     trees = _trees()
@@ -167,7 +190,7 @@ def _knob_scan():
                     method = f"{key}.{sub.name}"
                     signatures[method], knobs[method] = _parameters(
                         sub, bound=not static)
-            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            if _is_record(node):
                 declared = [sub for sub in node.body
                             if isinstance(sub, ast.AnnAssign)]
                 fields[key] = {sub.target.id for sub in declared}
@@ -226,6 +249,7 @@ def test_every_default_is_overridden_by_the_program():
     knobs, passed = _knob_scan()
     # through the alias circ = topology.Curve3D.circle
     assert "topology.Curve3D.circle.turns" in passed
+    assert "scenarios.Parameter.kind" in knobs  # a NamedTuple default
     fixed = knobs - passed
     assert sorted(fixed - ALLOWED_KNOBS) == []
     assert ALLOWED_KNOBS <= fixed, "allowlisted default now passed"

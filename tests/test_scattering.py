@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab import qcore, scattering, scenarios
-from phaselab.scattering import BounceChain, DeltaBarrier, ScatteringConfig
+from phaselab.scattering import BounceChain, ScatteringConfig
 
 
 class TestBarrierMatrix:
     @given(p=st.floats(0.2, 5.0), gamma=st.floats(0.0, 20.0))
     @settings(max_examples=60, deadline=None)
     def test_delta_unitarity(self, p, gamma):
-        cfg = ScatteringConfig(p=p, m=1.0, X=3.0, barrier=DeltaBarrier(gamma))
+        cfg = ScatteringConfig(p=p, m=1.0, X=3.0, strength=gamma)
         mat = scattering.barrier_matrix(cfg)
         t = 1.0 / mat[0, 0]
         r = mat[1, 0] / mat[0, 0]
@@ -24,26 +24,25 @@ class TestBarrierMatrix:
     def test_delta_transmission_closed_form(self):
         # T = 1 / (1 + (m gamma / p)^2)
         for p, gamma in ((1.0, 1.0), (2.0, 0.5), (0.7, 3.0)):
-            cfg = ScatteringConfig(p=p, m=1.0, X=3.0,
-                                   barrier=DeltaBarrier(gamma))
+            cfg = ScatteringConfig(p=p, m=1.0, X=3.0, strength=gamma)
             u = gamma / p
             assert scattering.transmission_probability(cfg) == pytest.approx(
                 1.0 / (1.0 + u * u), rel=1e-12)
 
     def test_one_fifth_transmission(self):
-        cfg = ScatteringConfig(p=1.0, m=1.0, X=3.0, barrier=DeltaBarrier(2.0))
+        cfg = ScatteringConfig(p=1.0, m=1.0, X=3.0, strength=2.0)
         assert scattering.transmission_probability(cfg) == pytest.approx(
             0.2, rel=1e-12)
 
     def test_transparent_barrier(self):
-        cfg = ScatteringConfig(p=1.3, m=1.0, X=3.0, barrier=DeltaBarrier(0.0))
+        cfg = ScatteringConfig(p=1.3, m=1.0, X=3.0, strength=0.0)
         assert scattering.transmission_probability(cfg) == pytest.approx(
             1.0, abs=1e-14)
 
 
 class TestReflectionPhase:
     def test_bare_mirror_is_exactly_pi(self):
-        cfg = ScatteringConfig(p=1.7, m=1.0, X=5.0, barrier=DeltaBarrier(0.0))
+        cfg = ScatteringConfig(p=1.7, m=1.0, X=5.0, strength=0.0)
         assert scattering.reflection_phase(cfg) == math.pi
 
     def test_opaque_barrier_shortens_the_channel(self, scenario):
@@ -55,11 +54,9 @@ class TestReflectionPhase:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ScatteringConfig(p=0.0, m=1.0, X=1.0, barrier=DeltaBarrier(1.0))
+            ScatteringConfig(p=0.0, m=1.0, X=1.0, strength=1.0)
         with pytest.raises(ValueError):
-            ScatteringConfig(p=1.0, m=1.0, X=1.0, barrier="delta")
-        with pytest.raises(ValueError):
-            DeltaBarrier(-0.5)
+            ScatteringConfig(p=1.0, m=1.0, X=1.0, strength=-0.5)
 
 
 class TestBounceChain:

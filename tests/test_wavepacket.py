@@ -18,13 +18,13 @@ import pytest
 
 from phaselab import cli, scattering
 from phaselab.errors import GeometryError, StabilityError
-from phaselab.scattering import DeltaBarrier, ScatteringConfig, WavepacketRun
+from phaselab.scattering import ScatteringConfig, WavepacketRun
 from phaselab.scenarios import SCENARIOS
 
 TWO_P = 2.0 * SCENARIOS["scatter-wavepacket"].parameters["p"].default
 
 # a cheap channel and coarse grid for runs that take well under a second
-SHORT_CONFIG = ScatteringConfig(p=1.5, m=1.0, X=10.0, barrier=DeltaBarrier(2.0))
+SHORT_CONFIG = ScatteringConfig(p=1.5, m=1.0, X=10.0, strength=2.0)
 
 
 def short_run(length=200.0, center=25.0, round_trips=3):
@@ -79,7 +79,7 @@ class TestRunValidation:
         # dx is about 0.195: X = 0.05 rounds to cell -1, which used to put
         # the barrier at the far wall; X = 0.2 rounds to cell 0, the wall
         for X in (0.05, 0.2):
-            cfg = ScatteringConfig(p=1.5, m=1.0, X=X, barrier=DeltaBarrier(2.0))
+            cfg = ScatteringConfig(p=1.5, m=1.0, X=X, strength=2.0)
             with pytest.raises(ValueError, match="barrier cell"):
                 scattering.wavepacket_run(short_run(), cfg, drop)
 
@@ -256,8 +256,7 @@ class TestRunErrors:
     def test_non_finite_state(self):
         # an infinite barrier turns the state to NaN, which no comparison
         # against the 1e-6 limit may let through
-        cfg = ScatteringConfig(p=1.5, m=1.0, X=10.0,
-                               barrier=DeltaBarrier(float("inf")))
+        cfg = ScatteringConfig(p=1.5, m=1.0, X=10.0, strength=float("inf"))
         with pytest.raises(StabilityError, match="norm drift"):
             scattering.wavepacket_run(short_run(round_trips=1), cfg, drop)
 
@@ -297,7 +296,7 @@ class TestMemory:
         # (8 bytes a step) grows with the run; holding the six series
         # until the end took 48 bytes a step, and formatting them all
         # 1 MB more at 3,900 steps than at 1,900
-        cfg = ScatteringConfig(p=1.5, m=1.0, X=5.0, barrier=DeltaBarrier(2.0))
+        cfg = ScatteringConfig(p=1.5, m=1.0, X=5.0, strength=2.0)
 
         def run(round_trips):
             return WavepacketRun(grid_points=512, dt=0.02, length=150.0,
