@@ -12,6 +12,7 @@ byte for byte.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -729,6 +730,11 @@ def _run_rect_loop(p, seed, emit):
 
 
 def _prepare_celestial(p):
+    # both scenarios divide by the perturber's effect (the halving ratio,
+    # the leftover against the dynamical correction); only the library's
+    # control lanes run massless
+    if not p["m_jupiter"] > 0.0:
+        raise ValueError(f"m_jupiter must be positive, got {p['m_jupiter']!r}")
     # two stack lanes a grid node (celestial-frozen adds two control nodes)
     # at 1 MB a lane: tracemalloc measures 68 kB at the catalog orbit and up
     # to 0.98 MB for a heavy perturber close in (m_jupiter 0.05, r_jupiter 1.5)
@@ -817,8 +823,23 @@ def _run_celestial_residual(inputs, seed, emit):
     return results, checks
 
 
+# berry._rho_integral's largest products, q (S q + ...) with q ~ delta s
+# and S ~ s^2 on the excision disks, come to delta^2 s^4 within 6% for
+# delta = _EXCISION s in the coarse run and half that in the fine: from
+# (_EXCISION / 2)^2 s^6 to _EXCISION^2 s^6.  These separations keep both
+# normal floats with a factor 2 to spare; the other products go as s^4 or
+# less and stay well inside
+_SEPARATIONS = (
+    (2.0 * sys.float_info.min) ** (1 / 6) / (0.5 * berry._EXCISION) ** (1 / 3),
+    (0.5 * sys.float_info.max) ** (1 / 6) / berry._EXCISION ** (1 / 3))
+
+
 def _prepare_monopole_angmom(p):
     separations = _positive_list(p["separations"])
+    lo, hi = _SEPARATIONS
+    if not lo <= min(separations) <= max(separations) <= hi:
+        raise ValueError(f"separations must lie in [{lo:.3g}, {hi:.3g}], "
+                         "where the field integral stays in float range")
     _check_work("angular-momentum integrals", 2 * len(separations))
     return dict(p, separations=separations)
 

@@ -418,18 +418,36 @@ class TestConfigRejection:
 
 
 class TestComputationFailure:
-    def test_invalid_physics_parameter(self, tmp_path, capsys):
-        # parameter passes schema coercion, the library constructor then
-        # rejects it before the runner starts
-        code, out, cap = run_cli(tmp_path, capsys, "celestial-residual",
-                                 parameters={"m_jupiter": 0.2})
+    @pytest.mark.parametrize("scenario, parameters, named", [
+        ("celestial-residual", {"m_jupiter": 0.2}, "m_j"),
+        # a massless perturber leaves the checks' ratios 0/0
+        ("celestial-frozen", {"m_jupiter": 0}, "m_j"),
+        ("celestial-residual", {"m_jupiter": 0}, "m_j"),
+        # the field integral's products leave the float range
+        ("monopole-angmom", {"separations": "1e-300"}, "separations"),
+        ("monopole-angmom", {"separations": "1e300"}, "separations"),
+        ("monopole-angmom", {"separations": "1e60"}, "separations")],
+        ids=["heavy", "massless-frozen", "massless-residual",
+             "tiny-separation", "huge-separation", "far-separation"])
+    def test_invalid_physics_parameter(self, tmp_path, capsys, scenario,
+                                       parameters, named):
+        # parameter passes schema coercion, the scenario's prepare or the
+        # library constructor then rejects it before the runner starts
+        code, out, cap = run_cli(tmp_path, capsys, scenario,
+                                 parameters=parameters)
         assert code == 2
         assert cap.err.startswith("phaselab: config-error:")
         manifest = json.loads(
-            (out / "celestial-residual" / "manifest.json").read_text())
+            (out / scenario / "manifest.json").read_text())
         assert manifest["error"]["kind"] == "config-error"
-        assert "m_j" in manifest["error"]["message"]
+        assert named in manifest["error"]["message"]
         assert manifest["outputs"] == {}
+
+    def test_separations_far_from_one_inside_the_range(self, tmp_path,
+                                                        capsys):
+        code, _, cap = run_cli(tmp_path, capsys, "monopole-angmom",
+                               parameters={"separations": "1e-40,1e40"})
+        assert code == 0, cap.err
 
     def test_runner_crash(self, tmp_path, capsys, monkeypatch):
         # any exception out of a runner is a computation error, not exit 1
