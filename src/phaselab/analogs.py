@@ -5,27 +5,31 @@ sweep drags the system through a normal-mode avoided crossing: the classical
 analog of adiabatic flavor conversion, with the matching quantum two-level
 sweep and its Landau-Zener oracle.  Second, the rectangular loop in the
 (detuning, coupling) plane around the degeneracy at the origin, whose Wilson
-phase is pi and whose half-loop transport squares to -1.  Third, a planet
-orbiting a fixed sun while a slow outer perturber circles: the frozen-probe
-period prediction versus the fully integrated orbital phase, whose mismatch
-is the adiabatic residual.
+phase is pi and whose half-loop transport squares to -1:
+rectangle_transport(delta0, epsilon0, center, adiabaticity) builds its time
+table, and rectangular_loop_phase(transport, transport_step) reads the
+rectangle off that table's corner knots.  Third, a planet orbiting a fixed
+sun while a slow outer perturber circles: the frozen-probe period
+prediction versus the fully integrated orbital phase, whose mismatch is the
+adiabatic residual.
 
-Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13, stepped by
-the loop of phaselab.dop853 bit for bit as scipy's solve_ivp, which stops
-at the step where a lane leaves its band.  The frozen-perturber periods are
-measured in lane stacks: every perturber angle (and mass) of a grid is two
-lanes of a (4, N) state, one forward in time and one with the velocity
-reversed for the backward branch, integrated by one DOP853 run with a numpy
-right-hand side, and the apsis refinement reads the dense output in blocks
-of about a hundred time points, each in one pass.  The moving-perturber
-runs are single lanes with a scalar right-hand side on Python floats, which
-is faster for one planet.  The pendulum equations are linear, y' = A(t) y,
-and are stepped with a sixth-order Magnus integrator whose step
-exponentials are built in batches, in closed form for the generator and
-from two traces for the exponential; an rtol of 1e-10 bounds the
-Richardson estimate of the global error over the sampled states.  Method
-settings such as these are module constants beside the code that reads
-them; a convergence study patches them.  All units are G = hbar = 1.
+Orbit integrations use DOP853 with rtol 1e-12 / atol 1e-13, stepped by the
+loop of phaselab.dop853 bit for bit as scipy's solve_ivp.  Every orbit run
+is one solve_ivp(cfg, rhs, y0, t_end, rtol, atol, where), which binds the
+sun band of cfg and raises at the step where a lane leaves it.  The
+frozen-perturber periods are measured in lane stacks: every perturber angle
+(and mass) of a grid is two lanes of a (4, N) state, one forward in time and
+one with the velocity reversed for the backward branch, integrated by one
+DOP853 run with a numpy right-hand side, and the apsis refinement reads the
+dense output in blocks of about a hundred time points, each in one pass.
+The moving-perturber runs are single lanes with a scalar right-hand side on
+Python floats, which is faster for one planet.  The pendulum equations are
+linear, y' = A(t) y, and are stepped with a sixth-order Magnus integrator
+whose step exponentials are built in batches, in closed form for the
+generator and from two traces for the exponential; an rtol of 1e-10 bounds
+the Richardson estimate of the global error over the sampled states.
+Method settings such as these are module constants beside the code that
+reads them; a convergence study patches them.  All units are G = hbar = 1.
 """
 
 from __future__ import annotations
@@ -129,8 +133,8 @@ class PendulumSystem:
     length_schedule: object
     l_mu: float
     kappa: float
-    g: float = 1.0
-    state: tuple = (1.0, 0.0, 0.0, 0.0)
+    g: float
+    state: tuple
 
     def __post_init__(self):
         if self.l_mu <= 0.0 or self.g <= 0.0:
@@ -145,7 +149,7 @@ class TransferReport(NamedTuple):
     """Energy bookkeeping of a length sweep.
 
     fraction is the share of the final energy attributed to the mu pendulum
-    in the instantaneous normal-mode basis at the frozen final lengths.
+    in the instantaneous normal-mode basis at the lengths of t = duration.
     energy_drift is filled only when the schedule is constant (conservation
     check), else None.
     """
@@ -387,8 +391,9 @@ def pendulum_sweep(system: PendulumSystem, duration: float) -> TransferReport:
 
     Displacement coordinates x = l * angle obey
     x_e'' = -((g - l_e'')/l_e) x_e - kappa (x_e - x_mu); the l'' term is the
-    support-acceleration correction.  duration = 0 is the sudden limit:
-    state unchanged, attributed directly at the final lengths.
+    support-acceleration correction.  duration = 0 steps nothing and reads
+    the schedule at t = 0 only: the unchanged start state is attributed at
+    the lengths there, which for a ramp are its start lengths, not its end.
 
     The linear system y' = A(t) y is stepped with the sixth-order Magnus
     integrator (three Gauss-Legendre samples of A per step, exact when A is
@@ -468,15 +473,16 @@ def pendulum_sweep(system: PendulumSystem, duration: float) -> TransferReport:
                           weak_coupling_ratio=float(weak))
 
 
-def msw_benchmark_system(kappa: float = 0.025, delta_max: float = 0.34,
-                         crossing_rate: float | None = None, l_mu: float = 1.0,
-                         g: float = 1.0) -> tuple[PendulumSystem, float]:
+def msw_benchmark_system(kappa: float, delta_max: float,
+                         crossing_rate: float | None, l_mu: float,
+                         g: float) -> tuple[PendulumSystem, float]:
     """Standard flavor-transfer setup: returns (system, sweep duration).
 
     The e pendulum starts longer (detuning +delta_max), sweeps through the
     crossing, ends shorter.  All initial energy sits in the e displacement.
-    The effective two-level coupling is epsilon = kappa/(2 omega_mu); the
-    default crossing rate 0.01 epsilon^2 is deep in the adiabatic regime.
+    The effective two-level coupling is epsilon = kappa/(2 omega_mu); a
+    crossing_rate of None means the base rate 0.01 epsilon^2, deep in the
+    adiabatic regime.
 
     A pure flavor start is not an exact normal mode, so the transfer
     fraction saturates below 1 at roughly 1 - 2 (kappa / d(omega^2))^2,
@@ -579,10 +585,12 @@ def two_level_sweep(s: TwoLevelSweep) -> ConversionReport:
 
 # samples of the rectangle's Wilson loop
 _LOOP_SAMPLES = 2000
+# knots per edge of a rectangle_transport table
+_KNOTS = 2000
 
 
 def rectangle_corners(delta0: float, epsilon0: float,
-                      center: tuple = (0.0, 0.0)) -> np.ndarray:
+                      center: tuple) -> np.ndarray:
     """The five (delta, epsilon) corners of the closed rectangle (center +-
     delta0, center +- epsilon0), from (+delta0, +epsilon0) towards negative
     detuning and back.  Raises ValueError unless delta0, epsilon0 > 0."""
@@ -596,16 +604,13 @@ def rectangle_corners(delta0: float, epsilon0: float,
                      [cd + delta0, ce + epsilon0]])
 
 
-def rectangle_path(delta0: float, epsilon0: float, samples: int,
-                   center: tuple = (0.0, 0.0)) -> np.ndarray:
-    """Closed rectangle (rectangle_corners), sampled uniformly by arc
-    length.  Columns: (delta, epsilon)."""
-    corners = rectangle_corners(delta0, epsilon0, center)
-    if samples < 8:
-        raise ValueError("need at least 8 samples")
+def rectangle_path(corners: np.ndarray) -> np.ndarray:
+    """The closed rectangle through the five corners of rectangle_corners,
+    sampled uniformly by arc length at _LOOP_SAMPLES points.  Columns:
+    (delta, epsilon)."""
     seg = np.linalg.norm(np.diff(corners, axis=0), axis=1)
     perimeter = seg.sum()
-    arc = np.linspace(0.0, perimeter, samples, endpoint=False)
+    arc = np.linspace(0.0, perimeter, _LOOP_SAMPLES, endpoint=False)
     bounds = np.concatenate(([0.0], np.cumsum(seg)))
     idx = np.clip(np.searchsorted(bounds, arc, side="right") - 1, 0, 3)
     local = (arc - bounds[idx]) / seg[idx]
@@ -620,18 +625,17 @@ def _segment_origin_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(p + t * d))
 
 
-def rectangle_transport(delta0: float, epsilon0: float,
-                        center: tuple = (0.0, 0.0),
-                        adiabaticity: float = 1e-3):
-    """Time table for traversing the rectangle at speed mu * gap^2, with mu
-    the adiabaticity.
+def rectangle_transport(delta0: float, epsilon0: float, center: tuple,
+                        adiabaticity: float):
+    """Time table for traversing the rectangle (rectangle_corners) at speed
+    mu * gap^2, with mu the adiabaticity.
 
     gap^2 means 4 (delta^2 + epsilon^2), the squared level splitting, so the
     local adiabaticity parameter speed/gap^2 is held constant at mu: slow
     through the resonance crossings, fast in the far wings.  Per-edge times
     come from the exact arctan antiderivative of 1/(x^2 + c^2).  Returns
-    (times, deltas, epsilons): knot arrays, 2,000 knots per edge after the
-    start.
+    (times, deltas, epsilons): knot arrays, _KNOTS knots per edge after the
+    start, so the corners are the knots deltas[::_KNOTS], epsilons[::_KNOTS].
 
     Raises ValueError unless adiabaticity is positive (and for the corners,
     rectangle_corners) or when gap^2 overflows at a corner, GeometryError
@@ -639,7 +643,9 @@ def rectangle_transport(delta0: float, epsilon0: float,
     and ResolutionError when the loop's _LOOP_SAMPLES samples lie further
     apart than sqrt(3) times its distance from the degeneracy: only then
     can neighbouring band states of the Wilson loop turn by more than 120
-    degrees (overlap below 0.5).
+    degrees (overlap below 0.5).  Warns (RegimeWarning) when delta0 < 10
+    epsilon0: the corners then sit too close to resonance for the 'nothing
+    further happens there' reading of the coupling-sign flip.
     """
     if not adiabaticity > 0.0:
         raise ValueError(f"adiabaticity must be positive, got {adiabaticity!r}")
@@ -656,9 +662,11 @@ def rectangle_transport(delta0: float, epsilon0: float,
     if 4.0 * (delta0 + epsilon0) / _LOOP_SAMPLES > math.sqrt(3.0) * clearance:
         raise ResolutionError("loop samples lie further apart than sqrt(3) "
                               "times the loop's distance from the degeneracy")
+    if delta0 < 10.0 * epsilon0:
+        warnings.warn("corners at delta0 < 10*epsilon0 sit close to resonance",
+                      RegimeWarning, stacklevel=2)
 
     mu = adiabaticity
-    knots = 2000
     ts = [np.array([0.0])]
     ds = [np.array([corners[0, 0]])]
     es = [np.array([corners[0, 1]])]
@@ -675,17 +683,24 @@ def rectangle_transport(delta0: float, epsilon0: float,
                 return np.arctan(x / c) / c / (4.0 * mu)
             return -1.0 / (4.0 * mu * x)
 
-        xs = np.linspace(x1, x2, knots + 1)[1:]
+        xs = np.linspace(x1, x2, _KNOTS + 1)[1:]
         tk = t0 + np.abs(anti(xs) - anti(x1))
         if e1 == e2:
             ds.append(xs)
-            es.append(np.full(knots, e1))
+            es.append(np.full(_KNOTS, e1))
         else:
-            ds.append(np.full(knots, d1))
+            ds.append(np.full(_KNOTS, d1))
             es.append(xs)
         ts.append(tk)
         t0 = float(tk[-1])
     return np.concatenate(ts), np.concatenate(ds), np.concatenate(es)
+
+
+def transport_halves(times: np.ndarray) -> tuple[float, float]:
+    """(t_half, t_full) of a rectangle_transport table's times: the loop is
+    transported from the start to the opposite corner at t_half, then on
+    to the start again at t_full."""
+    return float(times[len(times) // 2]), float(times[-1])
 
 
 def _winding(path: np.ndarray) -> int:
@@ -712,34 +727,26 @@ class RectangleLoop(NamedTuple):
     transport_duration: float
 
 
-def rectangular_loop_phase(epsilon0: float, delta0: float, transport,
-                           center: tuple = (0.0, 0.0),
-                           transport_step: float = 0.01) -> RectangleLoop:
-    """Wilson phase and adiabatic transport around the (delta, epsilon) rectangle.
+def rectangular_loop_phase(transport, transport_step: float) -> RectangleLoop:
+    """Wilson phase and adiabatic transport around the (delta, epsilon)
+    rectangle of the rectangle_transport table ``transport``.
 
     For H = epsilon sigma1 + delta sigma3 the degeneracy sits at the origin;
     a rectangle enclosing it carries Wilson phase pi, one that misses it
-    carries 0.  The Wilson loop takes _LOOP_SAMPLES samples.  ``transport``
-    is the rectangle_transport table of the same rectangle and center: the
-    loop is traversed at parameter speed adiabaticity * gap^2, which keeps
+    carries 0.  The Wilson loop takes the _LOOP_SAMPLES samples of
+    rectangle_path through the table's corner knots.  The loop is traversed
+    along the table, at parameter speed adiabaticity * gap^2, which keeps
     the residual cone correction to the geometric phase at O(adiabaticity)
-    uniformly along the path.  Warns
-    (RegimeWarning) when delta0 < 10 epsilon0: the corners then sit too
-    close to resonance for the 'nothing further happens there' reading of
-    the coupling-sign flip.
+    uniformly along the path.
     """
-    if delta0 < 10.0 * epsilon0:
-        warnings.warn("corners at delta0 < 10*epsilon0 sit close to resonance",
-                      RegimeWarning, stacklevel=2)
-    path = rectangle_path(delta0, epsilon0, _LOOP_SAMPLES, center)
+    times, dk, ek = transport
+    path = rectangle_path(np.column_stack((dk[::_KNOTS], ek[::_KNOTS])))
     directions = np.column_stack(
         (path[:, 1], np.zeros(len(path)), path[:, 0]))
     wilson = berry.wilson_loop_phase(directions)
     winding = _winding(path)
 
-    times, dk, ek = transport
-    t_half = float(times[len(times) // 2])  # the corner opposite the start
-    t_full = float(times[-1])
+    t_half, t_full = transport_halves(times)
 
     def coefficients(t: np.ndarray):
         return np.interp(t, times, ek), 0.0, np.interp(t, times, dk)
@@ -784,15 +791,16 @@ class CelestialConfig:
     the +x axis of a near-circular orbit with the given eccentricity
     (semi-major axis 1, so the unperturbed period is KEPLER_PERIOD exactly).
 
-    The default eccentricity keeps the apsis line stiff: the free radial
-    oscillation must dominate the perturber-forced wiggles or perihelion
-    bookkeeping stops being first order in m_jupiter (at e ~ 1e-3 the
-    Kepler start rings against the perturbed orbit for tens of periods).
+    The catalog's eccentricity 0.05 keeps the apsis line stiff: the free
+    radial oscillation must dominate the perturber-forced wiggles or
+    perihelion bookkeeping stops being first order in m_jupiter (at e ~
+    1e-3 the Kepler start rings against the perturbed orbit for tens of
+    periods).
     """
 
     m_jupiter: float
     r_jupiter: float
-    eccentricity: float = 0.05
+    eccentricity: float
 
     def __post_init__(self):
         if self.m_jupiter < 0.0:
@@ -837,33 +845,27 @@ def _radii(y: np.ndarray) -> np.ndarray:
     return np.hypot(lanes[0], lanes[1])
 
 
-def solve_ivp(rhs, y0: np.ndarray, t_end: float, rtol: float, atol: float,
-              r_min: float, r_max: float) -> dop853.DenseRun:
-    """One DOP853 run from t = 0 to t_end over a flat (4, N) lane state
-    (dop853.run) that stops where the closest lane is inside r_min (stop
-    entry 0) or the farthest outside r_max (entry 1).  The name is kept
-    for the benchmark's ``ode`` hook until the program reports its own
-    counts (ROADMAP item 1); the celestial code calls it through this
-    module's global, so the hook sees every run."""
+def solve_ivp(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,
+              rtol: float, atol: float,
+              where=lambda t, k: f" at t = {t:.3f}") -> dop853.DenseRun:
+    """One DOP853 run (dop853.run) from t = 0 to t_end with dense output,
+    over a flat (4, N) lane state.  A lane closing on the sun (r < 0.01)
+    or escaping (r > 2.5 r_jupiter) ends the run at the step where it
+    leaves that band, and the DynamicsError says where through where(t,
+    k), with t the crossing time and k the closest or the farthest lane
+    there.  The name is kept for the benchmark's ``ode`` hook until the
+    program reports its own counts (ROADMAP item 1); the celestial code
+    calls it through this module's global, so the hook sees every run."""
+    r_min, r_max = 0.01, 2.5 * cfg.r_jupiter
+
     def band(y):
         radii = _radii(y)
         return radii.min() - r_min, r_max - radii.max()
 
     try:
-        return dop853.run(rhs, y0, t_end, rtol, atol, band)
+        run = dop853.run(rhs, y0, t_end, rtol, atol, band)
     except DynamicsError as exc:
         raise DynamicsError(f"orbit integration failed: {exc}") from None
-
-
-def _solve(cfg: CelestialConfig, rhs, y0: np.ndarray, t_end: float,
-           rtol: float, atol: float,
-           where=lambda t, k: f" at t = {t:.3f}"):
-    """DOP853 from t = 0 to t_end with dense output, over a flat (4, N)
-    lane state (solve_ivp).  A lane closing on the sun (r < 0.01) or
-    escaping (r > 2.5 r_jupiter) ends the run at the step where it leaves
-    that band, and the DynamicsError says where through where(t, k), with
-    t the crossing time and k the closest or the farthest lane there."""
-    run = solve_ivp(rhs, y0, t_end, rtol, atol, 0.01, 2.5 * cfg.r_jupiter)
     if run.stop is not None:
         k, t, state = run.stop
         pick, what = ((np.argmin, "collided with the sun"),
@@ -898,7 +900,7 @@ def _integrate(cfg: CelestialConfig, jupiter_angle, t_max: float,
             d3 = (dx * dx + dz * dz) ** 1.5
             return (vx, vz, ax - muj * dx / d3, az - muj * dz / d3)
 
-    return _solve(cfg, rhs, cfg.initial_state(), t_max, rtol, atol)
+    return solve_ivp(cfg, rhs, cfg.initial_state(), t_max, rtol, atol)
 
 
 def _integrate_lanes(cfg: CelestialConfig, starts: np.ndarray,
@@ -908,7 +910,7 @@ def _integrate_lanes(cfg: CelestialConfig, starts: np.ndarray,
     starting from the state starts[k] = (x, z, vx, vz) in the static field
     of the sun and a perturber of mass masses[k] frozen at angle phis[k].
     All lanes share one step sequence; where(t, k) names a failing lane
-    (_solve)."""
+    (solve_ivp)."""
     n = len(phis)
     perturber = cfg.r_jupiter * np.array([np.cos(phis), np.sin(phis)])
     # the (x, z) rows squared of the sun offsets and of the perturber
@@ -932,8 +934,8 @@ def _integrate_lanes(cfg: CelestialConfig, starts: np.ndarray,
         return np.concatenate((y[2 * n:],
                                (-pos / r3 - masses * d / d3).ravel()))
 
-    return _solve(cfg, rhs, starts.T.ravel(), t_end, _ORBIT_RTOL, _ORBIT_ATOL,
-                  where)
+    return solve_ivp(cfg, rhs, starts.T.ravel(), t_end, _ORBIT_RTOL,
+                     _ORBIT_ATOL, where)
 
 
 def _lane_name(phis: np.ndarray, masses: np.ndarray, k: int) -> str:
@@ -989,19 +991,20 @@ def _radial_velocity(states: np.ndarray, lanes: int) -> np.ndarray:
 _READ_POINTS = 112
 
 
-def _perihelion_times(sol, t_end: float, lanes: int = 1) -> list:
+def _perihelion_times(sol, lanes: int = 1) -> list:
     """Perihelion times of each lane of a dense solution, one array per lane.
 
     Upward sign changes of r.v are found on a grid of step KEPLER_PERIOD /
-    400 from 0.3 KEPLER_PERIOD to t_end.  Each is refined by _APSIS_ROUNDS
-    quadratic fits on a window centred on the current estimate, shrinking
-    tenfold per round; a crossing whose fit has no real root keeps its
-    estimate for that round.  Each dense-output call reads _READ_POINTS
-    grid points, or the windows of _READ_POINTS / 7 crossings in a round,
-    all in one pass (dop853.DenseRun.sol); a window reads only the rows
-    (x, z, vx, vz) of the lane it refines in the flat (4, lanes) state.
+    400 from 0.3 KEPLER_PERIOD to the run's end sol.ts[-1].  Each is
+    refined by _APSIS_ROUNDS quadratic fits on a window centred on the
+    current estimate, shrinking tenfold per round; a crossing whose fit has
+    no real root keeps its estimate for that round.  Each dense-output call
+    reads _READ_POINTS grid points, or the windows of _READ_POINTS / 7
+    crossings in a round, all in one pass (dop853.DenseRun.sol); a window
+    reads only the rows (x, z, vx, vz) of the lane it refines in the flat
+    (4, lanes) state.
     """
-    grid = np.arange(0.3 * KEPLER_PERIOD, t_end, KEPLER_PERIOD / 400.0)
+    grid = np.arange(0.3 * KEPLER_PERIOD, sol.ts[-1], KEPLER_PERIOD / 400.0)
     rising = np.empty((lanes, max(len(grid) - 1, 0)), dtype=bool)
     for k in range(0, len(grid) - 1, _READ_POINTS):
         # one point of overlap, so a sign change on a block edge is seen
@@ -1087,7 +1090,7 @@ def celestial_frozen_period(cfg: CelestialConfig, phis, masses=None):
 
     times = _perihelion_times(
         _integrate_lanes(cfg, starts, np.tile(angles, 2), np.tile(masses, 2),
-                         t_half, where), t_half, 2 * n)
+                         t_half, where), 2 * n)
     ahead, behind = times[:n], times[n:]
     periods = np.empty(n)
     for k in range(n):
@@ -1172,7 +1175,7 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, phis: np.ndarray,
 
     def run(rt, at):
         sol = _integrate(cfg, lambda t: phi0 + omega_j * t, t_max, rt, at)
-        times = _perihelion_times(sol, t_max)[0]
+        times = _perihelion_times(sol)[0]
         if len(times) < 3:
             raise DynamicsError("fewer than three perihelion passages detected")
         x, z, vx, vz = sol.sol(times)

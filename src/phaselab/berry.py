@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -179,6 +180,15 @@ def _rho_integral(z: float, separation: float, excision: float) -> float:
 
 
 _EXCISION = 0.01
+# _rho_integral's largest products, q (S q + ...) with q ~ delta s and
+# S ~ s^2 on the excision disks, come to delta^2 s^4 within 6% for
+# delta = _EXCISION s in the coarse run and half that in the fine: from
+# (_EXCISION / 2)^2 s^6 to _EXCISION^2 s^6.  The separations in
+# SEPARATION_RANGE keep both normal floats with a factor 2 to spare; the
+# other products go as s^4 or less and stay well inside
+SEPARATION_RANGE = (
+    (2.0 * sys.float_info.min) ** (1 / 6) / (0.5 * _EXCISION) ** (1 / 3),
+    (0.5 * sys.float_info.max) ** (1 / 6) / _EXCISION ** (1 / 3))
 
 
 @functools.cache

@@ -46,7 +46,6 @@ class _CliFailure(Exception):
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-        self.warnings = []  # raised by prepare before it failed
 
 
 def _fail(kind: str, message: str) -> _CliFailure:
@@ -94,22 +93,17 @@ def _coerce(name: str, scenario: str, schema_entry, value):
 
 @contextlib.contextmanager
 def _recording_warnings():
-    """Hold back the warnings raised inside; yields a list that receives
-    each distinct one as "Category: message" on exit, also on an error."""
-    raised = []
+    """Hold back the warnings raised inside; yields a function that lists
+    each distinct one raised so far as "Category: message"."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            yield raised
-        finally:
-            raised.extend(dict.fromkeys(f"{w.category.__name__}: {w.message}"
-                                        for w in caught))
+        yield lambda: list(dict.fromkeys(
+            f"{w.category.__name__}: {w.message}" for w in caught))
 
 
 def _validate(raw: dict):
-    """Resolve (scenario, parameters, inputs, seed, warnings) or raise
-    before any computation; any exception out of ``prepare`` is a config
-    error, and the warnings ``prepare`` raised are recorded, not printed."""
+    """Resolve (scenario, parameters, inputs, seed) or raise before any
+    computation; any exception out of ``prepare`` is a config error."""
     for key in raw:
         if key not in ("scenario", "parameters", "seed"):
             raise _fail("config-error", f"unknown config key '{key}'")
@@ -137,14 +131,11 @@ def _validate(raw: dict):
         raise _fail("config-error",
                     f"seed must be an unsigned integer, got {seed!r}")
     try:
-        with _recording_warnings() as raised:
-            inputs = SCENARIOS[name].prepare(params)
+        inputs = SCENARIOS[name].prepare(params)
     except Exception as exc:
-        failure = _fail("config-error", f"scenario '{name}' rejects its "
-                        f"parameters: {type(exc).__name__}: {exc}")
-        failure.warnings = raised
-        raise failure
-    return name, params, inputs, seed, raised
+        raise _fail("config-error", f"scenario '{name}' rejects its "
+                    f"parameters: {type(exc).__name__}: {exc}")
+    return name, params, inputs, seed
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +218,15 @@ def _dump_json(path: Path, payload: dict) -> str:
 # execution
 
 def _execute(name: str, inputs, seed: int, outdir: Path):
-    """Run one scenario into outdir; returns (results, checks, inventory,
-    warnings), each warning the runner raised once, as "Category: message".
+    """Run one scenario into outdir; returns (results, checks, inventory).
     A runner that raises leaves no table in outdir."""
     emit = _CsvWriter(outdir)
     try:
-        with _recording_warnings() as raised:
-            results, checks = SCENARIOS[name].runner(inputs, seed, emit)
+        results, checks = SCENARIOS[name].runner(inputs, seed, emit)
     except BaseException:
         emit.discard()
         raise
-    return results, checks, emit.close(), raised
+    return results, checks, emit.close()
 
 
 def _run_command(args) -> int:
@@ -249,84 +238,87 @@ def _run_command(args) -> int:
     error = None
     verdicts = []
     outputs = {}
-    raised = []
-    try:
-        raw = _read_config(args.config)
-        name, params, inputs, seed, raised = _validate(raw)
-    except _CliFailure as exc:
-        error, raised = exc, exc.warnings
-        scenario = raw.get("scenario") if isinstance(raw, dict) else None
-        if isinstance(scenario, str) and scenario in SCENARIOS:
-            name = scenario  # park the failure record with its scenario
-
-    # the first root that can take the run gets it, and a root that cannot
-    # hands the run's manifest on to the next
-    leaf = name or "unresolved"
-    for root in [Path(p) for p in (args.out, "phaselab-out") if p]:
-        outdir = root / leaf
+    # the warnings raised while the scenario builds its inputs or runs, up
+    # to an error that ends it, go to its manifest
+    with _recording_warnings() as raised:
         try:
-            root.mkdir(parents=True, exist_ok=True)
-            if outdir.exists() and not outdir.is_dir():
-                raise NotADirectoryError(f"{outdir} is not a directory")
-            # the run writes into a fresh directory that replaces outdir
-            # when it ends, so a rerun leaves no file of the earlier run
-            staging = Path(tempfile.mkdtemp(dir=root, prefix=f".{leaf}-"))
-            break
-        except OSError as exc:
-            error = error or _fail("config-error",
-                                   f"output directory not writable: {exc}")
-    else:
-        _report(error)
-        return _EXIT_CODES[error.kind]
+            raw = _read_config(args.config)
+            name, params, inputs, seed = _validate(raw)
+        except _CliFailure as exc:
+            error = exc
+            scenario = raw.get("scenario") if isinstance(raw, dict) else None
+            if isinstance(scenario, str) and scenario in SCENARIOS:
+                name = scenario  # park the failure record with its scenario
 
-    try:
-        if error is None:
+        # the first root that can take the run gets it, and a root that cannot
+        # hands the run's manifest on to the next
+        leaf = name or "unresolved"
+        for root in [Path(p) for p in (args.out, "phaselab-out") if p]:
+            outdir = root / leaf
             try:
-                results, checks, outputs, run_warnings = _execute(
-                    name, inputs, seed, staging)
-                raised = list(dict.fromkeys(raised + run_warnings))
-                verdicts = [{"name": n, "passed": bool(ok)} for n, ok in checks]
-                failing = [v["name"] for v in verdicts if not v["passed"]]
-                outputs["summary.json"] = _dump_json(staging / "summary.json", {
-                    "scenario": name,
-                    "seed": seed,
-                    "results": results,
-                    "checks": verdicts,
-                    "passed": not failing,
-                })
-                if failing:
-                    error = _fail("assertion-failure",
-                                  f"{len(failing)} of {len(verdicts)} built-in "
-                                  f"checks failed: {failing[0]}")
-            except Exception as exc:
-                error = _fail("computation-error",
-                              f"{type(exc).__name__}: {exc}")
+                root.mkdir(parents=True, exist_ok=True)
+                if outdir.exists() and not outdir.is_dir():
+                    raise NotADirectoryError(f"{outdir} is not a directory")
+                # the run writes into a fresh directory that replaces outdir
+                # when it ends, so a rerun leaves no file of the earlier run
+                staging = Path(tempfile.mkdtemp(dir=root, prefix=f".{leaf}-"))
+                break
+            except OSError as exc:
+                error = error or _fail("config-error",
+                                       f"output directory not writable: {exc}")
+        else:
+            _report(error)
+            return _EXIT_CODES[error.kind]
 
-        manifest = {
-            "artifact_version": __version__,
-            "config": {
-                "scenario": name,
-                "parameters": params,
-                "seed": seed,
-                "out_dir": str(root),
-            },
-            "duration_seconds": time.perf_counter() - started,
-            "checks": verdicts,
-            "error": None if error is None else
-            {"kind": error.kind, "message": str(error)},
-            "outputs": outputs,
-            "warnings": raised,
-        }
         try:
-            _dump_json(staging / "manifest.json", manifest)
-            if outdir.is_dir():
-                shutil.rmtree(outdir)
-            os.replace(staging, outdir)
-        except OSError as exc:
-            error = error or _fail("computation-error",
-                                   f"cannot write outputs: {exc}")
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+            if error is None:
+                try:
+                    results, checks, outputs = _execute(name, inputs, seed,
+                                                        staging)
+                    verdicts = [{"name": n, "passed": bool(ok)}
+                                for n, ok in checks]
+                    failing = [v["name"] for v in verdicts if not v["passed"]]
+                    outputs["summary.json"] = _dump_json(
+                        staging / "summary.json", {
+                            "scenario": name,
+                            "seed": seed,
+                            "results": results,
+                            "checks": verdicts,
+                            "passed": not failing,
+                        })
+                    if failing:
+                        error = _fail("assertion-failure",
+                                      f"{len(failing)} of {len(verdicts)} "
+                                      f"built-in checks failed: {failing[0]}")
+                except Exception as exc:
+                    error = _fail("computation-error",
+                                  f"{type(exc).__name__}: {exc}")
+
+            manifest = {
+                "artifact_version": __version__,
+                "config": {
+                    "scenario": name,
+                    "parameters": params,
+                    "seed": seed,
+                    "out_dir": str(root),
+                },
+                "duration_seconds": time.perf_counter() - started,
+                "checks": verdicts,
+                "error": None if error is None else
+                {"kind": error.kind, "message": str(error)},
+                "outputs": outputs,
+                "warnings": raised(),
+            }
+            try:
+                _dump_json(staging / "manifest.json", manifest)
+                if outdir.is_dir():
+                    shutil.rmtree(outdir)
+                os.replace(staging, outdir)
+            except OSError as exc:
+                error = error or _fail("computation-error",
+                                       f"cannot write outputs: {exc}")
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
 
     if error is not None:
         _report(error)

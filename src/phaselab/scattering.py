@@ -268,7 +268,7 @@ class WavepacketRun:
     length: float
     center: float
     width: float
-    round_trips: int = 16
+    round_trips: int
 
     def __post_init__(self):
         if self.grid_points < 64:

@@ -12,7 +12,6 @@ byte for byte.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -51,7 +50,8 @@ WORK_CAPS = {
 
 
 class Parameter(NamedTuple):
-    """One scenario knob: default value, unit label, coercion."""
+    """One scenario knob: default value, unit label, coercion (float
+    unless given)."""
 
     default: object
     units: str
@@ -568,15 +568,18 @@ def _run_ab_electric(p, seed, emit):
 def _prepare_pendulum_msw(p):
     """(system, duration) sweeps at rate_scale and each ladder multiplier
     times the base rate 0.01 eps^2, with eps = kappa / (2 omega_mu), the
-    sudden change at the base rate, and the frozen-length control of the
-    slow sweep, once their Magnus steps fit the cap."""
+    "sudden" control and the frozen-length control of the slow sweep, once
+    their Magnus steps fit the cap.  The sudden control is the base-rate
+    ramp for duration 0, which pendulum_sweep reads at t = 0 only: it
+    measures the unchanged start state at the ramp's start lengths, not at
+    its end lengths."""
     def sweep(rate):
         return analogs.msw_benchmark_system(
             kappa=p["kappa"], delta_max=p["delta_max"], crossing_rate=rate,
             l_mu=p["l_mu"], g=p["g"])
 
-    # the library's default rate is the base rate; building that sweep first
-    # checks l_mu and g before eps divides by them
+    # crossing_rate None is the base rate; building that sweep first checks
+    # l_mu and g before eps divides by them
     sudden = (sweep(None)[0], 0.0)
     eps = p["kappa"] / (2.0 * math.sqrt(p["g"] / p["l_mu"]))
     base_rate = 0.01 * eps * eps
@@ -678,27 +681,25 @@ def _run_two_level_sweep(inputs, seed, emit):
 
 
 def _prepare_rect_loop(p):
-    """The params, the centers of the enclosing loop and of the one shifted
-    to 3 delta0, and their transport tables, once both fit the step cap."""
+    """The params and the transport tables of the loop centred on the
+    crossing and of the one shifted to 3 delta0, once both fit the step
+    cap."""
     step = p["transport_step"]
     if not step > 0.0:
         raise ValueError(f"transport_step must be positive, got {step!r}")
-    centers = ((0.0, 0.0), (3.0 * p["delta0"], 0.0))
-    tables = [analogs.rectangle_transport(
-        p["delta0"], p["epsilon0"], center, adiabaticity=p["adiabaticity"])
-        for center in centers]
+    tables = [analogs.rectangle_transport(p["delta0"], p["epsilon0"], center,
+                                          p["adiabaticity"])
+              for center in ((0.0, 0.0), (3.0 * p["delta0"], 0.0))]
     # rectangular_loop_phase marches each loop in two halves
-    ends = [(float(t[len(t) // 2]), float(t[-1])) for t, *_ in tables]
+    ends = [analogs.transport_halves(t) for t, *_ in tables]
     _check_work("propagator steps", sum(
         _steps(half, step) + _steps(full - half, step) for half, full in ends))
-    return dict(p, centers=centers, tables=tables)
+    return dict(p, tables=tables)
 
 
 def _run_rect_loop(p, seed, emit):
-    loop, moved = [analogs.rectangular_loop_phase(
-        p["epsilon0"], p["delta0"], table, center=center,
-        transport_step=p["transport_step"])
-        for table, center in zip(p["tables"], p["centers"])]
+    loop, moved = [analogs.rectangular_loop_phase(table, p["transport_step"])
+                   for table in p["tables"]]
 
     times, deltas, epsilons = p["tables"][0]
     stride = max(1, len(times) // 2000)
@@ -823,20 +824,9 @@ def _run_celestial_residual(inputs, seed, emit):
     return results, checks
 
 
-# berry._rho_integral's largest products, q (S q + ...) with q ~ delta s
-# and S ~ s^2 on the excision disks, come to delta^2 s^4 within 6% for
-# delta = _EXCISION s in the coarse run and half that in the fine: from
-# (_EXCISION / 2)^2 s^6 to _EXCISION^2 s^6.  These separations keep both
-# normal floats with a factor 2 to spare; the other products go as s^4 or
-# less and stay well inside
-_SEPARATIONS = (
-    (2.0 * sys.float_info.min) ** (1 / 6) / (0.5 * berry._EXCISION) ** (1 / 3),
-    (0.5 * sys.float_info.max) ** (1 / 6) / berry._EXCISION ** (1 / 3))
-
-
 def _prepare_monopole_angmom(p):
     separations = _positive_list(p["separations"])
-    lo, hi = _SEPARATIONS
+    lo, hi = berry.SEPARATION_RANGE
     if not lo <= min(separations) <= max(separations) <= hi:
         raise ValueError(f"separations must lie in [{lo:.3g}, {hi:.3g}], "
                          "where the field integral stays in float range")
@@ -878,15 +868,15 @@ def _run_monopole_angmom(p, seed, emit):
 # catalog
 
 def _scenario_table() -> dict:
-    f, i, s = float, int, str
+    i, s = int, str
     table = [
         Scenario(
             "berry-equator",
             "Sweep a spin around the equator slowly and split off the "
             "geometric half-sphere phase; cross-check with the Wilson loop "
             "and the w/2A tilt of the mean sigma3.",
-            {"amplitude": Parameter(1.0, "energy", f),
-             "wobble": Parameter(0.005, "1/time", f)},
+            {"amplitude": Parameter(1.0, "energy"),
+             "wobble": Parameter(0.005, "1/time")},
             _run_berry_equator, _prepare_berry_sweep),
         Scenario(
             "berry-latitude",
@@ -898,9 +888,9 @@ def _scenario_table() -> dict:
             "berry-wilson-sweep",
             "Scale the field strength and confirm the loop phase does not "
             "move while the dynamical run shifts only at the wobble level.",
-            {"amplitude": Parameter(1.0, "energy", f),
-             "factor": Parameter(5.0, "dimensionless", f),
-             "wobble": Parameter(0.005, "1/time", f)},
+            {"amplitude": Parameter(1.0, "energy"),
+             "factor": Parameter(5.0, "dimensionless"),
+             "wobble": Parameter(0.005, "1/time")},
             _run_berry_wilson_sweep, _prepare_berry_sweep),
         Scenario(
             "linking",
@@ -918,49 +908,49 @@ def _scenario_table() -> dict:
             "scatter-phase",
             "Reflection phase of the mirror-plus-barrier channel from the "
             "transparent limit to the opaque extra-travel limit.",
-            {"p": Parameter(1.0, "momentum", f),
-             "m": Parameter(1.0, "mass", f),
-             "X": Parameter(2.0, "length", f),
-             "gamma_max": Parameter(1e6, "energy*length", f)},
+            {"p": Parameter(1.0, "momentum"),
+             "m": Parameter(1.0, "mass"),
+             "X": Parameter(2.0, "length"),
+             "gamma_max": Parameter(1e6, "energy*length")},
             _run_scatter_phase, _prepare_scatter_phase),
         Scenario(
             "scatter-bounce",
             "Reflect/tunnel bounce chain: the trapped branch exactly "
             "cancels the first kick; a stratified sample agrees with the "
             "closed form within derived bounds.",
-            {"epsilon": Parameter(0.1, "probability", f),
-             "p": Parameter(1.0, "momentum", f)},
+            {"epsilon": Parameter(0.1, "probability"),
+             "p": Parameter(1.0, "momentum")},
             _run_scatter_bounce,
             lambda p: scattering.BounceChain(epsilon=p["epsilon"], p=p["p"])),
         Scenario(
             "scatter-wavepacket",
             "Crank-Nicolson wavepacket in the closed channel: momentum "
             "ledger, first-encounter kick, trapping decay.",
-            {"p": Parameter(1.5, "momentum", f),
-             "m": Parameter(1.0, "mass", f),
-             "X": Parameter(20.0, "length", f),
-             "strength": Parameter(3.0, "energy*length", f),
+            {"p": Parameter(1.5, "momentum"),
+             "m": Parameter(1.0, "mass"),
+             "X": Parameter(20.0, "length"),
+             "strength": Parameter(3.0, "energy*length"),
              "grid_points": Parameter(8192, "count", i),
-             "length": Parameter(1000.0, "length", f),
-             "center": Parameter(35.0, "length", f),
-             "width": Parameter(2.5, "length", f),
+             "length": Parameter(1000.0, "length"),
+             "center": Parameter(35.0, "length"),
+             "width": Parameter(2.5, "length"),
              "round_trips": Parameter(16, "count", i)},
             _run_scatter_wavepacket, _prepare_scatter_wavepacket),
         Scenario(
             "ab-electric",
             "Capacitor pulse duality: probe phase equals the two-plate "
             "momentum phase identically; which-path bookkeeping ratios.",
-            {"localization_fraction": Parameter(0.25, "dimensionless", f)},
+            {"localization_fraction": Parameter(0.25, "dimensionless")},
             _run_ab_electric, _prepare_ab_electric),
         Scenario(
             "pendulum-msw",
             "Spring-coupled pendulums with a slowly shortening arm: "
             "resonance-crossing energy transfer and its rate ladder.",
-            {"kappa": Parameter(0.025, "1/time^2", f),
-             "delta_max": Parameter(0.34, "1/time", f),
-             "rate_scale": Parameter(1.0, "dimensionless", f),
-             "l_mu": Parameter(1.0, "length", f),
-             "g": Parameter(1.0, "length/time^2", f),
+            {"kappa": Parameter(0.025, "1/time^2"),
+             "delta_max": Parameter(0.34, "1/time"),
+             "rate_scale": Parameter(1.0, "dimensionless"),
+             "l_mu": Parameter(1.0, "length"),
+             "g": Parameter(1.0, "length/time^2"),
              "ladder_multipliers": Parameter("2816,906,453,249,137",
                                              "dimensionless", s)},
             _run_pendulum_msw, _prepare_pendulum_msw),
@@ -976,36 +966,36 @@ def _scenario_table() -> dict:
             "Rectangular detuning-coupling circuit: Wilson phase pi when "
             "the crossing is enclosed, and the transported half-sweep "
             "squares to minus the identity.",
-            {"delta0": Parameter(10.0, "energy", f),
-             "epsilon0": Parameter(0.5, "energy", f),
-             "adiabaticity": Parameter(1e-3, "dimensionless", f),
-             "transport_step": Parameter(0.01, "1/energy", f)},
+            {"delta0": Parameter(10.0, "energy"),
+             "epsilon0": Parameter(0.5, "energy"),
+             "adiabaticity": Parameter(1e-3, "dimensionless"),
+             "transport_step": Parameter(0.01, "1/energy")},
             _run_rect_loop, _prepare_rect_loop),
         Scenario(
             "celestial-frozen",
             "Radial period of a planet with the outer perturber frozen at "
             "each angle: shift profile, symmetry, mass linearity.",
-            {"m_jupiter": Parameter(1e-3, "m_sun", f),
-             "r_jupiter": Parameter(5.2, "r_earth", f),
-             "eccentricity": Parameter(0.05, "dimensionless", f),
+            {"m_jupiter": Parameter(1e-3, "m_sun"),
+             "r_jupiter": Parameter(5.2, "r_earth"),
+             "eccentricity": Parameter(0.05, "dimensionless"),
              "nodes": Parameter(32, "count", i)},
             _run_celestial_frozen, _prepare_celestial),
         Scenario(
             "celestial-residual",
             "Full moving-perturber orbit phase minus the frozen-probe "
             "adiabatic prediction: the geometric leftover per cycle.",
-            {"m_jupiter": Parameter(1e-3, "m_sun", f),
-             "r_jupiter": Parameter(5.2, "r_earth", f),
-             "eccentricity": Parameter(0.05, "dimensionless", f),
-             "phi0": Parameter(0.0, "radians", f),
+            {"m_jupiter": Parameter(1e-3, "m_sun"),
+             "r_jupiter": Parameter(5.2, "r_earth"),
+             "eccentricity": Parameter(0.05, "dimensionless"),
+             "phi0": Parameter(0.0, "radians"),
              "nodes": Parameter(32, "count", i)},
             _run_celestial_residual, _prepare_celestial_residual),
         Scenario(
             "monopole-angmom",
             "Field angular momentum of a charge and a magnetic pole: one "
             "unit of charge*pole regardless of separation.",
-            {"charge": Parameter(1.0, "charge", f),
-             "pole_strength": Parameter(1.0, "pole", f),
+            {"charge": Parameter(1.0, "charge"),
+             "pole_strength": Parameter(1.0, "pole"),
              "separations": Parameter("0.7,1.0,2.5", "length", s)},
             _run_monopole_angmom, _prepare_monopole_angmom),
     ]

@@ -48,7 +48,7 @@ class Curve3D:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def circle(cls, center, radius: float, normal, samples: int = 200,
+    def circle(cls, center, radius: float, normal, samples: int,
                turns: int = 1) -> "Curve3D":
         """Planar circle (optionally wound several turns) about an axis."""
         if radius <= 0.0:

@@ -16,9 +16,18 @@ from phaselab.analogs import (ArctanDetuningRamp, FrozenLength,
                               PendulumSystem, TwoLevelSweep)
 from phaselab.errors import (GeometryError, IntegratorError, RegimeWarning,
                              ResolutionError)
+from phaselab.scenarios import SCENARIOS
 
 # the form for which pendulum Magnus generators are Hamiltonian: J W symmetric
 J4 = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+# the pendulums' start: all energy in the e displacement
+START = (1.0, 0.0, 0.0, 0.0)
+# pendulum-msw's catalog pendulums, as msw_benchmark_system takes them
+MSW = {name: SCENARIOS["pendulum-msw"].parameters[name].default
+       for name in ("kappa", "delta_max", "l_mu", "g")}
+# rect-loop's catalog rectangle and transport
+RECT = {name: SCENARIOS["rect-loop"].parameters[name].default
+        for name in ("delta0", "epsilon0", "adiabaticity")}
 
 
 def magnus_commutator_generator(a1, a2, a3):
@@ -114,7 +123,7 @@ class TestPendulumTransfer:
     def test_report_bookkeeping(self):
         # the fastest sweep of the rate ladder
         system, duration = analogs.msw_benchmark_system(
-            crossing_rate=2816.0 * 0.01 * 0.0125 ** 2)
+            crossing_rate=2816.0 * 0.01 * 0.0125 ** 2, **MSW)
         rep = analogs.pendulum_sweep(system, duration)
         assert rep.energy_drift is None
 
@@ -134,7 +143,7 @@ class TestPendulumTransfer:
 
     def test_frozen_lengths_conserve_energy(self):
         system = PendulumSystem(length_schedule=FrozenLength(1.3), l_mu=1.0,
-                                kappa=0.025)
+                                kappa=0.025, g=1.0, state=START)
         rep = analogs.pendulum_sweep(system, 50.0)
         assert rep.energy_drift is not None
         assert rep.energy_drift < 1e-6
@@ -142,15 +151,15 @@ class TestPendulumTransfer:
     def test_validation(self):
         with pytest.raises(ValueError):
             PendulumSystem(length_schedule=FrozenLength(1.0), l_mu=0.0,
-                           kappa=0.1)
+                           kappa=0.1, g=1.0, state=START)
         with pytest.raises(ValueError):
             PendulumSystem(length_schedule=FrozenLength(1.0), l_mu=1.0,
-                           kappa=-0.1)
+                           kappa=-0.1, g=1.0, state=START)
         with pytest.raises(ValueError):
             PendulumSystem(length_schedule=FrozenLength(1.0), l_mu=1.0,
-                           kappa=0.1, state=(1.0, 0.0))
+                           kappa=0.1, g=1.0, state=(1.0, 0.0))
         good = PendulumSystem(length_schedule=FrozenLength(1.0), l_mu=1.0,
-                              kappa=0.1)
+                              kappa=0.1, g=1.0, state=START)
         with pytest.raises(ValueError):
             analogs.pendulum_sweep(good, -1.0)
 
@@ -162,7 +171,7 @@ class TestPendulumTransfer:
                 return 0.0
 
         sinking = PendulumSystem(length_schedule=Sinking(), l_mu=1.0,
-                                 kappa=0.1)
+                                 kappa=0.1, g=1.0, state=START)
         with pytest.raises(ValueError):
             analogs.pendulum_sweep(sinking, 10.0)
 
@@ -176,7 +185,7 @@ class TestMagnusPropagator:
 
     def fast_system(self):
         return PendulumSystem(length_schedule=ArctanDetuningRamp(
-            **self.FAST_RAMP), l_mu=1.0, kappa=self.KAPPA)
+            **self.FAST_RAMP), l_mu=1.0, kappa=self.KAPPA, g=1.0, state=START)
 
     def test_start_steps_count_the_first_two_runs(self, monkeypatch):
         system = self.fast_system()
@@ -210,7 +219,7 @@ class TestMagnusPropagator:
         we2, wm2 = 1.0 / 1.3, 1.0
         state = np.array([1.0, 0.2, -0.3, 0.1])
         system = PendulumSystem(length_schedule=FrozenLength(1.3), l_mu=1.0,
-                                kappa=self.KAPPA, state=tuple(state))
+                                kappa=self.KAPPA, g=1.0, state=tuple(state))
         times = np.linspace(0.0, 50.0, 240)
         ys = analogs._magnus_run(system, times, 3)
         k2, vecs = np.linalg.eigh(np.array([[we2 + self.KAPPA, -self.KAPPA],
@@ -236,7 +245,7 @@ class TestMagnusPropagator:
     def test_ladder_sweep_matches_dop853(self):
         eps = self.KAPPA / 2.0
         system, duration = analogs.msw_benchmark_system(
-            crossing_rate=137.0 * 0.01 * eps * eps)
+            crossing_rate=137.0 * 0.01 * eps * eps, **MSW)
         sched = system.length_schedule
 
         def rhs(t, y):
@@ -250,7 +259,8 @@ class TestMagnusPropagator:
         # the sudden path attributes a state at the lengths it is given
         reference = analogs.pendulum_sweep(PendulumSystem(
             length_schedule=FrozenLength(sched.value(duration)), l_mu=1.0,
-            kappa=self.KAPPA, state=tuple(sol.y[:, -1])), 0.0).fraction
+            kappa=self.KAPPA, g=1.0, state=tuple(sol.y[:, -1])),
+            0.0).fraction
         fraction = analogs.pendulum_sweep(system, duration).fraction
         assert fraction == pytest.approx(reference, rel=1e-10)
 
@@ -357,7 +367,7 @@ class TestMagnusPropagator:
         # a constant schedule steps exactly, so the first estimate is
         # roundoff and the next doubling cannot cut it 8-fold
         system = PendulumSystem(length_schedule=FrozenLength(1.3), l_mu=1.0,
-                                kappa=self.KAPPA)
+                                kappa=self.KAPPA, g=1.0, state=START)
         runs = []
         magnus_run = analogs._magnus_run
 
@@ -432,8 +442,9 @@ class TestTwoLevelSweep:
 
 class TestRectanglePath:
     def test_geometry(self):
-        path = analogs.rectangle_path(2.0, 0.5, 800, center=(1.0, -0.5))
-        assert path.shape == (800, 2)
+        corners = analogs.rectangle_corners(2.0, 0.5, (1.0, -0.5))
+        path = analogs.rectangle_path(corners)
+        assert path.shape == (analogs._LOOP_SAMPLES, 2)
         assert path[0] == pytest.approx([3.0, 0.0])
         on_edge = (np.isclose(np.abs(path[:, 0] - 1.0), 2.0)
                    | np.isclose(np.abs(path[:, 1] + 0.5), 0.5))
@@ -442,17 +453,38 @@ class TestRectanglePath:
         assert np.allclose(steps, steps[0])
 
     def test_winding(self):
-        around = analogs.rectangle_path(2.0, 0.5, 400)
+        around = analogs.rectangle_path(
+            analogs.rectangle_corners(2.0, 0.5, (0.0, 0.0)))
         assert analogs._winding(around) == 1
         assert analogs._winding(around[::-1]) == -1
-        beside = analogs.rectangle_path(2.0, 0.5, 400, center=(10.0, 0.0))
+        beside = analogs.rectangle_path(
+            analogs.rectangle_corners(2.0, 0.5, (10.0, 0.0)))
         assert analogs._winding(beside) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            analogs.rectangle_path(0.0, 1.0, 100)
-        with pytest.raises(ValueError):
-            analogs.rectangle_path(1.0, 1.0, 4)
+            analogs.rectangle_corners(0.0, 1.0, (0.0, 0.0))
+
+    def test_table_knots_are_the_corners(self):
+        # the corners rectangular_loop_phase reads off the table's knots:
+        # the catalog's enclosing and shifted rectangles, then seeded draws
+        d0, e0, mu = RECT["delta0"], RECT["epsilon0"], RECT["adiabaticity"]
+        draws = [(d0, e0, (0.0, 0.0), mu), (d0, e0, (3.0 * d0, 0.0), mu)]
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            delta0, epsilon0 = rng.uniform(0.05, 20.0, 2).tolist()
+            center = tuple(rng.uniform(-30.0, 30.0, 2).tolist())
+            draws.append((delta0, epsilon0, center,
+                          float(rng.uniform(1e-4, 1e-1))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for delta0, epsilon0, center, mu in draws:
+                _, deltas, epsilons = analogs.rectangle_transport(
+                    delta0, epsilon0, center, mu)
+                corners = np.column_stack((deltas[::analogs._KNOTS],
+                                           epsilons[::analogs._KNOTS]))
+                assert np.array_equal(corners, analogs.rectangle_corners(
+                    delta0, epsilon0, center)), (delta0, epsilon0, center)
 
 
 class TestRectangleLoop:
@@ -475,33 +507,31 @@ class TestRectangleLoop:
         assert rec["shifted_square_deviation"] < 1e-2
 
     def test_transport_domain(self):
-        for kwargs in ({"adiabaticity": 0.0}, {"adiabaticity": -1e-3}):
+        origin, mu = (0.0, 0.0), RECT["adiabaticity"]
+        for adiabaticity in (0.0, -1e-3):
             with pytest.raises(ValueError):
-                analogs.rectangle_transport(10.0, 0.5, **kwargs)
+                analogs.rectangle_transport(10.0, 0.5, origin, adiabaticity)
         # 2000 samples 0.02 apart on a loop passing 0.01 from the crossing
         with pytest.raises(ResolutionError):
-            analogs.rectangle_transport(10.0, 0.01)
+            analogs.rectangle_transport(10.0, 0.01, origin, mu)
         # squares that overflow are rejected before numpy forms them
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for delta0, epsilon0 in ((1e300, 0.5), (10.0, 1e300)):
                 with pytest.raises(ValueError, match="overflows"):
-                    analogs.rectangle_transport(delta0, epsilon0)
-        table = analogs.rectangle_transport(10.0, 0.5)
+                    analogs.rectangle_transport(delta0, epsilon0, origin, mu)
+        table = analogs.rectangle_transport(10.0, 0.5, origin, mu)
         assert table[0][-1] == pytest.approx(3046.6717017181018, rel=1e-12)
         with pytest.raises(ValueError):
-            analogs.rectangular_loop_phase(0.5, 10.0, table,
-                                           transport_step=0.0)
+            analogs.rectangular_loop_phase(table, 0.0)
 
-    def test_resonant_corners_warn(self, monkeypatch):
-        monkeypatch.setattr(analogs, "_LOOP_SAMPLES", 400)
-        table = analogs.rectangle_transport(5.0, 1.0, adiabaticity=0.5)
+    def test_resonant_corners_warn(self):
         with pytest.warns(RegimeWarning):
-            analogs.rectangular_loop_phase(1.0, 5.0, table,
-                                           transport_step=0.05)
+            analogs.rectangle_transport(5.0, 1.0, (0.0, 0.0), 0.5)
 
     def test_edge_through_degeneracy(self):
         # the time table, which the loop phase needs, refuses the touching
         # edge
         with pytest.raises(GeometryError):
-            analogs.rectangle_transport(10.0, 0.5, (10.0, 0.0))
+            analogs.rectangle_transport(10.0, 0.5, (10.0, 0.0),
+                                        RECT["adiabaticity"])

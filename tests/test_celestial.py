@@ -6,19 +6,23 @@ Runs at catalog defaults come from the session fixture ``scenario``.
 import itertools
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from phaselab import analogs
+from phaselab import analogs, dop853
 from phaselab.analogs import CelestialConfig
 from phaselab.errors import DynamicsError
+from phaselab.scenarios import SCENARIOS
 
 TWO_PI = 2.0 * math.pi
 # the celestial scenarios' catalog configuration
-CONFIG = CelestialConfig(m_jupiter=1e-3, r_jupiter=5.2)
+CONFIG = CelestialConfig(**{
+    name: SCENARIOS["celestial-frozen"].parameters[name].default
+    for name in ("m_jupiter", "r_jupiter", "eccentricity")})
 
 
 def single_lane_period(cfg, phi, orbits=8.5):
@@ -45,8 +49,9 @@ def single_lane_period(cfg, phi, orbits=8.5):
         flip = np.array([[1.0], [1.0], [sign], [sign]])
         # one lane: a read of lane 0's rows reads every row
         reflected = SimpleNamespace(
+            ts=sign * sol.t,
             sol=lambda tau, lane=None: sol.sol(sign * tau) * flip)
-        times = analogs._perihelion_times(reflected, t_half)[0]
+        times = analogs._perihelion_times(reflected)[0]
         gaps.append(np.diff(times))
     return float(np.mean(np.concatenate(gaps)))
 
@@ -82,18 +87,18 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CelestialConfig(m_jupiter=-1e-3, r_jupiter=5.2)
+            replace(CONFIG, m_jupiter=-1e-3, r_jupiter=5.2)
         with pytest.raises(ValueError):
-            CelestialConfig(m_jupiter=0.2, r_jupiter=5.2)
+            replace(CONFIG, m_jupiter=0.2, r_jupiter=5.2)
         with pytest.raises(ValueError):
-            CelestialConfig(m_jupiter=1e-3, r_jupiter=0.9)
+            replace(CONFIG, m_jupiter=1e-3, r_jupiter=0.9)
         with pytest.raises(ValueError):
-            CelestialConfig(m_jupiter=1e-3, r_jupiter=5.2, eccentricity=0.2)
+            replace(CONFIG, eccentricity=0.2)
 
 
 class TestFrozenPeriod:
     def test_unperturbed_recovers_kepler(self):
-        cfg = CelestialConfig(m_jupiter=0.0, r_jupiter=5.2)
+        cfg = replace(CONFIG, m_jupiter=0.0, r_jupiter=5.2)
         assert abs(frozen_period(cfg, 0.0) - TWO_PI) < 1e-8
 
     def test_angle_dependence(self, grid):
@@ -146,7 +151,7 @@ class TestLaneStacks:
     def test_failing_lane_is_named(self):
         # at r_jupiter 1.2 the heavy lane falls into the sun near t = 11.7;
         # the free lane beside it would run to the end
-        cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.2)
+        cfg = replace(CONFIG, m_jupiter=0.05, r_jupiter=1.2)
         with pytest.raises(DynamicsError, match=r"collided.* lane 1 "
                            r"\(perturber angle 0, mass 0\.05\)"):
             analogs.celestial_frozen_period(cfg, [0.0, 0.0],
@@ -170,7 +175,7 @@ class TestLaneStacks:
     def test_failing_reversed_lane_is_named(self):
         # at angle -0.5 the backward branch falls into the sun first, at
         # t = -15.851, before the forward one does at t = 20.197
-        cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.2)
+        cfg = replace(CONFIG, m_jupiter=0.05, r_jupiter=1.2)
         with pytest.raises(DynamicsError, match=r"^planet collided with the "
                            r"sun at t = -15\.851 in lane 0 \(perturber angle "
                            r"-0\.5, mass 0\.05\) on the backward branch$"):
@@ -207,22 +212,22 @@ class TestRunStops:
     def test_moving_perturber_collision(self):
         # a heavy perturber close in and turning slowly drags the planet
         # into the sun
-        cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.2)
+        cfg = replace(CONFIG, m_jupiter=0.05, r_jupiter=1.2)
         with pytest.raises(DynamicsError, match=r"^planet collided with the "
                            r"sun at t = 11\.693$"):
             analogs._integrate(cfg, lambda t: 0.01 * t, 40.0, 1e-12, 1e-13)
 
     def test_moving_perturber_escape(self):
-        cfg = CelestialConfig(m_jupiter=0.03, r_jupiter=1.3)
+        cfg = replace(CONFIG, m_jupiter=0.03, r_jupiter=1.3)
         with pytest.raises(DynamicsError, match=r"^planet escaped past 2\.5 "
                            r"r_jupiter at t = 19\.203$"):
             analogs._integrate(cfg, _moving(cfg), 60.0, 1e-12, 1e-13)
 
     @pytest.mark.parametrize("cfg, angle, t_max, event", [
-        (CelestialConfig(m_jupiter=0.05, r_jupiter=1.2), lambda t: 0.01 * t,
+        (replace(CONFIG, m_jupiter=0.05, r_jupiter=1.2), lambda t: 0.01 * t,
          40.0, 0),
-        (CelestialConfig(m_jupiter=0.03, r_jupiter=1.3),
-         _moving(CelestialConfig(m_jupiter=0.03, r_jupiter=1.3)), 60.0, 1)],
+        (replace(CONFIG, m_jupiter=0.03, r_jupiter=1.3),
+         _moving(replace(CONFIG, m_jupiter=0.03, r_jupiter=1.3)), 60.0, 1)],
         ids=["collision", "escape"])
     def test_stops_are_scipys_terminal_events(self, dop853_runs, cfg, angle,
                                               t_max, event):
@@ -231,13 +236,13 @@ class TestRunStops:
         with pytest.raises(DynamicsError):
             analogs._integrate(cfg, angle, t_max, 1e-12, 1e-13)
         (args, run), = dop853_runs
-        rhs, y0, t_end, rtol, atol, r_min, r_max = args
+        rhs, y0, t_end, rtol, atol, _ = args
 
         def collision(t, y):
-            return analogs._radii(y).min() - r_min
+            return analogs._radii(y).min() - 0.01
 
         def escape(t, y):
-            return analogs._radii(y).max() - r_max
+            return analogs._radii(y).max() - 2.5 * cfg.r_jupiter
 
         collision.terminal = escape.terminal = True
         reference = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
@@ -249,7 +254,7 @@ class TestRunStops:
 
     def test_failed_step(self):
         # the perturber's circle at 1.1 runs through the planet's orbit
-        cfg = CelestialConfig(m_jupiter=0.05, r_jupiter=1.1)
+        cfg = replace(CONFIG, m_jupiter=0.05, r_jupiter=1.1)
         with pytest.raises(DynamicsError, match=r"^orbit integration failed: "
                            r"Required step size is less than spacing between "
                            r"numbers\.$"):
@@ -258,11 +263,12 @@ class TestRunStops:
     def test_escape_through_solve(self):
         # (1 + t, t / 2) leaves r = 2.5 r_jupiter = 5 at
         # t = (sqrt(124) - 2) / 2.5 = 3.6542
-        cfg = CelestialConfig(m_jupiter=0.0, r_jupiter=2.0)
+        cfg = replace(CONFIG, m_jupiter=0.0, r_jupiter=2.0)
         with pytest.raises(DynamicsError, match=r"^planet escaped past 2\.5 "
                            r"r_jupiter at t = 3\.654$"):
-            analogs._solve(cfg, _coasting, np.array([1.0, 0.0, 1.0, 0.5]),
-                           20.0, 1e-12, 1e-13)
+            analogs.solve_ivp(cfg, _coasting,
+                              np.array([1.0, 0.0, 1.0, 0.5]), 20.0, 1e-12,
+                              1e-13)
 
     @pytest.mark.parametrize("speed, message", [
         (1.25, "escaped past 2.5 r_jupiter at t = 1.600 in lane 1"),
@@ -272,7 +278,7 @@ class TestRunStops:
         # coasts out past r = 3 at 2 / speed.  Both cross inside the same
         # step, and the earlier crossing ends the run
         from scipy.integrate import DOP853
-        cfg = CelestialConfig(m_jupiter=0.0, r_jupiter=1.2)
+        cfg = replace(CONFIG, m_jupiter=0.0, r_jupiter=1.2)
         y0 = np.array([2.0, 1.0, 0.0, 0.0, -1.0, speed, 0.0, 0.0])
         stepper = DOP853(_coasting, 0.0, y0, 10.0, rtol=1e-12, atol=1e-13)
         while stepper.status == "running":
@@ -283,27 +289,29 @@ class TestRunStops:
         assert r[0] <= 0.01 and r[1] >= 3.0
         with pytest.raises(DynamicsError,
                            match=f"^planet {re.escape(message)}$"):
-            analogs._solve(cfg, _coasting, y0, 10.0, 1e-12, 1e-13,
-                           lambda t, k: f" at t = {t:.3f} in lane {k}")
+            analogs.solve_ivp(cfg, _coasting, y0, 10.0, 1e-12, 1e-13,
+                              lambda t, k: f" at t = {t:.3f} in lane {k}")
 
 
 @pytest.fixture
 def dop853_runs(monkeypatch):
-    """(arguments, result) of each analogs.solve_ivp call a test makes."""
+    """(arguments, result) of each dop853.run call a test makes; a stopped
+    run is recorded before analogs.solve_ivp raises on it."""
     runs = []
-    forward = analogs.solve_ivp
+    forward = dop853.run
 
     def recording(*args):
         runs.append((args, forward(*args)))
         return runs[-1][1]
 
-    monkeypatch.setattr(analogs, "solve_ivp", recording)
+    monkeypatch.setattr(dop853, "run", recording)
     return runs
 
 
 class TestDenseRun:
-    """analogs.solve_ivp against scipy's solve_ivp on the same RHS: the
-    same step ends, RHS calls and dense output, bit for bit.  A scipy whose
+    """The orbit runs (dop853.run, as analogs.solve_ivp makes it) against
+    scipy's solve_ivp on the same RHS: the same step ends, RHS calls and
+    dense output, bit for bit.  A scipy whose
     DOP853 step, error norm, step control or dense output changes fails
     here."""
 
@@ -312,18 +320,18 @@ class TestDenseRun:
                                     CONFIG.jupiter_period + 1.5 * TWO_PI,
                                     1e-12, 1e-13), False),
         (lambda: analogs._integrate(
-            CelestialConfig(m_jupiter=0.0, r_jupiter=5.2), _moving(CONFIG),
+            replace(CONFIG, m_jupiter=0.0, r_jupiter=5.2), _moving(CONFIG),
             20.0, 1e-9, 1e-10), False),
         (lambda: analogs.celestial_frozen_period(CONFIG, [0.0, 1.0, 2.5]),
          False),
         # a heavy perturber close in: steps fail the error test and are
         # retried shorter
         (lambda: analogs.celestial_frozen_period(
-            CelestialConfig(m_jupiter=0.05, r_jupiter=1.5), [0.0, 1.0, 2.5]),
+            replace(CONFIG, m_jupiter=0.05, r_jupiter=1.5), [0.0, 1.0, 2.5]),
          True),
         (lambda: analogs._integrate(
-            CelestialConfig(m_jupiter=0.05, r_jupiter=2.0),
-            _moving(CelestialConfig(m_jupiter=0.05, r_jupiter=2.0)),
+            replace(CONFIG, m_jupiter=0.05, r_jupiter=2.0),
+            _moving(replace(CONFIG, m_jupiter=0.05, r_jupiter=2.0)),
             40.0, 1e-12, 1e-13), True)],
         ids=["moving", "massless", "frozen-stack", "frozen-rejecting",
              "moving-rejecting"])
@@ -348,7 +356,7 @@ class TestDenseRun:
             assert np.array_equal(run.sol(t), reference.sol(t))
 
     @pytest.mark.parametrize("cfg", [CONFIG,
-                                     CelestialConfig(m_jupiter=0.0,
+                                     replace(CONFIG, m_jupiter=0.0,
                                                      r_jupiter=5.2)])
     def test_scalar_rhs_floats_match_numpy_scalars(self, dop853_runs, cfg):
         # the single-lane RHS unpacks y.tolist(); handing it numpy scalars
@@ -363,7 +371,7 @@ class TestDenseRun:
     def test_lane_rhs_matches_row_formula(self, monkeypatch):
         # the stacked RHS works on (2, n) position rows; the formula written
         # out per coordinate row gives the same bits
-        monkeypatch.setattr(analogs, "_solve", lambda cfg, rhs, *rest: rhs)
+        monkeypatch.setattr(analogs, "solve_ivp", lambda cfg, rhs, *rest: rhs)
         rng = np.random.default_rng(11)
         lanes = 32
         phis = rng.uniform(0.0, TWO_PI, lanes)
@@ -463,7 +471,7 @@ class TestAdiabaticResidual:
         assert gap < 1e-4
 
     def test_unperturbed_control(self):
-        cfg = CelestialConfig(m_jupiter=0.0, r_jupiter=5.2)
+        cfg = replace(CONFIG, m_jupiter=0.0, r_jupiter=5.2)
         res = analogs.celestial_adiabatic_residual(
             cfg, analogs.frozen_grid_angles(32), check_convergence=False)
         assert abs(res.residual) < 1e-8
@@ -473,7 +481,7 @@ class TestAdiabaticResidual:
         # ten-fold mass at close range: the frozen-field prediction is no
         # longer the whole story and the residual overtakes the dynamical
         # correction instead of hiding under it
-        cfg = CelestialConfig(m_jupiter=1e-2, r_jupiter=3.0)
+        cfg = replace(CONFIG, m_jupiter=1e-2, r_jupiter=3.0)
         res = analogs.celestial_adiabatic_residual(
             cfg, analogs.frozen_grid_angles(32), check_convergence=False)
         assert res.residual == pytest.approx(0.1034337003866952, rel=1e-4)
@@ -481,7 +489,7 @@ class TestAdiabaticResidual:
 
     def test_regime_guard(self):
         # a perturber at r_jupiter 2.5 circles in 3.95 t_earth
-        cfg = CelestialConfig(m_jupiter=1e-3, r_jupiter=2.5)
+        cfg = replace(CONFIG, m_jupiter=1e-3, r_jupiter=2.5)
         with pytest.raises(ValueError):
             analogs.celestial_adiabatic_residual(
                 cfg, analogs.frozen_grid_angles(32))
@@ -490,8 +498,8 @@ class TestAdiabaticResidual:
         # Kepler's third law puts t_jupiter = 5 t_earth at r = 5^(2/3)
         edge = 5.0 ** (2.0 / 3.0)
         t_j, t_e = analogs.adiabatic_periods(
-            CelestialConfig(m_jupiter=1e-3, r_jupiter=1.001 * edge))
+            replace(CONFIG, m_jupiter=1e-3, r_jupiter=1.001 * edge))
         assert t_j == pytest.approx(5.0 * t_e, rel=2e-3)
         with pytest.raises(ValueError, match="adiabatic regime"):
             analogs.adiabatic_periods(
-                CelestialConfig(m_jupiter=1e-3, r_jupiter=0.999 * edge))
+                replace(CONFIG, m_jupiter=1e-3, r_jupiter=0.999 * edge))

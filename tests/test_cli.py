@@ -745,6 +745,22 @@ class TestSuccessArtifacts:
             (tmp_path / "out" / "scatter-phase" / "manifest.json").read_text())
         assert manifest["warnings"] == ["RuntimeWarning: prepared"]
 
+    def test_warnings_of_a_failed_run_go_to_the_manifest(self, tmp_path,
+                                                         capsys, monkeypatch):
+        def runner(params, seed, emit):
+            warnings.warn("ran", RuntimeWarning)
+            raise ValueError("failed")
+
+        monkeypatch.setitem(SCENARIOS, "linking", dataclasses.replace(
+            SCENARIOS["linking"], runner=runner))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one that escaped would raise
+            assert run_cli(tmp_path, capsys, "linking")[0] == 3
+        manifest = json.loads(
+            (tmp_path / "out" / "linking" / "manifest.json").read_text())
+        assert manifest["error"]["kind"] == "computation-error"
+        assert manifest["warnings"] == ["RuntimeWarning: ran"]
+
     def test_output_digests_match(self, success):
         outdir, _ = success
         manifest = json.loads((outdir / "manifest.json").read_text())
@@ -853,7 +869,7 @@ class TestCsvWriter:
         monkeypatch.setitem(SCENARIOS, "scatter-phase", dataclasses.replace(
             SCENARIOS["scatter-phase"], runner=runner))
         for rows in (10 ** 4, 10 ** 5):
-            _, _, outputs, _ = cli._execute("scatter-phase", rows, 0, tmp_path)
+            _, _, outputs = cli._execute("scatter-phase", rows, 0, tmp_path)
             name = f"rows{rows}.csv"
             data = (tmp_path / name).read_bytes()
             assert len(data) > 20 * rows

@@ -422,8 +422,9 @@ class TestLongRunAccuracy:
         else:
             # the first half-loop transport of the default rectangle at the
             # benchmark's step: 38,084 steps through the resonance
-            times, dk, ek = analogs.rectangle_transport(10.0, 0.5)
-            half = float(times[len(times) // 2])
+            times, dk, ek = analogs.rectangle_transport(10.0, 0.5, (0.0, 0.0),
+                                                        1e-3)
+            half = analogs.transport_halves(times)[0]
             schedule = qcore.HamiltonianSchedule(
                 lambda t: (np.interp(t, times, ek), 0.0,
                            np.interp(t, times, dk)), half)

@@ -1,7 +1,9 @@
 """Guards: every function, class and method in src/phaselab is reached from
 the program, every record field (dataclass or NamedTuple) there is read by
-it, and every default there is overridden by some call of it, so no library
-code, result field or one-value knob lives on for the unit tests alone.  A
+it, and every default there is overridden by some call of it and left in
+place by another, so no library code, result field, one-value knob or
+default that only restates its callers' value lives on for the unit tests
+alone.  A
 dataclass there validates in ``__post_init__``; a record that checks
 nothing is a NamedTuple.  And every scenario whose
 run reaches a marching kernel predicts that work in its prepare, so no
@@ -34,6 +36,9 @@ ALLOWED_FIELDS = {
 
 # defaults no call in src/phaselab overrides, each with its reason
 ALLOWED_KNOBS = set()
+
+# defaults every call in src/phaselab overrides, each with its reason
+ALLOWED_UNUSED = set()
 
 
 def _trees():
@@ -155,13 +160,15 @@ def _parameters(fn, bound):
     return [a.arg for a in args[1 if bound else 0:]], knobs
 
 
-def _knob_scan():
-    """(knobs, passed): every "owner.name" default of a function, method or
-    record field in src/phaselab, and those that some call there passes.
+def _knob_calls():
+    """(knobs, calls): the names with a default of each function, method
+    or record in src/phaselab, by owner, and each call there that reaches
+    one as (owner, names it passes, whether it builds afresh).
 
     A call passes a default by keyword, by position past the required
     arguments, or as a ``dataclasses.replace`` keyword (which reaches the
-    field of that name in every record).  Calls resolve as generously as
+    field of that name in every record, and keeps the other fields as they
+    are, so it builds nothing afresh).  Calls resolve as generously as
     _scan: a name through the module's imports and simple aliases
     (``circ = topology.Curve3D.circle``), ``x.attr`` to every function,
     method or class called ``attr``, and a class to its record fields or
@@ -207,7 +214,7 @@ def _knob_scan():
         # a class call sets the knobs of its __init__
         return key if key in knobs else f"{key}.__init__"
 
-    passed = set()
+    calls = []
     for mod, tree in trees.items():
         aliases = {}
 
@@ -232,17 +239,25 @@ def _knob_scan():
             keywords = {kw.arg for kw in node.keywords if kw.arg}
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
             if name == "replace":
-                passed |= {(key, kw) for key, names in fields.items()
-                           for kw in keywords & names}
+                calls += [(key, keywords & names, False)
+                          for key, names in fields.items()]
             filled = next((k for k, arg in enumerate(node.args)
                            if isinstance(arg, ast.Starred)), len(node.args))
             for key in resolve(node.func) & set(signatures):
-                names = signatures[key]
-                passed |= {(owner(key), kw)
-                           for kw in keywords | set(names[:filled])}
+                calls.append((owner(key),
+                              keywords | set(signatures[key][:filled]), True))
+    return knobs, [(key, names & knobs[key], fresh)
+                   for key, names, fresh in calls if key in knobs]
+
+
+def _knob_scan():
+    """(knobs, passed): every "owner.name" default of a function, method or
+    record field in src/phaselab, and those that some call there passes
+    (_knob_calls)."""
+    knobs, calls = _knob_calls()
     return ({f"{key}.{name}" for key, names in knobs.items()
              for name in names},
-            {f"{key}.{name}" for key, name in passed})
+            {f"{key}.{name}" for key, names, _ in calls for name in names})
 
 
 def test_every_default_is_overridden_by_the_program():
@@ -253,6 +268,20 @@ def test_every_default_is_overridden_by_the_program():
     fixed = knobs - passed
     assert sorted(fixed - ALLOWED_KNOBS) == []
     assert ALLOWED_KNOBS <= fixed, "allowlisted default now passed"
+
+
+def test_every_default_is_used_by_the_program():
+    # a default is used when a call that builds afresh leaves it out; one
+    # that every such call passes only restates its callers' value
+    knobs, calls = _knob_calls()
+    used = {f"{key}.{name}" for key, names, fresh in calls if fresh
+            for name in knobs[key] - names}
+    # Curve3D.circle(..., samples, turns=2) and circ(..., samples) both run
+    assert "topology.Curve3D.circle.turns" in used
+    assert "scenarios.Parameter.kind" in used  # the float entries
+    unused = _knob_scan()[0] - used
+    assert sorted(unused - ALLOWED_UNUSED) == []
+    assert ALLOWED_UNUSED <= unused, "allowlisted default now used"
 
 
 # the scenarios that are slow at their defaults run at the benchmark's sizes
@@ -306,7 +335,7 @@ def test_every_scenario_predicts_its_work(monkeypatch, scenario):
     wrong = []
     for name, sc in scenarios.SCENARIOS.items():
         predicted, counted, reached = Counter(), Counter(), set()
-        _, _, inputs, seed, _ = cli._validate(
+        _, _, inputs, seed = cli._validate(
             {"scenario": name, "parameters": FAST.get(name, {})})
         if name == "scatter-wavepacket":
             counted["cell updates"] = (inputs[1].grid_points

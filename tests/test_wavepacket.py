@@ -54,23 +54,23 @@ class TestRunValidation:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             WavepacketRun(grid_points=32, dt=0.01, length=100.0, center=35.0,
-                          width=2.5)
+                          width=2.5, round_trips=16)
 
     def test_center_inside_box(self):
         with pytest.raises(ValueError):
             WavepacketRun(grid_points=256, dt=0.01, length=100.0,
-                          center=120.0, width=2.5)
+                          center=120.0, width=2.5, round_trips=16)
         with pytest.raises(ValueError):
             WavepacketRun(grid_points=256, dt=0.01, length=100.0,
-                          center=0.0, width=2.5)
+                          center=0.0, width=2.5, round_trips=16)
 
     def test_positive_step_and_width(self):
         with pytest.raises(ValueError):
             WavepacketRun(grid_points=256, dt=0.0, length=100.0, center=35.0,
-                          width=2.5)
+                          width=2.5, round_trips=16)
         with pytest.raises(ValueError):
             WavepacketRun(grid_points=256, dt=0.01, length=100.0,
-                          center=35.0, width=-1.0)
+                          center=35.0, width=-1.0, round_trips=16)
         with pytest.raises(ValueError):
             WavepacketRun(grid_points=256, dt=0.01, length=100.0,
                           center=35.0, width=2.5, round_trips=0)
