@@ -40,7 +40,10 @@ class DenseRun(NamedTuple):
         last step, and the interpolant is summed in the same Horner steps
         in the same order.  All points are read in one pass, over the
         coefficients of the contiguous steps from the first to the last
-        step they fall in; reads are local in time, so that is few more.
+        step they fall in.  For points close in time, such as a block of
+        grid points, those are few more steps than the points fall in;
+        points spread over the run, such as a round of one lane's
+        perihelion windows, stack nearly all of its steps.
 
         With columns, an integer array of shape (len(t), k), time t[i]
         reads only the state entries columns[i], and the result has shape

@@ -9,7 +9,9 @@ propagator kernel, _propagate, samples the field over whole chunks of its
 midpoint grid and builds every step, an SU(2) matrix, as an array of its
 Cayley-Klein pair (its first column); the states come from a blocked prefix
 product of those steps, recursive over the block starts, so that at most
-_BLOCK of them per chunk march one by one.  The one eigenbasis,
+_BLOCK of them per chunk march one by one.  A chunk's arrays are let go
+before the next chunk builds its own, so a call's memory is that of one
+chunk however long the run.  The one eigenbasis,
 field_eigenvectors, comes for a whole stack of fields at once: the Wilson
 loop in berry uses it, and so does ground_state, which gives the
 propagator its start and end states.
@@ -29,12 +31,17 @@ from .errors import CyclicityError, ScheduleError
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
 _CYCLIC_OVERLAP = 0.99
-# propagator steps built as arrays at once: bounds memory, not accuracy
-_CHUNK = 4096
-# steps per block on each level of the state march, _march.  Per 4,096-step
-# chunk on a shared 2-vCPU machine (medians of seven) the march takes
-# 0.48 ms at 16, 0.47-0.61 ms at 8, 0.60 ms at 32 and 0.62-0.95 ms at 64,
-# against 2.6-3.7 ms for a step-by-step loop.  At 16 its long-run errors
+# propagator steps built as arrays at once.  It bounds memory, not
+# accuracy: a call peaks at about 141 bytes per step of a chunk, 1.15 MB
+# (tracemalloc).  Each chunk pays a fixed cost for the march's upper levels,
+# so fewer, longer chunks are faster; 8,192 steps is the longest chunk whose
+# sums still meet the kernel's 1e-12 tests (ROADMAP.md)
+_CHUNK = 8192
+# steps per block on each level of the state march, _march.  Per 8,192-step
+# chunk on a shared 2-vCPU machine (medians of 15, interleaved) the march
+# takes 0.40-0.43 ms at 16, 0.37-0.44 ms at 8, 0.44-0.46 ms at 32 and
+# 0.67-0.70 ms at 64, against 3.4-3.6 ms for a step-by-step loop; whole
+# berry-equator runs read 8, 16 and 32 alike.  At 16 its long-run errors
 # against a long-double march stay below the loop's on berry-equator
 # (tests/test_qcore.py::TestLongRunAccuracy)
 _BLOCK = 16
@@ -182,7 +189,7 @@ def _step_count(duration: float, step: float) -> tuple[int, float]:
     return n, duration / n
 
 
-def _march(alpha: np.ndarray, beta: np.ndarray, p0: complex, p1: complex):
+def _march_blocks(alpha, beta, p0, p1):
     """Apply a stack of n SU(2) steps in turn to (p0, p1).
 
     Step k is [[alpha[k], -conj(beta[k])], [beta[k], conj(alpha[k])]], given
@@ -195,7 +202,9 @@ def _march(alpha: np.ndarray, beta: np.ndarray, p0: complex, p1: complex):
     matrices is in SU(2), so a running product is kept as its first column
     alone.  The block totals are again a stack of SU(2) steps, whose starting
     amplitudes, the block starts, are marched the same way one level up;
-    only a stack of at most _BLOCK steps marches one by one.
+    only a stack of at most _BLOCK steps marches one by one.  Each level drops
+    its references to the steps once their prefixes are formed, and turns
+    the prefixes into the step starts in place.
 
     Every block start, and every start of the one-by-one march, is put back
     to norm 1.  A float64 step unitary scales the norm by 1 + O(eps), and
@@ -203,12 +212,6 @@ def _march(alpha: np.ndarray, beta: np.ndarray, p0: complex, p1: complex):
     step to step, so the norm error would otherwise build up coherently over
     the run.
     """
-    return _march_blocks(alpha, beta, p0, p1)
-
-
-def _march_blocks(alpha, beta, p0, p1):
-    """_march's body.  It recurses through this name, so that a test that
-    wraps _march sees each call from _propagate once."""
     n = len(alpha)
     if n <= _BLOCK:
         b0 = []
@@ -241,16 +244,48 @@ def _march_blocks(alpha, beta, p0, p1):
         a[j + 1] -= beta_c[j] * b[j]
         np.multiply(beta[j], a[j], out=b[j + 1])
         b[j + 1] += alpha_c[j] * b[j]
+    del alpha, beta, alpha_c, beta_c
     s0, s1, p0, p1 = _march_blocks(a[_BLOCK], b[_BLOCK], p0, p1)
     norm = np.hypot(np.abs(s0), np.abs(s1))
     s0 /= norm
     s1 /= norm
-    # b0[j, k], b1[j, k]: prefix j of block k applied to the start of block k
+    # b0[j, k], b1[j, k]: prefix j of block k applied to the start of block
+    # k, a * s0 - conj(b) * s1 and b * s0 + conj(a) * s1, the spent
+    # prefixes overwritten
     a = a[:_BLOCK]
     b = b[:_BLOCK]
-    b0 = a * s0 - b.conj() * s1
-    b1 = b * s0 + a.conj() * s1
-    return b0.T.ravel()[:n], b1.T.ravel()[:n], p0, p1
+    b0 = a * s0
+    b1 = b * s0
+    np.conj(b, out=b)
+    b *= s1
+    b0 -= b
+    del b
+    b0 = b0.T.ravel()[:n]
+    np.conj(a, out=a)
+    a *= s1
+    b1 += a
+    del a
+    return b0, b1.T.ravel()[:n], p0, p1
+
+
+# the march of one chunk; it recurses through _march_blocks, so that a test
+# that wraps _march sees each call from _propagate once
+_march = _march_blocks
+
+
+def _pairs(a1, a2, a3, dt):
+    """Cayley-Klein pairs (alpha, beta) of the steps exp(-i H dt) of the
+    fields (a1, a2, a3), as in _propagate."""
+    r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    angle = r * dt
+    s = np.divide(np.sin(angle), r, out=np.full_like(r, dt), where=r != 0.0)
+    alpha = np.empty(len(r), dtype=complex)
+    beta = np.empty(len(r), dtype=complex)
+    np.cos(angle, out=alpha.real)
+    np.multiply(s, -a3, out=alpha.imag)
+    np.multiply(s, a2, out=beta.real)
+    np.multiply(s, -a1, out=beta.imag)
+    return alpha, beta
 
 
 def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float):
@@ -277,25 +312,18 @@ def _propagate(schedule: HamiltonianSchedule, psi0: np.ndarray, step: float):
     p0 = complex(psi0[0])
     p1 = complex(psi0[1])
     for first in range(0, n, _CHUNK):
-        k = np.arange(first, min(first + _CHUNK, n))
-        a1, a2, a3 = _coefficients(schedule, (k + 0.5) * dt)
-        r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-        angle = r * dt
-        s = np.divide(np.sin(angle), r, out=np.full_like(r, dt), where=r != 0.0)
-        alpha = np.empty(len(k), dtype=complex)
-        beta = np.empty(len(k), dtype=complex)
-        np.cos(angle, out=alpha.real)
-        np.multiply(s, -a3, out=alpha.imag)
-        np.multiply(s, a2, out=beta.real)
-        np.multiply(s, -a1, out=beta.imag)
-        # each step's starting amplitudes
-        b0, b1, p0, p1 = _march(alpha, beta, p0, p1)
+        a1, a2, a3 = _coefficients(
+            schedule, (np.arange(first, min(first + _CHUNK, n)) + 0.5) * dt)
+        # each step's starting amplitudes; the pairs die with the march
+        b0, b1, p0, p1 = _march(*_pairs(a1, a2, a3, dt), p0, p1)
         d = (b0.real * b0.real + b0.imag * b0.imag
              - (b1.real * b1.real + b1.imag * b1.imag))
         z = b1 * b0.conj()
         energy += dt * float(np.sum(
             a3 * d + 2.0 * (a1 * z.real + a2 * z.imag)))
         sigma3 += dt * float(np.sum(d))
+        # free this chunk's arrays before the next chunk's are made
+        del a1, a2, a3, b0, b1, d, z
     return np.array([p0, p1]), energy, sigma3
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,12 +228,12 @@ class TestChunkedKernel:
     CHUNK = qcore._CHUNK
     BLOCK = qcore._BLOCK
     # one step, either side of a march block, of a block of blocks (the
-    # march's second level) and of a chunk boundary, a ragged last block
-    # after a whole one in a ragged last chunk, and a ragged last chunk of
-    # one ragged block
+    # march's second level), of a block of those (its third) and of a chunk
+    # boundary, a ragged last block after a whole one in a ragged last
+    # chunk, and a ragged last chunk of one ragged block
     STEPS = (1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK ** 2 - 1, BLOCK ** 2,
-             BLOCK ** 2 + 1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + BLOCK + 3,
-             3 * CHUNK + 7)
+             BLOCK ** 2 + 1, BLOCK ** 3 - 1, BLOCK ** 3, BLOCK ** 3 + 1,
+             CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + BLOCK + 3, 3 * CHUNK + 7)
     DT = 2.0 ** -12  # exact, so duration / DT is exactly the step count
 
     @staticmethod
@@ -326,6 +327,24 @@ class TestChunkedKernel:
                                              psi0.amplitudes)
         assert np.abs(final.amplitudes - ref[-1]).max() < 1e-12
         assert abs(energy - ref_energy) < 1e-12
+
+    def test_memory_does_not_grow_with_chunks(self):
+        # each chunk lets go of its arrays before the next one builds its
+        # own, so three chunks peak where one does; a chunk's fields, pairs,
+        # first-level prefixes and step starts fit in 146 bytes per step
+        psi0 = state([0.6, 0.8j]).amplitudes
+        peaks = {}
+        for chunks in (1, 3):
+            sched = qcore.HamiltonianSchedule(self.drive,
+                                              chunks * self.CHUNK * self.DT)
+            tracemalloc.start()
+            try:
+                qcore._propagate(sched, psi0, self.DT)
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] < 1.05 * peaks[1]
+        assert peaks[3] < 146 * self.CHUNK
 
     def test_zero_duration(self):
         sched = qcore.HamiltonianSchedule(self.drive, 0.0)
