@@ -20,9 +20,10 @@ sun band of cfg and raises at the step where a lane leaves it.  The
 frozen-perturber periods are measured in lane stacks: every perturber angle
 (and mass) of a grid is two lanes of a (4, N) state, one forward in time and
 one with the velocity reversed for the backward branch, integrated by one
-DOP853 run with a numpy right-hand side, and the apsis refinement reads the
-dense output in blocks of about a hundred time points, each in one pass.
-The moving-perturber runs are single lanes with a scalar right-hand side on
+DOP853 run with a numpy right-hand side, and the apsis search reads the
+dense output in blocks of 112 time points, each in one pass; a run of fewer
+than 36 lanes reads as many lane-points a block, in longer blocks.  The
+moving-perturber runs are single lanes with a scalar right-hand side on
 Python floats, which is faster for one planet.  The pendulum equations are
 linear, y' = A(t) y, and are stepped with a sixth-order Magnus integrator
 whose step exponentials are built in batches, in closed form for the
@@ -981,13 +982,16 @@ def _radial_velocity(states: np.ndarray, lanes: int) -> np.ndarray:
     return x * vx + z * vz
 
 
-# time points per dense-output call of _perihelion_times (16 refinement
-# windows).  A call holds the interpolant coefficients of the steps its
-# points fall in and a few copies of every lane's state at each point, so a
-# fixed count keeps the memory beside the dense solution linear in the lane
-# count, and small.  More points spread the fixed cost of a call: 112 read
-# in 0.6-0.85 of the time 56 took; 224 gained little more on a 36-lane
-# stack and raised a catalog lane's peak memory by a quarter, 112 by 8%
+# time points per dense-output call of _perihelion_times on a stack of 36
+# lanes or more, and 16 refinement windows per call.  A call holds the
+# interpolant coefficients of the steps its points fall in and a few copies
+# of every lane's state at each point, so a fixed count keeps the memory
+# beside the dense solution linear in the lane count, and small.  More
+# points spread the fixed cost of a call: 112 read in 0.6-0.85 of the time
+# 56 took; 224 gained little more on a 36-lane stack and raised a catalog
+# lane's peak memory by a quarter, 112 by 8%.  A grid scan of fewer lanes
+# reads _READ_POINTS * 36 // lanes times a call, as many lane-points as 36
+# lanes read: a single-lane run's 5,224 grid points in 2 calls
 _READ_POINTS = 112
 
 
@@ -999,17 +1003,18 @@ def _perihelion_times(sol, lanes: int = 1) -> list:
     refined by _APSIS_ROUNDS quadratic fits on a window centred on the
     current estimate, shrinking tenfold per round; a crossing whose fit has
     no real root keeps its estimate for that round.  Each dense-output call
-    reads _READ_POINTS grid points, or the windows of _READ_POINTS / 7
-    crossings in a round, all in one pass (dop853.DenseRun.sol); a window
-    reads only the rows (x, z, vx, vz) of the lane it refines in the flat
-    (4, lanes) state.
+    reads max(_READ_POINTS, _READ_POINTS * 36 // lanes) grid points, or
+    the windows of _READ_POINTS / 7 crossings in a round, all in one pass
+    (dop853.DenseRun.sol); a window reads only the rows (x, z, vx, vz) of
+    the lane it refines in the flat (4, lanes) state.
     """
     grid = np.arange(0.3 * KEPLER_PERIOD, sol.ts[-1], KEPLER_PERIOD / 400.0)
     rising = np.empty((lanes, max(len(grid) - 1, 0)), dtype=bool)
-    for k in range(0, len(grid) - 1, _READ_POINTS):
+    points = max(_READ_POINTS, _READ_POINTS * 36 // lanes)
+    for k in range(0, len(grid) - 1, points):
         # one point of overlap, so a sign change on a block edge is seen
-        g = _radial_velocity(sol.sol(grid[k:k + _READ_POINTS + 1]), lanes)
-        rising[:, k:k + _READ_POINTS] = (g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0)
+        g = _radial_velocity(sol.sol(grid[k:k + points + 1]), lanes)
+        rising[:, k:k + points] = (g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0)
     # in time order, so that the windows of a block share few steps
     i, lane = np.nonzero(rising.T)
     root = 0.5 * (grid[i] + grid[i + 1])
@@ -1105,28 +1110,34 @@ def celestial_frozen_period(cfg: CelestialConfig, phis, masses=None):
     return periods
 
 
-def _trig_series_integral(values: np.ndarray, phi0: float, omega: float,
-                          t1: float, t2: float) -> float:
-    """Integral over [t1, t2] of f(phi0 + omega t) where f is the unique
-    trig polynomial through values on the uniform angle grid.  Exact."""
-    n = len(values)
-    c = np.fft.rfft(values)
-    total = (c[0].real / n) * (t2 - t1)
-    for m in range(1, n // 2 + 1):
-        a = 2.0 * c[m].real / n
-        b = -2.0 * c[m].imag / n
-        if m == n // 2:
-            a *= 0.5
-            b = 0.0
-        if omega == 0.0:
-            total += (a * math.cos(m * phi0) + b * math.sin(m * phi0)) * \
-                (t2 - t1)
-            continue
-        w = m * omega
-        s2, s1 = math.sin(m * phi0 + w * t2), math.sin(m * phi0 + w * t1)
-        c2, c1 = math.cos(m * phi0 + w * t2), math.cos(m * phi0 + w * t1)
-        total += a * (s2 - s1) / w - b * (c2 - c1) / w
-    return total
+def _adiabatic_phase(rates: np.ndarray, phi0: float, omega_j: float,
+                     times: np.ndarray, varpi: np.ndarray,
+                     axis: np.ndarray) -> float:
+    """Frozen-probe phase from the first perihelion time to the last.
+
+    Between two passages the apsis angle varpi is linear, so the rate
+    f(phi0 + omega_j t - varpi), with f the trig polynomial through rates
+    on the uniform angle grid, has an affine argument mid + w tau about its
+    midpoint value mid, with w = omega_j - (varpi_k+1 - varpi_k) / s on a
+    segment of span s.  The segment's phase is then exactly
+    s Re sum_m c_m e^(i m mid) sinc(m w s / 2 pi), with c_m the rfft
+    coefficients of rates over n, those below Nyquist doubled; at w = 0 the
+    sinc is 1.  The Kepler scaling T ~ a^(3/2) rescales each segment to the
+    osculating orbit by the mean semi-major axis of its two ends (the
+    covariance of the two factors is ~1e-6 here).
+    """
+    n = len(rates)
+    c = np.fft.rfft(rates) / n
+    c[1:(n + 1) // 2] *= 2.0
+    m = np.arange(len(c))
+    span = np.diff(times)
+    mid = phi0 + omega_j * 0.5 * (times[1:] + times[:-1]) \
+        - 0.5 * (varpi[1:] + varpi[:-1])
+    w = omega_j - np.diff(varpi) / span
+    segments = span * np.sum((c * np.exp(1j * np.outer(mid, m))).real
+                             * np.sinc(np.outer(w * span, m) / TWO_PI),
+                             axis=1)
+    return float(np.sum(segments * (0.5 * (axis[1:] + axis[:-1])) ** -1.5))
 
 
 class CelestialResidual(NamedTuple):
@@ -1186,27 +1197,6 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, phis: np.ndarray,
         axis = 1.0 / (2.0 / np.hypot(x, z) - (vx * vx + vz * vz))
         return times, varpi, axis
 
-    def adiabatic_phase(rates, times, varpi, axis):
-        # piecewise-linear apsis angle keeps each segment's grid argument
-        # affine in t, so the trig-series integral stays exact per segment;
-        # the Kepler scaling T ~ a^(3/2) rescales the segment's rate to the
-        # osculating orbit (covariance of the two factors is ~1e-6 here)
-        total = 0.0
-        for k in range(len(times) - 1):
-            ta, tb = float(times[k]), float(times[k + 1])
-            slope = (varpi[k + 1] - varpi[k]) / (tb - ta)
-            w = omega_j - slope
-            if abs(w) < 1e-12 * omega_j:
-                mid = phi0 + omega_j * 0.5 * (ta + tb) - \
-                    0.5 * (varpi[k] + varpi[k + 1])
-                seg = _trig_series_integral(rates, mid, 0.0, ta, tb)
-            else:
-                off = phi0 - varpi[k] + slope * ta
-                seg = _trig_series_integral(rates, off, w, ta, tb)
-            a_mid = 0.5 * (axis[k] + axis[k + 1])
-            total += seg * a_mid ** -1.5
-        return total
-
     times, varpi, axis = run(_ORBIT_RTOL, _ORBIT_ATOL)
     t1, t2 = float(times[0]), float(times[-1])
     count = len(times)
@@ -1216,7 +1206,7 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, phis: np.ndarray,
         rates = TWO_PI / celestial_frozen_period(cfg, phis)
     else:
         rates = np.full(len(phis), TWO_PI / t_e)
-    adiabatic = adiabatic_phase(rates, times, varpi, axis)
+    adiabatic = _adiabatic_phase(rates, phi0, omega_j, times, varpi, axis)
     residual = full_phase - adiabatic
     dynamical = adiabatic - TWO_PI * (t2 - t1) / t_e
 
@@ -1226,8 +1216,8 @@ def celestial_adiabatic_residual(cfg: CelestialConfig, phis: np.ndarray,
                                                    _ORBIT_ATOL * 1e3)
         if len(times_loose) != count:
             raise QuadratureError("perihelion count changed under tolerance refinement")
-        adiab_loose = adiabatic_phase(rates, times_loose, varpi_loose,
-                                      axis_loose)
+        adiab_loose = _adiabatic_phase(rates, phi0, omega_j, times_loose,
+                                       varpi_loose, axis_loose)
         gap = abs((full_phase - adiab_loose) - residual)
         floor = 1e-5
         if gap > floor and gap > 0.3 * abs(residual):

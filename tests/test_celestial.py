@@ -451,6 +451,151 @@ class TestApsisFit:
         assert math.isnan(got[1])
 
 
+def _catalog_run():
+    """The moving-perturber run of celestial-residual at catalog defaults."""
+    t_j, t_e = analogs.adiabatic_periods(CONFIG)
+    return analogs._integrate(CONFIG, _moving(CONFIG), t_j + 1.5 * t_e,
+                              analogs._ORBIT_RTOL, analogs._ORBIT_ATOL)
+
+
+def _four_lane_run():
+    """A frozen stack of two angles, each forward and reversed."""
+    start = CONFIG.initial_state()
+    starts = np.repeat([start, start * (1.0, 1.0, -1.0, -1.0)], 2, axis=0)
+    return analogs._integrate_lanes(CONFIG, starts,
+                                    np.array([0.3, 2.0, 0.3, 2.0]),
+                                    np.full(4, CONFIG.m_jupiter),
+                                    0.5 * analogs._ORBITS * TWO_PI, None)
+
+
+class TestPerihelionReads:
+    @pytest.mark.parametrize("run, lanes", [(_catalog_run, 1),
+                                            (_four_lane_run, 4)],
+                             ids=["single-lane", "four-lane"])
+    def test_block_size_leaves_the_times(self, monkeypatch, run, lanes):
+        sol = run()
+        reads = {}
+        for points in (7, 112, 4032):
+            monkeypatch.setattr(analogs, "_READ_POINTS", points)
+            reads[points] = analogs._perihelion_times(sol, lanes)
+        assert all(len(times) > 2 for times in reads[112])
+        for points in (7, 4032):
+            assert len(reads[points]) == lanes
+            for got, want in zip(reads[points], reads[112]):
+                assert np.array_equal(got, want)
+
+    def test_single_lane_reads_in_few_calls(self):
+        # 5,224 grid points in 2 calls of 4,032, then one call for each of
+        # the 3 refinement rounds of the 13 crossings
+        sol = _catalog_run()
+        calls = []
+        counting = SimpleNamespace(
+            ts=sol.ts, sol=lambda *args: calls.append(1) or sol.sol(*args))
+        times = analogs._perihelion_times(counting)[0]
+        assert len(times) == 13
+        assert len(calls) <= 5
+
+
+def _trig_values(rates, theta):
+    """The trig polynomial through rates on the uniform grid, at theta,
+    summed term by term from its rfft: the mean, twice each harmonic below
+    Nyquist, and the Nyquist cosine once."""
+    n = len(rates)
+    c = np.fft.rfft(rates)
+    f = np.full(np.shape(theta), c[0].real / n)
+    for m in range(1, n // 2 + 1):
+        weight = 1.0 if 2 * m == n else 2.0
+        f += weight / n * (c[m].real * np.cos(m * theta)
+                           - c[m].imag * np.sin(m * theta))
+    return f
+
+
+def _quadrature_phase(rates, phi0, omega_j, times, varpi, axis, nodes=96):
+    """Gauss-Legendre rule per segment of the rate at the apsis-relative
+    angle, the apsis angle interpolated linearly between passages and the
+    rate scaled by the segment's mean axis^(-3/2)."""
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * (x + 1.0)
+    total = 0.0
+    for k in range(len(times) - 1):
+        ta, tb = times[k], times[k + 1]
+        t = ta + (tb - ta) * u
+        apsis = varpi[k] + (varpi[k + 1] - varpi[k]) * u
+        f = _trig_values(rates, phi0 + omega_j * t - apsis)
+        scale = (0.5 * (axis[k] + axis[k + 1])) ** -1.5
+        total += 0.5 * (tb - ta) * float(weights @ f) * scale
+    return total
+
+
+class TestAdiabaticPhase:
+    """The closed-form segment integrals against direct quadrature."""
+    OMEGA = 0.5
+
+    @staticmethod
+    def _passages(rng, count):
+        times = 0.3 + np.cumsum(rng.uniform(5.0, 7.0, count))
+        varpi = np.cumsum(rng.uniform(-0.05, 0.05, count))
+        axis = 1.0 + rng.uniform(-0.01, 0.01, count)
+        return times, varpi, axis
+
+    @pytest.mark.parametrize("nodes", [4, 8, 16, 32])
+    def test_random_grids(self, nodes):
+        rng = np.random.default_rng(100 + nodes)
+        angles = analogs.frozen_grid_angles(nodes)
+        for _ in range(5):
+            rates = 1.0 + 0.01 * rng.standard_normal(nodes)
+            assert np.allclose(_trig_values(rates, angles), rates,
+                               rtol=0.0, atol=1e-14)
+            times, varpi, axis = self._passages(rng, 12)
+            phi0 = rng.uniform(-math.pi, math.pi)
+            got = analogs._adiabatic_phase(rates, phi0, self.OMEGA, times,
+                                           varpi, axis)
+            want = _quadrature_phase(rates, phi0, self.OMEGA, times, varpi,
+                                     axis)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_apsis_that_follows_the_perturber(self):
+        # segment 1 turns its apsis at exactly omega, so w = 0; segment 2
+        # at omega less 2^-51, so 0 < w < 1e-12 omega; segment 0 is slow
+        rng = np.random.default_rng(7)
+        rates = 1.0 + 0.01 * rng.standard_normal(32)
+        times = np.array([1.0, 3.0, 5.0, 7.0])
+        varpi = np.array([0.25, 0.5, 1.5, 2.5 - 2.0 ** -50])
+        axis = np.array([1.0, 1.002, 0.999, 1.001])
+        w = self.OMEGA - np.diff(varpi) / np.diff(times)
+        assert w[1] == 0.0
+        assert 0.0 < w[2] < 1e-12 * self.OMEGA
+        for phi0 in (0.0, 1.3, -2.9):
+            for k in range(len(times) - 1):
+                cut = slice(k, k + 2)
+                got = analogs._adiabatic_phase(rates, phi0, self.OMEGA,
+                                               times[cut], varpi[cut],
+                                               axis[cut])
+                want = _quadrature_phase(rates, phi0, self.OMEGA, times[cut],
+                                         varpi[cut], axis[cut])
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            got = analogs._adiabatic_phase(rates, phi0, self.OMEGA, times,
+                                           varpi, axis)
+            want = _quadrature_phase(rates, phi0, self.OMEGA, times, varpi,
+                                     axis)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_constant_rates(self):
+        # the massless control: the phase is the rate times the scaled time
+        rng = np.random.default_rng(9)
+        times, varpi, axis = self._passages(rng, 13)
+        scaled = np.diff(times) * (0.5 * (axis[1:] + axis[:-1])) ** -1.5
+        for nodes in (4, 32):
+            rates = np.full(nodes, TWO_PI / 6.1)
+            got = analogs._adiabatic_phase(rates, 0.4, self.OMEGA, times,
+                                           varpi, axis)
+            assert got == pytest.approx(TWO_PI / 6.1 * float(np.sum(scaled)),
+                                        rel=1e-13, abs=0.0)
+            want = _quadrature_phase(rates, 0.4, self.OMEGA, times, varpi,
+                                     axis)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 class TestAdiabaticResidual:
     def test_residual_is_subleading(self, scenario):
         residual = scenario("celestial-residual")[0]
